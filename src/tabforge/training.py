@@ -32,7 +32,7 @@ from tabforge.great.model import (
     pad_batch,
     sequence_nll,
 )
-from tabforge.metrics import table_report
+from tabforge.metrics import MetricError, table_report
 from tabforge.models.ctgan import (
     CtganConfig,
     build_row_index,
@@ -211,15 +211,20 @@ def _segment_rows(seglist) -> dict[str, tuple[int, int]]:
 # -- drivers ------------------------------------------------------------------------
 
 
+def _gmm_prep(table: Table, config: TrainConfig):
+    """Shared prep of the GMM-encoded methods: fit the column transformer
+    and encode the table."""
+    tf = ColumnTransformer.fit(table, config.gmm_modes, config.seed)
+    enc_rng = substream(config.seed, "encode", table.name)
+    matrix = encode_table(table, tf, enc_rng).matrix
+    return {"transformer": tf, "matrix": matrix, "table": table}
+
+
 class _VaeDriver:
+    prep = staticmethod(_gmm_prep)
+
     def __init__(self, variant: str):
         self.variant = variant
-
-    def prep(self, table: Table, config: TrainConfig):
-        tf = ColumnTransformer.fit(table, config.gmm_modes, config.seed)
-        enc_rng = substream(config.seed, "encode", table.name)
-        matrix = encode_table(table, tf, enc_rng).matrix
-        return {"transformer": tf, "matrix": matrix, "table": table}
 
     def build(self, prep, config: TrainConfig, seed: int):
         cfg = VaeConfig(**{**asdict(config.vae), "variant": self.variant})
@@ -252,11 +257,7 @@ class _VaeDriver:
 
 
 class _CtganDriver:
-    def prep(self, table: Table, config: TrainConfig):
-        tf = ColumnTransformer.fit(table, config.gmm_modes, config.seed)
-        enc_rng = substream(config.seed, "encode", table.name)
-        matrix = encode_table(table, tf, enc_rng).matrix
-        return {"transformer": tf, "matrix": matrix, "table": table}
+    prep = staticmethod(_gmm_prep)
 
     def build(self, prep, config: TrainConfig, seed: int):
         from tabforge.models.ctgan import _category_counts, cond_layout_of
@@ -583,7 +584,7 @@ def _snapshot_score(driver, model, prep, table: Table, val_ids: np.ndarray, conf
     syn.name = val_table.name
     try:
         return table_report(val_table, syn).s_overall
-    except Exception:
+    except MetricError:
         return 0.0  # early garbage snapshots may not be scoreable; rank them last
 
 

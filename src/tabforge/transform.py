@@ -11,6 +11,7 @@ categorical one-hot blocks, in schema order.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from tabforge.data import ColumnMeta, Table
 from tabforge.rng import substream
 
 EM_MAX_ITER = 300
+BIC_PATIENCE = 2  # consecutive k without a BIC improvement that end the sweep
 EM_TOL = 1e-6
 WEIGHT_PRUNE = 0.005
 DEFAULT_MODES = 10
@@ -29,6 +31,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 class TransformError(Exception):
     pass
+
+
+# fit_gmm results keyed by (sha256 of the float64 values, K, seed); the
+# arrays are read-only so no caller can alter what later callers receive.
+_GMM_MEMO: dict[tuple[str, int, int], tuple[np.ndarray, ...]] = {}
 
 
 @dataclass
@@ -63,8 +70,9 @@ def _std_floor(values: np.ndarray) -> float:
 
 
 def _em_fit(x: np.ndarray, k: int, seed: int, floor: float):
-    """One EM run at a fixed component count.  Log-likelihood is asserted
-    non-decreasing per step.  Returns (weights, means, stds, loglik)."""
+    """One EM run at a fixed component count.  A log-likelihood that falls
+    (or is not a number) raises TransformError.  Returns (weights, means,
+    stds, loglik)."""
     distinct = np.unique(x)
     rng = np.random.default_rng(seed)
 
@@ -85,7 +93,7 @@ def _em_fit(x: np.ndarray, k: int, seed: int, floor: float):
 
     ll = -np.inf
     prev_ll = -np.inf
-    for _ in range(EM_MAX_ITER):
+    for it in range(EM_MAX_ITER):
         log_comp = (
             np.log(weights)[None, :]
             - 0.5 * _LOG_2PI
@@ -95,7 +103,8 @@ def _em_fit(x: np.ndarray, k: int, seed: int, floor: float):
         row_max = log_comp.max(axis=1, keepdims=True)
         log_norm = row_max[:, 0] + np.log(np.exp(log_comp - row_max).sum(axis=1))
         ll = float(log_norm.sum())
-        assert ll >= prev_ll - 1e-8 * max(1.0, abs(prev_ll)), "EM log-likelihood decreased"
+        if not ll >= prev_ll - 1e-8 * max(1.0, abs(prev_ll)):
+            raise TransformError(f"EM log-likelihood fell from {prev_ll} to {ll} at k={k}, iteration {it}")
         resp = np.exp(log_comp - log_norm[:, None])
         if ll - prev_ll < EM_TOL:
             break
@@ -115,28 +124,48 @@ def fit_gmm(values, K: int = DEFAULT_MODES, seed: int = 0) -> GmmParams:
 
     EM alone keeps redundant components alive (two components sharing one
     true cluster both retain large weights), so the mode count is selected
-    by BIC across EM runs at k = 1..K; ties go to the smaller k.  Modes with
+    by BIC across EM runs at k = 1, 2, ...; ties go to the smaller k.  The
+    sweep stops at K, or once BIC_PATIENCE consecutive k have not improved
+    on the best BIC.  Each k's EM run is seeded with seed + k, so the fit
+    at the selected k does not depend on where the sweep stops.  Modes with
     weight < 0.005 are then deactivated and the rest renormalized.
+
+    The result depends only on the values, K and seed, so it is memoised
+    for the life of the process; the returned arrays are read-only.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.size == 0:
         raise TransformError("cannot fit a GMM on an empty column")
     if K < 1:
         raise TransformError("mode count must be >= 1")
+    key = (hashlib.sha256(x.tobytes()).hexdigest(), K, seed)
+    if key not in _GMM_MEMO:
+        arrays = _fit_gmm_arrays(x, K, seed)
+        for a in arrays:
+            a.flags.writeable = False
+        _GMM_MEMO[key] = arrays
+    return GmmParams(*_GMM_MEMO[key])
+
+
+def _fit_gmm_arrays(x: np.ndarray, K: int, seed: int) -> tuple[np.ndarray, ...]:
     floor = _std_floor(x)
     distinct = np.unique(x)
     if distinct.size < 2:
-        return GmmParams(np.array([1.0]), np.array([x.mean()]), np.array([floor]), np.array([True]))
+        return np.array([1.0]), np.array([x.mean()]), np.array([floor]), np.array([True])
 
     k_max = min(K, distinct.size)
     best = None
     best_bic = np.inf
+    best_k = 0
     for k in range(1, k_max + 1):
         weights, means, stds, ll = _em_fit(x, k, seed + k, floor)
         bic = -2.0 * ll + (3 * k - 1) * np.log(x.size)
         if bic < best_bic - 1e-9:
             best_bic = bic
             best = (weights, means, stds)
+            best_k = k
+        elif k - best_k == BIC_PATIENCE:
+            break
 
     weights, means, stds = best
     active = weights >= WEIGHT_PRUNE
@@ -144,7 +173,7 @@ def fit_gmm(values, K: int = DEFAULT_MODES, seed: int = 0) -> GmmParams:
         active = weights == weights.max()
     weights = np.where(active, weights, 0.0)
     weights[active] /= weights[active].sum()
-    return GmmParams(weights, means, stds, active)
+    return weights, means, stds, active
 
 
 def mode_responsibilities(params: GmmParams, c: float) -> np.ndarray:

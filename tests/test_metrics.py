@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tabforge
 from tabforge.data import ColumnKind, ColumnMeta, Table
 from tabforge.metrics import (
     Leaderboard,
@@ -217,6 +223,37 @@ class TestTableReport:
         if s_trend is not None:
             assert rep.s_trend == pytest.approx(s_trend, abs=1e-9)
         assert rep.s_overall == pytest.approx(s_overall, abs=1e-9)
+
+    def test_report_bytes_independent_of_hash_seed(self):
+        # Category supports are sets of strings, whose iteration order
+        # follows the per-process string hash seed.
+        code = (
+            "import numpy as np\n"
+            "from tabforge.data import ColumnKind, ColumnMeta, Table\n"
+            "from tabforge.metrics import table_report\n"
+            "rng = np.random.default_rng(0)\n"
+            "labels = tuple('abcdefg')\n"
+            "cols = [ColumnMeta('a', ColumnKind.categorical(), labels),\n"
+            "        ColumnMeta('b', ColumnKind.categorical(), labels),\n"
+            "        ColumnMeta('x', ColumnKind.numerical())]\n"
+            "def make(n, p):\n"
+            "    a, b = rng.choice(labels, n, p=p).tolist(), rng.choice(labels, n).tolist()\n"
+            "    x = rng.normal(0, 1, n).tolist()\n"
+            "    return Table('t', cols, [[a[i], b[i], x[i]] for i in range(n)])\n"
+            "real, syn = make(97, None), make(61, [0.4, 0.2, 0.1, 0.1, 0.1, 0.05, 0.05])\n"
+            "print(table_report(real, syn).to_json())\n"
+        )
+        src = str(Path(tabforge.__file__).parents[1])
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+                capture_output=True,
+                check=True,
+            ).stdout
+            for hash_seed in ("0", "1")
+        ]
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestMannWhitney:

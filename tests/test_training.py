@@ -12,8 +12,10 @@ from tabforge.checkpoint import (
 )
 from tabforge.data import ColumnKind, ColumnMeta, Table
 from tabforge.great.model import GreatConfig
+from tabforge.metrics import MetricError
 from tabforge.models.ctgan import CtganConfig
 from tabforge.models.vae import VaeConfig
+import tabforge.training as tr
 from tabforge.training import (
     EarlyStopper,
     TrainConfig,
@@ -219,6 +221,31 @@ class TestFinetune:
         assert log.best_epoch is not None
         vals = [e["val_loss"] for e in log.entries if e["val_loss"] is not None]
         assert min(vals) == pytest.approx(vals[log.best_epoch - 1], abs=1e-12)
+
+
+class TestSnapshotScore:
+    class _EchoDriver:
+        def sample(self, model, prep, n, rng):
+            return make_table("syn", n=n, seed=1)
+
+    def _score(self):
+        table = make_table("snap", n=20)
+        return tr._snapshot_score(self._EchoDriver(), None, None, table, np.arange(5), quick_config("ctgan"), 1)
+
+    def test_unscoreable_snapshot_ranks_last(self, monkeypatch):
+        def unscoreable(real, syn):
+            raise MetricError("not scoreable")
+
+        monkeypatch.setattr(tr, "table_report", unscoreable)
+        assert self._score() == 0.0
+
+    def test_non_metric_error_propagates(self, monkeypatch):
+        def broken(real, syn):
+            raise ValueError("bug in the scorer")
+
+        monkeypatch.setattr(tr, "table_report", broken)
+        with pytest.raises(ValueError, match="bug in the scorer"):
+            self._score()
 
 
 class TestPretrain:

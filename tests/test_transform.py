@@ -1,10 +1,18 @@
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tabforge
+from tabforge import transform
 from tabforge.data import ColumnKind, ColumnMeta, Table
 from tabforge.transform import (
     ColumnTransformer,
@@ -71,6 +79,85 @@ class TestFitGmm:
         assert params.weights[params.active].sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(params.stds >= floor * (1 - 1e-12))
         assert params.n_active >= 1
+
+
+    def test_em_check_survives_optimize_flag(self):
+        # A NaN makes the first log-likelihood NaN, which the check rejects;
+        # under -O an assert would let NaN parameters through.
+        code = (
+            "from tabforge.transform import TransformError, fit_gmm\n"
+            "try:\n"
+            "    fit_gmm([0.0, 1.0, float('nan')], K=3, seed=0)\n"
+            "except TransformError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(tabforge.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert "k=1, iteration 0" in out.stdout
+
+
+def bimodal_column(seed=7):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.normal(0, 1, 250), rng.normal(10, 1, 250)])
+
+
+class TestGmmSweepAndMemo:
+    @pytest.fixture
+    def em_calls(self, monkeypatch):
+        """Empty the memo and record the k of every EM run."""
+        monkeypatch.setattr(transform, "_GMM_MEMO", {})
+        calls = []
+        em_fit = transform._em_fit
+
+        def counting(x, k, seed, floor):
+            calls.append(k)
+            return em_fit(x, k, seed, floor)
+
+        monkeypatch.setattr(transform, "_em_fit", counting)
+        return calls
+
+    def test_same_column_fits_once(self, em_calls):
+        x = np.random.default_rng(1).normal(3.0, 2.0, 400)
+        first = fit_gmm(x, K=1, seed=0)
+        second = fit_gmm(x.copy(), K=1, seed=0)
+        assert em_calls == [1]
+        assert np.array_equal(first.means, second.means) and np.array_equal(first.stds, second.stds)
+
+    def test_different_k_seed_or_values_miss(self, em_calls):
+        x = np.random.default_rng(1).normal(3.0, 2.0, 400)
+        fit_gmm(x, K=1, seed=0)
+        fit_gmm(x, K=2, seed=0)
+        fit_gmm(x, K=1, seed=1)
+        y = x.copy()
+        y[0] += 1.0
+        fit_gmm(y, K=1, seed=0)
+        assert len(transform._GMM_MEMO) == 4
+        assert em_calls == [1, 1, 2, 1, 1]
+
+    def test_cached_arrays_are_read_only(self, em_calls):
+        params = fit_gmm(bimodal_column(), K=4, seed=3)
+        for a in (params.weights, params.means, params.stds, params.active):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            params.means[0] = 0.0
+
+    def test_two_mode_column_stops_after_two_misses(self, em_calls):
+        params = fit_gmm(bimodal_column(), K=10, seed=3)
+        assert params.weights.size == 2
+        assert transform.BIC_PATIENCE == 2
+        assert em_calls == [1, 2, 3, 4]
+
+    def test_fit_matches_full_sweep_golden(self):
+        # sha256 of the fitted layout at K=10 as produced by the full
+        # k = 1..10 sweep, before the sweep stopped early (float64 on x86-64;
+        # a libm that rounds exp/log differently needs a new value).
+        tf = ColumnTransformer.fit(mixed_table(), modes=10, seed=0)
+        doc = json.dumps(tf.to_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(doc).hexdigest() == (
+            "73097582de34b6c19e0fbd75498a0ce77251d81a892ed28b6d7610a270ee45ca"
+        )
 
 
 class TestResponsibilities:
