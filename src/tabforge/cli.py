@@ -241,12 +241,6 @@ def pretrain_cmd(manifest_path, clean_dir, method, out_path, config_path, overri
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt, out)
     out.with_suffix(".log.csv").write_text(_provenance_line(cfg) + log.to_csv(), encoding="utf-8")
-    if method == "great":
-        from tabforge.great.model import write_sentence_cache
-        from tabforge.textrow import serialize_row_text
-
-        sentences = [serialize_row_text(t.columns, row) for t in corpus for row in t.rows]
-        write_sentence_cache(out.with_suffix(".sentences.txt"), sentences)
     click.echo(f"pretrained {method} on {len(corpus)} tables -> {out}")
     if log.stop_reason == "budget":
         sys.exit(3)

@@ -124,12 +124,6 @@ class Table:
     def column_values(self, index: int) -> list[Cell]:
         return [row[index] for row in self.rows]
 
-    def column_index(self, name: str) -> int:
-        for i, col in enumerate(self.columns):
-            if col.name == name:
-                return i
-        raise KeyError(name)
-
     def numeric_indices(self) -> list[int]:
         return [i for i, c in enumerate(self.columns) if c.kind.is_numerical]
 

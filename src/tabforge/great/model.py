@@ -53,19 +53,15 @@ class GreatModel:
     def parameters(self) -> list[tuple[str, Tensor]]:
         return list(self.params.items())
 
-    def state(self) -> dict[str, np.ndarray]:
-        return {k: p.data.copy() for k, p in self.params.items()}
+    def tensors(self) -> dict[str, Tensor]:
+        """Every tensor by checkpoint name (live, not copies)."""
+        return dict(self.params)
 
     def segments(self) -> dict:
         return {}
 
     def head_names(self) -> set[str]:
         return set()  # the whole model transfers: no table-specific widths
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for k, p in self.params.items():
-            if k in state and state[k].shape == p.data.shape:
-                p.data = np.asarray(state[k], dtype=p.data.dtype).copy()
 
     def optimizer(self) -> Adam:
         return Adam(self.parameters(), lr=self.config.lr, betas=self.config.betas)
@@ -155,18 +151,6 @@ def build_great(config: GreatConfig, vocab: Vocab, seed: int) -> GreatModel:
         params[f"b{l}.mlp.w2"] = normal(4 * d, d)
         params[f"b{l}.mlp.b2"] = zeros(d)
     return GreatModel(config, vocab, params)
-
-
-def write_sentence_cache(path, sentences: list[str]) -> None:
-    """Serialized-corpus cache: one sentence per line, UTF-8."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s in sentences:
-            fh.write(s.replace("\n", " ") + "\n")
-
-
-def read_sentence_cache(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]
 
 
 def pad_batch(sequences: list[list[int]], ctx: int) -> np.ndarray:

@@ -90,6 +90,10 @@ class CtganConfig:
     betas: tuple[float, float] = (0.5, 0.9)
     weight_decay: float = 0.0
 
+    def __post_init__(self):
+        if self.tau <= 0:
+            raise ModelError("tau (gumbel-softmax temperature) must be positive")
+
 
 @dataclass
 class CtganModel:
@@ -113,9 +117,10 @@ class CtganModel:
 
     # -- state surface used by training/checkpointing ------------------------
 
-    def state(self) -> dict[str, np.ndarray]:
-        out = {f"gen.{k}": v for k, v in self.generator.state_dict().items()}
-        out.update({f"critic.{k}": v for k, v in self.critic.state_dict().items()})
+    def tensors(self) -> dict[str, Tensor]:
+        """Every tensor by checkpoint name (live, not copies)."""
+        out = {f"gen.{k}": v for k, v in self.generator.tensors().items()}
+        out.update({f"critic.{k}": v for k, v in self.critic.tensors().items()})
         return out
 
     def segments(self) -> dict[str, tuple[tuple[str, int], ...]]:
@@ -125,9 +130,6 @@ class CtganModel:
 
     def head_names(self) -> set[str]:
         return set(self._head_names)
-
-    def nets(self) -> dict[str, Net]:
-        return {"gen": self.generator, "critic": self.critic}
 
     def optimizers(self) -> tuple[Adam, Adam]:
         c = self.config
@@ -252,22 +254,10 @@ def _category_counts(table: Table, layout: CondLayout) -> list[np.ndarray]:
 # -- training-by-sampling -----------------------------------------------------
 
 
-def sample_condition(model: CtganModel, rng: np.random.Generator):
-    """(i*, k*): column uniform, category from the log-frequency PMF.
-
-    Returns None for condition-free tables (no categorical columns).
-    """
-    if model.layout.n_columns == 0:
-        return None
-    i_star = int(rng.integers(model.layout.n_columns))
-    pmf = model.log_pmfs[i_star]
-    u = rng.random()
-    k_star = int((u > np.cumsum(pmf)).sum())
-    return i_star, min(k_star, len(pmf) - 1)
-
-
-def _sample_condition_batch(model: CtganModel, n: int, rng: np.random.Generator):
-    """Vectorized draw of n (i*, k*) pairs plus the cond matrix."""
+def sample_conditions(model: CtganModel, n: int, rng: np.random.Generator):
+    """n draws of (i*, k*): column uniform, category from its log-frequency
+    PMF.  Returns (i_stars, k_stars, cond matrix); condition-free tables (no
+    categorical columns) give (None, None, an (n, 0) matrix)."""
     layout = model.layout
     if layout.n_columns == 0:
         return None, None, np.zeros((n, 0), dtype=np.float32)
@@ -380,7 +370,7 @@ def _batch_size(model: CtganModel, n_rows: int) -> int:
 
 
 def _generate(model: CtganModel, n: int, rng: np.random.Generator):
-    i_s, k_s, cond = _sample_condition_batch(model, n, rng)
+    i_s, k_s, cond = sample_conditions(model, n, rng)
     z = rng.standard_normal((n, model.config.z_dim)).astype(np.float32)
     gen_in = np.concatenate([z, cond], axis=1)
     fake = model.generator.forward(gen_in, mode="train", rng=rng)
@@ -501,7 +491,7 @@ def ctgan_sample(
         if condition is not None:
             cond = np.tile(build_cond_vector(model.layout, *condition), (chunk, 1))
         else:
-            _, _, cond = _sample_condition_batch(model, chunk, rng)
+            _, _, cond = sample_conditions(model, chunk, rng)
         z = rng.standard_normal((chunk, cfg.z_dim)).astype(np.float32)
         with T.no_grad():
             out = model.generator.forward(np.concatenate([z, cond], axis=1), mode="eval")

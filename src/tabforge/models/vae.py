@@ -87,11 +87,12 @@ class VaeModel:
             params.append(("delta", self.delta))
         return params
 
-    def state(self) -> dict[str, np.ndarray]:
-        out = {f"enc.{k}": v for k, v in self.encoder.state_dict().items()}
-        out.update({f"dec.{k}": v for k, v in self.decoder.state_dict().items()})
+    def tensors(self) -> dict[str, Tensor]:
+        """Every tensor by checkpoint name (live, not copies)."""
+        out = {f"enc.{k}": v for k, v in self.encoder.tensors().items()}
+        out.update({f"dec.{k}": v for k, v in self.decoder.tensors().items()})
         if self.delta is not None:
-            out["delta"] = self.delta.data.copy()
+            out["delta"] = self.delta
         return out
 
     def segments(self) -> dict[str, tuple[tuple[str, int], ...]]:
@@ -101,9 +102,6 @@ class VaeModel:
 
     def head_names(self) -> set[str]:
         return set(self._head_names)
-
-    def nets(self) -> dict[str, Net]:
-        return {"enc": self.encoder, "dec": self.decoder}
 
     def optimizer(self) -> Adam:
         return Adam(self.parameters(), lr=self.config.lr, betas=self.config.betas)

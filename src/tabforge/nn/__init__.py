@@ -11,11 +11,7 @@ from tabforge.nn.layers import (
     Softmax,
     Tanh,
 )
-from tabforge.nn.functional import (
-    cross_entropy_logits,
-    gumbel_softmax,
-    kl_std_normal,
-)
+from tabforge.nn.functional import cross_entropy_logits, kl_std_normal
 from tabforge.nn.optim import Adam
 
 __all__ = [
@@ -33,7 +29,6 @@ __all__ = [
     "Tensor",
     "concat",
     "cross_entropy_logits",
-    "gumbel_softmax",
     "kl_std_normal",
     "no_grad",
 ]

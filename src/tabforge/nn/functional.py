@@ -1,4 +1,4 @@
-"""Loss pieces and stochastic activations shared by the model families."""
+"""Loss pieces shared by the model families."""
 
 from __future__ import annotations
 
@@ -6,33 +6,6 @@ import numpy as np
 
 from tabforge.nn import tensor as T
 from tabforge.nn.tensor import Tensor
-
-
-def straight_through(soft: Tensor, hard_data: np.ndarray) -> Tensor:
-    """Forward value ``hard_data``, gradient of ``soft`` (identity pass-through)."""
-    out = T._node(np.asarray(hard_data, dtype=soft.data.dtype), (soft,), lambda g: (g,), "straight_through")
-    return out
-
-
-def gumbel_softmax(logits: Tensor, tau: float, rng: np.random.Generator, hard: bool = False) -> Tensor:
-    """Relaxed one-hot sample: softmax((logits + gumbel noise) / tau).
-
-    hard=True returns the argmax one-hot in the forward value while gradients
-    flow through the relaxed sample.
-    """
-    if tau <= 0:
-        raise ValueError("gumbel-softmax temperature must be > 0")
-    if not isinstance(logits, Tensor):
-        logits = Tensor(logits)
-    u = np.clip(rng.random(logits.data.shape), 1e-12, 1.0 - 1e-12)
-    noise = -np.log(-np.log(u)).astype(logits.data.dtype)
-    soft = T.softmax((logits + Tensor(noise)) * (1.0 / tau), axis=-1)
-    if not hard:
-        return soft
-    idx = soft.data.argmax(axis=-1)
-    hard_data = np.zeros_like(soft.data)
-    np.put_along_axis(hard_data, idx[..., None], 1.0, axis=-1)
-    return straight_through(soft, hard_data)
 
 
 def kl_std_normal(mu, sigma):

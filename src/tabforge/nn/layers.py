@@ -60,6 +60,10 @@ class GumbelSoftmax:
     span: tuple[int, int]
     tau: float = 0.2
 
+    def __post_init__(self):
+        if self.tau <= 0:
+            raise ValueError("gumbel-softmax temperature must be > 0")
+
 
 @dataclass(frozen=True)
 class BatchNorm:
@@ -94,7 +98,7 @@ class Net:
         self.layers = tuple(layers)
         self.dtype = dtype
         self.params: dict[str, Tensor] = {}
-        self.buffers: dict[str, np.ndarray] = {}
+        self.buffers: dict[str, Tensor] = {}  # running statistics, not trained
         self.param_segments: dict[str, tuple[tuple[str, int], ...]] = {}
         self._program = []
         self.in_width: int | None = None
@@ -119,8 +123,8 @@ class Net:
     def _add_batchnorm(self, name: str, layer: BatchNorm) -> None:
         self.params[f"{name}.gamma"] = Tensor(np.ones(layer.dim, dtype=self.dtype), requires_grad=True)
         self.params[f"{name}.beta"] = Tensor(np.zeros(layer.dim, dtype=self.dtype), requires_grad=True)
-        self.buffers[f"{name}.running_mean"] = np.zeros(layer.dim, dtype=self.dtype)
-        self.buffers[f"{name}.running_var"] = np.ones(layer.dim, dtype=self.dtype)
+        self.buffers[f"{name}.running_mean"] = Tensor(np.zeros(layer.dim, dtype=self.dtype))
+        self.buffers[f"{name}.running_var"] = Tensor(np.ones(layer.dim, dtype=self.dtype))
 
     def _compile(self, rng, layers=None, prefix="", width=None):
         top_level = layers is None
@@ -286,22 +290,17 @@ class Net:
 
     def _batchnorm(self, name: str, layer: BatchNorm, x: Tensor, mode: str) -> Tensor:
         gamma, beta = self.params[f"{name}.gamma"], self.params[f"{name}.beta"]
+        rm, rv = self.buffers[f"{name}.running_mean"], self.buffers[f"{name}.running_var"]
         if mode == "train":
             mu = x.mean(axis=0)
             centered = x - mu
             var = (centered * centered).mean(axis=0)
             norm = centered * ((var + layer.eps) ** -0.5)
             m = layer.momentum
-            self.buffers[f"{name}.running_mean"] = (
-                (1.0 - m) * self.buffers[f"{name}.running_mean"] + m * mu.data
-            ).astype(self.dtype)
-            self.buffers[f"{name}.running_var"] = (
-                (1.0 - m) * self.buffers[f"{name}.running_var"] + m * var.data
-            ).astype(self.dtype)
+            rm.data = ((1.0 - m) * rm.data + m * mu.data).astype(self.dtype)
+            rv.data = ((1.0 - m) * rv.data + m * var.data).astype(self.dtype)
         else:
-            rm = self.buffers[f"{name}.running_mean"]
-            rv = self.buffers[f"{name}.running_var"]
-            norm = (x - Tensor(rm)) * Tensor((rv + layer.eps) ** -0.5)
+            norm = (x - rm) * Tensor((rv.data + layer.eps) ** -0.5)
         return norm * gamma + beta
 
     # -- gradients -------------------------------------------------------------
@@ -353,22 +352,6 @@ class Net:
     def parameters(self) -> list[tuple[str, Tensor]]:
         return list(self.params.items())
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        state = {n: p.data.copy() for n, p in self.params.items()}
-        state.update({n: b.copy() for n, b in self.buffers.items()})
-        return state
-
-    def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True) -> None:
-        for name in list(self.params) + list(self.buffers):
-            if name not in state:
-                if strict:
-                    raise KeyError(f"missing tensor {name!r}")
-                continue
-            target = self.params[name].data if name in self.params else self.buffers[name]
-            src = np.asarray(state[name], dtype=target.dtype)
-            if src.shape != target.shape:
-                raise ValueError(f"shape mismatch for {name!r}: {src.shape} vs {target.shape}")
-            if name in self.params:
-                self.params[name].data = src.copy()
-            else:
-                self.buffers[name] = src.copy()
+    def tensors(self) -> dict[str, Tensor]:
+        """Every tensor by name: parameters, then BatchNorm running stats."""
+        return {**self.params, **self.buffers}

@@ -14,18 +14,18 @@ the snapshot that scores best against a held-out slice.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from tabforge.checkpoint import CheckpointError, ModelCheckpoint
-from tabforge.data import Table
+from tabforge.data import ColumnKind, ColumnMeta, Table
 from tabforge.great.bpe import BOS, EOS, Vocab, train_bpe
 from tabforge.great.model import (
     GreatConfig,
-    GreatModel,
     build_great,
     great_generate,
     great_train_step,
@@ -35,8 +35,8 @@ from tabforge.great.model import (
 from tabforge.metrics import MetricError, table_report
 from tabforge.models.ctgan import (
     CtganConfig,
+    build_ctgan,
     build_row_index,
-    counts_to_log_pmfs,
     ctgan_sample,
     ctgan_train_batch,
     make_ctgan,
@@ -130,7 +130,18 @@ def corpus_hash(tables: list[Table]) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
 
 
-# -- state transfer --------------------------------------------------------------
+# -- model state -------------------------------------------------------------------
+#
+# Every model exposes the same surface: tensors() maps each checkpoint name
+# to its live Tensor (parameters, BatchNorm running stats and the tvae
+# delta), segments() names the row blocks of weights whose input mixes
+# table-specific and shared blocks, and head_names() lists the tensors whose
+# widths depend on the table.
+
+
+def copy_state(model) -> dict[str, np.ndarray]:
+    """A copy of every tensor of `model`, by checkpoint name."""
+    return {name: t.data.copy() for name, t in model.tensors().items()}
 
 
 def transfer_state(model, tensors: dict[str, np.ndarray], segments: dict | None = None) -> list[str]:
@@ -145,57 +156,39 @@ def transfer_state(model, tensors: dict[str, np.ndarray], segments: dict | None 
     loaded names.
     """
     segments = segments or {}
-    loaded: list[str] = []
-    if isinstance(model, GreatModel):
-        for name, p in model.params.items():
-            if name in tensors and tensors[name].shape == p.data.shape:
-                p.data = tensors[name].astype(p.data.dtype).copy()
-                loaded.append(name)
-        return loaded
-
     heads = model.head_names()
     model_segments = model.segments()
-    for prefix, net in model.nets().items():
-        for name in list(net.params) + list(net.buffers):
-            full = f"{prefix}.{name}"
-            if full not in tensors:
+    loaded: list[str] = []
+    for name, target in model.tensors().items():
+        if name not in tensors:
+            continue
+        src = tensors[name]
+        if src.shape == target.data.shape:
+            copied = src.astype(target.data.dtype).copy()
+        elif (
+            name not in heads  # differently-sized head: keep the fresh init
+            and name in model_segments
+            and name in segments
+            and src.ndim == 2
+            and target.data.ndim == 2
+            and src.shape[1] == target.data.shape[1]
+        ):
+            copied = target.data.copy()
+            src_rows = _segment_rows(segments[name])
+            dst_rows = _segment_rows(model_segments[name])
+            any_seg = False
+            for seg_name, (d0, d1) in dst_rows.items():
+                if seg_name in src_rows:
+                    s0, s1 = src_rows[seg_name]
+                    if s1 - s0 == d1 - d0 and d1 > d0:
+                        copied[d0:d1] = src[s0:s1].astype(target.data.dtype)
+                        any_seg = True
+            if not any_seg:
                 continue
-            src = tensors[full]
-            target = net.params[name].data if name in net.params else net.buffers[name]
-            if src.shape == target.shape:
-                copied = src.astype(target.dtype).copy()
-            elif full in heads:
-                continue  # differently-sized head: keep the fresh init
-            elif (
-                full in model_segments
-                and full in segments
-                and src.ndim == 2
-                and target.ndim == 2
-                and src.shape[1] == target.shape[1]
-            ):
-                copied = target.copy()
-                src_rows = _segment_rows(segments[full])
-                dst_rows = _segment_rows(model_segments[full])
-                any_seg = False
-                for seg_name, (d0, d1) in dst_rows.items():
-                    if seg_name in src_rows:
-                        s0, s1 = src_rows[seg_name]
-                        if s1 - s0 == d1 - d0 and d1 > d0:
-                            copied[d0:d1] = src[s0:s1].astype(target.dtype)
-                            any_seg = True
-                if not any_seg:
-                    continue
-            else:
-                continue
-            if name in net.params:
-                net.params[name].data = copied
-            else:
-                net.buffers[name] = copied
-            loaded.append(full)
-    delta = getattr(model, "delta", None)
-    if delta is not None and "delta" in tensors and tensors["delta"].shape == delta.data.shape:
-        delta.data = tensors["delta"].astype(delta.data.dtype).copy()
-        loaded.append("delta")
+        else:
+            continue
+        target.data = copied
+        loaded.append(name)
     return loaded
 
 
@@ -209,27 +202,57 @@ def _segment_rows(seglist) -> dict[str, tuple[int, int]]:
 
 
 # -- drivers ------------------------------------------------------------------------
+#
+# A driver owns everything that differs between methods: the per-table prep
+# (whose "rows" are what an epoch trains on), the model, one epoch, the
+# validation loss, sampling, the checkpoint aux and the rebuild from it.
+# `early_stops` picks fine-tuning's policy: early stopping on validation
+# loss, or scoring snapshots against a held-out slice.
+#
+# Drivers call the model functions by their module-global names at call
+# time, never through a reference captured in a class body, so that a
+# profiler that rebinds those names sees every call.
 
 
-def _gmm_prep(table: Table, config: TrainConfig):
-    """Shared prep of the GMM-encoded methods: fit the column transformer
-    and encode the table."""
-    tf = ColumnTransformer.fit(table, config.gmm_modes, config.seed)
-    enc_rng = substream(config.seed, "encode", table.name)
-    matrix = encode_table(table, tf, enc_rng).matrix
-    return {"transformer": tf, "matrix": matrix, "table": table}
+def _aux_entry(ckpt: ModelCheckpoint, key: str):
+    if key not in ckpt.aux:
+        raise CheckpointError(f"checkpoint has no {key}; was it a pretraining body?")
+    return ckpt.aux[key]
 
 
-class _VaeDriver:
-    prep = staticmethod(_gmm_prep)
+def _stored_config(cls, ckpt: ModelCheckpoint):
+    """The checkpoint's model config; JSON stored its tuples as lists."""
+    doc = ckpt.config["model"]
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
 
+
+class _GmmDriver:
+    """What the GMM-encoded methods share: the fitted column transformer,
+    and the encoded matrix as the training rows."""
+
+    early_stops = True
+
+    def corpus_aux(self, corpus: list[Table], config: TrainConfig) -> dict:
+        return {}  # every table fits its own transformer
+
+    def prep(self, table: Table, config: TrainConfig, aux: dict):
+        tf = ColumnTransformer.fit(table, config.gmm_modes, config.seed)
+        enc_rng = substream(config.seed, "encode", table.name)
+        return {"table": table, "transformer": tf, "rows": encode_table(table, tf, enc_rng).matrix}
+
+    def aux(self, prep, model) -> dict:
+        return {"transformer": prep["transformer"].to_dict()}
+
+    def _transformer(self, ckpt: ModelCheckpoint) -> ColumnTransformer:
+        return ColumnTransformer.from_dict(_aux_entry(ckpt, "transformer"))
+
+
+class _VaeDriver(_GmmDriver):
     def __init__(self, variant: str):
         self.variant = variant
 
     def build(self, prep, config: TrainConfig, seed: int):
-        cfg = VaeConfig(**{**asdict(config.vae), "variant": self.variant})
-        model = build_vae(prep["transformer"], cfg, seed)
-        return model
+        return build_vae(prep["transformer"], replace(config.vae, variant=self.variant), seed)
 
     def setup(self, model):
         return {"opt": model.optimizer()}
@@ -249,22 +272,15 @@ class _VaeDriver:
     def sample(self, model, prep, n: int, rng) -> Table:
         return vae_sample(model, n, rng)
 
-    def aux(self, prep) -> dict:
-        return {"transformer": prep["transformer"].to_dict()}
-
-    def model_config(self, model) -> dict:
-        return asdict(model.config)
+    def rebuild(self, ckpt: ModelCheckpoint):
+        return build_vae(self._transformer(ckpt), _stored_config(VaeConfig, ckpt), seed=0), {}
 
 
-class _CtganDriver:
-    prep = staticmethod(_gmm_prep)
+class _CtganDriver(_GmmDriver):
+    early_stops = False  # a GAN has no usable validation loss
 
     def build(self, prep, config: TrainConfig, seed: int):
-        from tabforge.models.ctgan import _category_counts, cond_layout_of
-
-        layout = cond_layout_of(prep["transformer"])
-        counts = _category_counts(prep["table"], layout)
-        return make_ctgan(prep["transformer"], config.ctgan, counts_to_log_pmfs(counts), seed)
+        return build_ctgan(prep["table"], prep["transformer"], config.ctgan, seed)
 
     def setup(self, model):
         critic_opt, gen_opt = model.optimizers()
@@ -284,25 +300,32 @@ class _CtganDriver:
             losses.append(out["generator_loss"])
         return float(np.mean(losses))
 
-    def val_loss(self, model, prep, val_matrix, rng):
-        return None  # GAN validation loss is not used for stopping
-
     def sample(self, model, prep, n: int, rng) -> Table:
         return ctgan_sample(model, n, rng)
 
-    def aux(self, prep) -> dict:
-        return {"transformer": prep["transformer"].to_dict()}
+    def aux(self, prep, model) -> dict:
+        # The condition PMFs of the rows trained on, for sampling.
+        return {**super().aux(prep, model), "log_pmfs": [p.tolist() for p in model.log_pmfs]}
 
-    def model_config(self, model) -> dict:
-        return asdict(model.config)
+    def rebuild(self, ckpt: ModelCheckpoint):
+        log_pmfs = [np.asarray(p, dtype=np.float64) for p in _aux_entry(ckpt, "log_pmfs")]
+        cfg = _stored_config(CtganConfig, ckpt)
+        return make_ctgan(self._transformer(ckpt), cfg, log_pmfs, seed=0), {}
 
 
 class _GreatDriver:
-    def prep(self, table: Table, config: TrainConfig, vocab: Vocab | None = None):
-        sentences = [serialize_row_text(table.columns, row) for row in table.rows]
-        if vocab is None:
-            vocab = train_bpe(sentences, config.great_vocab)
-        return {"table": table, "vocab": vocab, "sentences": sentences}
+    early_stops = True
+
+    def corpus_aux(self, corpus: list[Table], config: TrainConfig) -> dict:
+        """The vocabulary every table of the corpus shares."""
+        sentences = [serialize_row_text(t.columns, row) for t in corpus for row in t.rows]
+        return {"vocab": train_bpe(sentences, config.great_vocab).to_dict()}
+
+    def prep(self, table: Table, config: TrainConfig, aux: dict):
+        # Fine-tuning continues with the pretraining vocabulary; training
+        # from scratch fits one to the table.
+        vocab = Vocab.from_dict((aux or self.corpus_aux([table], config))["vocab"])
+        return {"table": table, "vocab": vocab, "rows": np.arange(table.n_rows)}
 
     def build(self, prep, config: TrainConfig, seed: int):
         return build_great(config.great, prep["vocab"], seed)
@@ -341,7 +364,7 @@ class _GreatDriver:
         table, _ = great_generate(model, list(prep["table"].columns), n, rng)
         return table
 
-    def aux(self, prep) -> dict:
+    def aux(self, prep, model) -> dict:
         table = prep["table"]
         return {
             "vocab": prep["vocab"].to_dict(),
@@ -351,8 +374,14 @@ class _GreatDriver:
             ],
         }
 
-    def model_config(self, model) -> dict:
-        return asdict(model.config)
+    def rebuild(self, ckpt: ModelCheckpoint):
+        schema = [
+            ColumnMeta(c["name"], ColumnKind(c["kind"]), tuple(c.get("categories", ())), 0.0)
+            for c in _aux_entry(ckpt, "schema")
+        ]
+        vocab = Vocab.from_dict(_aux_entry(ckpt, "vocab"))
+        model = build_great(_stored_config(GreatConfig, ckpt), vocab, seed=0)
+        return model, {"table": Table("synthetic", schema, [])}  # sampling needs only the schema
 
 
 def _driver(kind: str):
@@ -365,27 +394,25 @@ def _driver(kind: str):
     raise TrainingError(f"unknown model kind {kind!r}")
 
 
-def _model_state(model) -> dict[str, np.ndarray]:
-    return model.state()
+@contextlib.contextmanager
+def _diverged(kind: str, table: Table, where: str):
+    """Report a non-finite value from the tape as a training failure."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise TrainingError(f"{kind} training diverged on table {table.name!r} at {where}: {exc}") from exc
 
 
-def _model_segments(model) -> dict:
-    return model.segments()
-
-
-def _load_exact(model, tensors: dict[str, np.ndarray]) -> None:
-    """Strict full-state load (same table, same widths)."""
-    if isinstance(model, GreatModel):
-        for name, p in model.params.items():
-            p.data = tensors[name].astype(p.data.dtype).copy()
-        return
-    for prefix, net in model.nets().items():
-        state = {
-            name: tensors[f"{prefix}.{name}"] for name in list(net.params) + list(net.buffers)
-        }
-        net.load_state_dict(state)
-    if getattr(model, "delta", None) is not None:
-        model.delta.data = tensors["delta"].astype(model.delta.data.dtype).copy()
+def _checkpoint(kind: str, model, config: TrainConfig, tensors, aux: dict, corpus: list[Table], epoch: int):
+    return ModelCheckpoint(
+        kind=kind,
+        config={"model": asdict(model.config), "train": asdict(config)},
+        tensors=tensors,
+        segments={k: [list(s) for s in v] for k, v in model.segments().items()},
+        head_names=sorted(model.head_names()),
+        aux=aux,
+        provenance={"corpus_hash": corpus_hash(corpus), "seed": config.seed, "epoch": epoch},
+    )
 
 
 # -- pretraining ------------------------------------------------------------------------
@@ -401,21 +428,10 @@ def pretrain(kind: str, corpus: list[Table], config: TrainConfig) -> tuple[Model
     log = TrainLog()
     start_time = time.monotonic()
 
-    shared_vocab = None
-    if kind == "great":
-        all_sentences = [
-            serialize_row_text(t.columns, row) for t in corpus for row in t.rows
-        ]
-        shared_vocab = train_bpe(all_sentences, config.great_vocab)
-
-    preps = {}
-    for t in corpus:
-        preps[t.name] = (
-            driver.prep(t, config, vocab=shared_vocab) if kind == "great" else driver.prep(t, config)
-        )
+    aux = driver.corpus_aux(corpus, config)
+    preps = [driver.prep(t, config, aux) for t in corpus]
 
     body: dict[str, np.ndarray] | None = None
-    body_segments: dict = {}
     last_model = None
     stop_reason = "iterations"
     for iteration in range(config.iterations):
@@ -426,46 +442,25 @@ def pretrain(kind: str, corpus: list[Table], config: TrainConfig) -> tuple[Model
         order = shuffle_rng.permutation(len(corpus))
         iteration_losses = []
         for idx in order:
-            table = corpus[int(idx)]
-            prep = preps[table.name]
+            table, prep = corpus[int(idx)], preps[int(idx)]
             model = driver.build(
                 prep, config, int(substream(config.seed, "pretrain", "model", table.name, iteration).integers(2**63))
             )
             if body is not None:
-                transfer_state(model, body, body_segments)
+                transfer_state(model, body, last_model.segments())
             session = driver.setup(model)
             session["prep"] = prep
-            data = prep["matrix"] if kind != "great" else np.arange(table.n_rows)
             rng = substream(config.seed, "pretrain", "epoch", table.name, iteration)
-            loss = driver.train_epoch(model, session, data, rng)
+            with _diverged(kind, table, f"pretraining iteration {iteration + 1}"):
+                loss = driver.train_epoch(model, session, prep["rows"], rng)
             iteration_losses.append(loss)
-            body = _model_state(model)
-            body_segments = _model_segments(model)
+            body = copy_state(model)
             last_model = model
         log.record(iteration + 1, float(np.mean(iteration_losses)), None)
     log.stop_reason = stop_reason
     if body is None:
         raise TrainingError("wall-clock budget exhausted before the first iteration")
-
-    ckpt = ModelCheckpoint(
-        kind=kind,
-        config={"model": driver.model_config(last_model), "train": _config_snapshot(config)},
-        tensors=body,
-        segments={k: [list(s) for s in v] for k, v in body_segments.items()},
-        head_names=sorted(last_model.head_names()),
-        aux=(
-            {"vocab": shared_vocab.to_dict()}
-            if kind == "great"
-            else {}
-        ),
-        provenance={"corpus_hash": corpus_hash(corpus), "seed": config.seed, "epoch": len(log.entries)},
-    )
-    return ckpt, log
-
-
-def _config_snapshot(config: TrainConfig) -> dict:
-    doc = asdict(config)
-    return doc
+    return _checkpoint(kind, last_model, config, body, aux, corpus, len(log.entries)), log
 
 
 # -- fine-tuning and single training ------------------------------------------------------
@@ -496,12 +491,7 @@ def finetune(
         raise TrainingError(f"config kind {config.kind!r} != requested {kind!r}")
     driver = _driver(kind)
 
-    if kind == "great" and checkpoint is not None:
-        # Finetuning continues with the pretraining vocabulary.
-        prep = driver.prep(table, config, vocab=Vocab.from_dict(checkpoint.aux["vocab"]))
-    else:
-        prep = driver.prep(table, config)
-
+    prep = driver.prep(table, config, checkpoint.aux if checkpoint is not None else {})
     model_seed = int(substream(config.seed, "model", table.name).integers(2**63))
     model = driver.build(prep, config, model_seed)
     if checkpoint is not None:
@@ -509,70 +499,48 @@ def finetune(
     session = driver.setup(model)
     session["prep"] = prep
 
-    split_rng = substream(config.seed, "valsplit", table.name)
-    if kind == "great":
-        train_ids, val_ids = _val_split(table.n_rows, config.val_fraction, split_rng)
-        train_data, val_data = train_ids, val_ids
-    else:
-        train_ids, val_ids = _val_split(prep["matrix"].shape[0], config.val_fraction, split_rng)
-        train_data, val_data = prep["matrix"][train_ids], prep["matrix"][val_ids]
+    rows = prep["rows"]
+    train_ids, val_ids = _val_split(len(rows), config.val_fraction, substream(config.seed, "valsplit", table.name))
+    train_rows, val_rows = rows[train_ids], rows[val_ids]
 
     log = TrainLog()
-    best_state = _model_state(model)
+    best_state = copy_state(model)
     best_epoch = 0
-    uses_early_stop = kind != "ctgan"
     stopper = EarlyStopper(config.patience, config.min_delta)
     snapshots: list[tuple[int, dict, float]] = []
     stop_reason = "epochs"
 
     for epoch in range(1, config.epochs + 1):
-        rng = substream(config.seed, "epoch", table.name, epoch)
-        train_loss = driver.train_epoch(model, session, train_data, rng)
-        val_loss = None
-        if uses_early_stop and len(val_ids):
-            val_loss = driver.val_loss(model, prep, val_data, substream(config.seed, "val", table.name, epoch))
-        log.record(epoch, train_loss, val_loss)
+        with _diverged(kind, table, f"epoch {epoch}"):
+            rng = substream(config.seed, "epoch", table.name, epoch)
+            train_loss = driver.train_epoch(model, session, train_rows, rng)
+            val_loss = None
+            if driver.early_stops and len(val_ids):
+                val_loss = driver.val_loss(model, prep, val_rows, substream(config.seed, "val", table.name, epoch))
+            log.record(epoch, train_loss, val_loss)
 
-        if uses_early_stop and val_loss is not None:
-            if val_loss < stopper.best - config.min_delta:
-                best_state = _model_state(model)
-            if stopper.update(epoch, val_loss):
-                stop_reason = "early_stop"
+            if not driver.early_stops:
+                if epoch % config.ckpt_every == 0 or epoch == config.epochs:
+                    score = _snapshot_score(driver, model, prep, table, val_ids, config, epoch)
+                    snapshots.append((epoch, copy_state(model), score))
+                    log.checkpoints.append({"epoch": epoch, "overall": score})
+            elif val_loss is not None:
+                stop = stopper.update(epoch, val_loss)
+                if stopper.best_epoch == epoch:  # improved
+                    best_state = copy_state(model)
                 best_epoch = stopper.best_epoch
-                break
-            best_epoch = stopper.best_epoch
-        elif kind == "ctgan" and (epoch % config.ckpt_every == 0 or epoch == config.epochs):
-            score = _snapshot_score(driver, model, prep, table, val_ids, config, epoch)
-            snapshots.append((epoch, _model_state(model), score))
-            log.checkpoints.append({"epoch": epoch, "overall": score})
+                if stop:
+                    stop_reason = "early_stop"
+                    break
 
-    if uses_early_stop:
-        if config.epochs == 0 or not log.entries or all(e["val_loss"] is None for e in log.entries):
-            best_state = _model_state(model)
-            best_epoch = config.epochs
-        log.best_epoch = best_epoch
-    else:
-        if snapshots:
-            best_epoch, best_state, _ = max(snapshots, key=lambda s: (s[2], -s[0]))
-        else:
-            best_state = _model_state(model)
-            best_epoch = config.epochs
-        log.best_epoch = best_epoch
+    if snapshots:
+        best_epoch, best_state, _ = max(snapshots, key=lambda s: (s[2], -s[0]))
+    elif all(e["val_loss"] is None for e in log.entries):
+        best_state = copy_state(model)  # nothing scored: keep the final weights
+        best_epoch = config.epochs
+    log.best_epoch = best_epoch
     log.stop_reason = stop_reason
-
-    aux = driver.aux(prep)
-    if kind == "ctgan":
-        aux["log_pmfs"] = [p.tolist() for p in model.log_pmfs]
-    ckpt = ModelCheckpoint(
-        kind=kind,
-        config={"model": driver.model_config(model), "train": _config_snapshot(config)},
-        tensors=best_state,
-        segments={k: [list(s) for s in v] for k, v in _model_segments(model).items()},
-        head_names=sorted(model.head_names()),
-        aux=aux,
-        provenance={"corpus_hash": corpus_hash([table]), "seed": config.seed, "epoch": best_epoch},
-    )
-    return ckpt, log
+    return _checkpoint(kind, model, config, best_state, driver.aux(prep, model), [table], best_epoch), log
 
 
 def _snapshot_score(driver, model, prep, table: Table, val_ids: np.ndarray, config: TrainConfig, epoch: int) -> float:
@@ -595,56 +563,28 @@ def train_scratch(kind: str, table: Table, config: TrainConfig) -> tuple[ModelCh
 # -- sampling from persisted models -----------------------------------------------------
 
 
+def _restore(driver, ckpt: ModelCheckpoint):
+    """The checkpoint's model and sampling prep, every tensor loaded strictly."""
+    model, prep = driver.rebuild(ckpt)
+    for name, target in model.tensors().items():
+        if name not in ckpt.tensors:
+            raise CheckpointError(f"checkpoint has no tensor {name!r}")
+        src = ckpt.tensors[name]
+        if src.shape != target.data.shape:
+            raise CheckpointError(
+                f"checkpoint tensor {name!r} has shape {src.shape}, the model needs {target.data.shape}"
+            )
+        target.data = src.astype(target.data.dtype).copy()
+    return model, prep
+
+
 def rebuild_model(ckpt: ModelCheckpoint):
     """Reconstruct a sampling-ready model from a fine-tuned checkpoint."""
-    kind = ckpt.kind
-    if kind == "great":
-        cfg = GreatConfig(**ckpt.config["model"])
-        vocab = Vocab.from_dict(ckpt.aux["vocab"])
-        model = build_great(cfg, vocab, seed=0)
-        _load_exact(model, ckpt.tensors)
-        return model
-    if "transformer" not in ckpt.aux:
-        raise CheckpointError("checkpoint has no fitted transformer; was it a pretraining body?")
-    tf = ColumnTransformer.from_dict(ckpt.aux["transformer"])
-    if kind == "ctgan":
-        cfg_doc = dict(ckpt.config["model"])
-        for key in ("hidden", "betas"):
-            cfg_doc[key] = tuple(cfg_doc[key])
-        cfg = CtganConfig(**cfg_doc)
-        counts = [np.ones(len(tf.schema[c].categories)) for c in
-                  [s.column for s in tf.spans if s.kind == "categorical"]]
-        model = make_ctgan(tf, cfg, counts_to_log_pmfs([c for c in counts]), seed=0)
-        if "log_pmfs" in ckpt.aux:
-            model.log_pmfs = [np.asarray(p, dtype=np.float64) for p in ckpt.aux["log_pmfs"]]
-        _load_exact(model, ckpt.tensors)
-        return model
-    cfg_doc = dict(ckpt.config["model"])
-    for key in ("hidden", "betas"):
-        cfg_doc[key] = tuple(cfg_doc[key])
-    cfg = VaeConfig(**cfg_doc)
-    model = build_vae(tf, cfg, seed=0)
-    _load_exact(model, ckpt.tensors)
+    model, _ = _restore(_driver(ckpt.kind), ckpt)
     return model
 
 
 def sample_from_checkpoint(ckpt: ModelCheckpoint, n: int, seed: int) -> Table:
-    model = rebuild_model(ckpt)
-    rng = substream(seed, "sample")
-    if ckpt.kind == "great":
-        from tabforge.data import ColumnKind, ColumnMeta
-
-        schema = [
-            ColumnMeta(
-                c["name"],
-                ColumnKind(c["kind"]),
-                tuple(c.get("categories", ())),
-                0.0,
-            )
-            for c in ckpt.aux["schema"]
-        ]
-        table, _ = great_generate(model, schema, n, rng)
-        return table
-    if ckpt.kind == "ctgan":
-        return ctgan_sample(model, n, rng)
-    return vae_sample(model, n, rng)
+    driver = _driver(ckpt.kind)
+    model, prep = _restore(driver, ckpt)
+    return driver.sample(model, prep, n, substream(seed, "sample"))

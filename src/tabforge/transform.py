@@ -414,7 +414,3 @@ def decode_matrix(matrix: np.ndarray, transformer: ColumnTransformer) -> Table:
     ]
     rows = [[cells[i][r] for i in range(len(schema))] for r in range(n)]
     return Table(name="decoded", columns=schema, rows=rows)
-
-
-def decode_table(tm: TransformedMatrix) -> Table:
-    return decode_matrix(tm.matrix, tm.transformer)

@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import tabforge.training as tr
+from tabforge.checkpoint import load_checkpoint, save_checkpoint
 from tabforge.cli import cli, main
 
 TINY = [
@@ -15,6 +18,18 @@ TINY = [
     "--training.epochs=2",
     "--training.iterations=1",
     "--training.ckpt_every=2",
+]
+
+
+GREAT_TINY = [
+    "--model.great.d_model=16",
+    "--model.great.n_heads=2",
+    "--model.great.n_layers=1",
+    "--model.great.ctx=96",
+    "--model.great.vocab_size=300",
+    "--model.great.batch=8",
+    "--training.epochs=1",
+    "--training.iterations=1",
 ]
 
 
@@ -223,6 +238,78 @@ class TestBenchmark:
         )
         assert (rep / "deltas.json").exists()
         assert (rep / "leaderboard.txt").exists()
+
+
+def main_exit_code(monkeypatch, args) -> int:
+    monkeypatch.setattr("sys.argv", ["tabforge", *args])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    return exc.value.code
+
+
+class TestFailuresExitTwo:
+    def test_nonpositive_tau_is_a_data_error(self, pipeline_dirs, monkeypatch, capsys):
+        cleaned, _, tmp = pipeline_dirs
+        table = sorted(cleaned.glob("*.csv"))[0]
+        args = ["train-scratch", "--table", str(table), "--method", "ctgan",
+                "--out", str(tmp / "g.ckpt"), *TINY, "--model.tau=0"]
+        assert main_exit_code(monkeypatch, args) == 2
+        assert "tau" in capsys.readouterr().err
+
+    def _great_body(self, cleaned, manifest, tmp):
+        pre = tmp / "great.pre.ckpt"
+        run(["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned),
+             "--method", "great", "--out", str(pre), *GREAT_TINY])
+        return pre
+
+    def _scratch(self, cleaned, tmp, method, flags, edit):
+        path = tmp / f"{method}.ckpt"
+        table = sorted(cleaned.glob("*.csv"))[0]
+        run(["train-scratch", "--table", str(table), "--method", method, "--out", str(path), *flags])
+        ckpt = load_checkpoint(path)
+        edit(ckpt.tensors)
+        save_checkpoint(ckpt, path)
+        return path
+
+    @pytest.mark.parametrize("case", ["great_body", "gmm_missing_tensor", "great_reshaped_tensor"])
+    def test_sample_rejects_bad_checkpoint(self, case, pipeline_dirs, monkeypatch, capsys):
+        cleaned, manifest, tmp = pipeline_dirs
+        if case == "great_body":
+            path, detail = self._great_body(cleaned, manifest, tmp), "pretraining body"
+        elif case == "gmm_missing_tensor":
+            path = self._scratch(cleaned, tmp, "stvae", TINY, lambda t: t.pop("dec.2.W"))
+            detail = "dec.2.W"
+        else:
+            def reshape(tensors):
+                tensors["lnf.g"] = np.ones(3, dtype=np.float32)
+
+            path = self._scratch(cleaned, tmp, "great", GREAT_TINY, reshape)
+            detail = "lnf.g"
+        args = ["sample", "--checkpoint", str(path), "--rows", "2", "--out", str(tmp / "s.csv")]
+        assert main_exit_code(monkeypatch, args) == 2
+        assert detail in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pretrain", "train-scratch"])
+    def test_diverged_training_names_method_table_and_epoch(
+        self, command, pipeline_dirs, monkeypatch, capsys
+    ):
+        cleaned, manifest, tmp = pipeline_dirs
+        table = sorted(cleaned.glob("*.csv"))[0]
+
+        def diverge(self, model, session, rows, rng):
+            raise FloatingPointError("non-finite values produced by op 'exp'")
+
+        monkeypatch.setattr(tr._VaeDriver, "train_epoch", diverge)
+        if command == "pretrain":
+            args = ["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned)]
+            where = "pretraining iteration 1"
+        else:
+            args = ["train-scratch", "--table", str(table)]
+            where = f"table {table.stem!r} at epoch 1"
+        args += ["--method", "stvae", "--out", str(tmp / "d.ckpt"), *TINY]
+        assert main_exit_code(monkeypatch, args) == 2
+        err = capsys.readouterr().err
+        assert "stvae training diverged" in err and where in err and "op 'exp'" in err
 
 
 def test_unknown_override_is_usage_error(toy_corpus, tmp_path, monkeypatch):

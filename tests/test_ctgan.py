@@ -14,7 +14,7 @@ from tabforge.models.ctgan import (
     ctgan_train_batch,
     generator_loss_graph,
     gradient_penalty,
-    sample_condition,
+    sample_conditions,
     sample_real_conditioned,
 )
 from tabforge.nn.layers import Dense, Dropout, LeakyReLU, Net
@@ -73,11 +73,18 @@ class TestCondLayout:
             build_cond_vector(layout, 0, 2)
 
 
+def test_config_rejects_nonpositive_tau():
+    with pytest.raises(ModelError, match="tau"):
+        CtganConfig(tau=0.0)
+
+
 class TestSampleCondition:
     def test_single_category_always_chosen(self):
         table = toy_table(cats=("only",))
         model, _ = small_model(table)
-        assert sample_condition(model, np.random.default_rng(0)) == (0, 0)
+        i_s, k_s, cond = sample_conditions(model, 50, np.random.default_rng(0))
+        assert np.all(i_s == 0) and np.all(k_s == 0)
+        assert np.all(cond == [[1.0]])
 
     def test_columns_uniform(self):
         rng = np.random.default_rng(0)
@@ -88,8 +95,8 @@ class TestSampleCondition:
         table2 = Table("t2", cols, rows)
         tf = ColumnTransformer.fit(table2, modes=2, seed=0)
         model = build_ctgan(table2, tf, CtganConfig(z_dim=8, pac=2, hidden=(8, 8)), seed=0)
-        picks = [sample_condition(model, rng)[0] for _ in range(10_000)]
-        freq = picks.count(0) / len(picks)
+        picks, _, _ = sample_conditions(model, 10_000, rng)
+        freq = float(np.mean(picks == 0))
         assert abs(freq - 0.5) < 0.02
 
     def test_log_frequency_pmf(self):
@@ -108,7 +115,7 @@ class TestSampleCondition:
         model = build_ctgan(table, tf, CtganConfig(z_dim=8, pac=2, hidden=(8, 8)), seed=0)
         expected = np.log1p([1, 100])
         expected = expected / expected.sum()
-        draws = np.array([sample_condition(model, rng)[1] for _ in range(100_000)])
+        _, draws, _ = sample_conditions(model, 100_000, rng)
         freq_a = float((draws == 0).mean())
         assert abs(freq_a - expected[0]) < 0.02 * max(1.0, 1 / expected[0] / 10)
 
@@ -118,7 +125,9 @@ class TestSampleCondition:
         table = Table("nums", cols, rows)
         tf = ColumnTransformer.fit(table, modes=2, seed=0)
         model = build_ctgan(table, tf, CtganConfig(z_dim=8, pac=2, hidden=(8, 8)), seed=0)
-        assert sample_condition(model, np.random.default_rng(0)) is None
+        i_s, k_s, cond = sample_conditions(model, 8, np.random.default_rng(0))
+        assert i_s is None and k_s is None
+        assert cond.shape == (8, 0)
         assert model.layout.total_width == 0
 
 
@@ -224,9 +233,8 @@ class TestTrainBatch:
         for _ in range(200):
             losses = ctgan_train_batch(model, matrix, rng, adam_c, adam_g, index)
             assert all(np.isfinite(v) for v in losses.values())
-        for state in (model.generator.state_dict(), model.critic.state_dict()):
-            for name, tensor in state.items():
-                assert np.all(np.isfinite(tensor)), name
+        for name, tensor in model.tensors().items():
+            assert np.all(np.isfinite(tensor.data)), name
 
     def test_critic_separates_frozen_generator(self):
         # lambda=0, frozen generator, linearly separable real vs fake:

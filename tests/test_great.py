@@ -164,12 +164,3 @@ class TestGeneration:
         )
         assert 0.0 <= validity <= 1.0
         assert table.n_rows <= 4
-
-
-def test_sentence_cache_round_trip(tmp_path):
-    from tabforge.great.model import read_sentence_cache, write_sentence_cache
-
-    sentences = ["Age is 26 and Gender is M", 'genre is "rock and roll"']
-    path = tmp_path / "corpus.txt"
-    write_sentence_cache(path, sentences)
-    assert read_sentence_cache(path) == sentences

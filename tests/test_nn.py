@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tabforge.nn import tensor as T
-from tabforge.nn.functional import cross_entropy_logits, gumbel_softmax, kl_std_normal
+from tabforge.nn.functional import cross_entropy_logits, kl_std_normal
 from tabforge.nn.layers import (
     BatchNorm,
     ConcatSkip,
@@ -127,27 +127,40 @@ def test_batchnorm_train_mode_normalizes_batch():
 
 
 class TestGumbelSoftmax:
+    """The Net's gumbel-softmax span, the path the CTGAN generator runs."""
+
+    @staticmethod
+    def net(width, tau):
+        # An identity Dense, so the span sees the input as its logits.
+        net = Net([Dense(width, width), GumbelSoftmax(span=(0, width), tau=tau)], np.random.default_rng(0))
+        net.params["0.W"].data = np.eye(width, dtype=np.float32)
+        net.params["0.b"].data = np.zeros(width, dtype=np.float32)
+        return net
+
     def test_soft_mode_simplex(self):
         rng = np.random.default_rng(0)
-        out = gumbel_softmax(Tensor(rng.normal(size=(50, 6)).astype(np.float32)), 0.5, rng)
+        out = self.net(6, 0.5).forward(rng.normal(size=(50, 6)).astype(np.float32), "train", rng)
         assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(out.data > 0.0)
 
     def test_dominant_logit_wins(self):
-        logits = Tensor(np.array([[50.0, 0.0, 0.0]], dtype=np.float32))
+        net = self.net(3, 0.2)
+        logits = np.array([[50.0, 0.0, 0.0]], dtype=np.float32)
         for seed in range(20):
-            out = gumbel_softmax(logits, 0.2, np.random.default_rng(seed))
+            out = net.forward(logits, "train", np.random.default_rng(seed))
             assert out.data[0, 0] > 0.999
 
-    def test_hard_mode_is_one_hot(self):
-        rng = np.random.default_rng(1)
-        out = gumbel_softmax(Tensor(rng.normal(size=(10, 4)).astype(np.float32)), 0.3, rng, hard=True)
+    def test_eval_mode_is_one_hot_at_argmax(self):
+        logits = np.random.default_rng(1).normal(size=(10, 4)).astype(np.float32)
+        out = self.net(4, 0.3).forward(logits, "eval")
         assert np.all(np.sort(out.data, axis=1)[:, :-1] == 0.0)
         assert np.all(out.data.max(axis=1) == 1.0)
+        assert np.array_equal(out.data.argmax(axis=1), logits.argmax(axis=1))
 
     def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(ValueError):
-            gumbel_softmax(Tensor(np.zeros((1, 2))), 0.0, np.random.default_rng(0))
+        for tau in (0.0, -0.5):
+            with pytest.raises(ValueError):
+                GumbelSoftmax(span=(0, 2), tau=tau)
 
 
 class TestKLStdNormal:
@@ -216,10 +229,10 @@ class TestAdam:
                 opt.zero_grad()
                 loss.backward()
                 opt.step()
-            return net.state_dict()
+            return net.tensors()
 
         a, b = run(), run()
-        assert all(np.array_equal(a[k], b[k]) for k in a)
+        assert all(np.array_equal(a[k].data, b[k].data) for k in a)
 
 
 def test_cross_entropy_logits_zero_for_confident_match():

@@ -222,6 +222,13 @@ class TestFinetune:
         vals = [e["val_loss"] for e in log.entries if e["val_loss"] is not None]
         assert min(vals) == pytest.approx(vals[log.best_epoch - 1], abs=1e-12)
 
+    def test_vae_without_validation_rows_keeps_final_weights(self):
+        table = make_table("noval", n=40)
+        ckpt, log = finetune(None, table, quick_config(epochs=3, val_fraction=0.0))
+        assert all(e["val_loss"] is None for e in log.entries)
+        assert log.checkpoints == []  # early-stopping methods never score snapshots
+        assert log.best_epoch == 3 and ckpt.provenance["epoch"] == 3
+
 
 class TestSnapshotScore:
     class _EchoDriver:
@@ -261,23 +268,23 @@ class TestPretrain:
         cfg = quick_config(iterations=1)
 
         hashes = []
-        import tabforge.training as tr
+        original = tr._VaeDriver.train_epoch
 
-        original = tr._model_state
-
-        def spy(model):
-            state = original(model)
+        def spy(self, model, session, matrix, rng):
+            loss = original(self, model, session, matrix, rng)
+            state = tr.copy_state(model)
             digest = hashlib.sha256(
                 b"".join(state[k].tobytes() for k in sorted(state) if not k.endswith("running_mean"))
             ).hexdigest()
             hashes.append(digest)
-            return state
+            return loss
 
-        tr._model_state = spy
+        tr._VaeDriver.train_epoch = spy
         try:
             pretrain("stvae", corpus, cfg)
         finally:
-            tr._model_state = original
+            tr._VaeDriver.train_epoch = original
+        assert len(hashes) == len(corpus)
         assert len(set(hashes)) == len(hashes), "body unchanged after a dataset pass"
 
     def test_single_dataset_degenerates_to_multi_epoch(self):
@@ -287,26 +294,28 @@ class TestPretrain:
         assert len(log.entries) == 3
 
     def test_each_dataset_trained_exactly_once_per_iteration(self):
-        corpus = [make_table(f"u{i}", seed=i) for i in range(3)]
-        cfg = quick_config(iterations=2)
-        passes = []
         import tabforge.training as tr
 
         original = tr._VaeDriver.train_epoch
+        # A repeated table name still leaves each table its own dataset.
+        for names in (("u0", "u1", "u2"), ("u0", "u0", "u1")):
+            corpus = [make_table(name, seed=i) for i, name in enumerate(names)]
+            cfg = quick_config(iterations=2)
+            passes = []
 
-        def spy(self, model, session, matrix, rng):
-            passes.append(id(session["prep"]["table"]))
-            return original(self, model, session, matrix, rng)
+            def spy(self, model, session, matrix, rng):
+                passes.append(id(session["prep"]["table"]))
+                return original(self, model, session, matrix, rng)
 
-        tr._VaeDriver.train_epoch = spy
-        try:
-            pretrain("stvae", corpus, cfg)
-        finally:
-            tr._VaeDriver.train_epoch = original
-        assert len(passes) == 6
-        for it in range(2):
-            chunk = passes[it * 3 : (it + 1) * 3]
-            assert len(set(chunk)) == 3  # no repeats within an iteration
+            tr._VaeDriver.train_epoch = spy
+            try:
+                pretrain("stvae", corpus, cfg)
+            finally:
+                tr._VaeDriver.train_epoch = original
+            assert len(passes) == 6
+            for it in range(2):
+                chunk = passes[it * 3 : (it + 1) * 3]
+                assert len(set(chunk)) == 3  # no repeats within an iteration
 
     def test_empty_corpus_errors(self):
         with pytest.raises(TrainingError):
@@ -334,14 +343,15 @@ class TestTransferState:
         tf_b = ColumnTransformer.fit(table_b, modes=1, seed=0)
         m_a = build_ctgan(table_a, tf_a, cfg.ctgan, seed=1)
         m_b = build_ctgan(table_b, tf_b, cfg.ctgan, seed=2)
-        state_a = m_a.state()
+        state_a = tr.copy_state(m_a)
         loaded = transfer_state(m_b, state_a, m_a.segments())
         z = cfg.ctgan.z_dim
         # The z-rows of the first generator weight must now match model a.
         assert "gen.0.0.W" in loaded
         assert np.array_equal(m_b.generator.params["0.0.W"].data[:z], state_a["gen.0.0.W"][:z])
-        # Batch-norm body params transfer whole.
+        # Batch-norm body params and running stats transfer whole.
         assert np.array_equal(m_b.generator.params["0.1.gamma"].data, state_a["gen.0.1.gamma"])
+        assert "gen.0.1.running_var" in loaded
         # Differently-sized heads re-dimension: table b has an extra category.
         assert "gen.2.W" not in loaded
         assert "critic.0.W" not in loaded
@@ -355,7 +365,7 @@ class TestTransferState:
         tf = ColumnTransformer.fit(table, modes=1, seed=0)
         m_a = build_vae(tf, cfg.vae, seed=1)
         m_b = build_vae(tf, cfg.vae, seed=2)
-        loaded = transfer_state(m_b, m_a.state(), m_a.segments())
+        loaded = transfer_state(m_b, tr.copy_state(m_a), m_a.segments())
         # Same widths everywhere: body and heads both load.
         assert "enc.2.W" in loaded and "dec.0.W" in loaded
         assert "enc.0.W" in loaded and "dec.4.W" in loaded
@@ -371,7 +381,7 @@ class TestTransferState:
         m_a = build_vae(tf_a, cfg.vae, seed=1)
         m_b = build_vae(tf_b, cfg.vae, seed=2)
         before = m_b.encoder.params["0.W"].data.copy()
-        loaded = transfer_state(m_b, m_a.state(), m_a.segments())
+        loaded = transfer_state(m_b, tr.copy_state(m_a), m_a.segments())
         assert "enc.2.W" in loaded and "dec.0.W" in loaded
         assert "enc.0.W" not in loaded and "dec.4.W" not in loaded
         assert np.array_equal(m_b.encoder.params["0.W"].data, before)

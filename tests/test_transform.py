@@ -20,7 +20,7 @@ from tabforge.transform import (
     TransformError,
     decode_categorical,
     decode_numeric,
-    decode_table,
+    decode_matrix,
     encode_categorical,
     encode_numeric,
     encode_table,
@@ -301,7 +301,7 @@ class TestTableEncoding:
         table = mixed_table()
         tf = ColumnTransformer.fit(table, modes=4, seed=0)
         tm = encode_table(table, tf, np.random.default_rng(1))
-        back = decode_table(tm)
+        back = decode_matrix(tm.matrix, tm.transformer)
         for r in range(table.n_rows):
             for i, col in enumerate(table.columns):
                 if col.kind.is_categorical:
