@@ -80,6 +80,10 @@ def _cfg(config_path, overrides):
     return load_config(config_path, list(overrides))
 
 
+def _provenance(cfg) -> dict:
+    return {"config": config_hash(cfg), "seed": cfg["seed"]}
+
+
 def _provenance_line(cfg) -> str:
     return f"# config={config_hash(cfg)} seed={cfg['seed']}\n"
 
@@ -105,28 +109,34 @@ def load_clean_table(path: Path) -> Table:
     return infer_schema(ingest_csv(path, Path(path).stem))
 
 
+def _union_categories(schema: list[ColumnMeta], rows: list[list]) -> list[ColumnMeta]:
+    """`schema` with each non-numeric column made categorical over its
+    categories plus the labels of `rows` it lacks, in order of appearance."""
+    cols = []
+    for i, ref in enumerate(schema):
+        if not ref.kind.is_numerical:
+            union = list(ref.categories)
+            for row in rows:
+                if row[i] is not None and row[i] not in union:
+                    union.append(row[i])
+            ref = ColumnMeta(ref.name, ColumnKind.categorical(), tuple(union))
+        cols.append(ref)
+    return cols
+
+
 def load_as_schema(path: Path, schema: list[ColumnMeta]) -> Table:
     """Read a CSV under an existing schema (synthetic data evaluation)."""
     raw = ingest_csv(path, Path(path).stem)
     if [c.name for c in raw.columns] != [c.name for c in schema]:
         raise DataError(f"{path}: columns do not match the reference schema")
-    new_cols = []
     rows = [list(r) for r in raw.rows]
     for i, ref in enumerate(schema):
-        if ref.kind.is_numerical:
-            for r, row in enumerate(rows):
-                if isinstance(row[i], str):
-                    raise DataError(f"{path}: non-numeric cell in numeric column {ref.name!r}")
-            new_cols.append(ColumnMeta(ref.name, ColumnKind.numerical()))
-        else:
-            seen = list(ref.categories)
-            for row in rows:
-                if row[i] is not None:
-                    row[i] = str(row[i])
-                    if row[i] not in seen:
-                        seen.append(row[i])
-            new_cols.append(ColumnMeta(ref.name, ColumnKind.categorical(), tuple(seen)))
-    return Table(raw.name, new_cols, rows)
+        for row in rows:
+            if ref.kind.is_numerical and isinstance(row[i], str):
+                raise DataError(f"{path}: non-numeric cell in numeric column {ref.name!r}")
+            if not ref.kind.is_numerical and row[i] is not None:
+                row[i] = str(row[i])
+    return Table(raw.name, _union_categories(schema, rows), rows)
 
 
 @click.group()
@@ -158,7 +168,7 @@ def clean(corpus_dir, out_dir, config_path, overrides):
             failed += 1
             continue
         doc = report.to_dict()
-        doc["_provenance"] = {"config": config_hash(cfg), "seed": cfg["seed"]}
+        doc["_provenance"] = _provenance(cfg)
         (out / f"{path.stem}.report.json").write_text(
             json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8"
         )
@@ -174,7 +184,7 @@ def clean(corpus_dir, out_dir, config_path, overrides):
         "failed": failed,
         "avg_columns": float(np.mean([t.n_cols for t in kept])) if kept else 0.0,
         "avg_rows": float(np.mean([t.n_rows for t in kept])) if kept else 0.0,
-        "_provenance": {"config": config_hash(cfg), "seed": cfg["seed"]},
+        "_provenance": _provenance(cfg),
     }
     (out / "stats.json").write_text(json.dumps(stats, indent=2, sort_keys=True), encoding="utf-8")
     if failed == len(files):
@@ -324,7 +334,7 @@ def evaluate_cmd(real_path, syn_path, out_path, hist_path, config_path, override
     real = Table(real.name, syn.columns, real.rows)  # align category unions
     report = table_report(real, syn)
     doc = report.to_dict()
-    doc["_provenance"] = {"config": config_hash(cfg), "seed": cfg["seed"]}
+    doc["_provenance"] = _provenance(cfg)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
@@ -363,26 +373,12 @@ def _benchmark_one(args):
             # the regime zero instead of aborting the whole grid.
             results[regime] = TableReport(table.name, {}, {}, 0.0, 0.0, 0.0, 0, False)
         else:
-            aligned_syn, aligned_real = _align_for_report(table, syn)
-            results[regime] = table_report(aligned_real, aligned_syn)
+            cols = _union_categories(table.columns, syn.rows)
+            real, syn = Table(table.name, cols, table.rows), Table(syn.name, cols, syn.rows)
+            results[regime] = table_report(real, syn)
         logs[regime] = log
         checkpoints[regime] = ckpt
     return table.name, results, logs, checkpoints
-
-
-def _align_for_report(real: Table, syn: Table) -> tuple[Table, Table]:
-    """Union the category vocabularies so both tables share one schema."""
-    cols = []
-    for i, ref in enumerate(real.columns):
-        if ref.kind.is_categorical:
-            union = list(ref.categories)
-            for row in syn.rows:
-                if row[i] is not None and row[i] not in union:
-                    union.append(row[i])
-            cols.append(ColumnMeta(ref.name, ref.kind, tuple(union)))
-        else:
-            cols.append(ref)
-    return Table(syn.name, cols, syn.rows), Table(real.name, cols, real.rows)
 
 
 @cli.command("benchmark", context_settings=EXTRA)
@@ -440,7 +436,7 @@ def benchmark_cmd(manifest_path, clean_dir, methods, pretrained_paths, part, out
         for regime, report in results.items():
             keyed.setdefault((split_name, method, regime), []).append(report)
             doc = report.to_dict()
-            doc["_provenance"] = {"config": config_hash(cfg), "seed": cfg["seed"]}
+            doc["_provenance"] = _provenance(cfg)
             (out / "reports" / f"{name}.{method}.{regime}.json").write_text(
                 json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8"
             )
@@ -494,16 +490,7 @@ def report_cmd(bench_dir, out_dir, config_path, overrides):
 
     keyed: dict[tuple[str, str, str], list[TableReport]] = {}
     for (table, method, regime), doc in loaded.items():
-        rep = TableReport(
-            doc["table"],
-            doc["shape_scores"],
-            doc["trend_scores"],
-            doc["s_shape"],
-            doc["s_trend"],
-            doc["s_overall"],
-            doc["syn_rows"],
-            doc["single_column"],
-        )
+        rep = TableReport(**{k: v for k, v in doc.items() if k != "_provenance"})
         keyed.setdefault(("bench", method, regime), []).append(rep)
     board = build_leaderboard(keyed)
     (out / "leaderboard.csv").write_text(_provenance_line(cfg) + board.to_csv(), encoding="utf-8")

@@ -179,7 +179,6 @@ def train_config(cfg: dict, method: str | None = None) -> TrainConfig:
         ckpt_every=t["ckpt_every"],
         val_fraction=t["val_fraction"],
         gmm_modes=cfg["transform"]["gmm_modes"],
-        great_vocab=m["great"]["vocab_size"],
         ctgan=ctgan,
         vae=vae,
         great=great,

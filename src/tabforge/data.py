@@ -242,30 +242,3 @@ def infer_schema(table: Table) -> Table:
         new_columns.append(ColumnMeta(col.name, ColumnKind.categorical(), tuple(categories), null_fraction))
     return Table(name=table.name, columns=new_columns, rows=table.rows)
 
-
-def dataset_stats(split, corpus: list[Table]) -> dict:
-    """Per-part table counts plus mean column/row counts (corpus style
-    statistics: tables, avg # columns, avg # rows)."""
-    by_name = {t.name: t for t in corpus}
-
-    def part_stats(names: list[str]) -> dict:
-        tables = []
-        for n in names:
-            if n not in by_name:
-                raise DataError(f"split references unknown table {n!r}")
-            tables.append(by_name[n])
-        if not tables:
-            return {"tables": 0, "avg_columns": 0.0, "avg_rows": 0.0}
-        return {
-            "tables": len(tables),
-            "avg_columns": sum(t.n_cols for t in tables) / len(tables),
-            "avg_rows": sum(t.n_rows for t in tables) / len(tables),
-        }
-
-    parts = {
-        "train": part_stats(split.train),
-        "val": part_stats(split.val),
-        "test": part_stats(split.test),
-    }
-    everything = part_stats(list(split.train) + list(split.val) + list(split.test))
-    return {"parts": parts, "total": everything}

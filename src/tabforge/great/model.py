@@ -50,9 +50,6 @@ class GreatModel:
     params: dict[str, Tensor]
     _mask_cache: dict[int, np.ndarray] = field(init=False, default_factory=dict)
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return list(self.params.items())
-
     def tensors(self) -> dict[str, Tensor]:
         """Every tensor by checkpoint name (live, not copies)."""
         return dict(self.params)
@@ -64,11 +61,7 @@ class GreatModel:
         return set()  # the whole model transfers: no table-specific widths
 
     def optimizer(self) -> Adam:
-        return Adam(self.parameters(), lr=self.config.lr, betas=self.config.betas)
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
+        return Adam(list(self.params.items()), lr=self.config.lr, betas=self.config.betas)
 
     # -- forward ------------------------------------------------------------
 
@@ -177,7 +170,7 @@ def great_train_step(model: GreatModel, token_batch: np.ndarray, opt: Adam) -> f
     rows = np.flatnonzero(keep)
     picked = T.take_pairs(logp, rows, tgt[rows])
     loss = -T.mean(picked)
-    model.zero_grad()
+    opt.zero_grad()
     loss.backward()
     opt.step()
     return float(loss.data)
@@ -203,25 +196,22 @@ def great_generate(
     schema,
     n: int,
     rng: np.random.Generator,
-    temperature: float | None = None,
-    max_retries: int | None = None,
 ):
-    """Sample rows token by token; parse back; retry failures.
+    """Sample rows token by token at the configured temperature; parse back;
+    retry failures.
 
-    Returns (Table, validity_rate).  Rows that keep failing after the retry
-    budget are skipped and counted against the validity rate.
+    Returns (Table, validity_rate).  Rows that keep failing after
+    `max_retries` retries are skipped and counted against the validity rate.
     """
     cfg = model.config
-    temperature = cfg.temperature if temperature is None else temperature
-    max_retries = cfg.max_retries if max_retries is None else max_retries
     rows = []
     attempted = 0
     parsed = 0
     for _ in range(n):
         row = None
-        for _ in range(max_retries + 1):
+        for _ in range(cfg.max_retries + 1):
             attempted += 1
-            sentence = _sample_sentence(model, rng, temperature)
+            sentence = _sample_sentence(model, rng, cfg.temperature)
             out = parse_row_text(schema, sentence)
             if not isinstance(out, ParseFailure):
                 row = out

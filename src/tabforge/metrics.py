@@ -11,7 +11,6 @@ Mann-Whitney U test with exact enumeration at small sample sizes.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -174,9 +173,6 @@ class TableReport:
             "syn_rows": self.syn_rows,
             "single_column": self.single_column,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _column_pair_score(real: Table, syn: Table, i: int, j: int) -> float:

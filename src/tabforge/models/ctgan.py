@@ -301,18 +301,14 @@ def refresh_log_pmfs(model: CtganModel, matrix: np.ndarray) -> None:
 
 def sample_real_conditioned(
     matrix: np.ndarray,
-    model: CtganModel,
+    row_index: dict[tuple[int, int], np.ndarray],
     i_star: int,
     k_star: int,
     rng: np.random.Generator,
-    row_index: dict | None = None,
 ) -> np.ndarray:
-    """Uniform draw among rows whose one-hot for column i* equals k*."""
-    if row_index is not None:
-        candidates = row_index[(i_star, k_star)]
-    else:
-        span = model.transformer.span_for(model.layout.columns[i_star])
-        candidates = np.flatnonzero(matrix[:, span.start + k_star] == 1.0)
+    """Uniform draw among rows whose one-hot for column i* equals k*;
+    `row_index` is `build_row_index` of the same matrix."""
+    candidates = row_index[(i_star, k_star)]
     if len(candidates) == 0:
         raise ModelError(f"no real row satisfies condition ({i_star}, {k_star})")
     return matrix[candidates[rng.integers(len(candidates))]]
@@ -381,7 +377,7 @@ def critic_loss_graph(
     model: CtganModel,
     matrix: np.ndarray,
     rng: np.random.Generator,
-    row_index: dict | None = None,
+    row_index: dict[tuple[int, int], np.ndarray],
 ):
     """Wasserstein difference + gradient penalty as a graph (no updates)."""
     cfg = model.config
@@ -392,7 +388,7 @@ def critic_loss_graph(
     else:
         real = np.stack(
             [
-                sample_real_conditioned(matrix, model, int(i_s[j]), int(k_s[j]), rng, row_index)
+                sample_real_conditioned(matrix, row_index, int(i_s[j]), int(k_s[j]), rng)
                 for j in range(batch)
             ]
         )
@@ -452,7 +448,7 @@ def ctgan_train_batch(
     rng: np.random.Generator,
     adam_critic: Adam,
     adam_gen: Adam,
-    row_index: dict | None = None,
+    row_index: dict[tuple[int, int], np.ndarray],
 ) -> dict[str, float]:
     """One critic update, then one generator update on a fresh batch."""
     w_loss, penalty = critic_loss_graph(model, matrix, rng, row_index)

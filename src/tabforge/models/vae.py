@@ -75,11 +75,6 @@ class VaeModel:
     def row_width(self) -> int:
         return self.transformer.total_width
 
-    @property
-    def input_width(self) -> int:
-        sig = len(self.signatures) if self.signatures is not None else 0
-        return self.row_width + sig
-
     def parameters(self):
         params = [(f"enc.{n}", p) for n, p in self.encoder.parameters()]
         params += [(f"dec.{n}", p) for n, p in self.decoder.parameters()]
@@ -111,28 +106,15 @@ class VaeModel:
             np.maximum(self.delta.data, DELTA_FLOOR, out=self.delta.data)
 
 
-def stvaem_signatures(
-    transformer: ColumnTransformer,
-    dim: int,
-    embeddings: dict[str, np.ndarray] | None = None,
-) -> np.ndarray:
+def stvaem_signatures(transformer: ColumnTransformer, dim: int) -> np.ndarray:
     """Concatenated per-column name embeddings, in encoded span order.
 
-    Identical for every row of a table.  External embeddings override the
-    hashing fallback; a missing entry is an error.
+    Identical for every row of a table; each column's vector hashes its name.
     """
-    parts = []
-    for span in transformer.spans:
-        name = transformer.schema[span.column].name
-        if embeddings is not None:
-            if name not in embeddings:
-                raise ModelError(f"no signature embedding for column {name!r}")
-            vec = np.asarray(embeddings[name], dtype=np.float64)
-            if vec.shape != (dim,):
-                raise ModelError(f"embedding for {name!r} has shape {vec.shape}, want ({dim},)")
-        else:
-            vec = name_embedding(name, max(dim, 8))[:dim]
-        parts.append(vec.astype(np.float32))
+    parts = [
+        name_embedding(transformer.schema[span.column].name, max(dim, 8))[:dim].astype(np.float32)
+        for span in transformer.spans
+    ]
     if not parts or dim == 0:
         return np.zeros(0, dtype=np.float32)
     return np.concatenate(parts)
@@ -143,13 +125,12 @@ def build_vae(
     config: VaeConfig,
     seed: int,
     dtype=np.float32,
-    embeddings: dict[str, np.ndarray] | None = None,
 ) -> VaeModel:
     row_w = transformer.total_width
     sig = None
     sig_w = 0
     if config.variant == "stvaem":
-        sig = stvaem_signatures(transformer, config.sig_dim, embeddings)
+        sig = stvaem_signatures(transformer, config.sig_dim)
         sig_w = len(sig)
     in_w = row_w + sig_w
     h1, h2 = config.hidden

@@ -8,20 +8,12 @@ from tabforge.nn import tensor as T
 from tabforge.nn.tensor import Tensor
 
 
-def kl_std_normal(mu, sigma):
+def kl_std_normal(mu: Tensor, sigma: Tensor) -> Tensor:
     """KL(N(mu, diag(sigma^2)) || N(0, I)) = 1/2 sum(mu^2 + sigma^2 - 1 - ln sigma^2).
 
     Accepts 1-D vectors (returns a scalar) or 2-D batches (returns per-row
     values); reduction over the last axis.
     """
-    graph = isinstance(mu, Tensor) or isinstance(sigma, Tensor)
-    if not graph:
-        mu, sigma = np.asarray(mu, dtype=np.float64), np.asarray(sigma, dtype=np.float64)
-        if np.any(sigma <= 0):
-            raise ValueError("sigma must be positive")
-        return 0.5 * np.sum(mu**2 + sigma**2 - 1.0 - np.log(sigma**2), axis=-1)
-    mu = mu if isinstance(mu, Tensor) else Tensor(mu)
-    sigma = sigma if isinstance(sigma, Tensor) else Tensor(sigma)
     if np.any(sigma.data <= 0):
         raise ValueError("sigma must be positive")
     var = sigma * sigma

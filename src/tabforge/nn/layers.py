@@ -5,7 +5,7 @@ executed by :class:`Net`, which owns the parameters.  Descriptors carrying a
 ``span`` apply to a slice of the feature vector; a maximal run of span
 descriptors must tile the current width exactly (this is how per-column
 output heads are expressed: one wide Dense followed by tanh/softmax/gumbel
-spans).
+spans).  A Tanh or Softmax without a span covers the whole width.
 
 ``Dense.segments`` optionally names contiguous row blocks of the weight
 matrix (e.g. which rows consume the noise vector vs. the conditional
@@ -15,7 +15,7 @@ input widths differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -161,18 +161,19 @@ class Net:
                     width = inner_in
                     first_in = inner_in
                 width += inner_out
-            elif _has_span(layer):
-                group = []
-                while i < len(layers) and _has_span(layers[i]):
-                    group.append(layers[i])
-                    i += 1
-                i -= 1
+            elif isinstance(layer, _SPAN_KINDS):
                 if width is None:
                     raise ValueError("span activations need a known width")
-                self._check_partition(group, width)
+                if layer.span is None:  # a full-width activation is one span over the width
+                    group = [replace(layer, span=(0, width))]
+                else:
+                    group = []
+                    while i < len(layers) and _has_span(layers[i]):
+                        group.append(layers[i])
+                        i += 1
+                    i -= 1
+                    self._check_partition(group, width)
                 program.append(("span_group", name, tuple(sorted(group, key=lambda l: l.span[0]))))
-            elif isinstance(layer, _SPAN_KINDS):  # span=None: full width
-                program.append(("full_act", name, layer))
             else:
                 raise TypeError(f"unknown layer descriptor {layer!r}")
             i += 1
@@ -241,21 +242,10 @@ class Net:
                 inner_out = self._run(layer, x, mode, rng)
                 x = T.concat([x, inner_out], axis=1)
                 self._trace.append(("opaque", None))
-            elif kind == "full_act":
-                x = self._full_act(layer, x, mode, rng)
-                self._trace.append(("opaque", None))
             elif kind == "span_group":
                 x = self._span_group(layer, x, mode, rng)
                 self._trace.append(("opaque", None))
         return x
-
-    def _full_act(self, layer, x: Tensor, mode: str, rng) -> Tensor:
-        if isinstance(layer, Tanh):
-            return T.tanh(x)
-        if isinstance(layer, Softmax):
-            self.span_logits[0] = x
-            return T.softmax(x, axis=1)
-        return self._gumbel(layer, x, 0, mode, rng)
 
     def _span_group(self, group, x: Tensor, mode: str, rng) -> Tensor:
         parts = []
@@ -304,14 +294,6 @@ class Net:
         return norm * gamma + beta
 
     # -- gradients -------------------------------------------------------------
-
-    def backward(self, output_grad: np.ndarray) -> dict[str, np.ndarray]:
-        """Seed the cached forward output with ``output_grad`` and return
-        parameter gradients (also left on ``.grad``)."""
-        if self._last_output is None:
-            raise RuntimeError("backward called before forward")
-        self._last_output.backward(np.asarray(output_grad, dtype=self.dtype))
-        return {n: p.grad for n, p in self.params.items() if p.grad is not None}
 
     def input_gradient(self) -> Tensor:
         """Gradient of the summed scalar output w.r.t. the last forward's

@@ -62,12 +62,6 @@ class Tensor:
     def _connected(self) -> bool:
         return self.requires_grad or self._vjp is not None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def item(self) -> float:
-        return float(self.data)
-
     def backward(self, grad: np.ndarray | None = None) -> None:
         if grad is None:
             if self.data.size != 1:
@@ -155,19 +149,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
-    # Reductions / shape as methods for readability at call sites.
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis, keepdims)
-
     def mean(self, axis=None, keepdims=False):
         return mean(self, axis, keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes or None)
 
 
 def _wrap(x, like: Tensor) -> Tensor:

@@ -110,8 +110,9 @@ def kmeans(vectors, k: int, seed: int, max_iter: int = 100) -> list[int]:
     """Lloyd's iterations from seeded k-means++ initialization.
 
     Returns per-vector cluster ids.  Within-cluster sum of squares is
-    non-increasing across iterations; empty clusters are re-seeded at the
-    point farthest from its current center.
+    non-increasing across iterations (a rise, or the NaN a non-finite vector
+    gives, raises DataError); empty clusters are re-seeded at the point
+    farthest from its current center.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -136,11 +137,15 @@ def kmeans(vectors, k: int, seed: int, max_iter: int = 100) -> list[int]:
 
     assign = np.full(n, -1, dtype=int)
     prev_wcss = np.inf
-    for _ in range(max_iter):
+    for it in range(max_iter):
         dists = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assign = dists.argmin(axis=1)
         wcss = dists[np.arange(n), new_assign].sum()
-        assert wcss <= prev_wcss + 1e-9 * max(1.0, abs(prev_wcss)), "WCSS increased"
+        if not wcss <= prev_wcss + 1e-9 * max(1.0, abs(prev_wcss)):
+            raise DataError(
+                f"k-means within-cluster sum of squares rose or is not a number: "
+                f"{prev_wcss} -> {wcss} at iteration {it}"
+            )
         prev_wcss = wcss
         if np.array_equal(new_assign, assign):
             break
@@ -221,7 +226,8 @@ def domain_split(corpus: list[Table], embeddings: dict[str, np.ndarray], spec: S
 
 
 def load_embedding_file(path) -> dict[str, np.ndarray]:
-    """Read `name<TAB>v1,v2,...` lines into an embedding map."""
+    """Read `name<TAB>v1,v2,...` lines into an embedding map.  Every vector
+    must be finite and as long as the first."""
     out: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -230,7 +236,13 @@ def load_embedding_file(path) -> dict[str, np.ndarray]:
                 continue
             try:
                 name, values = line.split("\t", 1)
-                out[name] = np.array([float(v) for v in values.split(",")], dtype=np.float64)
+                vec = np.array([float(v) for v in values.split(",")], dtype=np.float64)
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: malformed embedding line") from exc
+            if not np.all(np.isfinite(vec)):
+                raise DataError(f"{path}:{lineno}: non-finite embedding value")
+            if out and len(vec) != width:
+                raise DataError(f"{path}:{lineno}: embedding has {len(vec)} values, earlier lines have {width}")
+            width = len(vec)
+            out[name] = vec
     return out

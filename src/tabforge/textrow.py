@@ -1,8 +1,9 @@
 """Textual row serialization for the autoregressive path.
 
 A row becomes `name is value and name is value and ...`.  Names or values
-that contain the structural separators (" is ", " and ") or a double quote
-are wrapped in double quotes with backslash escaping, so parsing is exact.
+that contain the structural separators (" is ", " and "), end in " is" or
+" and", or contain a double quote are wrapped in double quotes with
+backslash escaping, so parsing is exact.
 Numeric values render with up to 6 significant digits (documented lossy
 beyond ~1e-6 relative).
 """
@@ -31,7 +32,10 @@ def _format_number(value: float) -> str:
 
 
 def _needs_quoting(text: str) -> bool:
-    return any(sep in text for sep in _SEPARATORS) or '"' in text or text == "" or text != text.strip()
+    # A name is followed by " is " and a value by " and ", so a text ending
+    # in " is" or " and" would complete a separator across its own end.
+    padded = text + " "
+    return any(sep in padded for sep in _SEPARATORS) or '"' in text or text == "" or text != text.strip()
 
 
 def _quote(text: str) -> str:

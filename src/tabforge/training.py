@@ -72,7 +72,6 @@ class TrainConfig:
     ckpt_every: int = 50
     val_fraction: float = 0.1
     gmm_modes: int = 10
-    great_vocab: int = 2048
     ctgan: CtganConfig = field(default_factory=CtganConfig)
     vae: VaeConfig = field(default_factory=VaeConfig)
     great: GreatConfig = field(default_factory=GreatConfig)
@@ -238,7 +237,7 @@ class _GmmDriver:
     def prep(self, table: Table, config: TrainConfig, aux: dict):
         tf = ColumnTransformer.fit(table, config.gmm_modes, config.seed)
         enc_rng = substream(config.seed, "encode", table.name)
-        return {"table": table, "transformer": tf, "rows": encode_table(table, tf, enc_rng).matrix}
+        return {"table": table, "transformer": tf, "rows": encode_table(table, tf, enc_rng)}
 
     def aux(self, prep, model) -> dict:
         return {"transformer": prep["transformer"].to_dict()}
@@ -319,7 +318,7 @@ class _GreatDriver:
     def corpus_aux(self, corpus: list[Table], config: TrainConfig) -> dict:
         """The vocabulary every table of the corpus shares."""
         sentences = [serialize_row_text(t.columns, row) for t in corpus for row in t.rows]
-        return {"vocab": train_bpe(sentences, config.great_vocab).to_dict()}
+        return {"vocab": train_bpe(sentences, config.great.vocab_size).to_dict()}
 
     def prep(self, table: Table, config: TrainConfig, aux: dict):
         # Fine-tuning continues with the pretraining vocabulary; training

@@ -176,12 +176,8 @@ def _fit_gmm_arrays(x: np.ndarray, K: int, seed: int) -> tuple[np.ndarray, ...]:
     return weights, means, stds, active
 
 
-def mode_responsibilities(params: GmmParams, c: float) -> np.ndarray:
-    """rho_k over the active modes: weight_k * N(c; mean_k, std_k), normalized."""
-    return _responsibilities(params, np.asarray([c], dtype=np.float64))[0]
-
-
 def _responsibilities(params: GmmParams, values: np.ndarray) -> np.ndarray:
+    """Per value, rho_k over the active modes: weight_k * N(c; mean_k, std_k), normalized."""
     w, mu, sd = params.active_triples()
     log_rho = (
         np.log(w)[None, :]
@@ -211,15 +207,8 @@ def _sample_modes(rho: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return (u[:, None] > cum).sum(axis=1).clip(0, rho.shape[1] - 1)
 
 
-def encode_numeric(params: GmmParams, c: float, rng: np.random.Generator):
-    """One value -> (alpha, one-hot beta over active modes)."""
-    if not math.isfinite(c):
-        raise TransformError("cannot encode a non-finite value")
-    alpha, beta = _encode_numeric_batch(params, np.asarray([c], dtype=np.float64), rng)
-    return float(alpha[0]), beta[0]
-
-
 def _encode_numeric_batch(params: GmmParams, values: np.ndarray, rng: np.random.Generator):
+    """Values -> (alpha per value, one-hot beta rows over the active modes)."""
     rho = _responsibilities(params, values)
     ks = _sample_modes(rho, rng)
     _, mu, sd = params.active_triples()
@@ -227,36 +216,6 @@ def _encode_numeric_batch(params: GmmParams, values: np.ndarray, rng: np.random.
     beta = np.zeros((values.size, params.n_active), dtype=np.float64)
     beta[np.arange(values.size), ks] = 1.0
     return alpha, beta
-
-
-def decode_numeric(params: GmmParams, alpha: float, beta) -> float:
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (params.n_active,) or np.count_nonzero(beta == 1.0) != 1 or beta.sum() != 1.0:
-        raise TransformError("beta must be one-hot over the active modes")
-    k = int(beta.argmax())
-    _, mu, sd = params.active_triples()
-    return float(alpha) * 4.0 * sd[k] + mu[k]
-
-
-def encode_categorical(order: tuple[str, ...], label: str) -> np.ndarray:
-    if not order:
-        raise TransformError("empty category order")
-    try:
-        idx = order.index(label)
-    except ValueError as exc:
-        raise TransformError(f"unknown label {label!r}") from exc
-    vec = np.zeros(len(order), dtype=np.float64)
-    vec[idx] = 1.0
-    return vec
-
-
-def decode_categorical(order: tuple[str, ...], vector) -> str:
-    vec = np.asarray(vector, dtype=np.float64)
-    if not order:
-        raise TransformError("empty category order")
-    if vec.shape != (len(order),):
-        raise TransformError(f"vector length {vec.shape} != |order| {len(order)}")
-    return order[int(vec.argmax())]  # argmax ties break to the lowest index
 
 
 @dataclass
@@ -355,20 +314,9 @@ class ColumnTransformer:
         return cls(schema, gmms, spans, doc["total_width"])
 
 
-@dataclass
-class TransformedMatrix:
-    matrix: np.ndarray  # float32, (n_rows, total_width)
-    transformer: ColumnTransformer
-
-    def __post_init__(self):
-        if self.matrix.ndim != 2 or self.matrix.shape[1] != self.transformer.total_width:
-            raise TransformError(
-                f"matrix width {self.matrix.shape} != encoded width {self.transformer.total_width}"
-            )
-
-
-def encode_table(table: Table, transformer: ColumnTransformer, rng: np.random.Generator) -> TransformedMatrix:
-    """Encode all rows; nulls are a caller bug (clean first)."""
+def encode_table(table: Table, transformer: ColumnTransformer, rng: np.random.Generator) -> np.ndarray:
+    """Encode all rows into a float32 (n_rows, total_width) matrix; nulls
+    are a caller bug (clean first)."""
     if tuple(table.columns) != transformer.schema:
         raise TransformError("transformer was fitted on a different schema")
     n = table.n_rows
@@ -387,7 +335,7 @@ def encode_table(table: Table, transformer: ColumnTransformer, rng: np.random.Ge
             index = {cat: j for j, cat in enumerate(order)}
             for r, v in enumerate(col):
                 out[r, span.start + index[v]] = 1.0
-    return TransformedMatrix(out, transformer)
+    return out
 
 
 def decode_matrix(matrix: np.ndarray, transformer: ColumnTransformer) -> Table:

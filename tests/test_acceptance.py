@@ -159,7 +159,7 @@ def _ctgan_fixture(dtype=np.float64):
     from tabforge.models.ctgan import build_ctgan
 
     model = build_ctgan(table, tf, CtganConfig(z_dim=8, pac=2, batch=16, hidden=(16, 16)), 1, dtype)
-    matrix = encode_table(table, tf, np.random.default_rng(3)).matrix
+    matrix = encode_table(table, tf, np.random.default_rng(3))
     return model, matrix
 
 
@@ -229,7 +229,7 @@ def test_criterion_4_gradient_fidelity():
     ]
     table = Table("toy", cols, [[float(x[i]), labels[i]] for i in range(40)])
     tf = ColumnTransformer.fit(table, modes=2, seed=0)
-    enc = encode_table(table, tf, np.random.default_rng(1)).matrix.astype(np.float64)
+    enc = encode_table(table, tf, np.random.default_rng(1)).astype(np.float64)
     # Init seeds chosen so no ReLU pre-activation sits within h of a kink
     # (finite differences are undefined there; convergence in h verified).
     for variant, init_seed in (("tvae", 2), ("stvae", 2), ("stvaem", 3)):
@@ -478,7 +478,9 @@ def test_criterion_9_great_pipeline():
     vocab2 = train_bpe(sentences, MIN_VOCAB + 128)
     seqs = [[BOS] + vocab2.encode(s) + [EOS] for s in sentences]
     ctx = max(len(s) for s in seqs) + 8
-    cfg2 = GreatConfig(d_model=64, n_heads=2, n_layers=2, ctx=ctx, vocab_size=4096, lr=1e-3, batch=16)
+    cfg2 = GreatConfig(
+        d_model=64, n_heads=2, n_layers=2, ctx=ctx, vocab_size=4096, lr=1e-3, batch=16, max_retries=2
+    )
     model2 = build_great(cfg2, vocab2, seed=0)
     opt2 = model2.optimizer()
     perm = np.random.default_rng(1)
@@ -491,7 +493,7 @@ def test_criterion_9_great_pipeline():
             step += 1
             if step >= 2000:
                 break
-    _, validity = great_generate(model2, list(table.columns), 100, np.random.default_rng(0), temperature=0.7, max_retries=2)
+    _, validity = great_generate(model2, list(table.columns), 100, np.random.default_rng(0))
     elapsed = time.time() - t0
     report(
         "criterion 9 (GReaT: tokenizer exact, memorize <0.1 in <=200 steps, validity >= 0.8)",

@@ -40,7 +40,7 @@ def small_model(table=None, dtype=np.float32, **cfg_kw):
     tf = ColumnTransformer.fit(table, modes=2, seed=0)
     cfg = CtganConfig(z_dim=8, pac=2, batch=16, hidden=(16, 16), **cfg_kw)
     model = build_ctgan(table, tf, cfg, seed=1, dtype=dtype)
-    matrix = encode_table(table, tf, np.random.default_rng(3)).matrix
+    matrix = encode_table(table, tf, np.random.default_rng(3))
     return model, matrix
 
 
@@ -140,10 +140,11 @@ class TestSampleRealConditioned:
         table = Table("t", table.columns[:1] + [ColumnMeta("g", ColumnKind.categorical(), ("a", "b"))], rows)
         tf = ColumnTransformer.fit(table, modes=1, seed=0)
         model = build_ctgan(table, tf, CtganConfig(z_dim=8, pac=2, hidden=(8, 8)), seed=0)
-        matrix = encode_table(table, tf, np.random.default_rng(0)).matrix
+        matrix = encode_table(table, tf, np.random.default_rng(0))
+        index = build_row_index(model, matrix)
         rng = np.random.default_rng(5)
         for _ in range(10):
-            row = sample_real_conditioned(matrix, model, 0, 1, rng)
+            row = sample_real_conditioned(matrix, index, 0, 1, rng)
             assert np.array_equal(row, matrix[7])
 
     def test_empirically_uniform_over_matches(self):
@@ -153,7 +154,7 @@ class TestSampleRealConditioned:
         candidates = index[(0, 0)]
         draws = []
         for _ in range(30_000):
-            row = sample_real_conditioned(matrix, model, 0, 0, rng, index)
+            row = sample_real_conditioned(matrix, index, 0, 0, rng)
             draws.append(row.tobytes())
         unique, counts = np.unique(draws, return_counts=True)
         assert len(unique) == len(np.unique(matrix[candidates], axis=0))
@@ -166,8 +167,9 @@ class TestSampleRealConditioned:
         matrix = matrix.copy()
         span = model.transformer.span_for(model.layout.columns[0])
         matrix[:, span.start] = 0.0  # erase category 0 everywhere
+        index = build_row_index(model, matrix)
         with pytest.raises(ModelError):
-            sample_real_conditioned(matrix, model, 0, 0, np.random.default_rng(0))
+            sample_real_conditioned(matrix, index, 0, 0, np.random.default_rng(0))
 
 
 class TestGradientPenalty:
@@ -332,8 +334,9 @@ class TestSampling:
         tf = ColumnTransformer.fit(table, modes=2, seed=0)
         cfg = CtganConfig(z_dim=8, pac=3, batch=16, hidden=(8, 8))
         model = build_ctgan(table, tf, cfg, seed=0)
-        matrix = encode_table(table, tf, np.random.default_rng(0)).matrix
+        matrix = encode_table(table, tf, np.random.default_rng(0))
         adam_c, adam_g = model.optimizers()
         # batch clamps to a multiple of pac rather than erroring
-        losses = ctgan_train_batch(model, matrix, np.random.default_rng(0), adam_c, adam_g)
+        index = build_row_index(model, matrix)
+        losses = ctgan_train_batch(model, matrix, np.random.default_rng(0), adam_c, adam_g, index)
         assert np.isfinite(losses["generator_loss"])

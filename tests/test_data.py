@@ -1,11 +1,14 @@
-import pytest
+import json
 
+import pytest
+from click.testing import CliRunner
+
+from tabforge.cli import cli, main
 from tabforge.data import (
     ColumnKind,
     ColumnMeta,
     DataError,
     Table,
-    dataset_stats,
     infer_schema,
     ingest_csv,
 )
@@ -94,30 +97,40 @@ class TestInferSchema:
         assert t.columns[0].null_fraction == pytest.approx(1 / 3)
 
 
-def _table(name, n_rows, n_cols):
-    cols = [ColumnMeta(f"c{i}", ColumnKind.numerical()) for i in range(n_cols)]
-    rows = [[float(r)] * n_cols for r in range(n_rows)]
-    return Table(name, cols, rows)
-
-
 class TestDatasetStats:
-    def test_single_table(self):
-        corpus = [_table("a", 3, 5)]
-        split = DatasetSplit(["a"], [], [], SplitSpec((0.8, 0.1, 0.1), 0))
-        stats = dataset_stats(split, corpus)
-        assert stats["parts"]["train"] == {"tables": 1, "avg_columns": 5.0, "avg_rows": 3.0}
+    """Corpus statistics: what `clean` writes to stats.json about the tables it keeps."""
 
-    def test_two_table_means(self):
-        corpus = [_table("a", 2, 4), _table("b", 4, 6)]
-        split = DatasetSplit(["a", "b"], [], [], SplitSpec((0.8, 0.1, 0.1), 0))
-        stats = dataset_stats(split, corpus)
-        assert stats["total"]["avg_columns"] == 5.0
-        assert stats["total"]["avg_rows"] == 3.0
+    @staticmethod
+    def clean(tmp_path, shapes: dict[str, tuple[int, int]]):
+        corpus, out = tmp_path / "corpus", tmp_path / "cleaned"
+        corpus.mkdir()
+        for name, (n_rows, n_cols) in shapes.items():
+            header = ",".join(f"c{i}" for i in range(n_cols))
+            rows = [",".join([f"{r + 0.5}"] * n_cols) for r in range(n_rows)]
+            write(corpus, "\n".join([header, *rows]) + "\n", f"{name}.csv")
+        args = ["clean", str(corpus), str(out), "--cleaning.min_rows=1"]
+        CliRunner().invoke(cli, args, catch_exceptions=False)
+        return out, json.loads((out / "stats.json").read_text())
 
-    def test_dangling_id_errors(self):
-        split = DatasetSplit(["ghost"], [], [], SplitSpec((0.8, 0.1, 0.1), 0))
-        with pytest.raises(DataError):
-            dataset_stats(split, [])
+    def test_single_table(self, tmp_path):
+        _, stats = self.clean(tmp_path, {"a": (3, 5)})
+        assert (stats["tables"], stats["avg_columns"], stats["avg_rows"]) == (1, 5.0, 3.0)
+
+    def test_two_table_means(self, tmp_path):
+        _, stats = self.clean(tmp_path, {"a": (2, 4), "b": (4, 6)})
+        assert stats["avg_columns"] == 5.0
+        assert stats["avg_rows"] == 3.0
+
+    def test_dangling_id_errors(self, tmp_path, monkeypatch, capsys):
+        cleaned, _ = self.clean(tmp_path, {"a": (3, 5)})
+        manifest = tmp_path / "split.json"
+        manifest.write_text(DatasetSplit(["ghost"], [], [], SplitSpec((0.8, 0.1, 0.1), 0)).to_json())
+        args = ["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned), "--out", str(tmp_path / "m")]
+        monkeypatch.setattr("sys.argv", ["tabforge", *args])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert "'ghost'" in capsys.readouterr().err
 
 
 def test_table_invariants_enforced():

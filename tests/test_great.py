@@ -149,7 +149,8 @@ class TestGeneration:
 
     def test_zero_temperature_reproduces_memorized_row(self):
         model = self.memorized_model()
-        table, validity = great_generate(model, self.SCHEMA, 5, np.random.default_rng(0), temperature=0.0)
+        model.config.temperature = 0.0
+        table, validity = great_generate(model, self.SCHEMA, 5, np.random.default_rng(0))
         assert validity == 1.0
         assert table.n_rows == 5
         for row in table.rows:
@@ -159,8 +160,7 @@ class TestGeneration:
         # An untrained model emits garbage; validity = parsed / attempted.
         sentences = ["Age is 26 and Gender is M"]
         model, _ = tiny_model(sentences, seed=3)
-        table, validity = great_generate(
-            model, self.SCHEMA, 4, np.random.default_rng(0), temperature=0.7, max_retries=1
-        )
+        model.config.temperature, model.config.max_retries = 0.7, 1
+        table, validity = great_generate(model, self.SCHEMA, 4, np.random.default_rng(0))
         assert 0.0 <= validity <= 1.0
         assert table.n_rows <= 4

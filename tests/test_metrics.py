@@ -228,6 +228,7 @@ class TestTableReport:
         # Category supports are sets of strings, whose iteration order
         # follows the per-process string hash seed.
         code = (
+            "import json\n"
             "import numpy as np\n"
             "from tabforge.data import ColumnKind, ColumnMeta, Table\n"
             "from tabforge.metrics import table_report\n"
@@ -241,7 +242,7 @@ class TestTableReport:
             "    x = rng.normal(0, 1, n).tolist()\n"
             "    return Table('t', cols, [[a[i], b[i], x[i]] for i in range(n)])\n"
             "real, syn = make(97, None), make(61, [0.4, 0.2, 0.1, 0.1, 0.1, 0.05, 0.05])\n"
-            "print(table_report(real, syn).to_json())\n"
+            "print(json.dumps(table_report(real, syn).to_dict(), indent=2, sort_keys=True))\n"
         )
         src = str(Path(tabforge.__file__).parents[1])
         outputs = [

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+import tabforge
+from tabforge.cli import cli, main
 from tabforge.data import ColumnKind, ColumnMeta, DataError, Table
 from tabforge.split import (
     DatasetSplit,
@@ -167,6 +175,45 @@ def test_embedding_file_loader(tmp_path):
     bad.write_text("alpha 1.0,2.0\n", encoding="utf-8")
     with pytest.raises(DataError):
         load_embedding_file(bad)
+
+
+@pytest.mark.parametrize(
+    "lines, found",
+    [
+        (["table0\t1.0,2.0", "table1\tnan,2.0"], "emb.tsv:2: non-finite"),
+        (["table0\t1.0,2.0", "table1\t0.5,inf"], "emb.tsv:2: non-finite"),
+        (["table0\t1.0,2.0", "table1\t1.0,2.0,3.0"], "emb.tsv:2: embedding has 3 values"),
+    ],
+)
+def test_bad_embedding_file_is_a_data_error(lines, found, toy_corpus, tmp_path, monkeypatch, capsys):
+    cleaned = tmp_path / "cleaned"
+    CliRunner().invoke(cli, ["clean", str(toy_corpus), str(cleaned)], catch_exceptions=False)
+    emb = tmp_path / "emb.tsv"
+    names = ["table2", "table3"]
+    emb.write_text("\n".join(lines + [f"{n}\t0.0,1.0" for n in names]) + "\n", encoding="utf-8")
+    args = ["split", str(cleaned), "--out", str(tmp_path / "s.json"), "--mode", "domain",
+            "--embeddings", str(emb), "--split.k=2", "--split.ratios=[0.5,0.25,0.25]"]
+    monkeypatch.setattr("sys.argv", ["tabforge", *args])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert found in capsys.readouterr().err
+
+
+def test_kmeans_nan_check_survives_optimize_flag():
+    # With k=1 no k-means++ draw sees the NaN, so only the WCSS check can;
+    # under -O an assert would let the NaN through as a cluster assignment.
+    code = (
+        "from tabforge.data import DataError\n"
+        "from tabforge.split import kmeans\n"
+        "try:\n"
+        "    kmeans([[0.0, 1.0], [float('nan'), 2.0]], k=1, seed=0)\n"
+        "except DataError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(tabforge.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert "at iteration 0" in out.stdout
 
 
 def test_split_spec_validation():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tabforge.data import ColumnKind, ColumnMeta
@@ -78,6 +78,8 @@ def test_six_significant_digits():
     name=st.text(alphabet="abcdef isand\"\\", min_size=1, max_size=12),
     value=st.floats(allow_nan=False, allow_infinity=False, width=32),
 )
+@example(label="0", name="\\ is", value=0.0)  # a name ending in " is"
+@example(label="0", name="x and", value=1.0)  # a name ending in " and"
 def test_round_trip_survives_hostile_names_and_labels(label, name, value):
     schema = [
         ColumnMeta(name, ColumnKind.numerical()),

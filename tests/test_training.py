@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tabforge.checkpoint import (
     serialize_checkpoint,
 )
 from tabforge.data import ColumnKind, ColumnMeta, Table
+from tabforge.great.bpe import MIN_VOCAB
 from tabforge.great.model import GreatConfig
 from tabforge.metrics import MetricError
 from tabforge.models.ctgan import CtganConfig
@@ -49,10 +51,9 @@ def quick_config(kind="stvae", epochs=3, **kw):
         iterations=kw.pop("iterations", 2),
         epochs=epochs,
         gmm_modes=1,
-        great_vocab=300,
         ctgan=CtganConfig(z_dim=8, pac=2, batch=16, hidden=(16, 16)),
         vae=VaeConfig(latent=8, hidden=(16, 16), batch=32),
-        great=GreatConfig(d_model=16, n_heads=2, n_layers=1, ctx=96, vocab_size=512, batch=8),
+        great=GreatConfig(d_model=16, n_heads=2, n_layers=1, ctx=96, vocab_size=300, batch=8),
         **kw,
     )
 
@@ -189,6 +190,24 @@ class TestScratchTraining:
         ckpt, log = train_scratch("great", table, cfg)
         assert len(log.entries) <= 2
         syn = sample_from_checkpoint(ckpt, 3, seed=0)
+        assert [c.name for c in syn.columns] == ["u", "w", "g"]
+
+    def test_great_vocab_budget_is_the_model_vocab_size(self):
+        # BPE trains to GreatConfig.vocab_size, so a vocabulary smaller than
+        # the 2048 default builds (a separate budget once outgrew it).
+        cfg = quick_config("great", epochs=1)
+        cfg.great = replace(cfg.great, vocab_size=270)
+        ckpt, _ = train_scratch("great", make_table("t3", n=30), cfg)
+        assert len(ckpt.aux["vocab"]["merges"]) <= 270 - MIN_VOCAB
+        assert sample_from_checkpoint(ckpt, 3, seed=0).n_cols == 3
+
+    def test_checkpoint_with_a_great_vocab_header_loads_and_samples(self, tmp_path):
+        # Older checkpoints carry config.train.great_vocab; loading and
+        # sampling read only the model config and the aux.
+        ckpt, _ = train_scratch("great", make_table("t3", n=30), quick_config("great", epochs=1))
+        ckpt.config["train"]["great_vocab"] = 2048
+        save_checkpoint(ckpt, tmp_path / "old.ckpt")
+        syn = sample_from_checkpoint(load_checkpoint(tmp_path / "old.ckpt"), 3, seed=0)
         assert [c.name for c in syn.columns] == ["u", "w", "g"]
 
 

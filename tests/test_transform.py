@@ -13,24 +13,48 @@ from hypothesis import strategies as st
 
 import tabforge
 from tabforge import transform
-from tabforge.data import ColumnKind, ColumnMeta, Table
+from tabforge.data import ColumnKind, ColumnMeta, DataError, Table
 from tabforge.transform import (
+    ColumnSpan,
     ColumnTransformer,
     GmmParams,
     TransformError,
-    decode_categorical,
-    decode_numeric,
+    _encode_numeric_batch,
+    _responsibilities,
     decode_matrix,
-    encode_categorical,
-    encode_numeric,
     encode_table,
     fit_gmm,
-    mode_responsibilities,
 )
 
 
 def single_mode(mean=0.0, std=1.0):
     return GmmParams(np.array([1.0]), np.array([mean]), np.array([std]), np.array([True]))
+
+
+def rho_of(params, c):
+    return _responsibilities(params, np.array([c], dtype=np.float64))[0]
+
+
+def encode_value(params, c, rng):
+    alpha, beta = _encode_numeric_batch(params, np.array([c], dtype=np.float64), rng)
+    return float(alpha[0]), beta[0]
+
+
+def numeric_layout(params):
+    """A one-column transformer over `params`, for decode_matrix."""
+    width = 1 + params.n_active
+    schema = (ColumnMeta("x", ColumnKind.numerical()),)
+    return ColumnTransformer(schema, {0: params}, (ColumnSpan(0, "numeric", 0, width),), width)
+
+
+def decode_value(params, alpha, beta):
+    matrix = np.array([[alpha, *beta]], dtype=np.float64)
+    return decode_matrix(matrix, numeric_layout(params)).rows[0][0]
+
+
+def categorical_layout(order):
+    schema = (ColumnMeta("g", ColumnKind.categorical(), tuple(order)),)
+    return ColumnTransformer(schema, {}, (ColumnSpan(0, "categorical", 0, len(order)),), len(order))
 
 
 class TestFitGmm:
@@ -162,13 +186,13 @@ class TestGmmSweepAndMemo:
 
 class TestResponsibilities:
     def test_single_mode_is_certain(self):
-        assert np.allclose(mode_responsibilities(single_mode(), 3.2), [1.0])
+        assert np.allclose(rho_of(single_mode(), 3.2), [1.0])
 
     def test_symmetric_midpoint(self):
         params = GmmParams(
             np.array([0.5, 0.5]), np.array([-2.0, 2.0]), np.array([1.0, 1.0]), np.array([True, True])
         )
-        rho = mode_responsibilities(params, 0.0)
+        rho = rho_of(params, 0.0)
         assert np.allclose(rho, [0.5, 0.5], atol=1e-9)
 
     def test_matches_hand_formula(self):
@@ -179,69 +203,81 @@ class TestResponsibilities:
         d1 = 0.3 * math.exp(-0.5 * (c - 0.0) ** 2) / math.sqrt(2 * math.pi)
         d2 = 0.7 * math.exp(-0.5 * (c - 10.0) ** 2) / math.sqrt(2 * math.pi)
         expected = np.array([d1, d2]) / (d1 + d2)
-        assert np.allclose(mode_responsibilities(params, c), expected, atol=1e-9)
+        assert np.allclose(rho_of(params, c), expected, atol=1e-9)
 
     def test_far_value_falls_back_to_nearest_mean(self):
         params = GmmParams(
             np.array([0.5, 0.5]), np.array([0.0, 1.0]), np.array([1e-6, 1e-6]), np.array([True, True])
         )
-        rho = mode_responsibilities(params, 1e6)
+        rho = rho_of(params, 1e6)
         assert np.allclose(rho, [0.0, 1.0])
 
 
 class TestEncodeDecodeNumeric:
     def test_mean_maps_to_zero(self):
-        alpha, beta = encode_numeric(single_mode(), 0.0, np.random.default_rng(0))
+        alpha, beta = encode_value(single_mode(), 0.0, np.random.default_rng(0))
         assert alpha == 0.0 and np.array_equal(beta, [1.0])
 
     def test_two_sigma_maps_to_half(self):
-        alpha, _ = encode_numeric(single_mode(), 2.0, np.random.default_rng(0))
+        alpha, _ = encode_value(single_mode(), 2.0, np.random.default_rng(0))
         assert alpha == pytest.approx(0.5)
 
     def test_clipping(self):
-        alpha, _ = encode_numeric(single_mode(), 100.0, np.random.default_rng(0))
+        alpha, _ = encode_value(single_mode(), 100.0, np.random.default_rng(0))
         assert alpha == 1.0
 
     def test_decode_hand_case(self):
-        assert decode_numeric(single_mode(10.0, 2.0), 0.5, [1.0]) == pytest.approx(14.0)
+        assert decode_value(single_mode(10.0, 2.0), 0.5, [1.0]) == pytest.approx(14.0)
 
     def test_decode_alpha_zero_returns_mode_mean(self):
-        assert decode_numeric(single_mode(7.5, 3.0), 0.0, [1.0]) == pytest.approx(7.5)
+        assert decode_value(single_mode(7.5, 3.0), 0.0, [1.0]) == pytest.approx(7.5)
 
     def test_round_trip_unclipped(self):
         rng = np.random.default_rng(11)
         x = np.concatenate([rng.normal(0, 1, 300), rng.normal(50, 5, 300)])
         params = fit_gmm(x, K=4, seed=1)
-        enc_rng = np.random.default_rng(2)
-        for c in rng.choice(x, 50):
-            alpha, beta = encode_numeric(params, float(c), enc_rng)
-            if abs(alpha) < 1.0:  # unclipped
-                assert decode_numeric(params, alpha, beta) == pytest.approx(float(c), rel=1e-9)
+        values = rng.choice(x, 50)
+        alpha, beta = _encode_numeric_batch(params, values, np.random.default_rng(2))
+        matrix = np.column_stack([alpha, beta])
+        back = [row[0] for row in decode_matrix(matrix, numeric_layout(params)).rows]
+        for a, c, d in zip(alpha, values, back):
+            if abs(a) < 1.0:  # unclipped
+                assert d == pytest.approx(float(c), rel=1e-9)
 
     def test_rejects_bad_beta(self):
+        # A numeric block whose mode indicator is missing.
         with pytest.raises(TransformError):
-            decode_numeric(single_mode(), 0.1, [0.5])
-        with pytest.raises(TransformError):
-            encode_numeric(single_mode(), float("nan"), np.random.default_rng(0))
+            decode_matrix(np.array([[0.1]]), numeric_layout(single_mode()))
+        # Non-finite values never reach the encoder: a Table refuses them.
+        cols = [ColumnMeta("x", ColumnKind.numerical())]
+        with pytest.raises(DataError):
+            Table("t", cols, [[float("nan")]])
 
 
 class TestCategorical:
     def test_one_hot_position(self):
-        assert np.array_equal(encode_categorical(("M", "F"), "F"), [0.0, 1.0])
+        table = Table("t", list(categorical_layout(("M", "F")).schema), [["F"]])
+        matrix = encode_table(table, categorical_layout(("M", "F")), np.random.default_rng(0))
+        assert np.array_equal(matrix, [[0.0, 1.0]])
 
     def test_decode_argmax(self):
-        assert decode_categorical(("a", "b", "c"), [0.2, 0.9, 0.1]) == "b"
+        decoded = decode_matrix(np.array([[0.2, 0.9, 0.1]]), categorical_layout(("a", "b", "c")))
+        assert decoded.rows[0][0] == "b"
 
     def test_round_trip_all_labels(self):
         order = ("x", "y", "z")
-        for label in order:
-            assert decode_categorical(order, encode_categorical(order, label)) == label
+        tf = categorical_layout(order)
+        table = Table("t", list(tf.schema), [[label] for label in order])
+        back = decode_matrix(encode_table(table, tf, np.random.default_rng(0)), tf)
+        assert [row[0] for row in back.rows] == list(order)
 
     def test_unknown_label_errors(self):
+        cols = [ColumnMeta("g", ColumnKind.categorical(), ("a",))]
+        with pytest.raises(DataError):
+            Table("t", cols, [["b"]])
+        empty = Table("t", [ColumnMeta("g", ColumnKind.categorical(), ())], [[None]])
         with pytest.raises(TransformError):
-            encode_categorical(("a",), "b")
-        with pytest.raises(TransformError):
-            encode_categorical((), "a")
+            ColumnTransformer.fit(empty, modes=1, seed=0)
 
 
 def mixed_table(n=200, seed=0):
@@ -288,9 +324,9 @@ class TestTableEncoding:
     def test_encode_blocks_are_one_hot_and_alpha_bounded(self):
         table = mixed_table()
         tf = ColumnTransformer.fit(table, modes=4, seed=0)
-        tm = encode_table(table, tf, np.random.default_rng(1))
+        matrix = encode_table(table, tf, np.random.default_rng(1))
         for span in tf.spans:
-            block = tm.matrix[:, span.start : span.start + span.width]
+            block = matrix[:, span.start : span.start + span.width]
             onehot = block[:, 1:] if span.kind == "numeric" else block
             assert np.all(onehot.sum(axis=1) == 1.0)
             assert np.all((onehot == 0.0) | (onehot == 1.0))
@@ -300,8 +336,7 @@ class TestTableEncoding:
     def test_decode_inverts_encode(self):
         table = mixed_table()
         tf = ColumnTransformer.fit(table, modes=4, seed=0)
-        tm = encode_table(table, tf, np.random.default_rng(1))
-        back = decode_matrix(tm.matrix, tm.transformer)
+        back = decode_matrix(encode_table(table, tf, np.random.default_rng(1)), tf)
         for r in range(table.n_rows):
             for i, col in enumerate(table.columns):
                 if col.kind.is_categorical:
@@ -316,8 +351,9 @@ class TestTableEncoding:
         empty = Table("e", table.columns, [])
         tf = ColumnTransformer.fit(table, modes=2, seed=0)
         tf2 = ColumnTransformer(tuple(empty.columns), tf.gmms, tf.spans, tf.total_width)
-        tm = encode_table(empty, tf2, np.random.default_rng(0))
-        assert tm.matrix.shape == (0, tf.total_width)
+        matrix = encode_table(empty, tf2, np.random.default_rng(0))
+        assert matrix.shape == (0, tf.total_width)
+        assert matrix.dtype == np.float32
 
     def test_schema_mismatch_errors(self):
         table = mixed_table()

@@ -36,7 +36,7 @@ def small(variant="stvae", table=None, dtype=np.float32, sig_dim=4, latent=6, re
         recon_weight=recon_weight,
     )
     model = build_vae(tf, cfg, seed=1, dtype=dtype)
-    matrix = encode_table(table, tf, np.random.default_rng(2)).matrix
+    matrix = encode_table(table, tf, np.random.default_rng(2))
     return model, matrix
 
 
@@ -62,8 +62,8 @@ class TestForward:
     def test_stvaem_input_width_accounts_for_signatures(self):
         model, matrix = small("stvaem", sig_dim=4)
         n_cols = len(model.transformer.spans)
-        assert model.input_width == model.row_width + n_cols * 4
-        assert model.encoder.in_width == model.input_width
+        assert len(model.signatures) == n_cols * 4
+        assert model.encoder.in_width == model.row_width + n_cols * 4
         mu, sigma, heads, _ = vae_forward(model, matrix[:4], np.random.default_rng(0))
         assert heads.data.shape == (4, model.row_width)
 
@@ -177,12 +177,6 @@ class TestSignatures:
         lb = vae_train_batch(m1, matrix[:32], rng_b, opt_b)
         assert la == pytest.approx(lb, rel=1e-6)
 
-    def test_missing_external_embedding_errors(self):
-        table = toy_table()
-        tf = ColumnTransformer.fit(table, modes=2, seed=0)
-        with pytest.raises(ModelError):
-            stvaem_signatures(tf, 4, embeddings={"x": np.zeros(4)})
-
 
 class TestSampling:
     def test_row_count_and_valid_labels(self):
@@ -201,7 +195,7 @@ class TestSampling:
         tf = ColumnTransformer.fit(table, modes=1, seed=0)
         cfg = VaeConfig(variant="stvae", latent=8, hidden=(32, 32), batch=100)
         model = build_vae(tf, cfg, seed=0)
-        matrix = encode_table(table, tf, np.random.default_rng(1)).matrix
+        matrix = encode_table(table, tf, np.random.default_rng(1))
         opt = model.optimizer()
         train_rng = np.random.default_rng(2)
         for epoch in range(75):
