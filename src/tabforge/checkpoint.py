@@ -4,8 +4,8 @@ Layout: magic, header length, JSON header (version, kind, config, tensor
 directory with shapes/offsets, auxiliary state like fitted transforms or
 tokenizer merges, provenance), then a payload of little-endian float32
 arrays, then a sha256 over everything before it.  Loads verify the
-checksum, the format version, and that every declared tensor fits the
-payload.
+checksum, the format version, that every declared tensor fits the
+payload, and that every value is finite.
 """
 
 from __future__ import annotations
@@ -103,6 +103,8 @@ def load_checkpoint_bytes(blob: bytes) -> ModelCheckpoint:
         if entry["nbytes"] != expected or end > len(payload):
             raise CheckpointError(f"tensor {entry['name']!r} does not fit the payload (truncated?)")
         arr = np.frombuffer(payload[entry["offset"] : end], dtype="<f4").reshape(entry["shape"])
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"tensor {entry['name']!r} holds non-finite values")
         tensors[entry["name"]] = arr.copy()
     return ModelCheckpoint(
         kind=header["kind"],

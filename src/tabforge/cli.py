@@ -312,8 +312,8 @@ def sample_cmd(ckpt_path, rows, out_path, seed, config_path, overrides):
     if rows < 0:
         raise DataError("--rows must be >= 0")
     ckpt = load_checkpoint(ckpt_path)
-    table = sample_from_checkpoint(ckpt, rows, cfg["seed"] if seed is None else seed)
     out = Path(out_path)
+    table = sample_from_checkpoint(ckpt, rows, cfg["seed"] if seed is None else seed, out.stem)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_table_csv(table, out)
     click.echo(f"sampled {table.n_rows} rows -> {out}")
@@ -366,8 +366,7 @@ def _benchmark_one(args):
             ckpt, log = finetune(base, table, tcfg, kind=method)
         else:
             ckpt, log = train_scratch(method, table, tcfg)
-        syn = sample_from_checkpoint(ckpt, table.n_rows, tcfg.seed)
-        syn.name = table.name
+        syn = sample_from_checkpoint(ckpt, table.n_rows, tcfg.seed, table.name)
         if syn.n_rows == 0:
             # Nothing parseable came out (possible for the text model); score
             # the regime zero instead of aborting the whole grid.

@@ -43,6 +43,23 @@ class GreatConfig:
             raise GreatError("d_model must be divisible by n_heads")
 
 
+class KVCache:
+    """One sequence's per-layer keys and values, preallocated to the context.
+
+    Position i holds what the cached forward computed for the i-th token fed;
+    `tokens` keeps those ids so a failing step can be replayed on the tape.
+    """
+
+    def __init__(self, config: GreatConfig):
+        shape = (config.n_heads, config.ctx, config.d_model // config.n_heads)
+        self.keys = [np.empty(shape, dtype=np.float32) for _ in range(config.n_layers)]
+        self.values = [np.empty(shape, dtype=np.float32) for _ in range(config.n_layers)]
+        self.tokens: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+
 @dataclass
 class GreatModel:
     config: GreatConfig
@@ -71,14 +88,17 @@ class GreatModel:
             self._mask_cache[t] = m[None, None, :, :]
         return self._mask_cache[t]
 
-    def _layernorm(self, x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        return centered * ((var + 1e-5) ** -0.5) * gamma + beta
+    def forward(self, ids: np.ndarray, cache: KVCache | None = None):
+        """Token ids (B, T) -> logits (B, T, vocab).
 
-    def forward(self, ids: np.ndarray) -> Tensor:
-        """Token ids (B, T) -> logits (B, T, vocab)."""
+        Without a cache this is the taped pass training differentiates and
+        returns a Tensor.  With one, `ids` is a single sequence's next token
+        (1, 1) at position `len(cache)`: its keys and values join the cache
+        and the logits come back as a plain (1, 1, vocab) array, computed
+        with no tape.
+        """
+        if cache is not None:
+            return self._cached_step(ids, cache)
         cfg = self.config
         ids = np.asarray(ids)
         b, t = ids.shape
@@ -88,7 +108,7 @@ class GreatModel:
         x = T.take_rows(p["tok_emb"], ids) + p["pos_emb"][:t]
         h = cfg.d_model // cfg.n_heads
         for l in range(cfg.n_layers):
-            ln1 = self._layernorm(x, p[f"b{l}.ln1.g"], p[f"b{l}.ln1.b"])
+            ln1 = T.layer_norm(x, p[f"b{l}.ln1.g"], p[f"b{l}.ln1.b"])
             qkv = T.matmul(ln1, p[f"b{l}.attn.wqkv"]) + p[f"b{l}.attn.bqkv"]
             q = T.swapaxes(T.reshape(qkv[:, :, : cfg.d_model], (b, t, cfg.n_heads, h)), 1, 2)
             k = T.swapaxes(
@@ -101,11 +121,52 @@ class GreatModel:
             probs = T.softmax(scores, axis=-1)
             att = T.reshape(T.swapaxes(T.matmul(probs, v), 1, 2), (b, t, cfg.d_model))
             x = x + (T.matmul(att, p[f"b{l}.attn.wproj"]) + p[f"b{l}.attn.bproj"])
-            ln2 = self._layernorm(x, p[f"b{l}.ln2.g"], p[f"b{l}.ln2.b"])
+            ln2 = T.layer_norm(x, p[f"b{l}.ln2.g"], p[f"b{l}.ln2.b"])
             mid = T.gelu(T.matmul(ln2, p[f"b{l}.mlp.w1"]) + p[f"b{l}.mlp.b1"])
             x = x + (T.matmul(mid, p[f"b{l}.mlp.w2"]) + p[f"b{l}.mlp.b2"])
-        x = self._layernorm(x, p["lnf.g"], p["lnf.b"])
+        x = T.layer_norm(x, p["lnf.g"], p["lnf.b"])
         return T.matmul(x, T.transpose(p["tok_emb"]))  # tied output projection
+
+    def _cached_step(self, ids: np.ndarray, cache: KVCache) -> np.ndarray:
+        """The taped pass's arithmetic for one new token, on plain arrays.
+
+        The last row of the causal mask adds zero everywhere, so it is left
+        out.  Any overflow or invalid value stops the step, and so do
+        non-finite logits: the taped pass then reruns over the whole prefix
+        so its FloatingPointError names the op.
+        """
+        cfg = self.config
+        ids = np.asarray(ids)
+        if ids.shape != (1, 1):
+            raise GreatError(f"a cached forward takes one token of one sequence, got shape {ids.shape}")
+        pos = len(cache)
+        if pos >= cfg.ctx:
+            raise GreatError(f"position {pos} exceeds context {cfg.ctx}")
+        cache.tokens.append(int(ids[0, 0]))
+        p = {name: tensor.data for name, tensor in self.params.items()}
+        d, h = cfg.d_model, cfg.d_model // cfg.n_heads
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                x = p["tok_emb"][ids[0]] + p["pos_emb"][pos : pos + 1]
+                for l in range(cfg.n_layers):
+                    ln1 = T.layer_norm(x, p[f"b{l}.ln1.g"], p[f"b{l}.ln1.b"])
+                    qkv = (ln1 @ p[f"b{l}.attn.wqkv"] + p[f"b{l}.attn.bqkv"]).reshape(3, cfg.n_heads, 1, h)
+                    keys, values = cache.keys[l], cache.values[l]
+                    keys[:, pos], values[:, pos] = qkv[1, :, 0], qkv[2, :, 0]
+                    scores = qkv[0] @ keys[:, : pos + 1].swapaxes(-1, -2) * (1.0 / math.sqrt(h))
+                    att = (T.softmax_array(scores) @ values[:, : pos + 1]).reshape(1, d)
+                    x = x + (att @ p[f"b{l}.attn.wproj"] + p[f"b{l}.attn.bproj"])
+                    ln2 = T.layer_norm(x, p[f"b{l}.ln2.g"], p[f"b{l}.ln2.b"])
+                    mid, _ = T.gelu_array(ln2 @ p[f"b{l}.mlp.w1"] + p[f"b{l}.mlp.b1"])
+                    x = x + (mid @ p[f"b{l}.mlp.w2"] + p[f"b{l}.mlp.b2"])
+                logits = T.layer_norm(x, p["lnf.g"], p["lnf.b"]) @ p["tok_emb"].T
+            if np.isfinite(logits).all():
+                return logits[None]
+        except FloatingPointError:
+            pass
+        with T.no_grad():
+            self.forward(np.asarray([cache.tokens]))
+        raise FloatingPointError(f"overflow in the cached forward at position {pos}")
 
 
 def build_great(config: GreatConfig, vocab: Vocab, seed: int) -> GreatModel:
@@ -183,9 +244,7 @@ def sequence_nll(model: GreatModel, token_batch: np.ndarray) -> float:
     with T.no_grad():
         logits = model.forward(inputs)
     b, t, v = logits.data.shape
-    flat = logits.data.reshape(b * t, v)
-    shifted = flat - flat.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logp = T.log_softmax_array(logits.data.reshape(b * t, v))
     tgt = targets.reshape(-1)
     keep = tgt != PAD
     return float(-logp[np.flatnonzero(keep), tgt[keep]].mean())
@@ -226,19 +285,21 @@ def great_generate(
 
 
 def _sample_sentence(model: GreatModel, rng: np.random.Generator, temperature: float) -> str:
+    """Decode one sentence, feeding each token once through a K/V cache.
+
+    One `model.forward` call per sampled token, EOS included, and one
+    `rng.random()` draw per token unless the temperature is zero.
+    """
     ids = [BOS]
     cfg = model.config
+    cache = KVCache(cfg)
     while len(ids) < cfg.ctx:
-        with T.no_grad():
-            logits = model.forward(np.asarray([ids]))
-        last = logits.data[0, -1].astype(np.float64)
+        logits = model.forward(np.asarray([ids[-1:]]), cache)
+        last = logits[0, -1].astype(np.float64)
         if temperature <= 1e-6:
             nxt = int(last.argmax())
         else:
-            scaled = last / temperature
-            scaled -= scaled.max()
-            probs = np.exp(scaled)
-            probs /= probs.sum()
+            probs = T.softmax_array(last / temperature)
             nxt = int((rng.random() > np.cumsum(probs)).sum())
             nxt = min(nxt, len(probs) - 1)
         if nxt == EOS:

@@ -270,16 +270,22 @@ def leaky_relu(a: Tensor, slope: float = 0.2):
     return _node(data, (a,), vjp, "leaky_relu")
 
 
+_GELU_C = float(np.sqrt(2.0 / np.pi))
+
+
+def gelu_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-approximation GELU (the flavor used in GPT-style blocks) on a
+    plain array: (output, tanh term), the tanh term for the tape's vjp."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * x**3))
+    return 0.5 * x * (1.0 + t), t
+
+
 def gelu(a: Tensor):
-    """Tanh-approximation GELU (the flavor used in GPT-style blocks)."""
-    c = float(np.sqrt(2.0 / np.pi))
     x = a.data
-    inner = c * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
+    data, t = gelu_array(x)
 
     def vjp(g):
-        dinner = c * (1.0 + 3 * 0.044715 * x**2)
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
         dt = (1.0 - t * t) * dinner
         return (g * (0.5 * (1.0 + t) + 0.5 * x * dt),)
 
@@ -295,6 +301,23 @@ def maximum_const(a: Tensor, floor: float):
         return (g * mask,)
 
     return _node(data, (a,), vjp, "maximum_const")
+
+
+def layer_norm(x, gamma, beta):
+    """Normalise over the last axis, then scale and shift.  The same
+    formula runs taped on Tensors and untaped on plain float32 arrays, with
+    the same float32 arithmetic on both."""
+    mu = _last_axis_mean(x)
+    centered = x - mu
+    var = _last_axis_mean(centered * centered)
+    return centered * ((var + 1e-5) ** -0.5) * gamma + beta
+
+
+def _last_axis_mean(x):
+    if isinstance(x, Tensor):
+        return x.mean(axis=-1, keepdims=True)
+    # What `mean` computes: the sum times the reciprocal count in x's dtype.
+    return x.sum(axis=-1, keepdims=True) * x.dtype.type(1.0 / x.shape[-1])
 
 
 # -- reductions ----------------------------------------------------------
@@ -423,10 +446,20 @@ def matmul(a: Tensor, b: Tensor):
 # -- softmax family --------------------------------------------------------
 
 
+def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Max-shifted softmax of a plain array."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def log_softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Max-shifted log-softmax of a plain array."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
 def softmax(a: Tensor, axis: int = -1):
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = softmax_array(a.data, axis)
 
     def vjp(g):
         dot = (g * data).sum(axis=axis, keepdims=True)
@@ -436,9 +469,7 @@ def softmax(a: Tensor, axis: int = -1):
 
 
 def log_softmax(a: Tensor, axis: int = -1):
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
+    data = log_softmax_array(a.data, axis)
 
     def vjp(g):
         soft = np.exp(data)

@@ -394,12 +394,13 @@ def _driver(kind: str):
 
 
 @contextlib.contextmanager
-def _diverged(kind: str, table: Table, where: str):
-    """Report a non-finite value from the tape as a training failure."""
+def _diverged(failure: str):
+    """Report a non-finite value from the model as a TrainingError that
+    says which method, table and stage it came from."""
     try:
         yield
     except FloatingPointError as exc:
-        raise TrainingError(f"{kind} training diverged on table {table.name!r} at {where}: {exc}") from exc
+        raise TrainingError(f"{failure}: {exc}") from exc
 
 
 def _checkpoint(kind: str, model, config: TrainConfig, tensors, aux: dict, corpus: list[Table], epoch: int):
@@ -450,7 +451,8 @@ def pretrain(kind: str, corpus: list[Table], config: TrainConfig) -> tuple[Model
             session = driver.setup(model)
             session["prep"] = prep
             rng = substream(config.seed, "pretrain", "epoch", table.name, iteration)
-            with _diverged(kind, table, f"pretraining iteration {iteration + 1}"):
+            where = f"pretraining iteration {iteration + 1}"
+            with _diverged(f"{kind} training diverged on table {table.name!r} at {where}"):
                 loss = driver.train_epoch(model, session, prep["rows"], rng)
             iteration_losses.append(loss)
             body = copy_state(model)
@@ -510,7 +512,7 @@ def finetune(
     stop_reason = "epochs"
 
     for epoch in range(1, config.epochs + 1):
-        with _diverged(kind, table, f"epoch {epoch}"):
+        with _diverged(f"{kind} training diverged on table {table.name!r} at epoch {epoch}"):
             rng = substream(config.seed, "epoch", table.name, epoch)
             train_loss = driver.train_epoch(model, session, train_rows, rng)
             val_loss = None
@@ -583,7 +585,12 @@ def rebuild_model(ckpt: ModelCheckpoint):
     return model
 
 
-def sample_from_checkpoint(ckpt: ModelCheckpoint, n: int, seed: int) -> Table:
+def sample_from_checkpoint(ckpt: ModelCheckpoint, n: int, seed: int, name: str = "synthetic") -> Table:
+    """`n` synthetic rows from the checkpoint, as a table called `name`; a
+    non-finite value on the way is a TrainingError naming method and table."""
     driver = _driver(ckpt.kind)
     model, prep = _restore(driver, ckpt)
-    return driver.sample(model, prep, n, substream(seed, "sample"))
+    with _diverged(f"{ckpt.kind} sampling diverged on table {name!r}"):
+        table = driver.sample(model, prep, n, substream(seed, "sample"))
+    table.name = name
+    return table

@@ -271,7 +271,9 @@ class TestFailuresExitTwo:
         save_checkpoint(ckpt, path)
         return path
 
-    @pytest.mark.parametrize("case", ["great_body", "gmm_missing_tensor", "great_reshaped_tensor"])
+    @pytest.mark.parametrize("case", [
+        "great_body", "gmm_missing_tensor", "great_reshaped_tensor", "great_nan_tensor", "great_overflow",
+    ])
     def test_sample_rejects_bad_checkpoint(self, case, pipeline_dirs, monkeypatch, capsys):
         cleaned, manifest, tmp = pipeline_dirs
         if case == "great_body":
@@ -279,15 +281,41 @@ class TestFailuresExitTwo:
         elif case == "gmm_missing_tensor":
             path = self._scratch(cleaned, tmp, "stvae", TINY, lambda t: t.pop("dec.2.W"))
             detail = "dec.2.W"
-        else:
+        elif case == "great_reshaped_tensor":
             def reshape(tensors):
                 tensors["lnf.g"] = np.ones(3, dtype=np.float32)
 
             path = self._scratch(cleaned, tmp, "great", GREAT_TINY, reshape)
             detail = "lnf.g"
+        elif case == "great_nan_tensor":
+            def poison(tensors):
+                tensors["lnf.g"][0] = np.nan
+
+            path = self._scratch(cleaned, tmp, "great", GREAT_TINY, poison)
+            detail = "tensor 'lnf.g' holds non-finite values"
+        else:
+            # Finite weights whose forward overflows: the cached decode step
+            # stops and the taped rerun names the op.
+            def blow_up(tensors):
+                tensors["b0.mlp.w1"] *= np.float32(1e30)
+
+            path = self._scratch(cleaned, tmp, "great", GREAT_TINY, blow_up)
+            detail = "great sampling diverged on table 's': non-finite values produced by op 'mul'"
         args = ["sample", "--checkpoint", str(path), "--rows", "2", "--out", str(tmp / "s.csv")]
         assert main_exit_code(monkeypatch, args) == 2
         assert detail in capsys.readouterr().err
+
+    def test_benchmark_rejects_non_finite_pretrained_checkpoint(self, pipeline_dirs, monkeypatch, capsys):
+        cleaned, manifest, tmp = pipeline_dirs
+        pre = self._great_body(cleaned, manifest, tmp)
+        ckpt = load_checkpoint(pre)
+        ckpt.tensors["lnf.g"][0] = np.inf
+        save_checkpoint(ckpt, pre)
+        args = ["benchmark", "--split", str(manifest), "--clean-dir", str(cleaned),
+                "--method", "great", "--pretrained", f"great={pre}",
+                "--part", "val", "--out-dir", str(tmp / "bench"), *GREAT_TINY]
+        assert main_exit_code(monkeypatch, args) == 2
+        assert "tensor 'lnf.g' holds non-finite values" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["pretrain", "train-scratch"])
     def test_diverged_training_names_method_table_and_epoch(

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +8,12 @@ from hypothesis import strategies as st
 
 from tabforge.data import ColumnKind, ColumnMeta
 from tabforge.great.bpe import BOS, BYTE_BASE, EOS, MIN_VOCAB, PAD, BpeError, train_bpe
+import tabforge.nn.tensor as T
 from tabforge.great.model import (
     GreatConfig,
     GreatError,
+    GreatModel,
+    KVCache,
     build_great,
     great_generate,
     great_train_step,
@@ -164,3 +170,91 @@ class TestGeneration:
         table, validity = great_generate(model, self.SCHEMA, 4, np.random.default_rng(0))
         assert 0.0 <= validity <= 1.0
         assert table.n_rows <= 4
+
+
+class TestCachedDecode:
+    SCHEMA = TestGeneration.SCHEMA
+    ROWS = [[26.0, "M"], [31.5, "F"], [45.0, "M"], [52.25, "F"], [38.0, "F"]]
+
+    def partly_trained_model(self):
+        """Trained just enough that some rows parse and some retry."""
+        sentences = [serialize_row_text(self.SCHEMA, r) for r in self.ROWS]
+        model, vocab = tiny_model(sentences, lr=3e-3, ctx=32)
+        batch = pad_batch([[BOS] + vocab.encode(s) + [EOS] for s in sentences], model.config.ctx)
+        opt = model.optimizer()
+        for _ in range(40):
+            great_train_step(model, batch, opt)
+        return model
+
+    # Recorded with the full-prefix decode that the cached one replaced
+    # (x86-64, numpy 2.4 with OpenBLAS).  The digest covers the rows, the
+    # validity and the next draw, so it also pins how many draws were made.
+    @pytest.mark.parametrize("temperature, digest", [
+        (0.7, "ad3b07a0fe7195b5e6769994dcf3a94e03c8f8537b779c4b9f781966c178d0c5"),
+        (0.0, "0d58f2f119c5792fee6372917a55eae8996e42b86821eac098962ba13ad2013d"),
+    ])
+    def test_rows_match_the_full_prefix_decode(self, temperature, digest):
+        model = self.partly_trained_model()
+        model.config.temperature, model.config.max_retries = temperature, 2
+        rng = np.random.default_rng(5)
+        table, validity = great_generate(model, self.SCHEMA, 8, rng)
+        doc = json.dumps([table.rows, validity, rng.random()])
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+    def test_cached_logits_match_the_taped_forward_at_every_position(self):
+        model, vocab = tiny_model(["alpha is 1 and beta is x"], ctx=24, seed=1)
+        ids = np.random.default_rng(0).integers(0, vocab.size, (1, model.config.ctx))
+        with T.no_grad():
+            full = model.forward(ids).data[0]
+        cache = KVCache(model.config)
+        for pos in range(model.config.ctx):
+            step = model.forward(ids[:, pos : pos + 1], cache)
+            assert step.shape == (1, 1, vocab.size)
+            np.testing.assert_allclose(step[0, 0], full[pos], rtol=0, atol=1e-5)
+        assert len(cache) == model.config.ctx
+
+    def test_cached_forward_past_context_errors(self):
+        model, _ = tiny_model(["ab"], ctx=8)
+        cache = KVCache(model.config)
+        for _ in range(8):
+            model.forward(np.asarray([[BOS]]), cache)
+        with pytest.raises(GreatError, match="exceeds context"):
+            model.forward(np.asarray([[BOS]]), cache)
+
+    def test_one_forward_call_per_decode_step(self, monkeypatch):
+        """Each sampled token, EOS included, is one cached `forward` of one
+        token: the count perfbench reports as great.decode_steps."""
+        model = self.partly_trained_model()
+        model.config.temperature, model.config.max_retries = 0.7, 2
+        calls = []
+        forward = GreatModel.forward
+
+        def spy(self, ids, cache=None):
+            calls.append((np.shape(ids), cache is not None))
+            return forward(self, ids, cache)
+
+        rng = np.random.default_rng(5)
+
+        class CountingRng:
+            draws = 0
+
+            def random(self):
+                self.draws += 1
+                return rng.random()
+
+        counting = CountingRng()
+        monkeypatch.setattr(GreatModel, "forward", spy)
+        great_generate(model, self.SCHEMA, 8, counting)
+        assert counting.draws > 0
+        assert calls == [((1, 1), True)] * counting.draws
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale, named", [
+        (1e30, "non-finite values produced by op 'mul'"),  # the taped rerun names the op
+        (1e14, "overflow in the cached forward at position 0"),  # only GELU's cube overflows
+    ])
+    def test_overflow_in_a_step_raises(self, scale, named):
+        model, _ = tiny_model(["alpha is 1 and beta is x"], d=16, layers=1, ctx=24, seed=1)
+        model.params["b0.mlp.w1"].data = model.params["b0.mlp.w1"].data * np.float32(scale)
+        with pytest.raises(FloatingPointError, match=named):
+            model.forward(np.asarray([[BOS]]), KVCache(model.config))
