@@ -132,11 +132,11 @@ def cleaning_config(cfg: dict) -> CleaningConfig:
     return CleaningConfig(**cfg["cleaning"])
 
 
-def split_spec(cfg: dict, seed: int | None = None) -> SplitSpec:
+def split_spec(cfg: dict) -> SplitSpec:
     s = cfg["split"]
     return SplitSpec(
         ratios=tuple(s["ratios"]),
-        seed=cfg["seed"] if seed is None else seed,
+        seed=cfg["seed"],
         mode=s["mode"],
         k=s["k"],
     )

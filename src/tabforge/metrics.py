@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -84,20 +84,10 @@ def trend_numeric(real_pair, syn_pair) -> float:
 
 def trend_categorical(real_pair, syn_pair) -> float:
     """1 - (1/2) sum over joint category supports of |R_syn - R_real|."""
-
-    def joint(pair):
-        a, b = pair
+    for a, b in (real_pair, syn_pair):
         if len(a) != len(b) or not a:
             raise MetricError("trend_categorical needs non-empty aligned pairs")
-        counts: dict = {}
-        for w in zip(a, b):
-            counts[w] = counts.get(w, 0) + 1
-        return {k: c / len(a) for k, c in counts.items()}
-
-    r, s = joint(real_pair), joint(syn_pair)
-    support = set(r) | set(s)
-    # fsum is exact, so the set's hash-seeded order cannot reach the result.
-    return 1.0 - 0.5 * math.fsum(abs(s.get(w, 0.0) - r.get(w, 0.0)) for w in support)
+    return tvd_shape(zip(*real_pair), zip(*syn_pair))
 
 
 def quantile_linear(sorted_values, q: float) -> float:
@@ -116,7 +106,11 @@ def quantile_linear(sorted_values, q: float) -> float:
     return float(sorted_values[lo]) + frac * (float(sorted_values[hi]) - float(sorted_values[lo]))
 
 
-def bin_numeric(real, syn, bins: int = 10):
+TREND_BINS = 10  # deciles of the real values for mixed column pairs
+HISTOGRAM_BINS = 20
+
+
+def bin_numeric(real, syn):
     """Map both samples through decile edges of the REAL values.
 
     Duplicate edges collapse; out-of-range synthetic values clamp into the
@@ -129,8 +123,8 @@ def bin_numeric(real, syn, bins: int = 10):
     r_sorted = np.sort(r)
     edges_list = []
     if r_sorted[0] != r_sorted[-1]:  # constant column: one bin, no edges
-        for i in range(1, bins):
-            e = quantile_linear(r_sorted, i / bins)
+        for i in range(1, TREND_BINS):
+            e = quantile_linear(r_sorted, i / TREND_BINS)
             if not edges_list or e != edges_list[-1]:
                 edges_list.append(e)
     edges = np.asarray(edges_list, dtype=np.float64)
@@ -163,16 +157,7 @@ class TableReport:
             raise MetricError("overall score must average shape and trend")
 
     def to_dict(self) -> dict:
-        return {
-            "table": self.table,
-            "shape_scores": self.shape_scores,
-            "trend_scores": self.trend_scores,
-            "s_shape": self.s_shape,
-            "s_trend": self.s_trend,
-            "s_overall": self.s_overall,
-            "syn_rows": self.syn_rows,
-            "single_column": self.single_column,
-        }
+        return asdict(self)
 
 
 def _column_pair_score(real: Table, syn: Table, i: int, j: int) -> float:
@@ -403,7 +388,7 @@ def build_leaderboard(reports: dict[tuple[str, str, str], list[TableReport]]) ->
     return board
 
 
-def column_histogram(real, syn, bins: int = 20) -> dict:
+def column_histogram(real, syn) -> dict:
     """Shared-edge histogram export for side-by-side column plots."""
     r = np.asarray(real, dtype=np.float64)
     s = np.asarray(syn, dtype=np.float64)
@@ -411,7 +396,7 @@ def column_histogram(real, syn, bins: int = 20) -> dict:
     hi = max(r.max(), s.max()) if s.size else r.max()
     if lo == hi:
         hi = lo + 1.0
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
     r_counts, _ = np.histogram(r, edges)
     s_counts, _ = np.histogram(s, edges)
     return {

@@ -8,9 +8,10 @@ per-pack interpolates) and then the generator (negated critic score + cross
 entropy between the generated one-hot and the conditioning mask).
 
 The critic consumes `pac` rows jointly; the generator grows its hidden
-state by concatenation (h ⊕ ReLU(BN(FC(h)))) and emits per-column heads:
-tanh for each alpha, gumbel-softmax (tau 0.2) for each mode indicator and
-categorical block.
+state by concatenation (h ⊕ ReLU(BN(FC(h)))) into one Dense over the row
+width; `generator_heads` then applies the per-column heads: tanh for each
+alpha, gumbel-softmax (tau 0.2) for each mode indicator and categorical
+block.
 """
 
 from __future__ import annotations
@@ -21,16 +22,15 @@ import numpy as np
 
 from tabforge.data import Table
 from tabforge.nn import tensor as T
+from tabforge.nn.functional import gumbel_softmax
 from tabforge.nn.layers import (
     BatchNorm,
     ConcatSkip,
     Dense,
     Dropout,
-    GumbelSoftmax,
     LeakyReLU,
     Net,
     ReLU,
-    Tanh,
 )
 from tabforge.nn.optim import Adam
 from tabforge.nn.tensor import Tensor
@@ -207,12 +207,6 @@ def make_ctgan(
         ),
         Dense(in0 + h1 + h2, row_w),
     ]
-    for span in transformer.spans:
-        if span.kind == "numeric":
-            gen_layers.append(Tanh(span=(span.start, 1)))
-            gen_layers.append(GumbelSoftmax(span=(span.start + 1, span.width - 1), tau=config.tau))
-        else:
-            gen_layers.append(GumbelSoftmax(span=(span.start, span.width), tau=config.tau))
 
     critic_in = config.pac * (row_w + cond_w)
     critic_layers = [
@@ -276,14 +270,28 @@ def sample_conditions(model: CtganModel, n: int, rng: np.random.Generator):
     return i_stars, k_stars, cond
 
 
-def build_row_index(model: CtganModel, matrix: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """Row indices per (categorical position, category) in an encoded matrix."""
-    index: dict[tuple[int, int], np.ndarray] = {}
-    for pos, col_idx in enumerate(model.layout.columns):
-        span = model.transformer.span_for(col_idx)
-        for k in range(span.width):
-            index[(pos, k)] = np.flatnonzero(matrix[:, span.start + k] == 1.0)
-    return index
+@dataclass(frozen=True)
+class RowIndex:
+    """Row ids of an encoded matrix grouped by cond position offset(i*) + k*."""
+
+    offsets: np.ndarray  # per categorical column: its first cond position
+    starts: np.ndarray  # per cond position: where its rows begin in `rows`
+    counts: np.ndarray  # per cond position: how many rows carry that one-hot
+    rows: np.ndarray
+
+
+def build_row_index(model: CtganModel, matrix: np.ndarray) -> RowIndex:
+    """Index the rows of an encoded matrix by their categorical one-hots."""
+    layout = model.layout
+    cols = [
+        model.transformer.span_for(col_idx).start + k
+        for col_idx, width in zip(layout.columns, layout.widths)
+        for k in range(width)
+    ]
+    hits = matrix[:, cols] == 1.0
+    _, rows = np.nonzero(hits.T)  # grouped by cond position, rows ascending
+    counts = hits.sum(axis=0)
+    return RowIndex(np.asarray(layout.offsets, dtype=np.int64), np.cumsum(counts) - counts, counts, rows)
 
 
 def refresh_log_pmfs(model: CtganModel, matrix: np.ndarray) -> None:
@@ -301,17 +309,19 @@ def refresh_log_pmfs(model: CtganModel, matrix: np.ndarray) -> None:
 
 def sample_real_conditioned(
     matrix: np.ndarray,
-    row_index: dict[tuple[int, int], np.ndarray],
-    i_star: int,
-    k_star: int,
+    row_index: RowIndex,
+    i_stars: np.ndarray,
+    k_stars: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Uniform draw among rows whose one-hot for column i* equals k*;
-    `row_index` is `build_row_index` of the same matrix."""
-    candidates = row_index[(i_star, k_star)]
-    if len(candidates) == 0:
-        raise ModelError(f"no real row satisfies condition ({i_star}, {k_star})")
-    return matrix[candidates[rng.integers(len(candidates))]]
+    """For each (i*, k*) pair, a uniform draw among the rows whose one-hot for
+    column i* equals k*; `row_index` is `build_row_index` of the same matrix."""
+    flat = row_index.offsets[i_stars] + k_stars
+    counts = row_index.counts[flat]
+    if not counts.all():
+        j = int(np.argmin(counts))  # the first empty condition
+        raise ModelError(f"no real row satisfies condition ({i_stars[j]}, {k_stars[j]})")
+    return matrix[row_index.rows[row_index.starts[flat] + rng.integers(counts)]]
 
 
 # -- losses ---------------------------------------------------------------------
@@ -365,33 +375,46 @@ def _batch_size(model: CtganModel, n_rows: int) -> int:
     return batch
 
 
-def _generate(model: CtganModel, n: int, rng: np.random.Generator):
-    i_s, k_s, cond = sample_conditions(model, n, rng)
-    z = rng.standard_normal((n, model.config.z_dim)).astype(np.float32)
-    gen_in = np.concatenate([z, cond], axis=1)
-    fake = model.generator.forward(gen_in, mode="train", rng=rng)
-    return i_s, k_s, cond, fake
+def generator_heads(raw: Tensor, spans, tau: float, mode: str, rng) -> tuple[Tensor, dict[int, Tensor]]:
+    """The generator's per-column heads over its last Dense output: tanh for
+    each alpha, gumbel-softmax for each mode indicator and categorical block.
+
+    Returns the encoded row and, in train mode, each block's noised logits
+    over tau by its start column (the conditional cross entropy reads them).
+    """
+    parts, scaled = [], {}
+    for span in spans:
+        start = span.start
+        if span.kind == "numeric":
+            parts.append(T.tanh(raw[:, start : start + 1]))
+            start += 1
+        out, scaled[start] = gumbel_softmax(raw[:, start : span.start + span.width], tau, mode, rng)
+        parts.append(out)
+    return T.concat(parts, axis=1), scaled
+
+
+def _generate(model: CtganModel, cond: np.ndarray, mode: str, rng: np.random.Generator):
+    """Noise ⊕ cond through the generator body and heads: (row, scaled blocks)."""
+    z = rng.standard_normal((cond.shape[0], model.config.z_dim)).astype(np.float32)
+    raw = model.generator.forward(np.concatenate([z, cond], axis=1), mode=mode, rng=rng)
+    return generator_heads(raw, model.transformer.spans, model.config.tau, mode, rng)
 
 
 def critic_loss_graph(
     model: CtganModel,
     matrix: np.ndarray,
     rng: np.random.Generator,
-    row_index: dict[tuple[int, int], np.ndarray],
+    row_index: RowIndex,
 ):
     """Wasserstein difference + gradient penalty as a graph (no updates)."""
     cfg = model.config
     batch = _batch_size(model, matrix.shape[0])
-    i_s, k_s, cond, fake = _generate(model, batch, rng)
+    i_s, k_s, cond = sample_conditions(model, batch, rng)
+    fake, _ = _generate(model, cond, "train", rng)
     if i_s is None:
         real = matrix[rng.integers(matrix.shape[0], size=batch)]
     else:
-        real = np.stack(
-            [
-                sample_real_conditioned(matrix, row_index, int(i_s[j]), int(k_s[j]), rng)
-                for j in range(batch)
-            ]
-        )
+        real = sample_real_conditioned(matrix, row_index, i_s, k_s, rng)
     cond_pac = _pack(cond, cfg.pac)
     fake_pac = _pack(fake.data, cfg.pac)  # detached: the critic step never reaches G
     real_pac = _pack(real.astype(fake.data.dtype), cfg.pac)
@@ -411,7 +434,8 @@ def generator_loss_graph(model: CtganModel, n_rows: int, rng: np.random.Generato
     """-mean critic(fake) + mean CE(generated one-hot, conditioning mask)."""
     cfg = model.config
     batch = _batch_size(model, n_rows)
-    i_s, k_s, cond, fake = _generate(model, batch, rng)
+    i_s, k_s, cond = sample_conditions(model, batch, rng)
+    fake, scaled_blocks = _generate(model, cond, "train", rng)
     cond_pac = _pack(cond, cfg.pac)
     fake_pac = _pack_tensor(fake, cfg.pac)
     scores = model.critic.forward(
@@ -428,9 +452,8 @@ def generator_loss_graph(model: CtganModel, n_rows: int, rng: np.random.Generato
             if not mask.any():
                 continue
             span = model.transformer.span_for(col_idx)
-            scaled = model.generator.gumbel_scaled[span.start]
             rows = np.flatnonzero(mask)
-            logp = T.log_softmax(scaled, axis=1)
+            logp = T.log_softmax(scaled_blocks[span.start], axis=1)
             picked = T.take_pairs(logp, rows, k_s[rows])
             ce_terms.append(-T.sum_(picked))
         if ce_terms:
@@ -448,7 +471,7 @@ def ctgan_train_batch(
     rng: np.random.Generator,
     adam_critic: Adam,
     adam_gen: Adam,
-    row_index: dict[tuple[int, int], np.ndarray],
+    row_index: RowIndex,
 ) -> dict[str, float]:
     """One critic update, then one generator update on a fresh batch."""
     w_loss, penalty = critic_loss_graph(model, matrix, rng, row_index)
@@ -488,9 +511,8 @@ def ctgan_sample(
             cond = np.tile(build_cond_vector(model.layout, *condition), (chunk, 1))
         else:
             _, _, cond = sample_conditions(model, chunk, rng)
-        z = rng.standard_normal((chunk, cfg.z_dim)).astype(np.float32)
         with T.no_grad():
-            out = model.generator.forward(np.concatenate([z, cond], axis=1), mode="eval")
+            out, _ = _generate(model, cond, "eval", rng)
         rows.append(out.data)
         remaining -= chunk
     matrix = np.concatenate(rows, axis=0) if rows else np.zeros((0, model.row_width), dtype=np.float32)

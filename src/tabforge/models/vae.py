@@ -1,8 +1,8 @@
 """The variational autoencoder family over encoded rows.
 
 Three variants share one architecture (ReLU MLP encoder to (mu, log
-variance), ReLU MLP decoder to per-column heads: tanh alpha, softmax mode
-indicator, softmax categorical):
+variance), ReLU MLP decoder to one Dense over the row width, then
+`decoder_heads`: tanh alpha, softmax mode indicator, softmax categorical):
 
 * tvae   - numeric reconstruction is a Gaussian NLL with one learnable std
            (delta) per numeric column, clamped >= 1e-3;
@@ -21,7 +21,7 @@ import numpy as np
 from tabforge.data import Table
 from tabforge.nn import tensor as T
 from tabforge.nn.functional import cross_entropy_logits, kl_std_normal
-from tabforge.nn.layers import Dense, Net, ReLU, Softmax, Tanh
+from tabforge.nn.layers import Dense, Net, ReLU
 from tabforge.nn.optim import Adam
 from tabforge.nn.tensor import Tensor
 from tabforge.split import name_embedding
@@ -150,12 +150,6 @@ def build_vae(
         ReLU(),
         Dense(h2, row_w),
     ]
-    for span in transformer.spans:
-        if span.kind == "numeric":
-            dec_layers.append(Tanh(span=(span.start, 1)))
-            dec_layers.append(Softmax(span=(span.start + 1, span.width - 1)))
-        else:
-            dec_layers.append(Softmax(span=(span.start, span.width)))
 
     rng = np.random.default_rng(seed)
     encoder = Net(enc_layers, rng, dtype=dtype)
@@ -170,8 +164,27 @@ def build_vae(
     return model
 
 
+def decoder_heads(raw: Tensor, spans) -> tuple[Tensor, dict[int, Tensor]]:
+    """The decoder's per-column heads over its last Dense output: tanh for
+    each alpha, softmax for each mode indicator and categorical block.
+
+    Returns the encoded row and each block's pre-softmax logits by its start
+    column (the reconstruction cross entropy reads them).
+    """
+    parts, logits = [], {}
+    for span in spans:
+        start = span.start
+        if span.kind == "numeric":
+            parts.append(T.tanh(raw[:, start : start + 1]))
+            start += 1
+        logits[start] = raw[:, start : span.start + span.width]
+        parts.append(T.softmax(logits[start], axis=1))
+    return T.concat(parts, axis=1), logits
+
+
 def vae_forward(model: VaeModel, batch: np.ndarray, rng: np.random.Generator):
-    """Encode, reparameterize, decode.  Returns (mu, sigma, heads, z)."""
+    """Encode, reparameterize, decode.  Returns (mu, sigma, heads, logits, z),
+    with `logits` the pre-softmax block logits of `decoder_heads`."""
     dtype = model.encoder.dtype
     batch = np.asarray(batch, dtype=dtype)
     if batch.ndim != 2 or batch.shape[1] != model.row_width:
@@ -187,17 +200,24 @@ def vae_forward(model: VaeModel, batch: np.ndarray, rng: np.random.Generator):
     sigma = T.exp(enc_out[:, latent:] * 0.5)
     eps = rng.standard_normal(mu.data.shape).astype(dtype)
     z = mu + sigma * Tensor(eps)
-    heads = model.decoder.forward(z, mode="train")
-    return mu, sigma, heads, z
+    heads, logits = decoder_heads(model.decoder.forward(z, mode="train"), model.transformer.spans)
+    return mu, sigma, heads, logits, z
 
 
-def elbo_loss(model: VaeModel, heads: Tensor, target: np.ndarray, mu: Tensor, sigma: Tensor) -> Tensor:
+def elbo_loss(
+    model: VaeModel,
+    heads: Tensor,
+    logits: dict[int, Tensor],
+    target: np.ndarray,
+    mu: Tensor,
+    sigma: Tensor,
+) -> Tensor:
     """Reconstruction + KL, averaged over the batch.
 
     Numeric term: Gaussian NLL under N(alpha_hat, delta_i) for tvae, squared
     error for stvae/stvaem.  Mode indicators and categorical blocks use
-    cross entropy against the target one-hots (computed from the decoder's
-    cached pre-softmax logits for stability).
+    cross entropy against the target one-hots, computed from `logits`, the
+    pre-softmax blocks by start column, for stability.
     """
     variant = model.config.variant
     if variant == "tvae" and model.delta is None:
@@ -219,12 +239,10 @@ def elbo_loss(model: VaeModel, heads: Tensor, target: np.ndarray, mu: Tensor, si
             else:
                 recon_terms.append(T.sum_(diff * diff))
             beta_t = target[:, span.start + 1 : span.start + span.width].argmax(axis=1)
-            beta_logits = model.decoder.span_logits[span.start + 1]
-            recon_terms.append(T.sum_(cross_entropy_logits(beta_logits, beta_t)))
+            recon_terms.append(T.sum_(cross_entropy_logits(logits[span.start + 1], beta_t)))
         else:
             d_t = target[:, span.start : span.start + span.width].argmax(axis=1)
-            d_logits = model.decoder.span_logits[span.start]
-            recon_terms.append(T.sum_(cross_entropy_logits(d_logits, d_t)))
+            recon_terms.append(T.sum_(cross_entropy_logits(logits[span.start], d_t)))
     recon = recon_terms[0]
     for t in recon_terms[1:]:
         recon = recon + t
@@ -233,8 +251,8 @@ def elbo_loss(model: VaeModel, heads: Tensor, target: np.ndarray, mu: Tensor, si
 
 
 def vae_train_batch(model: VaeModel, batch: np.ndarray, rng: np.random.Generator, opt: Adam) -> float:
-    mu, sigma, heads, _ = vae_forward(model, batch, rng)
-    loss = elbo_loss(model, heads, batch, mu, sigma)
+    mu, sigma, heads, logits, _ = vae_forward(model, batch, rng)
+    loss = elbo_loss(model, heads, logits, batch, mu, sigma)
     opt.zero_grad()
     loss.backward()
     opt.step()
@@ -243,8 +261,8 @@ def vae_train_batch(model: VaeModel, batch: np.ndarray, rng: np.random.Generator
 
 
 def vae_val_loss(model: VaeModel, batch: np.ndarray, rng: np.random.Generator) -> float:
-    mu, sigma, heads, _ = vae_forward(model, batch, rng)
-    return float(elbo_loss(model, heads, batch, mu, sigma).data)
+    mu, sigma, heads, logits, _ = vae_forward(model, batch, rng)
+    return float(elbo_loss(model, heads, logits, batch, mu, sigma).data)
 
 
 def vae_sample(model: VaeModel, n: int, rng: np.random.Generator) -> Table:
@@ -255,7 +273,7 @@ def vae_sample(model: VaeModel, n: int, rng: np.random.Generator) -> Table:
         take = min(remaining, model.config.batch)
         z = rng.standard_normal((take, model.config.latent)).astype(np.float32)
         with T.no_grad():
-            heads = model.decoder.forward(z, mode="eval")
+            heads, _ = decoder_heads(model.decoder.forward(z, mode="eval"), model.transformer.spans)
         chunks.append(heads.data)
         remaining -= take
     matrix = (

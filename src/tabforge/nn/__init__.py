@@ -4,14 +4,11 @@ from tabforge.nn.layers import (
     ConcatSkip,
     Dense,
     Dropout,
-    GumbelSoftmax,
     LeakyReLU,
     Net,
     ReLU,
-    Softmax,
-    Tanh,
 )
-from tabforge.nn.functional import cross_entropy_logits, kl_std_normal
+from tabforge.nn.functional import cross_entropy_logits, gumbel_softmax, kl_std_normal
 from tabforge.nn.optim import Adam
 
 __all__ = [
@@ -20,15 +17,13 @@ __all__ = [
     "ConcatSkip",
     "Dense",
     "Dropout",
-    "GumbelSoftmax",
     "LeakyReLU",
     "Net",
     "ReLU",
-    "Softmax",
-    "Tanh",
     "Tensor",
     "concat",
     "cross_entropy_logits",
+    "gumbel_softmax",
     "kl_std_normal",
     "no_grad",
 ]

@@ -1,4 +1,4 @@
-"""Loss pieces shared by the model families."""
+"""Loss pieces and the gumbel-softmax head shared by the model families."""
 
 from __future__ import annotations
 
@@ -27,3 +27,27 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     logp = T.log_softmax(logits, axis=-1)
     rows = np.arange(logits.data.shape[0])
     return -T.take_pairs(logp, rows, targets)
+
+
+def gumbel_softmax(
+    logits: Tensor, tau: float, mode: str, rng: np.random.Generator | None
+) -> tuple[Tensor, Tensor | None]:
+    """Gumbel-softmax over the rows of a (batch, k) block of logits.
+
+    Train mode returns (softmax((logits + g) / tau), (logits + g) / tau) with
+    g standard Gumbel noise from one `rng.random` draw; the second value is
+    what a cross entropy against the block reads.  Eval mode is
+    deterministic: the hard one-hot at the un-noised argmax, and None.
+    """
+    if mode == "eval":
+        idx = logits.data.argmax(axis=1)
+        hard = np.zeros_like(logits.data)
+        hard[np.arange(hard.shape[0]), idx] = 1.0
+        return Tensor(hard), None
+    if rng is None:
+        raise ValueError("train-mode gumbel-softmax needs an rng")
+    u = rng.random(logits.data.shape)
+    u = np.clip(u, 1e-12, 1.0 - 1e-12)
+    noise = -np.log(-np.log(u)).astype(logits.data.dtype)
+    scaled = (logits + Tensor(noise)) * (1.0 / tau)
+    return T.softmax(scaled, axis=1), scaled

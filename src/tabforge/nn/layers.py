@@ -1,11 +1,9 @@
 """Layer descriptors and the Net executor.
 
 A network is described by an ordered tuple of descriptors (its NetSpec) and
-executed by :class:`Net`, which owns the parameters.  Descriptors carrying a
-``span`` apply to a slice of the feature vector; a maximal run of span
-descriptors must tile the current width exactly (this is how per-column
-output heads are expressed: one wide Dense followed by tanh/softmax/gumbel
-spans).  A Tanh or Softmax without a span covers the whole width.
+executed by :class:`Net`, which owns the parameters.  Every descriptor acts
+on the whole row; per-column output heads (tanh, softmax, gumbel-softmax over
+slices of the last Dense's output) belong to the models that read them.
 
 ``Dense.segments`` optionally names contiguous row blocks of the weight
 matrix (e.g. which rows consume the noise vector vs. the conditional
@@ -15,7 +13,7 @@ input widths differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -46,26 +44,6 @@ class LeakyReLU:
 
 
 @dataclass(frozen=True)
-class Tanh:
-    span: tuple[int, int] | None = None
-
-
-@dataclass(frozen=True)
-class Softmax:
-    span: tuple[int, int] | None = None
-
-
-@dataclass(frozen=True)
-class GumbelSoftmax:
-    span: tuple[int, int]
-    tau: float = 0.2
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("gumbel-softmax temperature must be > 0")
-
-
-@dataclass(frozen=True)
 class BatchNorm:
     dim: int
     momentum: float = 0.1
@@ -84,13 +62,6 @@ class ConcatSkip:
     inner: tuple = field(default_factory=tuple)
 
 
-_SPAN_KINDS = (Tanh, Softmax, GumbelSoftmax)
-
-
-def _has_span(layer) -> bool:
-    return isinstance(layer, _SPAN_KINDS) and layer.span is not None
-
-
 class Net:
     """Executable network: parameters + compiled layer program."""
 
@@ -105,8 +76,6 @@ class Net:
         self.out_width: int | None = None
         self._trace: list | None = None
         self._last_output: Tensor | None = None
-        self.span_logits: dict[int, Tensor] = {}
-        self.gumbel_scaled: dict[int, Tensor] = {}
         self._compile(rng)
 
     # -- construction ------------------------------------------------------
@@ -131,9 +100,7 @@ class Net:
         layers = self.layers if layers is None else layers
         program = []
         first_in = None
-        i = 0
-        while i < len(layers):
-            layer = layers[i]
+        for i, layer in enumerate(layers):
             name = f"{prefix}{i}"
             if isinstance(layer, Dense):
                 if width is not None and width != layer.in_dim:
@@ -161,39 +128,14 @@ class Net:
                     width = inner_in
                     first_in = inner_in
                 width += inner_out
-            elif isinstance(layer, _SPAN_KINDS):
-                if width is None:
-                    raise ValueError("span activations need a known width")
-                if layer.span is None:  # a full-width activation is one span over the width
-                    group = [replace(layer, span=(0, width))]
-                else:
-                    group = []
-                    while i < len(layers) and _has_span(layers[i]):
-                        group.append(layers[i])
-                        i += 1
-                    i -= 1
-                    self._check_partition(group, width)
-                program.append(("span_group", name, tuple(sorted(group, key=lambda l: l.span[0]))))
             else:
                 raise TypeError(f"unknown layer descriptor {layer!r}")
-            i += 1
         if top_level:
             self._program = program
             self.out_width = width
             self.in_width = first_in if first_in is not None else width
             return None
         return program, width, first_in
-
-    @staticmethod
-    def _check_partition(group, width: int) -> None:
-        spans = sorted(layer.span for layer in group)
-        pos = 0
-        for start, w in spans:
-            if start != pos or w <= 0:
-                raise ValueError(f"spans {spans} do not partition width {width}")
-            pos = start + w
-        if pos != width:
-            raise ValueError(f"spans {spans} do not partition width {width}")
 
     # -- execution -----------------------------------------------------------
 
@@ -205,8 +147,6 @@ class Net:
         if x.data.ndim != 2 or (self.in_width is not None and x.data.shape[1] != self.in_width):
             raise ValueError(f"expected input shape (batch, {self.in_width}), got {x.data.shape}")
         self._trace = []
-        self.span_logits = {}
-        self.gumbel_scaled = {}
         out = self._run(self._program, x, mode, rng)
         self._last_output = out
         return out
@@ -242,41 +182,7 @@ class Net:
                 inner_out = self._run(layer, x, mode, rng)
                 x = T.concat([x, inner_out], axis=1)
                 self._trace.append(("opaque", None))
-            elif kind == "span_group":
-                x = self._span_group(layer, x, mode, rng)
-                self._trace.append(("opaque", None))
         return x
-
-    def _span_group(self, group, x: Tensor, mode: str, rng) -> Tensor:
-        parts = []
-        for layer in group:
-            start, width = layer.span
-            sl = x[:, start : start + width]
-            if isinstance(layer, Tanh):
-                parts.append(T.tanh(sl))
-            elif isinstance(layer, Softmax):
-                self.span_logits[start] = sl
-                parts.append(T.softmax(sl, axis=1))
-            else:
-                parts.append(self._gumbel(layer, sl, start, mode, rng))
-        return T.concat(parts, axis=1)
-
-    def _gumbel(self, layer: GumbelSoftmax, logits: Tensor, start: int, mode: str, rng) -> Tensor:
-        self.span_logits[start] = logits
-        if mode == "eval":
-            # Deterministic: hard one-hot at the un-noised argmax.
-            idx = logits.data.argmax(axis=1)
-            hard = np.zeros_like(logits.data)
-            hard[np.arange(hard.shape[0]), idx] = 1.0
-            return Tensor(hard)
-        if rng is None:
-            raise ValueError("train-mode gumbel-softmax needs an rng")
-        u = rng.random(logits.data.shape)
-        u = np.clip(u, 1e-12, 1.0 - 1e-12)
-        noise = -np.log(-np.log(u)).astype(logits.data.dtype)
-        scaled = (logits + Tensor(noise)) * (1.0 / layer.tau)
-        self.gumbel_scaled[start] = scaled
-        return T.softmax(scaled, axis=1)
 
     def _batchnorm(self, name: str, layer: BatchNorm, x: Tensor, mode: str) -> Tensor:
         gamma, beta = self.params[f"{name}.gamma"], self.params[f"{name}.beta"]

@@ -357,15 +357,12 @@ def reshape(a: Tensor, shape):
     return _node(data, (a,), vjp, "reshape")
 
 
-def transpose(a: Tensor, axes=None):
-    data = a.data.transpose(axes)
-    if axes is None:
-        inv = None
-    else:
-        inv = tuple(np.argsort(axes))
+def transpose(a: Tensor):
+    """Reversed axes (the matrix transpose of a 2-D tensor)."""
+    data = a.data.transpose()
 
     def vjp(g):
-        return (g.transpose(inv),)
+        return (g.transpose(),)
 
     return _node(data, (a,), vjp, "transpose")
 

@@ -106,7 +106,10 @@ def random_split(corpus: list[Table], spec: SplitSpec) -> DatasetSplit:
     )
 
 
-def kmeans(vectors, k: int, seed: int, max_iter: int = 100) -> list[int]:
+KMEANS_MAX_ITER = 100
+
+
+def kmeans(vectors, k: int, seed: int) -> list[int]:
     """Lloyd's iterations from seeded k-means++ initialization.
 
     Returns per-vector cluster ids.  Within-cluster sum of squares is
@@ -137,7 +140,7 @@ def kmeans(vectors, k: int, seed: int, max_iter: int = 100) -> list[int]:
 
     assign = np.full(n, -1, dtype=int)
     prev_wcss = np.inf
-    for it in range(max_iter):
+    for it in range(KMEANS_MAX_ITER):
         dists = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assign = dists.argmin(axis=1)
         wcss = dists[np.arange(n), new_assign].sum()

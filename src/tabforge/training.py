@@ -81,6 +81,10 @@ class TrainConfig:
             raise TrainingError(f"unknown model kind {self.kind!r}")
         if self.iterations < 1:
             raise TrainingError("iterations must be >= 1")
+        if self.ckpt_every < 1:
+            raise TrainingError(f"ckpt_every must be >= 1, got {self.ckpt_every}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise TrainingError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
 
 @dataclass

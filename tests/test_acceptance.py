@@ -48,7 +48,7 @@ import oracle_metrics as oracle
 from conftest import make_toy_corpus
 from gradcheck import finite_diff, max_rel_error
 from test_metrics import random_toy_pair
-from test_nn import LAYER_CASES, _scalarize
+from test_nn import LAYER_CASES, _scalarize, case_output
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -167,18 +167,16 @@ def test_criterion_4_gradient_fidelity():
     t0 = time.time()
     failures = []
 
-    # Every layer type in isolation.
-    for name, layers in sorted(LAYER_CASES.items()):
+    # Every layer type and every model head kind in isolation.
+    for name, (layers, _head) in sorted(LAYER_CASES.items()):
         rng = np.random.default_rng(11)
         net = Net(layers, rng, dtype=np.float64)
         x = rng.normal(size=(6, 5))
 
         def loss_value():
-            out = net.forward(x, mode="train", rng=np.random.default_rng(99))
-            return float(_scalarize(out, np.random.default_rng(5)).data)
+            return float(_scalarize(case_output(name, net, x), np.random.default_rng(5)).data)
 
-        out = net.forward(x, mode="train", rng=np.random.default_rng(99))
-        loss = _scalarize(out, np.random.default_rng(5))
+        loss = _scalarize(case_output(name, net, x), np.random.default_rng(5))
         net.zero_grad()
         loss.backward()
         numeric = finite_diff(loss_value, net.parameters())
@@ -238,11 +236,11 @@ def test_criterion_4_gradient_fidelity():
         batch = enc[:6]
 
         def value():
-            mu, sigma, heads, _ = vae_forward(vmodel, batch, np.random.default_rng(11))
-            return float(elbo_loss(vmodel, heads, batch, mu, sigma).data)
+            mu, sigma, heads, logits, _ = vae_forward(vmodel, batch, np.random.default_rng(11))
+            return float(elbo_loss(vmodel, heads, logits, batch, mu, sigma).data)
 
-        mu, sigma, heads, _ = vae_forward(vmodel, batch, np.random.default_rng(11))
-        loss = elbo_loss(vmodel, heads, batch, mu, sigma)
+        mu, sigma, heads, logits, _ = vae_forward(vmodel, batch, np.random.default_rng(11))
+        loss = elbo_loss(vmodel, heads, logits, batch, mu, sigma)
         for _, par in vmodel.parameters():
             par.grad = None
         loss.backward()

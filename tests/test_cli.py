@@ -256,6 +256,18 @@ class TestFailuresExitTwo:
         assert main_exit_code(monkeypatch, args) == 2
         assert "tau" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [
+        "--training.ckpt_every=0", "--training.val_fraction=-0.5", "--training.val_fraction=1.0",
+    ])
+    def test_bad_training_setting_is_a_data_error(self, flag, pipeline_dirs, monkeypatch, capsys):
+        cleaned, _, tmp = pipeline_dirs
+        table = sorted(cleaned.glob("*.csv"))[0]
+        args = ["train-scratch", "--table", str(table), "--method", "ctgan",
+                "--out", str(tmp / "g.ckpt"), *TINY, flag]
+        assert main_exit_code(monkeypatch, args) == 2
+        key = flag.split(".")[1].split("=")[0]
+        assert f"{key} must be" in capsys.readouterr().err
+
     def _great_body(self, cleaned, manifest, tmp):
         pre = tmp / "great.pre.ckpt"
         run(["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned),

@@ -142,25 +142,34 @@ class TestSampleRealConditioned:
         model = build_ctgan(table, tf, CtganConfig(z_dim=8, pac=2, hidden=(8, 8)), seed=0)
         matrix = encode_table(table, tf, np.random.default_rng(0))
         index = build_row_index(model, matrix)
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            row = sample_real_conditioned(matrix, index, 0, 1, rng)
-            assert np.array_equal(row, matrix[7])
+        rows = sample_real_conditioned(matrix, index, np.zeros(10, int), np.ones(10, int), np.random.default_rng(5))
+        assert rows.shape == (10, matrix.shape[1])
+        assert all(np.array_equal(row, matrix[7]) for row in rows)
 
     def test_empirically_uniform_over_matches(self):
         model, matrix = small_model(toy_table(n=60, seed=2))
         index = build_row_index(model, matrix)
-        rng = np.random.default_rng(0)
-        candidates = index[(0, 0)]
-        draws = []
-        for _ in range(30_000):
-            row = sample_real_conditioned(matrix, index, 0, 0, rng)
-            draws.append(row.tobytes())
+        span = model.transformer.span_for(model.layout.columns[0])
+        candidates = np.flatnonzero(matrix[:, span.start] == 1.0)
+        zeros = np.zeros(30_000, int)
+        rows = sample_real_conditioned(matrix, index, zeros, zeros, np.random.default_rng(0))
+        draws = [row.tobytes() for row in rows]
         unique, counts = np.unique(draws, return_counts=True)
         assert len(unique) == len(np.unique(matrix[candidates], axis=0))
         fracs = counts / counts.sum()
         # Uniform within 3 points of a percent at this sample size.
         assert np.all(np.abs(fracs - 1.0 / len(unique)) < 0.03)
+
+    def test_batch_draws_equal_one_draw_per_row(self):
+        model, matrix = small_model()
+        index = build_row_index(model, matrix)
+        i_s, k_s, _ = sample_conditions(model, 200, np.random.default_rng(1))
+        got = sample_real_conditioned(matrix, index, i_s, k_s, np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        for row, i, k in zip(got, i_s, k_s):
+            span = model.transformer.span_for(model.layout.columns[i])
+            candidates = np.flatnonzero(matrix[:, span.start + k] == 1.0)
+            assert np.array_equal(row, matrix[candidates[rng.integers(len(candidates))]])
 
     def test_no_match_errors(self):
         model, matrix = small_model()
@@ -168,8 +177,8 @@ class TestSampleRealConditioned:
         span = model.transformer.span_for(model.layout.columns[0])
         matrix[:, span.start] = 0.0  # erase category 0 everywhere
         index = build_row_index(model, matrix)
-        with pytest.raises(ModelError):
-            sample_real_conditioned(matrix, index, 0, 0, np.random.default_rng(0))
+        with pytest.raises(ModelError, match=r"condition \(0, 0\)"):
+            sample_real_conditioned(matrix, index, np.array([0, 0]), np.array([1, 0]), np.random.default_rng(0))
 
 
 class TestGradientPenalty:

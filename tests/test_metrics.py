@@ -108,7 +108,7 @@ class TestBinNumeric:
     def test_uniform_fills_bins_evenly(self):
         rng = np.random.default_rng(3)
         real = rng.random(1000)
-        labels, _ = bin_numeric(real, real, bins=10)
+        labels, _ = bin_numeric(real, real)
         fracs = [labels.count(k) / len(labels) for k in range(10)]
         assert all(abs(f - 0.1) < 0.02 for f in fracs)
 

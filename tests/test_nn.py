@@ -1,25 +1,26 @@
-"""Differentiable-substrate tests: per-layer gradient checks, Adam, gumbel,
-KL, and the forward-mode contracts (determinism, batch-norm statistics)."""
+"""Differentiable-substrate tests: per-layer and per-head gradient checks,
+Adam, gumbel, KL, and the forward-mode contracts (determinism, batch-norm
+statistics)."""
 
 import numpy as np
 import pytest
 
 from tabforge.nn import tensor as T
-from tabforge.nn.functional import cross_entropy_logits, kl_std_normal
+from tabforge.models.ctgan import generator_heads
+from tabforge.models.vae import decoder_heads
+from tabforge.nn.functional import cross_entropy_logits, gumbel_softmax, kl_std_normal
 from tabforge.nn.layers import (
     BatchNorm,
     ConcatSkip,
     Dense,
     Dropout,
-    GumbelSoftmax,
     LeakyReLU,
     Net,
     ReLU,
-    Softmax,
-    Tanh,
 )
 from tabforge.nn.optim import Adam
 from tabforge.nn.tensor import Tensor
+from tabforge.transform import ColumnSpan
 
 from gradcheck import assert_grads_match, finite_diff, max_rel_error
 
@@ -29,33 +30,45 @@ def _scalarize(out: Tensor, rng: np.random.Generator) -> Tensor:
     return T.sum_(out * Tensor(w.astype(out.data.dtype)))
 
 
+# A numeric column with 3 modes (alpha + 3-wide mode indicator) and a
+# 2-category column: the span layout the model head loops walk.
+HEAD_SPANS = (ColumnSpan(0, "numeric", 0, 4), ColumnSpan(1, "categorical", 4, 2))
+
+# Each case: Net layers, then the head (if any) the models apply to its output.
 LAYER_CASES = {
-    "dense": [Dense(5, 4)],
-    "relu": [Dense(5, 4), ReLU()],
-    "leaky": [Dense(5, 4), LeakyReLU(0.2)],
-    "tanh": [Dense(5, 4), Tanh()],
-    "softmax": [Dense(5, 4), Softmax()],
-    "gumbel": [Dense(5, 4), GumbelSoftmax(span=(0, 4), tau=0.5)],
-    "batchnorm": [Dense(5, 4), BatchNorm(4)],
-    "dropout": [Dense(5, 4), Dropout(0.4)],
-    "concat_skip": [ConcatSkip((Dense(5, 3), BatchNorm(3), ReLU()))],
-    "spans": [Dense(5, 6), Tanh(span=(0, 1)), Softmax(span=(1, 3)), GumbelSoftmax(span=(4, 2), tau=0.3)],
+    "dense": ([Dense(5, 4)], None),
+    "relu": ([Dense(5, 4), ReLU()], None),
+    "leaky": ([Dense(5, 4), LeakyReLU(0.2)], None),
+    "tanh": ([Dense(5, 4)], lambda out, rng: T.tanh(out)),
+    "softmax": ([Dense(5, 4)], lambda out, rng: T.softmax(out, axis=1)),
+    "gumbel": ([Dense(5, 4)], lambda out, rng: gumbel_softmax(out, 0.5, "train", rng)[0]),
+    "batchnorm": ([Dense(5, 4), BatchNorm(4)], None),
+    "dropout": ([Dense(5, 4), Dropout(0.4)], None),
+    "concat_skip": ([ConcatSkip((Dense(5, 3), BatchNorm(3), ReLU()))], None),
+    "spans": ([Dense(5, 6)], lambda out, rng: generator_heads(out, HEAD_SPANS, 0.3, "train", rng)[0]),
+    "decoder_spans": ([Dense(5, 6)], lambda out, rng: decoder_heads(out, HEAD_SPANS)[0]),
 }
+
+
+def case_output(name: str, net: Net, x: np.ndarray) -> Tensor:
+    """Train-mode output of LAYER_CASES[name]: the net, then its head."""
+    rng = np.random.default_rng(99)
+    out = net.forward(x, mode="train", rng=rng)
+    head = LAYER_CASES[name][1]
+    return out if head is None else head(out, rng)
 
 
 @pytest.mark.parametrize("name", sorted(LAYER_CASES))
 def test_layer_gradients_match_finite_differences(name):
     rng = np.random.default_rng(11)
-    net = Net(LAYER_CASES[name], rng, dtype=np.float64)
+    net = Net(LAYER_CASES[name][0], rng, dtype=np.float64)
     x = rng.normal(size=(6, 5))
     proj = np.random.default_rng(5)
 
     def loss_value():
-        out = net.forward(x, mode="train", rng=np.random.default_rng(99))
-        return float(_scalarize(out, np.random.default_rng(5)).data)
+        return float(_scalarize(case_output(name, net, x), np.random.default_rng(5)).data)
 
-    out = net.forward(x, mode="train", rng=np.random.default_rng(99))
-    loss = _scalarize(out, proj)
+    loss = _scalarize(case_output(name, net, x), proj)
     net.zero_grad()
     loss.backward()
     numeric = finite_diff(loss_value, net.parameters())
@@ -101,19 +114,20 @@ def test_dropout_p0_is_identity_in_both_modes():
 
 
 def test_softmax_rows_sum_to_one():
-    net = Net([Dense(5, 4), Softmax()], np.random.default_rng(3))
-    out = net.forward(np.random.default_rng(0).normal(size=(7, 5)).astype(np.float32), "eval")
+    net = Net([Dense(5, 4)], np.random.default_rng(3))
+    x = np.random.default_rng(0).normal(size=(7, 5)).astype(np.float32)
+    out = T.softmax(net.forward(x, "eval"), axis=1)
     assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_eval_forward_is_bitwise_deterministic():
     rng = np.random.default_rng(4)
-    net = Net([Dense(6, 8), BatchNorm(8), ReLU(), Dropout(0.5), Dense(8, 3), Softmax()], rng)
+    net = Net([Dense(6, 8), BatchNorm(8), ReLU(), Dropout(0.5), Dense(8, 3)], rng)
     x = np.random.default_rng(1).normal(size=(9, 6)).astype(np.float32)
     # Touch train mode first so running stats are non-trivial.
     net.forward(x, "train", np.random.default_rng(7))
-    a = net.forward(x, "eval").data
-    b = net.forward(x, "eval").data
+    a = T.softmax(net.forward(x, "eval"), axis=1).data
+    b = T.softmax(net.forward(x, "eval"), axis=1).data
     assert np.array_equal(a, b)
 
 
@@ -127,40 +141,28 @@ def test_batchnorm_train_mode_normalizes_batch():
 
 
 class TestGumbelSoftmax:
-    """The Net's gumbel-softmax span, the path the CTGAN generator runs."""
-
-    @staticmethod
-    def net(width, tau):
-        # An identity Dense, so the span sees the input as its logits.
-        net = Net([Dense(width, width), GumbelSoftmax(span=(0, width), tau=tau)], np.random.default_rng(0))
-        net.params["0.W"].data = np.eye(width, dtype=np.float32)
-        net.params["0.b"].data = np.zeros(width, dtype=np.float32)
-        return net
+    """`gumbel_softmax`, the head the CTGAN generator runs on each block."""
 
     def test_soft_mode_simplex(self):
         rng = np.random.default_rng(0)
-        out = self.net(6, 0.5).forward(rng.normal(size=(50, 6)).astype(np.float32), "train", rng)
+        logits = Tensor(rng.normal(size=(50, 6)).astype(np.float32))
+        out, _ = gumbel_softmax(logits, 0.5, "train", rng)
         assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(out.data > 0.0)
 
     def test_dominant_logit_wins(self):
-        net = self.net(3, 0.2)
-        logits = np.array([[50.0, 0.0, 0.0]], dtype=np.float32)
+        logits = Tensor(np.array([[50.0, 0.0, 0.0]], dtype=np.float32))
         for seed in range(20):
-            out = net.forward(logits, "train", np.random.default_rng(seed))
+            out, _ = gumbel_softmax(logits, 0.2, "train", np.random.default_rng(seed))
             assert out.data[0, 0] > 0.999
 
     def test_eval_mode_is_one_hot_at_argmax(self):
         logits = np.random.default_rng(1).normal(size=(10, 4)).astype(np.float32)
-        out = self.net(4, 0.3).forward(logits, "eval")
+        out, scaled = gumbel_softmax(Tensor(logits), 0.3, "eval", None)
+        assert scaled is None
         assert np.all(np.sort(out.data, axis=1)[:, :-1] == 0.0)
         assert np.all(out.data.max(axis=1) == 1.0)
         assert np.array_equal(out.data.argmax(axis=1), logits.argmax(axis=1))
-
-    def test_rejects_nonpositive_temperature(self):
-        for tau in (0.0, -0.5):
-            with pytest.raises(ValueError):
-                GumbelSoftmax(span=(0, 2), tau=tau)
 
 
 class TestKLStdNormal:

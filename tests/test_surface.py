@@ -1,11 +1,18 @@
 """Guard against second paths: every public module-level function and class
-in src/tabforge must be used by the package itself, not only by tests.
+in src/tabforge must be used by the package itself, not only by tests, and
+every defaulted parameter of a public module-level function must be set by
+some call in the package.
 
 A name counts as used when code in src/tabforge outside its own definition
 refers to it.  Re-exports in `__init__.py` do not count.  The entry points
 need no caller: click command callbacks (functions under a `@cli.command` or
 `@click.group` decorator) and `cli.main`.  SEAMS lists the few names kept for
 callers outside the package.
+
+A parameter counts as set by a call outside the function's own body that
+names the function and passes the parameter by keyword, by position, or
+through `*args`/`**kwargs`.  A default no call overrides is a constant in
+disguise; PINNED_DEFAULTS lists the few kept for callers outside the package.
 """
 
 import ast
@@ -18,6 +25,15 @@ PACKAGE = Path(tabforge.__file__).parent
 # Public names with no caller inside the package, and why each stays.
 SEAMS = {
     "rebuild_model": "criterion 8 rebuilds a fine-tuned CTGAN to sample it under a forced condition",
+}
+
+
+# Defaulted parameters no call in the package sets, and why each stays.
+PINNED_DEFAULTS = {
+    "models.ctgan.ctgan_sample.condition": "criterion 8 samples a fine-tuned CTGAN under a forced condition",
+    "metrics.mann_whitney_u.method": "tests compare the exact and the normal-approximation p-values",
+    "models.ctgan.build_ctgan.dtype": "gradient checks build a float64 reference model",
+    "models.vae.build_vae.dtype": "gradient checks build a float64 reference model",
 }
 
 
@@ -43,16 +59,19 @@ def _referenced_names(node) -> set[str]:
     return names
 
 
+def _modules():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name != "__init__.py":
+            module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+            yield module, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def unreferenced_public_names() -> list[str]:
     """`module.name` for every public module-level def or class that nothing
     else in the package refers to."""
     defined: list[tuple[str, str, ast.AST]] = []
     uses: list[tuple[ast.AST | None, set[str]]] = []  # (enclosing top-level def, names)
-    for path in sorted(PACKAGE.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for module, tree in _modules():
         for node in tree.body:
             is_def = isinstance(node, (ast.FunctionDef, ast.ClassDef))
             if is_def and not node.name.startswith("_") and not _is_entry_point(node, module):
@@ -67,3 +86,49 @@ def unreferenced_public_names() -> list[str]:
 
 def test_every_public_name_is_used_by_the_package():
     assert unreferenced_public_names() == []
+
+
+def _defaulted_params(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position or None for keyword-only, name) of each defaulted parameter."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    out += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def _call_sets(call: ast.Call, position: int | None, name: str) -> bool:
+    if any(kw.arg is None or kw.arg == name for kw in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def unset_defaulted_params() -> list[str]:
+    """`module.function.param` for every defaulted parameter of a public
+    module-level function that no call in the package sets."""
+    functions: list[tuple[str, ast.FunctionDef]] = []
+    calls: list[tuple[ast.AST, ast.Call]] = []  # (enclosing top-level node, call)
+    for module, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                functions.append((module, node))
+            calls += [(node, sub) for sub in ast.walk(node) if isinstance(sub, ast.Call)]
+    unset = []
+    for module, fn in functions:
+        callers = [
+            call
+            for owner, call in calls
+            if owner is not fn
+            and (getattr(call.func, "id", None) == fn.name or getattr(call.func, "attr", None) == fn.name)
+        ]
+        for position, param in _defaulted_params(fn):
+            key = f"{module}.{fn.name}.{param}"
+            if key not in PINNED_DEFAULTS and not any(_call_sets(c, position, param) for c in callers):
+                unset.append(key)
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_by_the_package():
+    assert unset_defaulted_params() == []

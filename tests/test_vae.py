@@ -12,6 +12,7 @@ from tabforge.models.vae import (
     vae_sample,
     vae_train_batch,
 )
+from tabforge.nn.tensor import Tensor
 from tabforge.transform import ColumnTransformer, encode_table
 
 from gradcheck import finite_diff, max_rel_error
@@ -48,12 +49,12 @@ class TestForward:
             def standard_normal(self, shape):
                 return np.zeros(shape)
 
-        mu, sigma, heads, z = vae_forward(model, matrix[:8], ZeroRng())
+        mu, sigma, heads, _, z = vae_forward(model, matrix[:8], ZeroRng())
         assert np.allclose(z.data, mu.data)
 
     def test_softmax_heads_sum_to_one(self):
         model, matrix = small()
-        _, _, heads, _ = vae_forward(model, matrix[:16], np.random.default_rng(0))
+        _, _, heads, _, _ = vae_forward(model, matrix[:16], np.random.default_rng(0))
         for span in model.transformer.spans:
             block = heads.data[:, span.start : span.start + span.width]
             probs = block[:, 1:] if span.kind == "numeric" else block
@@ -64,7 +65,7 @@ class TestForward:
         n_cols = len(model.transformer.spans)
         assert len(model.signatures) == n_cols * 4
         assert model.encoder.in_width == model.row_width + n_cols * 4
-        mu, sigma, heads, _ = vae_forward(model, matrix[:4], np.random.default_rng(0))
+        mu, sigma, heads, _, _ = vae_forward(model, matrix[:4], np.random.default_rng(0))
         assert heads.data.shape == (4, model.row_width)
 
     def test_width_mismatch_errors(self):
@@ -73,46 +74,37 @@ class TestForward:
             vae_forward(model, matrix[:4, :-1], np.random.default_rng(0))
 
 
+def margin_logits(model, batch):
+    """Block logits by start column with a +/- 60 margin at the target one-hots."""
+    logits = {}
+    for span in model.transformer.spans:
+        start = span.start + 1 if span.kind == "numeric" else span.start
+        block = batch[:, start : span.start + span.width]
+        logits[start] = Tensor(60.0 * (2 * block - 1))
+    return logits
+
+
 class TestElbo:
     def test_perfect_reconstruction_stvae_loss_zero(self):
         # Feed targets through hand-built outputs: alpha_hat == alpha, CE
         # logits with a huge margin, mu=0, sigma=1.
         model, matrix = small()
         batch = matrix[:4]
-        mu, sigma, heads, _ = vae_forward(model, batch, np.random.default_rng(0))
-        from tabforge.nn.tensor import Tensor
-
+        mu, sigma, heads, _, _ = vae_forward(model, batch, np.random.default_rng(0))
         perfect = Tensor(batch.copy())
-        # Overwrite the decoder's cached span logits with +/- 60 margins.
-        for span in model.transformer.spans:
-            if span.kind == "numeric":
-                block = batch[:, span.start + 1 : span.start + span.width]
-                model.decoder.span_logits[span.start + 1] = Tensor(60.0 * (2 * block - 1))
-            else:
-                block = batch[:, span.start : span.start + span.width]
-                model.decoder.span_logits[span.start] = Tensor(60.0 * (2 * block - 1))
         zeros = Tensor(np.zeros_like(mu.data))
         ones = Tensor(np.ones_like(sigma.data))
-        loss = elbo_loss(model, perfect, batch, zeros, ones)
+        loss = elbo_loss(model, perfect, margin_logits(model, batch), batch, zeros, ones)
         assert float(loss.data) == pytest.approx(0.0, abs=1e-5)
 
     def test_tvae_nll_at_match_is_half_log_2pi_delta_sq(self):
         model, matrix = small("tvae")
         batch = matrix[:4]
-        from tabforge.nn.tensor import Tensor
-
         model.delta.data[:] = 0.25
         perfect = Tensor(batch.copy())
-        for span in model.transformer.spans:
-            if span.kind == "numeric":
-                block = batch[:, span.start + 1 : span.start + span.width]
-                model.decoder.span_logits[span.start + 1] = Tensor(60.0 * (2 * block - 1))
-            else:
-                block = batch[:, span.start : span.start + span.width]
-                model.decoder.span_logits[span.start] = Tensor(60.0 * (2 * block - 1))
         zeros = Tensor(np.zeros((4, model.config.latent), dtype=np.float32))
         ones = Tensor(np.ones((4, model.config.latent), dtype=np.float32))
-        loss = elbo_loss(model, perfect, batch, zeros, ones)
+        loss = elbo_loss(model, perfect, margin_logits(model, batch), batch, zeros, ones)
         n_numeric = sum(1 for s in model.transformer.spans if s.kind == "numeric")
         expected = n_numeric * 0.5 * np.log(2 * np.pi * 0.25**2)
         assert float(loss.data) == pytest.approx(expected, abs=1e-4)
@@ -123,11 +115,11 @@ class TestElbo:
         batch = matrix[:6].astype(np.float64)
 
         def value():
-            mu, sigma, heads, _ = vae_forward(model, batch, np.random.default_rng(11))
-            return float(elbo_loss(model, heads, batch, mu, sigma).data)
+            mu, sigma, heads, logits, _ = vae_forward(model, batch, np.random.default_rng(11))
+            return float(elbo_loss(model, heads, logits, batch, mu, sigma).data)
 
-        mu, sigma, heads, _ = vae_forward(model, batch, np.random.default_rng(11))
-        loss = elbo_loss(model, heads, batch, mu, sigma)
+        mu, sigma, heads, logits, _ = vae_forward(model, batch, np.random.default_rng(11))
+        loss = elbo_loss(model, heads, logits, batch, mu, sigma)
         for _, p in model.parameters():
             p.grad = None
         loss.backward()
@@ -139,10 +131,10 @@ class TestElbo:
 
     def test_delta_variant_guard(self):
         model, matrix = small("stvae")
-        mu, sigma, heads, _ = vae_forward(model, matrix[:4], np.random.default_rng(0))
+        mu, sigma, heads, logits, _ = vae_forward(model, matrix[:4], np.random.default_rng(0))
         model.config.variant = "tvae"  # now delta is required but missing
         with pytest.raises(ModelError):
-            elbo_loss(model, heads, matrix[:4], mu, sigma)
+            elbo_loss(model, heads, logits, matrix[:4], mu, sigma)
 
 
 class TestSignatures:
