@@ -30,7 +30,6 @@ class ModelCheckpoint:
     config: dict
     tensors: dict[str, np.ndarray]
     segments: dict[str, list] = field(default_factory=dict)
-    head_names: list[str] = field(default_factory=list)
     aux: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
 
@@ -58,7 +57,6 @@ def serialize_checkpoint(ckpt: ModelCheckpoint) -> bytes:
         "config": ckpt.config,
         "tensors": directory,
         "segments": ckpt.segments,
-        "head_names": sorted(ckpt.head_names),
         "aux": ckpt.aux,
         "provenance": ckpt.provenance,
     }
@@ -111,7 +109,6 @@ def load_checkpoint_bytes(blob: bytes) -> ModelCheckpoint:
         config=header["config"],
         tensors=tensors,
         segments={k: [tuple(s) for s in v] for k, v in header.get("segments", {}).items()},
-        head_names=header.get("head_names", []),
         aux=header.get("aux", {}),
         provenance=header.get("provenance", {}),
     )

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from tabforge.data import Cell, ColumnMeta, Table
+from tabforge.data import Cell, ColumnMeta, DataError, Table
 
 _ID_NAME_RE = re.compile(r"(^|_)id$", re.IGNORECASE)
 _TS_NAME_RE = re.compile(r"date|time|stamp", re.IGNORECASE)
@@ -44,7 +44,7 @@ class CleaningConfig:
         ):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {v}")
+                raise DataError(f"{name} must be in (0, 1], got {v}")
 
 
 @dataclass

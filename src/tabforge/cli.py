@@ -59,7 +59,6 @@ from tabforge.training import (
     finetune,
     pretrain,
     sample_from_checkpoint,
-    train_scratch,
 )
 from tabforge.transform import TransformError
 
@@ -246,7 +245,7 @@ def pretrain_cmd(manifest_path, clean_dir, method, out_path, config_path, overri
     manifest = DatasetSplit.from_json(Path(manifest_path).read_text(encoding="utf-8"))
     corpus = _load_part(manifest, clean_dir, "train")
     tcfg = train_config(cfg, method)
-    ckpt, log = pretrain(method, corpus, tcfg)
+    ckpt, log = pretrain(corpus, tcfg)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt, out)
@@ -256,15 +255,11 @@ def pretrain_cmd(manifest_path, clean_dir, method, out_path, config_path, overri
         sys.exit(3)
 
 
-def _single_table_cmd(action, table_path, ckpt_path, method, out_path, cfg):
+def _single_table_cmd(action, table_path, base, method, out_path, cfg):
+    """Train on one table from `base` (None: from scratch) and save it."""
     table = load_clean_table(Path(table_path))
     method = method or cfg["method"]
-    tcfg = train_config(cfg, method)
-    if action == "finetune":
-        base = load_checkpoint(ckpt_path)
-        ckpt, log = finetune(base, table, tcfg, kind=method)
-    else:
-        ckpt, log = train_scratch(method, table, tcfg)
+    ckpt, log = finetune(base, table, train_config(cfg, method))
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt, out)
@@ -282,9 +277,8 @@ def _single_table_cmd(action, table_path, ckpt_path, method, out_path, cfg):
 def finetune_cmd(ckpt_path, table_path, method, out_path, config_path, overrides):
     """Fine-tune a pretrained body on one cleaned table."""
     cfg = _cfg(config_path, overrides)
-    if method is None:
-        method = load_checkpoint(ckpt_path).kind
-    _single_table_cmd("finetune", table_path, ckpt_path, method, out_path, cfg)
+    base = load_checkpoint(ckpt_path)
+    _single_table_cmd("finetune", table_path, base, method or base.kind, out_path, cfg)
 
 
 @cli.command("train-scratch", context_settings=EXTRA)
@@ -361,11 +355,8 @@ def _benchmark_one(args):
     results = {}
     logs = {}
     checkpoints = {}
-    for regime in ("finetuned", "scratch"):
-        if regime == "finetuned":
-            ckpt, log = finetune(base, table, tcfg, kind=method)
-        else:
-            ckpt, log = train_scratch(method, table, tcfg)
+    for regime, start in (("finetuned", base), ("scratch", None)):
+        ckpt, log = finetune(start, table, tcfg)
         syn = sample_from_checkpoint(ckpt, table.n_rows, tcfg.seed, table.name)
         if syn.n_rows == 0:
             # Nothing parseable came out (possible for the text model); score

@@ -75,16 +75,6 @@ DEFAULTS: dict = {
 }
 
 
-def _merge(base: dict, extra: dict) -> dict:
-    out = dict(base)
-    for k, v in extra.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = v
-    return out
-
-
 def _parse_value(text: str):
     try:
         return json.loads(text)
@@ -92,16 +82,41 @@ def _parse_value(text: str):
         return text
 
 
-def apply_override(cfg: dict, dotted: str, value: str) -> None:
-    keys = dotted.split(".")
-    node = cfg
-    for k in keys[:-1]:
-        if k not in node or not isinstance(node[k], dict):
+def _fits(value, default) -> bool:
+    """Whether `value` has the type of the key's default.  Any number fits a
+    float default or a None one (an optional number); each element of a list
+    must fit the default's first element."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if default is None:
+        return value is None or isinstance(value, (int, float))
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    return isinstance(value, type(default))
+
+
+def apply_override(cfg: dict, dotted: str, value) -> None:
+    """Set the key at `dotted` to `value`; a dict value sets its keys one by
+    one.  The key must have a default, and the value must fit its type."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            apply_override(cfg, f"{dotted}.{k}", v)
+        return
+    *path, key = dotted.split(".")
+    node, defaults = cfg, DEFAULTS
+    for k in path:
+        if not isinstance(defaults.get(k), dict):
             raise ConfigError(f"unknown config section {dotted!r}")
-        node = node[k]
-    if keys[-1] not in node:
+        node, defaults = node[k], defaults[k]
+    if key not in defaults:
         raise ConfigError(f"unknown config key {dotted!r}")
-    node[keys[-1]] = _parse_value(value)
+    if not _fits(value, defaults[key]):
+        raise ConfigError(
+            f"config key {dotted!r} takes a value like {json.dumps(defaults[key])}, got {json.dumps(value)}"
+        )
+    node[key] = value
 
 
 def load_config(path=None, overrides: list[str] = ()) -> dict:
@@ -114,12 +129,13 @@ def load_config(path=None, overrides: list[str] = ()) -> dict:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
-        cfg = _merge(cfg, doc)
+        for key, value in doc.items():
+            apply_override(cfg, key, value)
     for token in overrides:
         if not token.startswith("--") or "=" not in token:
             raise ConfigError(f"overrides look like --section.key=value, got {token!r}")
         dotted, value = token[2:].split("=", 1)
-        apply_override(cfg, dotted, value)
+        apply_override(cfg, dotted, _parse_value(value))
     return cfg
 
 

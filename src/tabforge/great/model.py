@@ -33,7 +33,6 @@ class GreatConfig:
     ctx: int = 256
     vocab_size: int = 2048
     lr: float = 3e-4
-    betas: tuple[float, float] = (0.9, 0.999)
     batch: int = 32
     temperature: float = 0.7
     max_retries: int = 8
@@ -74,11 +73,8 @@ class GreatModel:
     def segments(self) -> dict:
         return {}
 
-    def head_names(self) -> set[str]:
-        return set()  # the whole model transfers: no table-specific widths
-
     def optimizer(self) -> Adam:
-        return Adam(list(self.params.items()), lr=self.config.lr, betas=self.config.betas)
+        return Adam(list(self.params.items()), lr=self.config.lr)
 
     # -- forward ------------------------------------------------------------
 

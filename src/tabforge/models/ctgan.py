@@ -37,6 +37,10 @@ from tabforge.nn.tensor import Tensor
 from tabforge.transform import ColumnTransformer, decode_matrix
 
 
+CRITIC_DROPOUT = 0.5
+BETAS = (0.5, 0.9)  # Adam's, for both critic and generator
+
+
 class ModelError(Exception):
     pass
 
@@ -85,10 +89,7 @@ class CtganConfig:
     lambda_gp: float = 10.0
     tau: float = 0.2
     hidden: tuple[int, int] = (256, 256)
-    dropout: float = 0.5
     lr: float = 2e-4
-    betas: tuple[float, float] = (0.5, 0.9)
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -104,7 +105,6 @@ class CtganModel:
     log_pmfs: list[np.ndarray]  # per categorical column, sums to 1
     config: CtganConfig
     row_width: int = field(init=False)
-    _head_names: set[str] = field(init=False, default_factory=set)
 
     def __post_init__(self):
         self.row_width = self.transformer.total_width
@@ -128,35 +128,22 @@ class CtganModel:
         out.update({f"critic.{k}": v for k, v in self.critic.param_segments.items()})
         return out
 
-    def head_names(self) -> set[str]:
-        return set(self._head_names)
-
     def optimizers(self) -> tuple[Adam, Adam]:
-        c = self.config
-        gen = Adam(
-            [(f"gen.{n}", p) for n, p in self.generator.parameters()],
-            lr=c.lr,
-            betas=c.betas,
-            weight_decay=c.weight_decay,
-        )
-        critic = Adam(
-            [(f"critic.{n}", p) for n, p in self.critic.parameters()],
-            lr=c.lr,
-            betas=c.betas,
-        )
+        lr = self.config.lr
+        gen = Adam([(f"gen.{n}", p) for n, p in self.generator.parameters()], lr=lr, betas=BETAS)
+        critic = Adam([(f"critic.{n}", p) for n, p in self.critic.parameters()], lr=lr, betas=BETAS)
         return critic, gen
 
 
 def build_ctgan(
-    table: Table,
     transformer: ColumnTransformer,
+    matrix: np.ndarray,
     config: CtganConfig,
     seed: int,
     dtype=np.float32,
 ) -> CtganModel:
-    layout = cond_layout_of(transformer)
-    counts = _category_counts(table, layout)
-    return make_ctgan(transformer, config, counts_to_log_pmfs(counts), seed, dtype)
+    """A fresh model whose condition PMFs are those of the encoded rows."""
+    return make_ctgan(transformer, config, condition_log_pmfs(transformer, matrix), seed, dtype)
 
 
 def cond_layout_of(transformer: ColumnTransformer) -> CondLayout:
@@ -167,12 +154,16 @@ def cond_layout_of(transformer: ColumnTransformer) -> CondLayout:
     )
 
 
-def counts_to_log_pmfs(counts: list[np.ndarray]) -> list[np.ndarray]:
+def condition_log_pmfs(transformer: ColumnTransformer, matrix: np.ndarray) -> list[np.ndarray]:
+    """Per categorical column, the log-frequency PMF of its categories over
+    the rows of an encoded matrix."""
     pmfs = []
-    for c in counts:
-        logs = np.log1p(np.asarray(c, dtype=np.float64))
-        total = logs.sum()
-        pmfs.append(logs / total if total > 0 else np.full(len(c), 1.0 / len(c)))
+    for span in transformer.spans:
+        if span.kind == "categorical":
+            counts = matrix[:, span.start : span.start + span.width].sum(axis=0)
+            logs = np.log1p(np.asarray(counts, dtype=np.float64))
+            total = logs.sum()
+            pmfs.append(logs / total if total > 0 else np.full(len(counts), 1.0 / len(counts)))
     return pmfs
 
 
@@ -210,16 +201,12 @@ def make_ctgan(
 
     critic_in = config.pac * (row_w + cond_w)
     critic_layers = [
-        Dense(
-            critic_in,
-            h1,
-            segments=(("rows", config.pac * row_w), ("conds", config.pac * cond_w)),
-        ),
-        LeakyReLU(0.2),
-        Dropout(config.dropout),
+        Dense(critic_in, h1),
+        LeakyReLU(),
+        Dropout(CRITIC_DROPOUT),
         Dense(h1, h2),
-        LeakyReLU(0.2),
-        Dropout(config.dropout),
+        LeakyReLU(),
+        Dropout(CRITIC_DROPOUT),
         Dense(h2, 1),
     ]
 
@@ -227,22 +214,7 @@ def make_ctgan(
     generator = Net(gen_layers, rng, dtype=dtype)
     critic = Net(critic_layers, rng, dtype=dtype)
 
-    model = CtganModel(transformer, layout, generator, critic, list(log_pmfs), config)
-    model._head_names = {"gen.2.W", "gen.2.b", "critic.0.W", "critic.0.b"}
-    return model
-
-
-def _category_counts(table: Table, layout: CondLayout) -> list[np.ndarray]:
-    counts = []
-    for col_idx, width in zip(layout.columns, layout.widths):
-        order = table.columns[col_idx].categories
-        index = {cat: k for k, cat in enumerate(order)}
-        c = np.zeros(width, dtype=np.int64)
-        for v in table.column_values(col_idx):
-            if v is not None:
-                c[index[v]] += 1
-        counts.append(c)
-    return counts
+    return CtganModel(transformer, layout, generator, critic, list(log_pmfs), config)
 
 
 # -- training-by-sampling -----------------------------------------------------
@@ -292,19 +264,6 @@ def build_row_index(model: CtganModel, matrix: np.ndarray) -> RowIndex:
     _, rows = np.nonzero(hits.T)  # grouped by cond position, rows ascending
     counts = hits.sum(axis=0)
     return RowIndex(np.asarray(layout.offsets, dtype=np.int64), np.cumsum(counts) - counts, counts, rows)
-
-
-def refresh_log_pmfs(model: CtganModel, matrix: np.ndarray) -> None:
-    """Rebuild the category PMFs from the rows actually being trained on.
-
-    A category whose rows all fell into the validation slice gets zero mass,
-    so the condition sampler never asks for a real row that is not there.
-    """
-    counts = []
-    for col_idx in model.layout.columns:
-        span = model.transformer.span_for(col_idx)
-        counts.append(matrix[:, span.start : span.start + span.width].sum(axis=0))
-    model.log_pmfs = counts_to_log_pmfs(counts)
 
 
 def sample_real_conditioned(

@@ -14,7 +14,7 @@ variance), ReLU MLP decoder to one Dense over the row width, then
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class VaeConfig:
     hidden: tuple[int, int] = (128, 128)
     sig_dim: int = 16  # stvaem only; 0 reduces stvaem to stvae
     lr: float = 1e-3
-    betas: tuple[float, float] = (0.9, 0.999)
     batch: int = 500
     # Reconstruction weight against the KL term.  The original TVAE formula
     # effectively upweights numeric reconstruction by 1/(2 sigma^2) through
@@ -63,7 +62,6 @@ class VaeModel:
     config: VaeConfig
     delta: Tensor | None = None  # tvae only: per-numeric-column std
     signatures: np.ndarray | None = None  # stvaem only: (sig_width,) constant
-    _head_names: set[str] = field(init=False, default_factory=set)
 
     def __post_init__(self):
         if (self.delta is not None) != (self.config.variant == "tvae"):
@@ -95,11 +93,8 @@ class VaeModel:
         out.update({f"dec.{k}": v for k, v in self.decoder.param_segments.items()})
         return out
 
-    def head_names(self) -> set[str]:
-        return set(self._head_names)
-
     def optimizer(self) -> Adam:
-        return Adam(self.parameters(), lr=self.config.lr, betas=self.config.betas)
+        return Adam(self.parameters(), lr=self.config.lr)
 
     def clamp_delta(self) -> None:
         if self.delta is not None:
@@ -137,7 +132,7 @@ def build_vae(
     latent = config.latent
 
     enc_layers = [
-        Dense(in_w, h1, segments=(("row", row_w), ("sig", sig_w))),
+        Dense(in_w, h1),
         ReLU(),
         Dense(h1, h2),
         ReLU(),
@@ -159,9 +154,7 @@ def build_vae(
         n_numeric = sum(1 for s in transformer.spans if s.kind == "numeric")
         delta = Tensor(np.full(n_numeric, 0.1, dtype=dtype), requires_grad=True)
 
-    model = VaeModel(transformer, encoder, decoder, config, delta, sig)
-    model._head_names = {"enc.0.W", "enc.0.b", "dec.4.W", "dec.4.b", "delta"}
-    return model
+    return VaeModel(transformer, encoder, decoder, config, delta, sig)
 
 
 def decoder_heads(raw: Tensor, spans) -> tuple[Tensor, dict[int, Tensor]]:

@@ -21,6 +21,10 @@ import numpy as np
 from tabforge.nn import tensor as T
 from tabforge.nn.tensor import Tensor
 
+LEAKY_SLOPE = 0.2
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
 
 @dataclass(frozen=True)
 class Dense:
@@ -40,14 +44,12 @@ class ReLU:
 
 @dataclass(frozen=True)
 class LeakyReLU:
-    slope: float = 0.2
+    pass
 
 
 @dataclass(frozen=True)
 class BatchNorm:
     dim: int
-    momentum: float = 0.1
-    eps: float = 1e-5
 
 
 @dataclass(frozen=True)
@@ -162,11 +164,11 @@ class Net:
                     factor = (x.data > 0.0).astype(x.data.dtype)
                     x = T.relu(x)
                 else:
-                    factor = np.where(x.data > 0.0, 1.0, layer.slope).astype(x.data.dtype)
-                    x = T.leaky_relu(x, layer.slope)
+                    factor = np.where(x.data > 0.0, 1.0, LEAKY_SLOPE).astype(x.data.dtype)
+                    x = T.leaky_relu(x, LEAKY_SLOPE)
                 self._trace.append(("scale", factor))
             elif kind == "batchnorm":
-                x = self._batchnorm(name, layer, x, mode)
+                x = self._batchnorm(name, x, mode)
                 self._trace.append(("opaque", None))
             elif kind == "dropout":
                 if mode == "train" and layer.p > 0.0:
@@ -184,19 +186,19 @@ class Net:
                 self._trace.append(("opaque", None))
         return x
 
-    def _batchnorm(self, name: str, layer: BatchNorm, x: Tensor, mode: str) -> Tensor:
+    def _batchnorm(self, name: str, x: Tensor, mode: str) -> Tensor:
         gamma, beta = self.params[f"{name}.gamma"], self.params[f"{name}.beta"]
         rm, rv = self.buffers[f"{name}.running_mean"], self.buffers[f"{name}.running_var"]
         if mode == "train":
             mu = x.mean(axis=0)
             centered = x - mu
             var = (centered * centered).mean(axis=0)
-            norm = centered * ((var + layer.eps) ** -0.5)
-            m = layer.momentum
+            norm = centered * ((var + BN_EPS) ** -0.5)
+            m = BN_MOMENTUM
             rm.data = ((1.0 - m) * rm.data + m * mu.data).astype(self.dtype)
             rv.data = ((1.0 - m) * rv.data + m * var.data).astype(self.dtype)
         else:
-            norm = (x - rm) * Tensor((rv.data + layer.eps) ** -0.5)
+            norm = (x - rm) * Tensor((rv.data + BN_EPS) ** -0.5)
         return norm * gamma + beta
 
     # -- gradients -------------------------------------------------------------

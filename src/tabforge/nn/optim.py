@@ -6,6 +6,8 @@ import numpy as np
 
 from tabforge.nn.tensor import Tensor
 
+EPS = 1e-8
+
 
 class Adam:
     def __init__(
@@ -13,14 +15,10 @@ class Adam:
         params: list[tuple[str, Tensor]],
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ):
         self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params}
@@ -40,8 +38,6 @@ class Adam:
                 continue
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name!r}")
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             m = self.m[name]
             v = self.v[name]
             m *= b1
@@ -50,4 +46,4 @@ class Adam:
             v += (1.0 - b2) * g * g
             m_hat = m / bias1
             v_hat = v / bias2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS)

@@ -260,7 +260,7 @@ def relu(a: Tensor):
     return _node(data, (a,), vjp, "relu")
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2):
+def leaky_relu(a: Tensor, slope: float):
     factor = np.where(a.data > 0.0, 1.0, slope).astype(a.data.dtype)
     data = a.data * factor
 

@@ -20,14 +20,16 @@ class SplitSpec:
     k: int = 0  # cluster count, domain mode only
 
     def __post_init__(self):
+        if len(self.ratios) != 3:
+            raise DataError(f"split ratios must be 3 values (train, val, test), got {list(self.ratios)}")
         if any(r <= 0 for r in self.ratios):
-            raise ValueError("every split ratio must be > 0")
+            raise DataError(f"every split ratio must be > 0, got {list(self.ratios)}")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise ValueError(f"ratios must sum to 1, got {sum(self.ratios)}")
+            raise DataError(f"split ratios must sum to 1, got {sum(self.ratios)}")
         if self.mode not in ("random", "domain"):
-            raise ValueError(f"unknown split mode {self.mode!r}")
+            raise DataError(f"unknown split mode {self.mode!r}")
         if self.mode == "domain" and self.k < 1:
-            raise ValueError("domain mode needs k >= 1")
+            raise DataError(f"domain mode needs split k >= 1, got {self.k}")
 
 
 @dataclass

@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -37,10 +37,10 @@ from tabforge.models.ctgan import (
     CtganConfig,
     build_ctgan,
     build_row_index,
+    condition_log_pmfs,
     ctgan_sample,
     ctgan_train_batch,
     make_ctgan,
-    refresh_log_pmfs,
 )
 from tabforge.models.vae import (
     VaeConfig,
@@ -137,9 +137,8 @@ def corpus_hash(tables: list[Table]) -> str:
 #
 # Every model exposes the same surface: tensors() maps each checkpoint name
 # to its live Tensor (parameters, BatchNorm running stats and the tvae
-# delta), segments() names the row blocks of weights whose input mixes
-# table-specific and shared blocks, and head_names() lists the tensors whose
-# widths depend on the table.
+# delta), and segments() names the row blocks of weights whose input mixes
+# table-specific and shared blocks.
 
 
 def copy_state(model) -> dict[str, np.ndarray]:
@@ -151,15 +150,14 @@ def transfer_state(model, tensors: dict[str, np.ndarray], segments: dict | None 
     """Load pretrained weights onto a (possibly differently-shaped) model.
 
     Same-shape tensors copy whole, including head layers, whose weights are
-    only table-specific through their widths; a head whose width differs
-    re-dimensions, i.e. stays freshly initialized.  Body weights whose input
-    concatenates named segments copy row blocks for segments present on both
-    sides with matching widths (e.g. the noise rows of the generator's first
-    layer transfer while the conditional rows stay fresh).  Returns the
-    loaded names.
+    only table-specific through their widths; a tensor whose shape differs
+    stays freshly initialized.  The one exception is a weight whose model
+    declares row segments: it copies the row blocks of segments present on
+    both sides with matching widths (e.g. the noise rows of the generator's
+    first layer transfer while the conditional rows stay fresh).  Returns
+    the loaded names.
     """
     segments = segments or {}
-    heads = model.head_names()
     model_segments = model.segments()
     loaded: list[str] = []
     for name, target in model.tensors().items():
@@ -169,8 +167,7 @@ def transfer_state(model, tensors: dict[str, np.ndarray], segments: dict | None 
         if src.shape == target.data.shape:
             copied = src.astype(target.data.dtype).copy()
         elif (
-            name not in heads  # differently-sized head: keep the fresh init
-            and name in model_segments
+            name in model_segments
             and name in segments
             and src.ndim == 2
             and target.data.ndim == 2
@@ -224,9 +221,12 @@ def _aux_entry(ckpt: ModelCheckpoint, key: str):
 
 
 def _stored_config(cls, ckpt: ModelCheckpoint):
-    """The checkpoint's model config; JSON stored its tuples as lists."""
+    """The checkpoint's model config; JSON stored its tuples as lists.  Keys
+    the config no longer has (older checkpoints' settings that became
+    constants) are ignored."""
+    names = {f.name for f in fields(cls)}
     doc = ckpt.config["model"]
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items() if k in names})
 
 
 class _GmmDriver:
@@ -283,7 +283,7 @@ class _CtganDriver(_GmmDriver):
     early_stops = False  # a GAN has no usable validation loss
 
     def build(self, prep, config: TrainConfig, seed: int):
-        return build_ctgan(prep["table"], prep["transformer"], config.ctgan, seed)
+        return build_ctgan(prep["transformer"], prep["rows"], config.ctgan, seed)
 
     def setup(self, model):
         critic_opt, gen_opt = model.optimizers()
@@ -293,7 +293,10 @@ class _CtganDriver(_GmmDriver):
         if session["row_index"] is None or session.get("rows") is not matrix:
             session["row_index"] = build_row_index(model, matrix)
             session["rows"] = matrix
-            refresh_log_pmfs(model, matrix)
+            # PMFs of the rows trained on: a category whose rows all fell into
+            # the validation slice gets zero mass, so the condition sampler
+            # never asks for a real row that is not there.
+            model.log_pmfs = condition_log_pmfs(model.transformer, matrix)
         steps = max(1, matrix.shape[0] // model.config.batch)
         losses = []
         for _ in range(steps):
@@ -407,13 +410,12 @@ def _diverged(failure: str):
         raise TrainingError(f"{failure}: {exc}") from exc
 
 
-def _checkpoint(kind: str, model, config: TrainConfig, tensors, aux: dict, corpus: list[Table], epoch: int):
+def _checkpoint(model, config: TrainConfig, tensors, aux: dict, corpus: list[Table], epoch: int):
     return ModelCheckpoint(
-        kind=kind,
+        kind=config.kind,
         config={"model": asdict(model.config), "train": asdict(config)},
         tensors=tensors,
         segments={k: [list(s) for s in v] for k, v in model.segments().items()},
-        head_names=sorted(model.head_names()),
         aux=aux,
         provenance={"corpus_hash": corpus_hash(corpus), "seed": config.seed, "epoch": epoch},
     )
@@ -422,13 +424,11 @@ def _checkpoint(kind: str, model, config: TrainConfig, tensors, aux: dict, corpu
 # -- pretraining ------------------------------------------------------------------------
 
 
-def pretrain(kind: str, corpus: list[Table], config: TrainConfig) -> tuple[ModelCheckpoint, TrainLog]:
+def pretrain(corpus: list[Table], config: TrainConfig) -> tuple[ModelCheckpoint, TrainLog]:
     """Iterate single epochs over a reshuffled corpus, carrying the body."""
     if not corpus:
         raise TrainingError("pretraining needs a non-empty corpus")
-    if kind != config.kind:
-        raise TrainingError(f"config kind {config.kind!r} != requested {kind!r}")
-    driver = _driver(kind)
+    driver = _driver(config.kind)
     log = TrainLog()
     start_time = time.monotonic()
 
@@ -456,7 +456,7 @@ def pretrain(kind: str, corpus: list[Table], config: TrainConfig) -> tuple[Model
             session["prep"] = prep
             rng = substream(config.seed, "pretrain", "epoch", table.name, iteration)
             where = f"pretraining iteration {iteration + 1}"
-            with _diverged(f"{kind} training diverged on table {table.name!r} at {where}"):
+            with _diverged(f"{config.kind} training diverged on table {table.name!r} at {where}"):
                 loss = driver.train_epoch(model, session, prep["rows"], rng)
             iteration_losses.append(loss)
             body = copy_state(model)
@@ -465,7 +465,7 @@ def pretrain(kind: str, corpus: list[Table], config: TrainConfig) -> tuple[Model
     log.stop_reason = stop_reason
     if body is None:
         raise TrainingError("wall-clock budget exhausted before the first iteration")
-    return _checkpoint(kind, last_model, config, body, aux, corpus, len(log.entries)), log
+    return _checkpoint(last_model, config, body, aux, corpus, len(log.entries)), log
 
 
 # -- fine-tuning and single training ------------------------------------------------------
@@ -480,21 +480,15 @@ def _val_split(n_rows: int, fraction: float, rng) -> tuple[np.ndarray, np.ndarra
 
 
 def finetune(
-    checkpoint: ModelCheckpoint | None,
-    table: Table,
-    config: TrainConfig,
-    kind: str | None = None,
+    checkpoint: ModelCheckpoint | None, table: Table, config: TrainConfig
 ) -> tuple[ModelCheckpoint, TrainLog]:
     """Train on one table, warm-starting the body from `checkpoint`.
 
     With checkpoint=None this is from-scratch (single) training.
     """
-    kind = kind or (checkpoint.kind if checkpoint is not None else config.kind)
-    if checkpoint is not None and checkpoint.kind != kind:
-        raise CheckpointError(f"checkpoint kind {checkpoint.kind!r} != requested {kind!r}")
-    if kind != config.kind:
-        raise TrainingError(f"config kind {config.kind!r} != requested {kind!r}")
-    driver = _driver(kind)
+    if checkpoint is not None and checkpoint.kind != config.kind:
+        raise CheckpointError(f"checkpoint kind {checkpoint.kind!r} != requested {config.kind!r}")
+    driver = _driver(config.kind)
 
     prep = driver.prep(table, config, checkpoint.aux if checkpoint is not None else {})
     model_seed = int(substream(config.seed, "model", table.name).integers(2**63))
@@ -516,7 +510,7 @@ def finetune(
     stop_reason = "epochs"
 
     for epoch in range(1, config.epochs + 1):
-        with _diverged(f"{kind} training diverged on table {table.name!r} at epoch {epoch}"):
+        with _diverged(f"{config.kind} training diverged on table {table.name!r} at epoch {epoch}"):
             rng = substream(config.seed, "epoch", table.name, epoch)
             train_loss = driver.train_epoch(model, session, train_rows, rng)
             val_loss = None
@@ -545,7 +539,7 @@ def finetune(
         best_epoch = config.epochs
     log.best_epoch = best_epoch
     log.stop_reason = stop_reason
-    return _checkpoint(kind, model, config, best_state, driver.aux(prep, model), [table], best_epoch), log
+    return _checkpoint(model, config, best_state, driver.aux(prep, model), [table], best_epoch), log
 
 
 def _snapshot_score(driver, model, prep, table: Table, val_ids: np.ndarray, config: TrainConfig, epoch: int) -> float:
@@ -559,10 +553,6 @@ def _snapshot_score(driver, model, prep, table: Table, val_ids: np.ndarray, conf
         return table_report(val_table, syn).s_overall
     except MetricError:
         return 0.0  # early garbage snapshots may not be scoreable; rank them last
-
-
-def train_scratch(kind: str, table: Table, config: TrainConfig) -> tuple[ModelCheckpoint, TrainLog]:
-    return finetune(None, table, config, kind=kind)
 
 
 # -- sampling from persisted models -----------------------------------------------------

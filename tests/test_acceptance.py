@@ -40,7 +40,6 @@ from tabforge.training import (
     finetune,
     pretrain,
     sample_from_checkpoint,
-    train_scratch,
 )
 from tabforge.transform import ColumnTransformer, encode_table, fit_gmm, _encode_numeric_batch
 
@@ -158,8 +157,8 @@ def _ctgan_fixture(dtype=np.float64):
     tf = ColumnTransformer.fit(table, modes=2, seed=0)
     from tabforge.models.ctgan import build_ctgan
 
-    model = build_ctgan(table, tf, CtganConfig(z_dim=8, pac=2, batch=16, hidden=(16, 16)), 1, dtype)
     matrix = encode_table(table, tf, np.random.default_rng(3))
+    model = build_ctgan(tf, matrix, CtganConfig(z_dim=8, pac=2, batch=16, hidden=(16, 16)), 1, dtype)
     return model, matrix
 
 
@@ -318,7 +317,7 @@ def trained_ctgan():
         ctgan=CtganConfig(z_dim=128, pac=10, batch=100, hidden=(128, 128)),
     )
     t0 = time.time()
-    ckpt, _ = train_scratch("ctgan", table, cfg)
+    ckpt, _ = finetune(None, table, cfg)
     return table, ckpt, time.time() - t0
 
 
@@ -333,7 +332,7 @@ def test_criterion_6_desk_scale_generation_quality(trained_ctgan):
         gmm_modes=10,
         vae=VaeConfig(variant="stvae", latent=64, hidden=(128, 128), batch=100, recon_weight=32.0),
     )
-    ckpt, _ = train_scratch("stvae", table, cfg)
+    ckpt, _ = finetune(None, table, cfg)
     syn = sample_from_checkpoint(ckpt, table.n_rows, seed=1)
     syn.name = table.name
     stvae_rep = table_report(table, syn)
@@ -404,9 +403,9 @@ def test_criterion_7_transferability_direction():
     target = family_table("target", seed=999, n=150)
     ft_scores, sc_scores, val5_lower = [], [], 0
     for seed in range(5):
-        pre, _ = pretrain("stvae", corpus, tconfig(seed))
+        pre, _ = pretrain(corpus, tconfig(seed))
         ft_ckpt, ft_log = finetune(pre, target, tconfig(seed))
-        sc_ckpt, sc_log = train_scratch("stvae", target, tconfig(seed))
+        sc_ckpt, sc_log = finetune(None, target, tconfig(seed))
 
         def overall(ck, s=seed):
             syn = sample_from_checkpoint(ck, target.n_rows, seed=s)

@@ -8,7 +8,7 @@ from tabforge.cleaning import (
     detect_timestamp,
     impute_column,
 )
-from tabforge.data import ColumnKind, ColumnMeta, Table
+from tabforge.data import ColumnKind, ColumnMeta, DataError, Table
 
 
 def num_col(name="x"):
@@ -149,7 +149,7 @@ class TestCleanTable:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         CleaningConfig(max_null_fraction=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         CleaningConfig(category_uniqueness_max=1.5)

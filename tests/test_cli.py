@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import tabforge.cli
 import tabforge.training as tr
 from tabforge.checkpoint import load_checkpoint, save_checkpoint
 from tabforge.cli import cli, main
@@ -140,8 +141,15 @@ def pipeline_dirs(toy_corpus, tmp_path):
 
 
 class TestTrainAndSample:
-    def test_pretrain_finetune_sample_round_trip(self, pipeline_dirs):
+    def test_pretrain_finetune_sample_round_trip(self, pipeline_dirs, monkeypatch):
         cleaned, manifest, tmp = pipeline_dirs
+        loads = []
+
+        def counted_load(path):
+            loads.append(path)
+            return load_checkpoint(path)
+
+        monkeypatch.setattr(tabforge.cli, "load_checkpoint", counted_load)
         pre = tmp / "pre.ckpt"
         run(
             ["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned),
@@ -153,6 +161,7 @@ class TestTrainAndSample:
         run(
             ["finetune", "--checkpoint", str(pre), "--table", str(table), "--out", str(ft)] + TINY
         )
+        assert loads == [str(pre)]  # the method comes from the one load
         out_csv = tmp / "syn.csv"
         run(["sample", "--checkpoint", str(ft), "--rows", "8", "--out", str(out_csv)])
         lines = out_csv.read_text().strip().splitlines()
@@ -360,3 +369,59 @@ def test_unknown_override_is_usage_error(toy_corpus, tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main()
     assert exc.value.code == 1
+
+
+class TestBadConfigValues:
+    @pytest.mark.parametrize("flag, key", [
+        ("--training.ckpt_every=abc", "training.ckpt_every"),
+        ('--training.val_fraction="x"', "training.val_fraction"),
+        ("--training.epochs=2.5", "training.epochs"),
+        ("--split.ratios=[0.5,\"a\",0.5]", "split.ratios"),
+        ("--model.great={\"foo\":1}", "model.great.foo"),
+    ])
+    def test_wrong_typed_value_is_a_usage_error(self, flag, key, pipeline_dirs, monkeypatch, capsys):
+        cleaned, _, tmp = pipeline_dirs
+        table = sorted(cleaned.glob("*.csv"))[0]
+        args = ["train-scratch", "--table", str(table), "--method", "ctgan", "--out", str(tmp / "g.ckpt"), flag]
+        assert main_exit_code(monkeypatch, args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and repr(key) in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command, flag, detail", [
+        ("split", "--split.ratios=[0.5,0.5,0.5]", "split ratios must sum to 1"),
+        ("split", "--split.ratios=[0.5,0.5]", "split ratios must be 3 values"),
+        ("clean", "--cleaning.max_null_fraction=2", "max_null_fraction must be in (0, 1]"),
+    ])
+    def test_out_of_range_split_or_cleaning_value_is_a_data_error(
+        self, command, flag, detail, toy_corpus, tmp_path, monkeypatch, capsys
+    ):
+        if command == "split":
+            cleaned = tmp_path / "cleaned"
+            run(["clean", str(toy_corpus), str(cleaned)])
+            args = ["split", str(cleaned), "--out", str(tmp_path / "s.json"), flag]
+        else:
+            args = ["clean", str(toy_corpus), str(tmp_path / "cleaned"), flag]
+        assert main_exit_code(monkeypatch, args) == 2
+        err = capsys.readouterr().err
+        assert detail in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"training": {"epochz": 5}}, "training.epochz"),
+        ({"model": {"great": {"foo": 1}}}, "model.great.foo"),
+        ({"training": {"ckpt_every": "abc"}}, "training.ckpt_every"),
+    ])
+    def test_config_file_keys_are_checked_like_flags(self, doc, key, toy_corpus, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        args = ["clean", str(toy_corpus), str(tmp_path / "o"), "-c", str(path)]
+        assert main_exit_code(monkeypatch, args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and repr(key) in err
+
+    def test_config_file_value_applies(self, toy_corpus, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"cleaning": {"min_rows": 1000}}))
+        out = tmp_path / "cleaned"
+        run(["clean", str(toy_corpus), str(out), "-c", str(path)])
+        assert not list(out.glob("*.csv"))  # everything discarded: too few rows

@@ -39,8 +39,8 @@ def small_model(table=None, dtype=np.float32, **cfg_kw):
     table = table or toy_table()
     tf = ColumnTransformer.fit(table, modes=2, seed=0)
     cfg = CtganConfig(z_dim=8, pac=2, batch=16, hidden=(16, 16), **cfg_kw)
-    model = build_ctgan(table, tf, cfg, seed=1, dtype=dtype)
     matrix = encode_table(table, tf, np.random.default_rng(3))
+    model = build_ctgan(tf, matrix, cfg, seed=1, dtype=dtype)
     return model, matrix
 
 
@@ -94,7 +94,8 @@ class TestSampleCondition:
         rows = [row + ["x" if i % 2 else "y"] for i, row in enumerate(table.rows)]
         table2 = Table("t2", cols, rows)
         tf = ColumnTransformer.fit(table2, modes=2, seed=0)
-        model = build_ctgan(table2, tf, CtganConfig(z_dim=8, pac=2, hidden=(8, 8)), seed=0)
+        matrix = encode_table(table2, tf, np.random.default_rng(0))
+        model = build_ctgan(tf, matrix, CtganConfig(z_dim=8, pac=2, hidden=(8, 8)), seed=0)
         picks, _, _ = sample_conditions(model, 10_000, rng)
         freq = float(np.mean(picks == 0))
         assert abs(freq - 0.5) < 0.02
@@ -112,7 +113,8 @@ class TestSampleCondition:
         rows = [[float(x[i]), table_cats[i]] for i in range(len(table_cats))]
         table = Table("t", cols, rows)
         tf = ColumnTransformer.fit(table, modes=1, seed=0)
-        model = build_ctgan(table, tf, CtganConfig(z_dim=8, pac=2, hidden=(8, 8)), seed=0)
+        matrix = encode_table(table, tf, np.random.default_rng(0))
+        model = build_ctgan(tf, matrix, CtganConfig(z_dim=8, pac=2, hidden=(8, 8)), seed=0)
         expected = np.log1p([1, 100])
         expected = expected / expected.sum()
         _, draws, _ = sample_conditions(model, 100_000, rng)
@@ -124,7 +126,8 @@ class TestSampleCondition:
         rows = [[float(i), float(i * 2)] for i in range(40)]
         table = Table("nums", cols, rows)
         tf = ColumnTransformer.fit(table, modes=2, seed=0)
-        model = build_ctgan(table, tf, CtganConfig(z_dim=8, pac=2, hidden=(8, 8)), seed=0)
+        matrix = encode_table(table, tf, np.random.default_rng(0))
+        model = build_ctgan(tf, matrix, CtganConfig(z_dim=8, pac=2, hidden=(8, 8)), seed=0)
         i_s, k_s, cond = sample_conditions(model, 8, np.random.default_rng(0))
         assert i_s is None and k_s is None
         assert cond.shape == (8, 0)
@@ -139,8 +142,8 @@ class TestSampleRealConditioned:
         rows[7][1] = "b"
         table = Table("t", table.columns[:1] + [ColumnMeta("g", ColumnKind.categorical(), ("a", "b"))], rows)
         tf = ColumnTransformer.fit(table, modes=1, seed=0)
-        model = build_ctgan(table, tf, CtganConfig(z_dim=8, pac=2, hidden=(8, 8)), seed=0)
         matrix = encode_table(table, tf, np.random.default_rng(0))
+        model = build_ctgan(tf, matrix, CtganConfig(z_dim=8, pac=2, hidden=(8, 8)), seed=0)
         index = build_row_index(model, matrix)
         rows = sample_real_conditioned(matrix, index, np.zeros(10, int), np.ones(10, int), np.random.default_rng(5))
         assert rows.shape == (10, matrix.shape[1])
@@ -212,7 +215,7 @@ class TestGradientPenalty:
     def test_penalty_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         critic = Net(
-            [Dense(10, 7), LeakyReLU(0.2), Dropout(0.3), Dense(7, 5), LeakyReLU(0.2), Dense(5, 1)],
+            [Dense(10, 7), LeakyReLU(), Dropout(0.3), Dense(7, 5), LeakyReLU(), Dense(5, 1)],
             rng,
             dtype=np.float64,
         )
@@ -342,8 +345,8 @@ class TestSampling:
         table = toy_table()
         tf = ColumnTransformer.fit(table, modes=2, seed=0)
         cfg = CtganConfig(z_dim=8, pac=3, batch=16, hidden=(8, 8))
-        model = build_ctgan(table, tf, cfg, seed=0)
         matrix = encode_table(table, tf, np.random.default_rng(0))
+        model = build_ctgan(tf, matrix, cfg, seed=0)
         adam_c, adam_g = model.optimizers()
         # batch clamps to a multiple of pac rather than erroring
         index = build_row_index(model, matrix)

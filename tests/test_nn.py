@@ -38,7 +38,7 @@ HEAD_SPANS = (ColumnSpan(0, "numeric", 0, 4), ColumnSpan(1, "categorical", 4, 2)
 LAYER_CASES = {
     "dense": ([Dense(5, 4)], None),
     "relu": ([Dense(5, 4), ReLU()], None),
-    "leaky": ([Dense(5, 4), LeakyReLU(0.2)], None),
+    "leaky": ([Dense(5, 4), LeakyReLU()], None),
     "tanh": ([Dense(5, 4)], lambda out, rng: T.tanh(out)),
     "softmax": ([Dense(5, 4)], lambda out, rng: T.softmax(out, axis=1)),
     "gumbel": ([Dense(5, 4)], lambda out, rng: gumbel_softmax(out, 0.5, "train", rng)[0]),

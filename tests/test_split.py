@@ -217,9 +217,9 @@ def test_kmeans_nan_check_survives_optimize_flag():
 
 
 def test_split_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         SplitSpec((0.5, 0.5, 0.1), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         SplitSpec((1.0, 0.0, 0.0), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         SplitSpec((0.5, 0.25, 0.25), 0, mode="domain", k=0)

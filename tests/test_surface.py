@@ -1,7 +1,8 @@
 """Guard against second paths: every public module-level function and class
-in src/tabforge must be used by the package itself, not only by tests, and
+in src/tabforge must be used by the package itself, not only by tests;
 every defaulted parameter of a public module-level function must be set by
-some call in the package.
+some call in the package; and every field of a config dataclass must be set
+from the run config.
 
 A name counts as used when code in src/tabforge outside its own definition
 refers to it.  Re-exports in `__init__.py` do not count.  The entry points
@@ -16,9 +17,11 @@ disguise; PINNED_DEFAULTS lists the few kept for callers outside the package.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import tabforge
+import tabforge.config as config
 
 PACKAGE = Path(tabforge.__file__).parent
 
@@ -132,3 +135,34 @@ def unset_defaulted_params() -> list[str]:
 
 def test_every_defaulted_parameter_is_set_by_the_package():
     assert unset_defaulted_params() == []
+
+
+def test_every_config_field_is_set_from_the_run_config(monkeypatch):
+    # A field config.py leaves at its dataclass default is a setting no run
+    # can change: a constant in disguise.
+    classes = {
+        name: cls for name, cls in vars(config).items() if dataclasses.is_dataclass(cls) and isinstance(cls, type)
+    }
+    set_fields = {name: set() for name in classes}
+
+    def recording(name, cls):
+        def build(*args, **kwargs):
+            names = [f.name for f in dataclasses.fields(cls) if f.init]
+            set_fields[name].update(names[: len(args)], kwargs)
+            return cls(*args, **kwargs)
+
+        return build
+
+    for name, cls in classes.items():
+        monkeypatch.setattr(config, name, recording(name, cls))
+    cfg = config.load_config()
+    config.cleaning_config(cfg)
+    config.split_spec(cfg)
+    config.train_config(cfg)
+    unset = [
+        f"{name}.{f.name}"
+        for name, cls in sorted(classes.items())
+        for f in dataclasses.fields(cls)
+        if f.init and f.name not in set_fields[name]
+    ]
+    assert unset == []

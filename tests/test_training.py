@@ -1,10 +1,12 @@
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tabforge.checkpoint import (
+    MAGIC,
     CheckpointError,
     ModelCheckpoint,
     load_checkpoint,
@@ -25,9 +27,20 @@ from tabforge.training import (
     finetune,
     pretrain,
     sample_from_checkpoint,
-    train_scratch,
     transfer_state,
 )
+
+
+def rewrite_header(blob: bytes, edit) -> bytes:
+    """A serialized checkpoint with its JSON header passed through `edit`
+    and the checksum redone."""
+    start = len(MAGIC) + 8
+    end = start + int.from_bytes(blob[len(MAGIC) : start], "little")
+    header = json.loads(blob[start:end])
+    edit(header)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = MAGIC + len(text).to_bytes(8, "little") + text + blob[end:-32]
+    return body + hashlib.sha256(body).digest()
 
 
 def make_table(name, n=60, seed=0, mean=0.0, cats=("a", "b")):
@@ -84,7 +97,6 @@ class TestCheckpointIO:
             config={"model": {"latent": 8}},
             tensors={"enc.0.W": rng.normal(size=(4, 3)).astype(np.float32), "delta": np.ones(2, np.float32)},
             segments={"enc.0.W": [["row", 4]]},
-            head_names=["enc.0.W"],
             aux={"note": "x"},
             provenance={"seed": 1},
         )
@@ -98,7 +110,6 @@ class TestCheckpointIO:
         for k, v in ckpt.tensors.items():
             assert np.array_equal(again.tensors[k], v)
         assert again.segments == {"enc.0.W": [("row", 4)]}
-        assert again.head_names == ["enc.0.W"]
 
     def test_flipped_byte_fails_checksum(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -135,14 +146,14 @@ class TestCheckpointIO:
 class TestScratchTraining:
     def test_same_seed_identical_logs_and_checkpoints(self):
         table = make_table("t0")
-        a_ckpt, a_log = train_scratch("stvae", table, quick_config())
-        b_ckpt, b_log = train_scratch("stvae", table, quick_config())
+        a_ckpt, a_log = finetune(None, table, quick_config())
+        b_ckpt, b_log = finetune(None, table, quick_config())
         assert a_log.entries == b_log.entries
         assert serialize_checkpoint(a_ckpt) == serialize_checkpoint(b_ckpt)
 
     def test_checkpoint_sampleable(self):
         table = make_table("t1")
-        ckpt, _ = train_scratch("stvae", table, quick_config())
+        ckpt, _ = finetune(None, table, quick_config())
         syn = sample_from_checkpoint(ckpt, 25, seed=3)
         assert syn.n_rows == 25
         assert [c.name for c in syn.columns] == ["u", "w", "g"]
@@ -155,7 +166,7 @@ class TestScratchTraining:
         ]
         rows = [[float(v), "k"] for v in rng.normal(0, 1, 80)]
         table = Table("const", cols, rows)
-        ckpt, log = train_scratch("stvae", table, quick_config(epochs=50))
+        ckpt, log = finetune(None, table, quick_config(epochs=50))
         assert log.entries[-1]["train_loss"] < log.entries[0]["train_loss"]
         syn = sample_from_checkpoint(ckpt, 50, seed=0)
         assert all(row[1] == "k" for row in syn.rows)
@@ -163,7 +174,7 @@ class TestScratchTraining:
     def test_ctgan_scratch_snapshots_and_samples(self):
         table = make_table("t2")
         cfg = quick_config("ctgan", epochs=4, ckpt_every=2)
-        ckpt, log = train_scratch("ctgan", table, cfg)
+        ckpt, log = finetune(None, table, cfg)
         assert [c["epoch"] for c in log.checkpoints] == [2, 4]
         syn = sample_from_checkpoint(ckpt, 10, seed=1)
         assert syn.n_rows == 10
@@ -181,13 +192,13 @@ class TestScratchTraining:
         for seed in range(6):
             cfg = quick_config("ctgan", epochs=2)
             cfg.seed = seed
-            ckpt, _ = train_scratch("ctgan", table, cfg)
+            ckpt, _ = finetune(None, table, cfg)
             assert ckpt.tensors
 
     def test_great_scratch_runs_and_samples(self):
         table = make_table("t3", n=30)
         cfg = quick_config("great", epochs=2)
-        ckpt, log = train_scratch("great", table, cfg)
+        ckpt, log = finetune(None, table, cfg)
         assert len(log.entries) <= 2
         syn = sample_from_checkpoint(ckpt, 3, seed=0)
         assert [c.name for c in syn.columns] == ["u", "w", "g"]
@@ -197,41 +208,65 @@ class TestScratchTraining:
         # the 2048 default builds (a separate budget once outgrew it).
         cfg = quick_config("great", epochs=1)
         cfg.great = replace(cfg.great, vocab_size=270)
-        ckpt, _ = train_scratch("great", make_table("t3", n=30), cfg)
+        ckpt, _ = finetune(None, make_table("t3", n=30), cfg)
         assert len(ckpt.aux["vocab"]["merges"]) <= 270 - MIN_VOCAB
         assert sample_from_checkpoint(ckpt, 3, seed=0).n_cols == 3
 
     def test_checkpoint_with_a_great_vocab_header_loads_and_samples(self, tmp_path):
-        # Older checkpoints carry config.train.great_vocab; loading and
-        # sampling read only the model config and the aux.
-        ckpt, _ = train_scratch("great", make_table("t3", n=30), quick_config("great", epochs=1))
-        ckpt.config["train"]["great_vocab"] = 2048
-        save_checkpoint(ckpt, tmp_path / "old.ckpt")
-        syn = sample_from_checkpoint(load_checkpoint(tmp_path / "old.ckpt"), 3, seed=0)
-        assert [c.name for c in syn.columns] == ["u", "w", "g"]
+        # Older checkpoints carry header keys this version dropped: GReaT's
+        # config.train.great_vocab, the list of head tensors, the settings
+        # that became constants, and row segments for critic.0.W.  Loading,
+        # sampling and fine-tuning from one match the current header's.
+        def great_header(header):
+            header["config"]["train"]["great_vocab"] = 2048
+            header["config"]["model"]["betas"] = [0.9, 0.999]
+
+        def ctgan_header(header):
+            header["head_names"] = ["critic.0.W", "critic.0.b", "gen.2.W", "gen.2.b"]
+            dropped = {"betas": [0.5, 0.9], "dropout": 0.5, "weight_decay": 0.0}
+            header["config"]["model"].update(dropped)
+            header["config"]["train"]["ctgan"].update(dropped)
+            shapes = {t["name"]: t["shape"] for t in header["tensors"]}
+            rows = header["config"]["model"]["pac"] * shapes["gen.2.W"][1]
+            header["segments"]["critic.0.W"] = [["rows", rows], ["conds", shapes["critic.0.W"][0] - rows]]
+
+        target = make_table("t4", n=30, cats=("x", "y", "z"))  # other widths than the source
+        for kind, edit in (("great", great_header), ("ctgan", ctgan_header)):
+            cfg = quick_config(kind, epochs=1)
+            ckpt, _ = finetune(None, make_table("t3", n=30), cfg)
+            path = tmp_path / f"{kind}.ckpt"
+            path.write_bytes(rewrite_header(serialize_checkpoint(ckpt), edit))
+            old = load_checkpoint(path)
+            syn = sample_from_checkpoint(old, 3, seed=0)
+            assert [c.name for c in syn.columns] == ["u", "w", "g"]
+            assert syn.rows == sample_from_checkpoint(ckpt, 3, seed=0).rows
+            from_old, _ = finetune(old, target, cfg)
+            from_new, _ = finetune(ckpt, target, cfg)
+            assert from_old.tensors.keys() == from_new.tensors.keys()
+            for name, arr in from_new.tensors.items():
+                assert np.array_equal(from_old.tensors[name], arr), (kind, name)
 
 
 class TestFinetune:
     def test_zero_epochs_returns_checkpoint_body(self):
         corpus = [make_table(f"p{i}", seed=i) for i in range(3)]
         cfg = quick_config(iterations=1)
-        pre, _ = pretrain("stvae", corpus, cfg)
+        pre, _ = pretrain(corpus, cfg)
         target = make_table("target", seed=9)
         cfg0 = quick_config(epochs=0)
         ckpt, log = finetune(pre, target, cfg0)
-        # Body tensors (non-head) must match the pretrained body bitwise.
-        heads = set(ckpt.head_names)
-        shared = [k for k in ckpt.tensors if k not in heads and k in pre.tensors]
+        # Every tensor the target's widths leave unchanged must match the
+        # pretrained body bitwise.
+        shared = [k for k in ckpt.tensors if k in pre.tensors and ckpt.tensors[k].shape == pre.tensors[k].shape]
         assert shared, "expected shared body tensors"
         for k in shared:
-            if ckpt.tensors[k].shape == pre.tensors[k].shape:
-                assert np.array_equal(ckpt.tensors[k], pre.tensors[k]), k
+            assert np.array_equal(ckpt.tensors[k], pre.tensors[k]), k
 
     def test_kind_mismatch_rejected(self):
         corpus = [make_table(f"p{i}", seed=i) for i in range(2)]
-        pre, _ = pretrain("stvae", corpus, quick_config(iterations=1))
+        pre, _ = pretrain(corpus, quick_config(iterations=1))
         with pytest.raises(CheckpointError):
-            finetune(pre, make_table("t"), quick_config("ctgan"), kind="ctgan")
+            finetune(pre, make_table("t"), quick_config("ctgan"))
 
     def test_early_stopping_records_best_epoch(self):
         table = make_table("ft", n=80)
@@ -278,7 +313,7 @@ class TestPretrain:
     def test_each_dataset_once_per_iteration_and_body_changes(self):
         corpus = [make_table(f"c{i}", seed=i, mean=float(i)) for i in range(3)]
         cfg = quick_config(iterations=2)
-        ckpt, log = pretrain("stvae", corpus, cfg)
+        ckpt, log = pretrain(corpus, cfg)
         assert len(log.entries) == 2
         assert ckpt.provenance["corpus_hash"]
 
@@ -300,7 +335,7 @@ class TestPretrain:
 
         tr._VaeDriver.train_epoch = spy
         try:
-            pretrain("stvae", corpus, cfg)
+            pretrain(corpus, cfg)
         finally:
             tr._VaeDriver.train_epoch = original
         assert len(hashes) == len(corpus)
@@ -309,7 +344,7 @@ class TestPretrain:
     def test_single_dataset_degenerates_to_multi_epoch(self):
         corpus = [make_table("solo")]
         cfg = quick_config(iterations=3)
-        ckpt, log = pretrain("stvae", corpus, cfg)
+        ckpt, log = pretrain(corpus, cfg)
         assert len(log.entries) == 3
 
     def test_each_dataset_trained_exactly_once_per_iteration(self):
@@ -328,7 +363,7 @@ class TestPretrain:
 
             tr._VaeDriver.train_epoch = spy
             try:
-                pretrain("stvae", corpus, cfg)
+                pretrain(corpus, cfg)
             finally:
                 tr._VaeDriver.train_epoch = original
             assert len(passes) == 6
@@ -338,12 +373,12 @@ class TestPretrain:
 
     def test_empty_corpus_errors(self):
         with pytest.raises(TrainingError):
-            pretrain("stvae", [], quick_config())
+            pretrain([], quick_config())
 
     def test_great_pretrain_shares_vocab(self):
         corpus = [make_table(f"g{i}", n=20, seed=i) for i in range(2)]
         cfg = quick_config("great", iterations=1)
-        ckpt, _ = pretrain("great", corpus, cfg)
+        ckpt, _ = pretrain(corpus, cfg)
         assert "vocab" in ckpt.aux
         target = make_table("gt", n=20, seed=5)
         ft_ckpt, _ = finetune(ckpt, target, quick_config("great", epochs=1))
@@ -356,12 +391,12 @@ class TestTransferState:
         table_b = make_table("b", cats=("x", "y", "z"))  # different cond width
         cfg = quick_config("ctgan")
         from tabforge.models.ctgan import build_ctgan
-        from tabforge.transform import ColumnTransformer
+        from tabforge.transform import ColumnTransformer, encode_table
 
         tf_a = ColumnTransformer.fit(table_a, modes=1, seed=0)
         tf_b = ColumnTransformer.fit(table_b, modes=1, seed=0)
-        m_a = build_ctgan(table_a, tf_a, cfg.ctgan, seed=1)
-        m_b = build_ctgan(table_b, tf_b, cfg.ctgan, seed=2)
+        m_a = build_ctgan(tf_a, encode_table(table_a, tf_a, np.random.default_rng(0)), cfg.ctgan, seed=1)
+        m_b = build_ctgan(tf_b, encode_table(table_b, tf_b, np.random.default_rng(0)), cfg.ctgan, seed=2)
         state_a = tr.copy_state(m_a)
         loaded = transfer_state(m_b, state_a, m_a.segments())
         z = cfg.ctgan.z_dim
