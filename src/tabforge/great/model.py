@@ -38,6 +38,9 @@ class GreatConfig:
     max_retries: int = 8
 
     def __post_init__(self):
+        for name in ("d_model", "n_heads", "n_layers", "ctx", "batch"):
+            if getattr(self, name) < 1:
+                raise GreatError(f"great.{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads:
             raise GreatError("d_model must be divisible by n_heads")
 
@@ -102,24 +105,14 @@ class GreatModel:
             raise GreatError(f"sequence length {t} exceeds context {cfg.ctx}")
         p = self.params
         x = T.take_rows(p["tok_emb"], ids) + p["pos_emb"][:t]
-        h = cfg.d_model // cfg.n_heads
         for l in range(cfg.n_layers):
             ln1 = T.layer_norm(x, p[f"b{l}.ln1.g"], p[f"b{l}.ln1.b"])
-            qkv = T.matmul(ln1, p[f"b{l}.attn.wqkv"]) + p[f"b{l}.attn.bqkv"]
-            q = T.swapaxes(T.reshape(qkv[:, :, : cfg.d_model], (b, t, cfg.n_heads, h)), 1, 2)
-            k = T.swapaxes(
-                T.reshape(qkv[:, :, cfg.d_model : 2 * cfg.d_model], (b, t, cfg.n_heads, h)), 1, 2
-            )
-            v = T.swapaxes(
-                T.reshape(qkv[:, :, 2 * cfg.d_model :], (b, t, cfg.n_heads, h)), 1, 2
-            )
-            scores = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(h)) + Tensor(self._mask(t))
-            probs = T.softmax(scores, axis=-1)
-            att = T.reshape(T.swapaxes(T.matmul(probs, v), 1, 2), (b, t, cfg.d_model))
-            x = x + (T.matmul(att, p[f"b{l}.attn.wproj"]) + p[f"b{l}.attn.bproj"])
+            qkv = T.linear(ln1, p[f"b{l}.attn.wqkv"], p[f"b{l}.attn.bqkv"])
+            att = T.causal_attention(qkv, cfg.n_heads, self._mask(t))
+            x = x + T.linear(att, p[f"b{l}.attn.wproj"], p[f"b{l}.attn.bproj"])
             ln2 = T.layer_norm(x, p[f"b{l}.ln2.g"], p[f"b{l}.ln2.b"])
-            mid = T.gelu(T.matmul(ln2, p[f"b{l}.mlp.w1"]) + p[f"b{l}.mlp.b1"])
-            x = x + (T.matmul(mid, p[f"b{l}.mlp.w2"]) + p[f"b{l}.mlp.b2"])
+            mid = T.gelu(T.linear(ln2, p[f"b{l}.mlp.w1"], p[f"b{l}.mlp.b1"]))
+            x = x + T.linear(mid, p[f"b{l}.mlp.w2"], p[f"b{l}.mlp.b2"])
         x = T.layer_norm(x, p["lnf.g"], p["lnf.b"])
         return T.matmul(x, T.transpose(p["tok_emb"]))  # tied output projection
 
@@ -215,20 +208,23 @@ def pad_batch(sequences: list[list[int]], ctx: int) -> np.ndarray:
 
 
 def great_train_step(model: GreatModel, token_batch: np.ndarray, opt: Adam) -> float:
-    """Mean next-token cross entropy under the causal mask; PAD masked out."""
+    """Mean next-token cross entropy under the causal mask, PAD masked out:
+    one guarded forward and backward, then one update."""
     ids = np.asarray(token_batch)
     inputs, targets = ids[:, :-1], ids[:, 1:]
-    logits = model.forward(inputs)
-    b, t, v = logits.data.shape
-    flat = T.reshape(logits, (b * t, v))
-    logp = T.log_softmax(flat, axis=-1)
     tgt = targets.reshape(-1)
-    keep = tgt != PAD
-    rows = np.flatnonzero(keep)
-    picked = T.take_pairs(logp, rows, tgt[rows])
-    loss = -T.mean(picked)
-    opt.zero_grad()
-    loss.backward()
+    rows = np.flatnonzero(tgt != PAD)
+
+    def step():
+        logits = model.forward(inputs)
+        b, t, v = logits.data.shape
+        logp = T.log_softmax(T.reshape(logits, (b * t, v)), axis=-1)
+        loss = -T.mean(T.take_pairs(logp, rows, tgt[rows]))
+        opt.zero_grad()
+        loss.backward()
+        return (loss,)
+
+    (loss,) = T.guarded_step("the great training step", step, opt.params)
     opt.step()
     return float(loss.data)
 

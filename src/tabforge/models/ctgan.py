@@ -92,6 +92,9 @@ class CtganConfig:
     lr: float = 2e-4
 
     def __post_init__(self):
+        for name in ("z_dim", "pac", "batch"):
+            if getattr(self, name) < 1:
+                raise ModelError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.tau <= 0:
             raise ModelError("tau (gumbel-softmax temperature) must be positive")
 
@@ -334,26 +337,28 @@ def _batch_size(model: CtganModel, n_rows: int) -> int:
     return batch
 
 
-def generator_heads(raw: Tensor, spans, tau: float, mode: str, rng) -> tuple[Tensor, dict[int, Tensor]]:
+def head_layout(spans) -> tuple[list[int], list[tuple[int, int]]]:
+    """The alpha columns and the (start, stop) one-hot blocks of a row:
+    each numeric span is an alpha then its mode indicator, each categorical
+    span one block."""
+    alphas = [s.start for s in spans if s.kind == "numeric"]
+    blocks = [(s.start + (s.kind == "numeric"), s.start + s.width) for s in spans]
+    return alphas, blocks
+
+
+def generator_heads(raw: Tensor, spans, tau: float, mode: str, rng) -> tuple[Tensor, Tensor | None]:
     """The generator's per-column heads over its last Dense output: tanh for
     each alpha, gumbel-softmax for each mode indicator and categorical block.
 
-    Returns the encoded row and, in train mode, each block's noised logits
-    over tau by its start column (the conditional cross entropy reads them).
+    Returns the encoded row and, in train mode, the noised logits over tau
+    (the conditional cross entropy reads its categorical blocks).
     """
-    parts, scaled = [], {}
-    for span in spans:
-        start = span.start
-        if span.kind == "numeric":
-            parts.append(T.tanh(raw[:, start : start + 1]))
-            start += 1
-        out, scaled[start] = gumbel_softmax(raw[:, start : span.start + span.width], tau, mode, rng)
-        parts.append(out)
-    return T.concat(parts, axis=1), scaled
+    alphas, blocks = head_layout(spans)
+    return gumbel_softmax(raw, tau, mode, rng, blocks, alphas)
 
 
 def _generate(model: CtganModel, cond: np.ndarray, mode: str, rng: np.random.Generator):
-    """Noise ⊕ cond through the generator body and heads: (row, scaled blocks)."""
+    """Noise ⊕ cond through the generator body and heads: (row, scaled logits)."""
     z = rng.standard_normal((cond.shape[0], model.config.z_dim)).astype(np.float32)
     raw = model.generator.forward(np.concatenate([z, cond], axis=1), mode=mode, rng=rng)
     return generator_heads(raw, model.transformer.spans, model.config.tau, mode, rng)
@@ -394,7 +399,7 @@ def generator_loss_graph(model: CtganModel, n_rows: int, rng: np.random.Generato
     cfg = model.config
     batch = _batch_size(model, n_rows)
     i_s, k_s, cond = sample_conditions(model, batch, rng)
-    fake, scaled_blocks = _generate(model, cond, "train", rng)
+    fake, scaled = _generate(model, cond, "train", rng)
     cond_pac = _pack(cond, cfg.pac)
     fake_pac = _pack_tensor(fake, cfg.pac)
     scores = model.critic.forward(
@@ -412,7 +417,7 @@ def generator_loss_graph(model: CtganModel, n_rows: int, rng: np.random.Generato
                 continue
             span = model.transformer.span_for(col_idx)
             rows = np.flatnonzero(mask)
-            logp = T.log_softmax(scaled_blocks[span.start], axis=1)
+            logp = T.log_softmax(scaled[:, span.start : span.start + span.width], axis=1)
             picked = T.take_pairs(logp, rows, k_s[rows])
             ce_terms.append(-T.sum_(picked))
         if ce_terms:
@@ -432,18 +437,28 @@ def ctgan_train_batch(
     adam_gen: Adam,
     row_index: RowIndex,
 ) -> dict[str, float]:
-    """One critic update, then one generator update on a fresh batch."""
-    w_loss, penalty = critic_loss_graph(model, matrix, rng, row_index)
-    critic_loss = w_loss + penalty
-    adam_critic.zero_grad()
-    adam_gen.zero_grad()
-    critic_loss.backward()
-    adam_critic.step()
+    """One critic update, then one generator update on a fresh batch; each
+    update's forward and backward is one guarded step."""
+    buffers = list(model.generator.buffers.values())
 
-    gen_loss, ce = generator_loss_graph(model, matrix.shape[0], rng)
-    adam_gen.zero_grad()
-    adam_critic.zero_grad()
-    gen_loss.backward()
+    def critic_step():
+        w_loss, penalty = critic_loss_graph(model, matrix, rng, row_index)
+        adam_critic.zero_grad()
+        adam_gen.zero_grad()
+        (w_loss + penalty).backward()
+        return w_loss, penalty
+
+    def generator_step():
+        adam_gen.zero_grad()
+        adam_critic.zero_grad()
+        with T.frozen(p for _, p in adam_critic.params):  # this step leaves the critic as it is
+            gen_loss, ce = generator_loss_graph(model, matrix.shape[0], rng)
+            gen_loss.backward()
+        return gen_loss, ce
+
+    w_loss, penalty = T.guarded_step("the ctgan critic step", critic_step, adam_critic.params, rng, buffers)
+    adam_critic.step()
+    gen_loss, ce = T.guarded_step("the ctgan generator step", generator_step, adam_gen.params, rng, buffers)
     adam_gen.step()
 
     return {

@@ -27,7 +27,7 @@ from tabforge.nn.tensor import Tensor
 from tabforge.split import name_embedding
 from tabforge.transform import ColumnTransformer, decode_matrix
 
-from tabforge.models.ctgan import ModelError
+from tabforge.models.ctgan import ModelError, head_layout
 
 VARIANTS = ("tvae", "stvae", "stvaem")
 DELTA_FLOOR = 1e-3
@@ -52,6 +52,11 @@ class VaeConfig:
             raise ModelError(f"unknown VAE variant {self.variant!r}")
         if self.recon_weight <= 0:
             raise ModelError("recon_weight must be positive")
+        for name in ("latent", "batch"):
+            if getattr(self, name) < 1:
+                raise ModelError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.sig_dim < 0:
+            raise ModelError(f"sig_dim must be >= 0, got {self.sig_dim}")
 
 
 @dataclass
@@ -164,15 +169,9 @@ def decoder_heads(raw: Tensor, spans) -> tuple[Tensor, dict[int, Tensor]]:
     Returns the encoded row and each block's pre-softmax logits by its start
     column (the reconstruction cross entropy reads them).
     """
-    parts, logits = [], {}
-    for span in spans:
-        start = span.start
-        if span.kind == "numeric":
-            parts.append(T.tanh(raw[:, start : start + 1]))
-            start += 1
-        logits[start] = raw[:, start : span.start + span.width]
-        parts.append(T.softmax(logits[start], axis=1))
-    return T.concat(parts, axis=1), logits
+    alphas, blocks = head_layout(spans)
+    logits = {start: raw[:, start:stop] for start, stop in blocks}
+    return T.span_heads(raw, alphas, blocks, raw), logits
 
 
 def vae_forward(model: VaeModel, batch: np.ndarray, rng: np.random.Generator):
@@ -244,10 +243,16 @@ def elbo_loss(
 
 
 def vae_train_batch(model: VaeModel, batch: np.ndarray, rng: np.random.Generator, opt: Adam) -> float:
-    mu, sigma, heads, logits, _ = vae_forward(model, batch, rng)
-    loss = elbo_loss(model, heads, logits, batch, mu, sigma)
-    opt.zero_grad()
-    loss.backward()
+    """One guarded forward and backward of the ELBO, then one update."""
+
+    def step():
+        mu, sigma, heads, logits, _ = vae_forward(model, batch, rng)
+        loss = elbo_loss(model, heads, logits, batch, mu, sigma)
+        opt.zero_grad()
+        loss.backward()
+        return (loss,)
+
+    (loss,) = T.guarded_step(f"the {model.config.variant} step", step, opt.params, rng)
     opt.step()
     model.clamp_delta()
     return float(loss.data)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from tabforge.nn import tensor as T
@@ -30,24 +32,32 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def gumbel_softmax(
-    logits: Tensor, tau: float, mode: str, rng: np.random.Generator | None
+    logits: Tensor,
+    tau: float,
+    mode: str,
+    rng: np.random.Generator | None,
+    blocks: list[tuple[int, int]] | None = None,
+    alphas: Sequence[int] = (),
 ) -> tuple[Tensor, Tensor | None]:
-    """Gumbel-softmax over the rows of a (batch, k) block of logits.
+    """Gumbel-softmax over each (start, stop) column block of a (batch, width)
+    array of logits, by default one block over all of it, with tanh at the
+    `alphas` columns instead; the blocks and alphas must cover every column.
 
-    Train mode returns (softmax((logits + g) / tau), (logits + g) / tau) with
-    g standard Gumbel noise from one `rng.random` draw; the second value is
-    what a cross entropy against the block reads.  Eval mode is
-    deterministic: the hard one-hot at the un-noised argmax, and None.
+    Train mode returns (heads, (logits + g) / tau) with g standard Gumbel
+    noise drawn block by block, one `rng.random` draw each; the second value
+    is what a cross entropy against a block reads.  Eval mode is
+    deterministic: the hard one-hot at each block's un-noised argmax, and
+    None.  The heads are one tape node, and the noising another.
     """
+    if blocks is None:
+        blocks = [(0, logits.data.shape[1])]
     if mode == "eval":
-        idx = logits.data.argmax(axis=1)
-        hard = np.zeros_like(logits.data)
-        hard[np.arange(hard.shape[0]), idx] = 1.0
-        return Tensor(hard), None
+        return T.span_heads(logits, alphas, blocks), None
     if rng is None:
         raise ValueError("train-mode gumbel-softmax needs an rng")
-    u = rng.random(logits.data.shape)
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    noise = -np.log(-np.log(u)).astype(logits.data.dtype)
-    scaled = (logits + Tensor(noise)) * (1.0 / tau)
-    return T.softmax(scaled, axis=1), scaled
+    noise = np.zeros_like(logits.data)
+    for start, stop in blocks:
+        u = np.clip(rng.random((logits.data.shape[0], stop - start)), 1e-12, 1.0 - 1e-12)
+        noise[:, start:stop] = -np.log(-np.log(u))
+    scaled = T.gumbel_scale(logits, noise, tau)
+    return T.span_heads(logits, alphas, blocks, scaled), scaled

@@ -158,14 +158,14 @@ class Net:
             if kind == "dense":
                 w, b = self.params[f"{name}.W"], self.params[f"{name}.b"]
                 self._trace.append(("dense", w))
-                x = T.matmul(x, w) + b
+                x = T.linear(x, w, b)
             elif kind == "act":
                 if isinstance(layer, ReLU):
-                    factor = (x.data > 0.0).astype(x.data.dtype)
-                    x = T.relu(x)
+                    factor = T.relu_factor(x.data)
+                    x = T.relu(x, factor)
                 else:
-                    factor = np.where(x.data > 0.0, 1.0, LEAKY_SLOPE).astype(x.data.dtype)
-                    x = T.leaky_relu(x, LEAKY_SLOPE)
+                    factor = T.leaky_factor(x.data, LEAKY_SLOPE)
+                    x = T.leaky_relu(x, factor)
                 self._trace.append(("scale", factor))
             elif kind == "batchnorm":
                 x = self._batchnorm(name, x, mode)
@@ -190,16 +190,12 @@ class Net:
         gamma, beta = self.params[f"{name}.gamma"], self.params[f"{name}.beta"]
         rm, rv = self.buffers[f"{name}.running_mean"], self.buffers[f"{name}.running_var"]
         if mode == "train":
-            mu = x.mean(axis=0)
-            centered = x - mu
-            var = (centered * centered).mean(axis=0)
-            norm = centered * ((var + BN_EPS) ** -0.5)
+            out, mu, var = T.batch_norm(x, gamma, beta, BN_EPS)
             m = BN_MOMENTUM
-            rm.data = ((1.0 - m) * rm.data + m * mu.data).astype(self.dtype)
-            rv.data = ((1.0 - m) * rv.data + m * var.data).astype(self.dtype)
-        else:
-            norm = (x - rm) * Tensor((rv.data + BN_EPS) ** -0.5)
-        return norm * gamma + beta
+            rm.data = ((1.0 - m) * rm.data + m * mu).astype(self.dtype)
+            rv.data = ((1.0 - m) * rv.data + m * var).astype(self.dtype)
+            return out
+        return T.batch_norm(x, gamma, beta, BN_EPS, (rm.data, rv.data))[0]
 
     # -- gradients -------------------------------------------------------------
 

@@ -15,6 +15,7 @@ the snapshot that scores best against a held-out slice.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -81,6 +82,8 @@ class TrainConfig:
             raise TrainingError(f"unknown model kind {self.kind!r}")
         if self.iterations < 1:
             raise TrainingError("iterations must be >= 1")
+        if self.epochs < 0:
+            raise TrainingError(f"epochs must be >= 0, got {self.epochs}")
         if self.ckpt_every < 1:
             raise TrainingError(f"ckpt_every must be >= 1, got {self.ckpt_every}")
         if not 0.0 <= self.val_fraction < 1.0:
@@ -331,7 +334,10 @@ class _GreatDriver:
         # Fine-tuning continues with the pretraining vocabulary; training
         # from scratch fits one to the table.
         vocab = Vocab.from_dict((aux or self.corpus_aux([table], config))["vocab"])
-        return {"table": table, "vocab": vocab, "rows": np.arange(table.n_rows)}
+        # Every epoch serializes each row again, in a fresh column order; on
+        # narrow tables the same sentences keep coming back.
+        encode = functools.lru_cache(maxsize=4 * table.n_rows + 16)(vocab.encode)
+        return {"table": table, "vocab": vocab, "encode": encode, "rows": np.arange(table.n_rows)}
 
     def build(self, prep, config: TrainConfig, seed: int):
         return build_great(config.great, prep["vocab"], seed)
@@ -341,13 +347,12 @@ class _GreatDriver:
 
     def _framed(self, prep, rows, permute_rng=None) -> list[list[int]]:
         table = prep["table"]
-        vocab = prep["vocab"]
         out = []
         for r in rows:
             sentence = serialize_row_text(
                 table.columns, table.rows[r], permute=permute_rng is not None, rng=permute_rng
             )
-            out.append([BOS] + vocab.encode(sentence) + [EOS])
+            out.append([BOS] + prep["encode"](sentence) + [EOS])
         return out
 
     def train_epoch(self, model, session, row_ids: np.ndarray, rng) -> float:

@@ -277,6 +277,29 @@ class TestFailuresExitTwo:
         key = flag.split(".")[1].split("=")[0]
         assert f"{key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, named", [
+        ("--model.batch=0", "batch must be >= 1, got 0"),
+        ("--model.pac=0", "pac must be >= 1, got 0"),
+        ("--model.z_dim=0", "z_dim must be >= 1, got 0"),
+        ("--model.latent=0", "latent must be >= 1, got 0"),
+        ("--model.sig_dim=-1", "sig_dim must be >= 0, got -1"),
+        ("--model.great.d_model=0", "great.d_model must be >= 1, got 0"),
+        ("--model.great.n_heads=0", "great.n_heads must be >= 1, got 0"),
+        ("--model.great.n_layers=0", "great.n_layers must be >= 1, got 0"),
+        ("--model.great.ctx=0", "great.ctx must be >= 1, got 0"),
+        ("--model.great.batch=0", "great.batch must be >= 1, got 0"),
+        ("--training.epochs=-2", "epochs must be >= 0, got -2"),
+    ])
+    def test_nonpositive_size_is_a_data_error(self, flag, named, pipeline_dirs, monkeypatch, capsys):
+        cleaned, _, tmp = pipeline_dirs
+        table = sorted(cleaned.glob("*.csv"))[0]
+        args = ["train-scratch", "--table", str(table), "--method", "ctgan",
+                "--out", str(tmp / "g.ckpt"), *TINY, flag]
+        assert main_exit_code(monkeypatch, args) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {named}\n"
+        assert not (tmp / "g.ckpt").exists()
+
     def _great_body(self, cleaned, manifest, tmp):
         pre = tmp / "great.pre.ckpt"
         run(["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabforge.data import ColumnKind, ColumnMeta
+from tabforge.data import ColumnKind, ColumnMeta, Table
 from tabforge.great.bpe import BOS, BYTE_BASE, EOS, MIN_VOCAB, PAD, BpeError, train_bpe
 import tabforge.nn.tensor as T
 from tabforge.great.model import (
@@ -21,6 +21,7 @@ from tabforge.great.model import (
     sequence_nll,
 )
 from tabforge.textrow import serialize_row_text
+from tabforge.training import TrainConfig, TrainingError, finetune, pretrain
 
 
 class TestBpe:
@@ -258,3 +259,36 @@ class TestCachedDecode:
         model.params["b0.mlp.w1"].data = model.params["b0.mlp.w1"].data * np.float32(scale)
         with pytest.raises(FloatingPointError, match=named):
             model.forward(np.asarray([[BOS]]), KVCache(model.config))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestTrainingOverflow:
+    """MLP pre-activations near 1e13: GELU's cube overflows while tanh
+    saturates, so every op's output stays finite, and the step still stops."""
+
+    SCHEMA = TestGeneration.SCHEMA
+    ROWS = TestCachedDecode.ROWS
+
+    def test_gelu_cube_overflow_stops_the_step_before_the_update(self):
+        sentences = [serialize_row_text(self.SCHEMA, r) for r in self.ROWS]
+        model, vocab = tiny_model(sentences, d=16, layers=1, ctx=48, seed=1)
+        model.params["b0.mlp.w1"].data = model.params["b0.mlp.w1"].data * np.float32(1e14)
+        before = {name: t.data.copy() for name, t in model.params.items()}
+        batch = pad_batch([[BOS] + vocab.encode(s) + [EOS] for s in sentences], model.config.ctx)
+        with pytest.raises(FloatingPointError, match="overflow encountered in power in the great training step"):
+            great_train_step(model, batch, model.optimizer())
+        assert all(np.array_equal(before[name], t.data) for name, t in model.params.items())
+
+    def test_finetune_names_method_table_and_epoch(self):
+        table = Table("people", list(self.SCHEMA), [list(r) for r in self.ROWS] * 4)
+        cfg = TrainConfig(
+            kind="great", seed=0, iterations=1, epochs=2,
+            great=GreatConfig(d_model=16, n_heads=2, n_layers=1, ctx=96, vocab_size=300, batch=8),
+        )
+        body, _ = pretrain([table], cfg)
+        body.tensors["b0.mlp.w1"] = body.tensors["b0.mlp.w1"] * np.float32(1e14)
+        with pytest.raises(TrainingError, match=(
+            "great training diverged on table 'people' at epoch 1: "
+            "overflow encountered in power in the great training step"
+        )):
+            finetune(body, table, cfg)

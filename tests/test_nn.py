@@ -34,13 +34,23 @@ def _scalarize(out: Tensor, rng: np.random.Generator) -> Tensor:
 # 2-category column: the span layout the model head loops walk.
 HEAD_SPANS = (ColumnSpan(0, "numeric", 0, 4), ColumnSpan(1, "categorical", 4, 2))
 
+def tanh_head(out: Tensor) -> Tensor:
+    """Elementwise tanh as the models' heads compute it: every column an alpha."""
+    return T.span_heads(out, range(out.data.shape[1]), [])
+
+
+def softmax_head(out: Tensor) -> Tensor:
+    """Row softmax as the models' heads compute it: one block over the row."""
+    return T.span_heads(out, [], [(0, out.data.shape[1])], out)
+
+
 # Each case: Net layers, then the head (if any) the models apply to its output.
 LAYER_CASES = {
     "dense": ([Dense(5, 4)], None),
     "relu": ([Dense(5, 4), ReLU()], None),
     "leaky": ([Dense(5, 4), LeakyReLU()], None),
-    "tanh": ([Dense(5, 4)], lambda out, rng: T.tanh(out)),
-    "softmax": ([Dense(5, 4)], lambda out, rng: T.softmax(out, axis=1)),
+    "tanh": ([Dense(5, 4)], lambda out, rng: tanh_head(out)),
+    "softmax": ([Dense(5, 4)], lambda out, rng: softmax_head(out)),
     "gumbel": ([Dense(5, 4)], lambda out, rng: gumbel_softmax(out, 0.5, "train", rng)[0]),
     "batchnorm": ([Dense(5, 4), BatchNorm(4)], None),
     "dropout": ([Dense(5, 4), Dropout(0.4)], None),
@@ -86,7 +96,7 @@ def test_zero_output_gradient_gives_zero_parameter_gradients():
 
 def test_tanh_derivative_at_zero_is_one():
     x = Tensor(np.zeros((1, 1)), requires_grad=True)
-    y = T.tanh(x)
+    y = tanh_head(x)
     y.backward(np.ones((1, 1)))
     assert np.allclose(x.grad, 1.0)
 
@@ -116,7 +126,7 @@ def test_dropout_p0_is_identity_in_both_modes():
 def test_softmax_rows_sum_to_one():
     net = Net([Dense(5, 4)], np.random.default_rng(3))
     x = np.random.default_rng(0).normal(size=(7, 5)).astype(np.float32)
-    out = T.softmax(net.forward(x, "eval"), axis=1)
+    out = softmax_head(net.forward(x, "eval"))
     assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
 
 
@@ -126,8 +136,8 @@ def test_eval_forward_is_bitwise_deterministic():
     x = np.random.default_rng(1).normal(size=(9, 6)).astype(np.float32)
     # Touch train mode first so running stats are non-trivial.
     net.forward(x, "train", np.random.default_rng(7))
-    a = T.softmax(net.forward(x, "eval"), axis=1).data
-    b = T.softmax(net.forward(x, "eval"), axis=1).data
+    a = softmax_head(net.forward(x, "eval")).data
+    b = softmax_head(net.forward(x, "eval")).data
     assert np.array_equal(a, b)
 
 
