@@ -439,8 +439,6 @@ def ctgan_train_batch(
 ) -> dict[str, float]:
     """One critic update, then one generator update on a fresh batch; each
     update's forward and backward is one guarded step."""
-    buffers = list(model.generator.buffers.values())
-
     def critic_step():
         w_loss, penalty = critic_loss_graph(model, matrix, rng, row_index)
         adam_critic.zero_grad()
@@ -456,9 +454,9 @@ def ctgan_train_batch(
             gen_loss.backward()
         return gen_loss, ce
 
-    w_loss, penalty = T.guarded_step("the ctgan critic step", critic_step, adam_critic.params, rng, buffers)
+    w_loss, penalty = T.guarded_step("the ctgan critic step", critic_step, adam_critic.params, rng)
     adam_critic.step()
-    gen_loss, ce = T.guarded_step("the ctgan generator step", generator_step, adam_gen.params, rng, buffers)
+    gen_loss, ce = T.guarded_step("the ctgan generator step", generator_step, adam_gen.params, rng)
     adam_gen.step()
 
     return {

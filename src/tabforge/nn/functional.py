@@ -36,12 +36,12 @@ def gumbel_softmax(
     tau: float,
     mode: str,
     rng: np.random.Generator | None,
-    blocks: list[tuple[int, int]] | None = None,
-    alphas: Sequence[int] = (),
+    blocks: list[tuple[int, int]],
+    alphas: Sequence[int],
 ) -> tuple[Tensor, Tensor | None]:
     """Gumbel-softmax over each (start, stop) column block of a (batch, width)
-    array of logits, by default one block over all of it, with tanh at the
-    `alphas` columns instead; the blocks and alphas must cover every column.
+    array of logits, with tanh at the `alphas` columns instead; the blocks
+    and alphas must cover every column.
 
     Train mode returns (heads, (logits + g) / tau) with g standard Gumbel
     noise drawn block by block, one `rng.random` draw each; the second value
@@ -49,8 +49,6 @@ def gumbel_softmax(
     deterministic: the hard one-hot at each block's un-noised argmax, and
     None.  The heads are one tape node, and the noising another.
     """
-    if blocks is None:
-        blocks = [(0, logits.data.shape[1])]
     if mode == "eval":
         return T.span_heads(logits, alphas, blocks), None
     if rng is None:

@@ -131,7 +131,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited and (p.requires_grad or p._vjp is not None):
+                if id(p) not in visited and p._connected():
                     stack.append((p, False))
 
         # Each node's contributions add up in the order its consumers run.
@@ -145,7 +145,7 @@ class Tensor:
             if node._vjp is None:
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None or not (parent.requires_grad or parent._vjp is not None):
+                if pg is None or not parent._connected():
                     continue
                 if pg.dtype != parent.data.dtype:
                     pg = pg.astype(parent.data.dtype)
@@ -211,7 +211,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp, opname: str) -> Te
     out.data = data if data.dtype in _FLOATS else data.astype(np.float32)
     out.grad = None
     out.requires_grad = False
-    if _GRAD_ENABLED and any(p.requires_grad or p._vjp is not None for p in parents):
+    if _GRAD_ENABLED and any(p._connected() for p in parents):
         out._parents = parents
         out._vjp = vjp
     else:
@@ -696,20 +696,18 @@ def span_heads(raw: Tensor, alphas, blocks, probs_of: Tensor | None = None):
 # -- the training-step guard ------------------------------------------------------
 
 
-def guarded_step(step: str, run: Callable[[], tuple], params, rng=None, buffers=()):
+def guarded_step(step: str, run: Callable[[], tuple], params, rng=None):
     """Run one training step's forward and backward with one finiteness check.
 
     `run()` builds the losses, backpropagates and returns the losses (None
     for a term the step did not have).  It runs with the per-op checks off
     and numpy raising on any overflow or invalid value; then the losses and
     the gradients of `params`, (name, tensor) pairs as an optimizer holds
-    them, are checked once.  On a failure `rng` and the `buffers` (running
-    statistics) are rewound and the step replays with per-op checks, so the
-    FloatingPointError names the op; if the replay names none, it names
-    `step`.
+    them, are checked once.  On a failure `rng` is rewound and the step
+    replays with per-op checks, so the FloatingPointError names the op; if
+    the replay names none, it names `step`.
     """
     rng_state = None if rng is None else rng.bit_generator.state
-    saved = [t.data for t in buffers]  # updates assign new arrays
     try:
         with _op_checks(False), np.errstate(over="raise", invalid="raise"):
             losses = run()
@@ -722,8 +720,6 @@ def guarded_step(step: str, run: Callable[[], tuple], params, rng=None, buffers=
         detail = str(exc)
     if rng is not None:
         rng.bit_generator.state = rng_state
-    for t, data in zip(buffers, saved):
-        t.data = data
     with _op_checks(True):
         run()
     raise FloatingPointError(f"{detail} in {step}")

@@ -15,7 +15,6 @@ the snapshot that scores best against a held-out slice.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -334,10 +333,7 @@ class _GreatDriver:
         # Fine-tuning continues with the pretraining vocabulary; training
         # from scratch fits one to the table.
         vocab = Vocab.from_dict((aux or self.corpus_aux([table], config))["vocab"])
-        # Every epoch serializes each row again, in a fresh column order; on
-        # narrow tables the same sentences keep coming back.
-        encode = functools.lru_cache(maxsize=4 * table.n_rows + 16)(vocab.encode)
-        return {"table": table, "vocab": vocab, "encode": encode, "rows": np.arange(table.n_rows)}
+        return {"table": table, "vocab": vocab, "rows": np.arange(table.n_rows)}
 
     def build(self, prep, config: TrainConfig, seed: int):
         return build_great(config.great, prep["vocab"], seed)
@@ -347,12 +343,13 @@ class _GreatDriver:
 
     def _framed(self, prep, rows, permute_rng=None) -> list[list[int]]:
         table = prep["table"]
+        vocab = prep["vocab"]
         out = []
         for r in rows:
             sentence = serialize_row_text(
                 table.columns, table.rows[r], permute=permute_rng is not None, rng=permute_rng
             )
-            out.append([BOS] + prep["encode"](sentence) + [EOS])
+            out.append([BOS] + vocab.encode(sentence) + [EOS])
         return out
 
     def train_epoch(self, model, session, row_ids: np.ndarray, rng) -> float:

@@ -51,7 +51,7 @@ LAYER_CASES = {
     "leaky": ([Dense(5, 4), LeakyReLU()], None),
     "tanh": ([Dense(5, 4)], lambda out, rng: tanh_head(out)),
     "softmax": ([Dense(5, 4)], lambda out, rng: softmax_head(out)),
-    "gumbel": ([Dense(5, 4)], lambda out, rng: gumbel_softmax(out, 0.5, "train", rng)[0]),
+    "gumbel": ([Dense(5, 4)], lambda out, rng: gumbel_softmax(out, 0.5, "train", rng, [(0, 4)], ())[0]),
     "batchnorm": ([Dense(5, 4), BatchNorm(4)], None),
     "dropout": ([Dense(5, 4), Dropout(0.4)], None),
     "concat_skip": ([ConcatSkip((Dense(5, 3), BatchNorm(3), ReLU()))], None),
@@ -156,19 +156,19 @@ class TestGumbelSoftmax:
     def test_soft_mode_simplex(self):
         rng = np.random.default_rng(0)
         logits = Tensor(rng.normal(size=(50, 6)).astype(np.float32))
-        out, _ = gumbel_softmax(logits, 0.5, "train", rng)
+        out, _ = gumbel_softmax(logits, 0.5, "train", rng, [(0, 6)], ())
         assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(out.data > 0.0)
 
     def test_dominant_logit_wins(self):
         logits = Tensor(np.array([[50.0, 0.0, 0.0]], dtype=np.float32))
         for seed in range(20):
-            out, _ = gumbel_softmax(logits, 0.2, "train", np.random.default_rng(seed))
+            out, _ = gumbel_softmax(logits, 0.2, "train", np.random.default_rng(seed), [(0, 3)], ())
             assert out.data[0, 0] > 0.999
 
     def test_eval_mode_is_one_hot_at_argmax(self):
         logits = np.random.default_rng(1).normal(size=(10, 4)).astype(np.float32)
-        out, scaled = gumbel_softmax(Tensor(logits), 0.3, "eval", None)
+        out, scaled = gumbel_softmax(Tensor(logits), 0.3, "eval", None, [(0, 4)], ())
         assert scaled is None
         assert np.all(np.sort(out.data, axis=1)[:, :-1] == 0.0)
         assert np.all(out.data.max(axis=1) == 1.0)

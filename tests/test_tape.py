@@ -230,18 +230,15 @@ def test_tape_nodes_per_great_step(node_count):
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_failing_step_replays_from_the_same_state_and_names_the_op():
     rng = np.random.default_rng(0)
-    stats = Tensor(np.zeros(2))
     seen = []
 
     def run():
-        seen.append((rng.random(), stats.data.copy()))
-        stats.data = stats.data + 1.0
+        seen.append(rng.random())
         return (T.mul(Tensor(np.array([1e30], dtype=np.float32)), 1e10),)
 
     with pytest.raises(FloatingPointError, match="produced by op 'mul'"):
-        T.guarded_step("the test step", run, [], rng, [stats])
-    assert len(seen) == 2 and seen[0][0] == seen[1][0]
-    assert np.array_equal(seen[0][1], seen[1][1])
+        T.guarded_step("the test step", run, [], rng)
+    assert len(seen) == 2 and seen[0] == seen[1]
     assert T._CHECK_OPS
 
 
