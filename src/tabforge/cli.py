@@ -363,9 +363,7 @@ def _benchmark_one(args):
             # the regime zero instead of aborting the whole grid.
             results[regime] = TableReport(table.name, {}, {}, 0.0, 0.0, 0.0, 0, False)
         else:
-            cols = _union_categories(table.columns, syn.rows)
-            real, syn = Table(table.name, cols, table.rows), Table(syn.name, cols, syn.rows)
-            results[regime] = table_report(real, syn)
+            results[regime] = table_report(table, syn)
         logs[regime] = log
         checkpoints[regime] = ckpt
     return table.name, results, logs, checkpoints
@@ -440,6 +438,24 @@ def benchmark_cmd(manifest_path, clean_dir, methods, pretrained_paths, part, out
     click.echo(board.render())
 
 
+def _read_report(path: Path) -> tuple[tuple[str, str, str], TableReport]:
+    """A `<table>.<method>.<regime>.json` report as its key and TableReport;
+    a file that is not one is a DataError naming it."""
+    key = tuple(path.stem.rsplit(".", 2))
+    if len(key) != 3:
+        raise DataError(f"{path}: a report is named <table>.<method>.<regime>.json")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"{path}: not a benchmark report: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: not a benchmark report: not a JSON object")
+    try:
+        return key, TableReport(**{k: v for k, v in doc.items() if k != "_provenance"})
+    except (TypeError, MetricError) as exc:  # missing, unknown or ill-typed fields
+        raise DataError(f"{path}: not a benchmark report: {exc}") from None
+
+
 @cli.command("report", context_settings=EXTRA)
 @click.option("--bench-dir", type=click.Path(exists=True, file_okay=False), required=True)
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
@@ -452,15 +468,12 @@ def report_cmd(bench_dir, out_dir, config_path, overrides):
     reports_dir = bench / "reports"
     if not reports_dir.exists():
         raise DataError(f"{bench_dir} has no reports/ directory")
-    loaded: dict[tuple[str, str, str], dict] = {}
-    for path in sorted(reports_dir.glob("*.json")):
-        table, method, regime = path.stem.rsplit(".", 2)
-        loaded[(table, method, regime)] = json.loads(path.read_text(encoding="utf-8"))
+    loaded = dict(_read_report(path) for path in sorted(reports_dir.glob("*.json")))
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     deltas = {}
-    for (table, method, regime), doc in loaded.items():
+    for (table, method, regime), report in loaded.items():
         if regime != "finetuned":
             continue
         scratch = loaded.get((table, method, "scratch"))
@@ -468,20 +481,19 @@ def report_cmd(bench_dir, out_dir, config_path, overrides):
             continue
         deltas[f"{table}.{method}"] = {
             "shape": {
-                col: doc["shape_scores"][col] - scratch["shape_scores"].get(col, 0.0)
-                for col in doc["shape_scores"]
+                col: report.shape_scores[col] - scratch.shape_scores.get(col, 0.0)
+                for col in report.shape_scores
             },
             "trend": {
-                pair: doc["trend_scores"][pair] - scratch["trend_scores"].get(pair, 0.0)
-                for pair in doc["trend_scores"]
+                pair: report.trend_scores[pair] - scratch.trend_scores.get(pair, 0.0)
+                for pair in report.trend_scores
             },
         }
     (out / "deltas.json").write_text(json.dumps(deltas, indent=2, sort_keys=True), encoding="utf-8")
 
     keyed: dict[tuple[str, str, str], list[TableReport]] = {}
-    for (table, method, regime), doc in loaded.items():
-        rep = TableReport(**{k: v for k, v in doc.items() if k != "_provenance"})
-        keyed.setdefault(("bench", method, regime), []).append(rep)
+    for (_, method, regime), report in loaded.items():
+        keyed.setdefault(("bench", method, regime), []).append(report)
     board = build_leaderboard(keyed)
     (out / "leaderboard.csv").write_text(_provenance_line(cfg) + board.to_csv(), encoding="utf-8")
     (out / "leaderboard.txt").write_text(board.render(), encoding="utf-8")

@@ -178,7 +178,8 @@ def _column_pair_score(real: Table, syn: Table, i: int, j: int) -> float:
 
 
 def table_report(real: Table, syn: Table) -> TableReport:
-    """Shape and trend scores for a synthetic table against its real source."""
+    """Shape and trend scores for a synthetic table against its real source;
+    a null cell in either table is a MetricError naming the table and column."""
     if [c.name for c in real.columns] != [c.name for c in syn.columns]:
         raise MetricError("real and synthetic tables must share a schema")
     if [c.kind.variant for c in real.columns] != [c.kind.variant for c in syn.columns]:
@@ -189,6 +190,9 @@ def table_report(real: Table, syn: Table) -> TableReport:
     shape_scores: dict[str, float] = {}
     for i, col in enumerate(real.columns):
         r, s = real.column_values(i), syn.column_values(i)
+        for table, values in ((real, r), (syn, s)):
+            if None in values:
+                raise MetricError(f"table {table.name!r} has a null cell in column {col.name!r}")
         if col.kind.is_numerical:
             shape_scores[col.name] = ks_shape(r, s)
         else:

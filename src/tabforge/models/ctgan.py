@@ -45,42 +45,6 @@ class ModelError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CondLayout:
-    """Offsets of each categorical column's one-hot block within cond."""
-
-    columns: tuple[int, ...]  # schema indices, in encoded (categorical) order
-    widths: tuple[int, ...]
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        out = []
-        pos = 0
-        for w in self.widths:
-            out.append(pos)
-            pos += w
-        return tuple(out)
-
-    @property
-    def total_width(self) -> int:
-        return sum(self.widths)
-
-    @property
-    def n_columns(self) -> int:
-        return len(self.columns)
-
-
-def build_cond_vector(layout: CondLayout, i_star: int, k_star: int) -> np.ndarray:
-    """All-zero vector with a single 1 at offset(i*) + k*."""
-    if not 0 <= i_star < layout.n_columns:
-        raise ModelError(f"categorical column index {i_star} out of range")
-    if not 0 <= k_star < layout.widths[i_star]:
-        raise ModelError(f"category index {k_star} out of range for column {i_star}")
-    vec = np.zeros(layout.total_width, dtype=np.float32)
-    vec[layout.offsets[i_star] + k_star] = 1.0
-    return vec
-
-
 @dataclass
 class CtganConfig:
     z_dim: int = 128
@@ -102,7 +66,6 @@ class CtganConfig:
 @dataclass
 class CtganModel:
     transformer: ColumnTransformer
-    layout: CondLayout
     generator: Net
     critic: Net
     log_pmfs: list[np.ndarray]  # per categorical column, sums to 1
@@ -114,7 +77,8 @@ class CtganModel:
         gen_out = self.generator.out_width
         if gen_out != self.row_width:
             raise ModelError(f"generator output {gen_out} != encoded row width {self.row_width}")
-        expect = self.config.pac * (self.row_width + self.layout.total_width)
+        cond_w = self.row_width - self.transformer.cond_start
+        expect = self.config.pac * (self.row_width + cond_w)
         if self.critic.in_width != expect:
             raise ModelError(f"critic input {self.critic.in_width} != pac*(row+cond) = {expect}")
 
@@ -149,24 +113,20 @@ def build_ctgan(
     return make_ctgan(transformer, config, condition_log_pmfs(transformer, matrix), seed, dtype)
 
 
-def cond_layout_of(transformer: ColumnTransformer) -> CondLayout:
-    cat_spans = [s for s in transformer.spans if s.kind == "categorical"]
-    return CondLayout(
-        columns=tuple(s.column for s in cat_spans),
-        widths=tuple(s.width for s in cat_spans),
-    )
+def _cond_blocks(transformer: ColumnTransformer) -> list[tuple[int, int]]:
+    """The categorical one-hot blocks: the row's tail the condition covers."""
+    return [b for b in transformer.blocks if b[0] >= transformer.cond_start]
 
 
 def condition_log_pmfs(transformer: ColumnTransformer, matrix: np.ndarray) -> list[np.ndarray]:
     """Per categorical column, the log-frequency PMF of its categories over
     the rows of an encoded matrix."""
     pmfs = []
-    for span in transformer.spans:
-        if span.kind == "categorical":
-            counts = matrix[:, span.start : span.start + span.width].sum(axis=0)
-            logs = np.log1p(np.asarray(counts, dtype=np.float64))
-            total = logs.sum()
-            pmfs.append(logs / total if total > 0 else np.full(len(counts), 1.0 / len(counts)))
+    for start, stop in _cond_blocks(transformer):
+        counts = matrix[:, start:stop].sum(axis=0)
+        logs = np.log1p(np.asarray(counts, dtype=np.float64))
+        total = logs.sum()
+        pmfs.append(logs / total if total > 0 else np.full(len(counts), 1.0 / len(counts)))
     return pmfs
 
 
@@ -177,9 +137,8 @@ def make_ctgan(
     seed: int,
     dtype=np.float32,
 ) -> CtganModel:
-    layout = cond_layout_of(transformer)
     row_w = transformer.total_width
-    cond_w = layout.total_width
+    cond_w = row_w - transformer.cond_start
     z = config.z_dim
     h1, h2 = config.hidden
 
@@ -217,32 +176,47 @@ def make_ctgan(
     generator = Net(gen_layers, rng, dtype=dtype)
     critic = Net(critic_layers, rng, dtype=dtype)
 
-    return CtganModel(transformer, layout, generator, critic, list(log_pmfs), config)
+    return CtganModel(transformer, generator, critic, list(log_pmfs), config)
 
 
 # -- training-by-sampling -----------------------------------------------------
+
+
+def _cond_matrix(transformer: ColumnTransformer, i_stars: np.ndarray, k_stars: np.ndarray) -> np.ndarray:
+    """One conditional vector per (i*, k*) pair: the row's categorical tail,
+    all zero but for category k* of categorical column i*."""
+    blocks = _cond_blocks(transformer)
+    bad = (i_stars < 0) | (i_stars >= len(blocks))
+    if bad.any():
+        raise ModelError(f"categorical column index {i_stars[bad][0]} out of range")
+    starts = np.array([start for start, _ in blocks], dtype=np.int64)
+    widths = np.array([stop - start for start, stop in blocks], dtype=np.int64)
+    bad = (k_stars < 0) | (k_stars >= widths[i_stars])
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ModelError(f"category index {k_stars[j]} out of range for column {i_stars[j]}")
+    cond = np.zeros((len(i_stars), transformer.total_width - transformer.cond_start), dtype=np.float32)
+    cond[np.arange(len(i_stars)), starts[i_stars] - transformer.cond_start + k_stars] = 1.0
+    return cond
 
 
 def sample_conditions(model: CtganModel, n: int, rng: np.random.Generator):
     """n draws of (i*, k*): column uniform, category from its log-frequency
     PMF.  Returns (i_stars, k_stars, cond matrix); condition-free tables (no
     categorical columns) give (None, None, an (n, 0) matrix)."""
-    layout = model.layout
-    if layout.n_columns == 0:
+    n_columns = len(_cond_blocks(model.transformer))
+    if n_columns == 0:
         return None, None, np.zeros((n, 0), dtype=np.float32)
-    i_stars = rng.integers(layout.n_columns, size=n)
+    i_stars = rng.integers(n_columns, size=n)
     k_stars = np.zeros(n, dtype=np.int64)
-    for c in range(layout.n_columns):
+    for c in range(n_columns):
         mask = i_stars == c
         if not mask.any():
             continue
         cum = np.cumsum(model.log_pmfs[c])
         u = rng.random(int(mask.sum()))
         k_stars[mask] = np.minimum((u[:, None] > cum[None, :]).sum(axis=1), len(cum) - 1)
-    cond = np.zeros((n, layout.total_width), dtype=np.float32)
-    offsets = np.asarray(layout.offsets)
-    cond[np.arange(n), offsets[i_stars] + k_stars] = 1.0
-    return i_stars, k_stars, cond
+    return i_stars, k_stars, _cond_matrix(model.transformer, i_stars, k_stars)
 
 
 @dataclass(frozen=True)
@@ -257,16 +231,12 @@ class RowIndex:
 
 def build_row_index(model: CtganModel, matrix: np.ndarray) -> RowIndex:
     """Index the rows of an encoded matrix by their categorical one-hots."""
-    layout = model.layout
-    cols = [
-        model.transformer.span_for(col_idx).start + k
-        for col_idx, width in zip(layout.columns, layout.widths)
-        for k in range(width)
-    ]
-    hits = matrix[:, cols] == 1.0
+    cond_start = model.transformer.cond_start
+    hits = matrix[:, cond_start:] == 1.0
     _, rows = np.nonzero(hits.T)  # grouped by cond position, rows ascending
     counts = hits.sum(axis=0)
-    return RowIndex(np.asarray(layout.offsets, dtype=np.int64), np.cumsum(counts) - counts, counts, rows)
+    offsets = np.array([start - cond_start for start, _ in _cond_blocks(model.transformer)], dtype=np.int64)
+    return RowIndex(offsets, np.cumsum(counts) - counts, counts, rows)
 
 
 def sample_real_conditioned(
@@ -337,31 +307,21 @@ def _batch_size(model: CtganModel, n_rows: int) -> int:
     return batch
 
 
-def head_layout(spans) -> tuple[list[int], list[tuple[int, int]]]:
-    """The alpha columns and the (start, stop) one-hot blocks of a row:
-    each numeric span is an alpha then its mode indicator, each categorical
-    span one block."""
-    alphas = [s.start for s in spans if s.kind == "numeric"]
-    blocks = [(s.start + (s.kind == "numeric"), s.start + s.width) for s in spans]
-    return alphas, blocks
-
-
-def generator_heads(raw: Tensor, spans, tau: float, mode: str, rng) -> tuple[Tensor, Tensor | None]:
+def generator_heads(raw: Tensor, transformer: ColumnTransformer, tau: float, mode: str, rng):
     """The generator's per-column heads over its last Dense output: tanh for
     each alpha, gumbel-softmax for each mode indicator and categorical block.
 
     Returns the encoded row and, in train mode, the noised logits over tau
     (the conditional cross entropy reads its categorical blocks).
     """
-    alphas, blocks = head_layout(spans)
-    return gumbel_softmax(raw, tau, mode, rng, blocks, alphas)
+    return gumbel_softmax(raw, tau, mode, rng, transformer.blocks, transformer.alphas)
 
 
 def _generate(model: CtganModel, cond: np.ndarray, mode: str, rng: np.random.Generator):
     """Noise ⊕ cond through the generator body and heads: (row, scaled logits)."""
     z = rng.standard_normal((cond.shape[0], model.config.z_dim)).astype(np.float32)
     raw = model.generator.forward(np.concatenate([z, cond], axis=1), mode=mode, rng=rng)
-    return generator_heads(raw, model.transformer.spans, model.config.tau, mode, rng)
+    return generator_heads(raw, model.transformer, model.config.tau, mode, rng)
 
 
 def critic_loss_graph(
@@ -374,13 +334,14 @@ def critic_loss_graph(
     cfg = model.config
     batch = _batch_size(model, matrix.shape[0])
     i_s, k_s, cond = sample_conditions(model, batch, rng)
-    fake, _ = _generate(model, cond, "train", rng)
+    with T.no_grad():  # the critic step never reaches G
+        fake, _ = _generate(model, cond, "train", rng)
     if i_s is None:
         real = matrix[rng.integers(matrix.shape[0], size=batch)]
     else:
         real = sample_real_conditioned(matrix, row_index, i_s, k_s, rng)
     cond_pac = _pack(cond, cfg.pac)
-    fake_pac = _pack(fake.data, cfg.pac)  # detached: the critic step never reaches G
+    fake_pac = _pack(fake.data, cfg.pac)
     real_pac = _pack(real.astype(fake.data.dtype), cfg.pac)
 
     fake_scores = model.critic.forward(
@@ -411,13 +372,12 @@ def generator_loss_graph(model: CtganModel, n_rows: int, rng: np.random.Generato
     ce = None
     if i_s is not None:
         ce_terms = []
-        for pos, col_idx in enumerate(model.layout.columns):
+        for pos, (start, stop) in enumerate(_cond_blocks(model.transformer)):
             mask = i_s == pos
             if not mask.any():
                 continue
-            span = model.transformer.span_for(col_idx)
             rows = np.flatnonzero(mask)
-            logp = T.log_softmax(scaled[:, span.start : span.start + span.width], axis=1)
+            logp = T.log_softmax(scaled[:, start:stop], axis=1)
             picked = T.take_pairs(logp, rows, k_s[rows])
             ce_terms.append(-T.sum_(picked))
         if ce_terms:
@@ -480,7 +440,8 @@ def ctgan_sample(
     while remaining > 0:
         chunk = min(remaining, cfg.batch)
         if condition is not None:
-            cond = np.tile(build_cond_vector(model.layout, *condition), (chunk, 1))
+            i_star, k_star = condition
+            cond = _cond_matrix(model.transformer, np.full(chunk, i_star), np.full(chunk, k_star))
         else:
             _, _, cond = sample_conditions(model, chunk, rng)
         with T.no_grad():

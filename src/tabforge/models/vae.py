@@ -27,7 +27,7 @@ from tabforge.nn.tensor import Tensor
 from tabforge.split import name_embedding
 from tabforge.transform import ColumnTransformer, decode_matrix
 
-from tabforge.models.ctgan import ModelError, head_layout
+from tabforge.models.ctgan import ModelError
 
 VARIANTS = ("tvae", "stvae", "stvaem")
 DELTA_FLOOR = 1e-3
@@ -156,22 +156,21 @@ def build_vae(
     decoder = Net(dec_layers, rng, dtype=dtype)
     delta = None
     if config.variant == "tvae":
-        n_numeric = sum(1 for s in transformer.spans if s.kind == "numeric")
-        delta = Tensor(np.full(n_numeric, 0.1, dtype=dtype), requires_grad=True)
+        delta = Tensor(np.full(len(transformer.alphas), 0.1, dtype=dtype), requires_grad=True)
 
     return VaeModel(transformer, encoder, decoder, config, delta, sig)
 
 
-def decoder_heads(raw: Tensor, spans) -> tuple[Tensor, dict[int, Tensor]]:
+def decoder_heads(raw: Tensor, transformer: ColumnTransformer) -> tuple[Tensor, list[Tensor]]:
     """The decoder's per-column heads over its last Dense output: tanh for
     each alpha, softmax for each mode indicator and categorical block.
 
-    Returns the encoded row and each block's pre-softmax logits by its start
-    column (the reconstruction cross entropy reads them).
+    Returns the encoded row and each block's pre-softmax logits, in
+    `transformer.blocks` order (the reconstruction cross entropy reads them).
     """
-    alphas, blocks = head_layout(spans)
-    logits = {start: raw[:, start:stop] for start, stop in blocks}
-    return T.span_heads(raw, alphas, blocks, raw), logits
+    blocks = transformer.blocks
+    logits = [raw[:, start:stop] for start, stop in blocks]
+    return T.span_heads(raw, transformer.alphas, blocks, raw), logits
 
 
 def vae_forward(model: VaeModel, batch: np.ndarray, rng: np.random.Generator):
@@ -192,14 +191,14 @@ def vae_forward(model: VaeModel, batch: np.ndarray, rng: np.random.Generator):
     sigma = T.exp(enc_out[:, latent:] * 0.5)
     eps = rng.standard_normal(mu.data.shape).astype(dtype)
     z = mu + sigma * Tensor(eps)
-    heads, logits = decoder_heads(model.decoder.forward(z, mode="train"), model.transformer.spans)
+    heads, logits = decoder_heads(model.decoder.forward(z, mode="train"), model.transformer)
     return mu, sigma, heads, logits, z
 
 
 def elbo_loss(
     model: VaeModel,
     heads: Tensor,
-    logits: dict[int, Tensor],
+    logits: list[Tensor],
     target: np.ndarray,
     mu: Tensor,
     sigma: Tensor,
@@ -209,7 +208,7 @@ def elbo_loss(
     Numeric term: Gaussian NLL under N(alpha_hat, delta_i) for tvae, squared
     error for stvae/stvaem.  Mode indicators and categorical blocks use
     cross entropy against the target one-hots, computed from `logits`, the
-    pre-softmax blocks by start column, for stability.
+    pre-softmax blocks in `transformer.blocks` order, for stability.
     """
     variant = model.config.variant
     if variant == "tvae" and model.delta is None:
@@ -217,24 +216,18 @@ def elbo_loss(
     target = np.asarray(target, dtype=heads.data.dtype)
     batch = target.shape[0]
     recon_terms: list[Tensor] = []
-    numeric_pos = 0
-    for span in model.transformer.spans:
-        if span.kind == "numeric":
-            alpha_t = target[:, span.start]
-            alpha_hat = heads[:, span.start]
-            diff = alpha_hat - Tensor(alpha_t)
+    alphas = model.transformer.alphas
+    for j, ((start, stop), block_logits) in enumerate(zip(model.transformer.blocks, logits)):
+        if j < len(alphas):  # a mode indicator: its column's alpha comes first
+            diff = heads[:, alphas[j]] - Tensor(target[:, alphas[j]])
             if variant == "tvae":
-                d = T.maximum_const(model.delta[numeric_pos : numeric_pos + 1], DELTA_FLOOR)
+                d = T.maximum_const(model.delta[j : j + 1], DELTA_FLOOR)
                 nll = T.log(d) + float(0.5 * np.log(2.0 * np.pi)) + (diff * diff) * (T.pow_(d, -2.0) * 0.5)
                 recon_terms.append(T.sum_(nll))
-                numeric_pos += 1
             else:
                 recon_terms.append(T.sum_(diff * diff))
-            beta_t = target[:, span.start + 1 : span.start + span.width].argmax(axis=1)
-            recon_terms.append(T.sum_(cross_entropy_logits(logits[span.start + 1], beta_t)))
-        else:
-            d_t = target[:, span.start : span.start + span.width].argmax(axis=1)
-            recon_terms.append(T.sum_(cross_entropy_logits(logits[span.start], d_t)))
+        classes = target[:, start:stop].argmax(axis=1)
+        recon_terms.append(T.sum_(cross_entropy_logits(block_logits, classes)))
     recon = recon_terms[0]
     for t in recon_terms[1:]:
         recon = recon + t
@@ -271,7 +264,7 @@ def vae_sample(model: VaeModel, n: int, rng: np.random.Generator) -> Table:
         take = min(remaining, model.config.batch)
         z = rng.standard_normal((take, model.config.latent)).astype(np.float32)
         with T.no_grad():
-            heads, _ = decoder_heads(model.decoder.forward(z, mode="eval"), model.transformer.spans)
+            heads, _ = decoder_heads(model.decoder.forward(z, mode="eval"), model.transformer)
         chunks.append(heads.data)
         remaining -= take
     matrix = (

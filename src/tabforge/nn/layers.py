@@ -229,10 +229,6 @@ class Net:
                 raise ValueError("input_gradient only supports Dense/activation/Dropout stacks")
         return g
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
     # -- state ---------------------------------------------------------------
 
     def parameters(self) -> list[tuple[str, Tensor]]:

@@ -229,7 +229,8 @@ class ColumnSpan:
 @dataclass
 class ColumnTransformer:
     """Fitted per-column transforms plus the encoded-row span layout
-    (numeric columns first, then categorical, each in schema order)."""
+    (numeric columns first, then categorical, each in schema order).  The
+    models read the layout only through `alphas`, `blocks` and `cond_start`."""
 
     schema: tuple[ColumnMeta, ...]
     gmms: dict[int, GmmParams]
@@ -257,11 +258,20 @@ class ColumnTransformer:
             start += width
         return cls(tuple(table.columns), gmms, tuple(spans), start)
 
-    def span_for(self, column: int) -> ColumnSpan:
-        for s in self.spans:
-            if s.column == column:
-                return s
-        raise KeyError(column)
+    @property
+    def alphas(self) -> list[int]:
+        """The alpha column of each numeric span."""
+        return [s.start for s in self.spans if s.kind == "numeric"]
+
+    @property
+    def blocks(self) -> list[tuple[int, int]]:
+        """Each span's (start, stop) one-hot: the mode indicators, then the categoricals."""
+        return [(s.start + (s.kind == "numeric"), s.start + s.width) for s in self.spans]
+
+    @property
+    def cond_start(self) -> int:
+        """Where the categorical blocks, CTGAN's conditional vector, begin."""
+        return next((s.start for s in self.spans if s.kind == "categorical"), self.total_width)
 
     def to_dict(self) -> dict:
         """JSON-safe dump; float64 values survive json round trips exactly."""

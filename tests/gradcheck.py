@@ -32,6 +32,13 @@ def finite_diff(f, params, h: float = 1e-3) -> dict[str, np.ndarray]:
     return grads
 
 
+def clear_grads(*nets) -> None:
+    """Drop every parameter gradient of `nets` before a fresh backward."""
+    for net in nets:
+        for _, p in net.parameters():
+            p.grad = None
+
+
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """max |a - n| / max(1, |a|, |n|), elementwise."""
     a = np.asarray(analytic, dtype=np.float64)

@@ -45,7 +45,7 @@ from tabforge.transform import ColumnTransformer, encode_table, fit_gmm, _encode
 
 import oracle_metrics as oracle
 from conftest import make_toy_corpus
-from gradcheck import finite_diff, max_rel_error
+from gradcheck import clear_grads, finite_diff, max_rel_error
 from test_metrics import random_toy_pair
 from test_nn import LAYER_CASES, _scalarize, case_output
 
@@ -176,7 +176,7 @@ def test_criterion_4_gradient_fidelity():
             return float(_scalarize(case_output(name, net, x), np.random.default_rng(5)).data)
 
         loss = _scalarize(case_output(name, net, x), np.random.default_rng(5))
-        net.zero_grad()
+        clear_grads(net)
         loss.backward()
         numeric = finite_diff(loss_value, net.parameters())
         for pname, p in net.parameters():
@@ -193,8 +193,7 @@ def test_criterion_4_gradient_fidelity():
         return float((w + p).data)
 
     w, p = critic_loss_graph(model, matrix, np.random.default_rng(7), index)
-    model.critic.zero_grad()
-    model.generator.zero_grad()
+    clear_grads(model.critic, model.generator)
     (w + p).backward()
     numeric = finite_diff(critic_value, model.critic.parameters())
     for pname, par in model.critic.parameters():
@@ -207,8 +206,7 @@ def test_criterion_4_gradient_fidelity():
         return float(g.data)
 
     g, _ = generator_loss_graph(model, matrix.shape[0], np.random.default_rng(4))
-    model.critic.zero_grad()
-    model.generator.zero_grad()
+    clear_grads(model.critic, model.generator)
     g.backward()
     numeric = finite_diff(gen_value, model.generator.parameters())
     for pname, par in model.generator.parameters():

@@ -361,6 +361,33 @@ class TestFailuresExitTwo:
         assert main_exit_code(monkeypatch, args) == 2
         assert "tensor 'lnf.g' holds non-finite values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text, detail", [
+        ("stray.json", "{}", "a report is named <table>.<method>.<regime>.json"),
+        ("t.stvae.scratch.json", "{not json", "not a benchmark report: Expecting property name"),
+        ("t.stvae.scratch.json", '{"table": "t"}', "not a benchmark report: TableReport.__init__() missing"),
+    ])
+    def test_report_rejects_a_bad_report_file(self, name, text, detail, tmp_path, monkeypatch, capsys):
+        reports = tmp_path / "bench" / "reports"
+        reports.mkdir(parents=True)
+        (reports / name).write_text(text, encoding="utf-8")
+        args = ["report", "--bench-dir", str(tmp_path / "bench"), "--out-dir", str(tmp_path / "out")]
+        assert main_exit_code(monkeypatch, args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {reports / name}: {detail}")
+
+    @pytest.mark.parametrize("column, where", [(0, "x"), (2, "color")])
+    def test_evaluate_rejects_a_null_cell(self, column, where, pipeline_dirs, monkeypatch, capsys):
+        cleaned, _, tmp = pipeline_dirs
+        real = sorted(cleaned.glob("*.csv"))[0]
+        lines = real.read_text(encoding="utf-8").splitlines()
+        cells = lines[1].split(",")
+        cells[column] = ""
+        lines[1] = ",".join(cells)
+        syn = tmp / "syn.csv"
+        syn.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = ["evaluate", "--real", str(real), "--synthetic", str(syn), "--out", str(tmp / "r.json")]
+        assert main_exit_code(monkeypatch, args) == 2
+        assert capsys.readouterr().err == f"error: table 'syn' has a null cell in column {where!r}\n"
+
     @pytest.mark.parametrize("command", ["pretrain", "train-scratch"])
     def test_diverged_training_names_method_table_and_epoch(
         self, command, pipeline_dirs, monkeypatch, capsys

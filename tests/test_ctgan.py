@@ -3,10 +3,9 @@ import pytest
 
 from tabforge.data import ColumnKind, ColumnMeta, Table
 from tabforge.models.ctgan import (
-    CondLayout,
     CtganConfig,
     ModelError,
-    build_cond_vector,
+    _cond_matrix,
     build_ctgan,
     build_row_index,
     critic_loss_graph,
@@ -20,7 +19,7 @@ from tabforge.models.ctgan import (
 from tabforge.nn.layers import Dense, Dropout, LeakyReLU, Net
 from tabforge.transform import ColumnTransformer, encode_table
 
-from gradcheck import finite_diff, max_rel_error
+from gradcheck import clear_grads, finite_diff, max_rel_error
 
 
 def toy_table(n=120, seed=0, cats=("a", "b", "c")):
@@ -44,33 +43,54 @@ def small_model(table=None, dtype=np.float32, **cfg_kw):
     return model, matrix
 
 
+def cond_transformer(*widths):
+    """A transformer over a numeric column then categorical columns with
+    `widths` categories each: its conditional vector is the categorical tail."""
+    cols = [ColumnMeta("x", ColumnKind.numerical())]
+    for i, w in enumerate(widths):
+        cols.append(ColumnMeta(f"c{i}", ColumnKind.categorical(), tuple(f"v{k}" for k in range(w))))
+    rows = [[float(r)] + [f"v{r % w}" for w in widths] for r in range(12)]
+    return ColumnTransformer.fit(Table("cond", cols, rows), modes=1, seed=0)
+
+
+def cond_vector(tf, i_star, k_star):
+    return _cond_matrix(tf, np.array([i_star]), np.array([k_star]))[0]
+
+
 class TestCondLayout:
     def test_build_cond_vector_example(self):
-        layout = CondLayout(columns=(0, 1), widths=(3, 2))
-        assert np.array_equal(build_cond_vector(layout, 1, 0), [0, 0, 0, 1, 0])
+        tf = cond_transformer(3, 2)
+        assert np.array_equal(cond_vector(tf, 1, 0), [0, 0, 0, 1, 0])
 
     def test_every_valid_pair_has_single_one(self):
-        layout = CondLayout(columns=(0, 1, 2), widths=(2, 4, 3))
-        for i, w in enumerate(layout.widths):
+        tf = cond_transformer(2, 4, 3)
+        for i, w in enumerate((2, 4, 3)):
             for k in range(w):
-                v = build_cond_vector(layout, i, k)
+                v = cond_vector(tf, i, k)
                 assert v.sum() == 1.0
 
     def test_offsets_match_enumeration(self):
-        layout = CondLayout(columns=(0, 1, 2), widths=(2, 4, 3))
+        tf = cond_transformer(2, 4, 3)
         expected_pos = 0
-        for i, w in enumerate(layout.widths):
+        for i, w in enumerate((2, 4, 3)):
             for k in range(w):
-                v = build_cond_vector(layout, i, k)
+                v = cond_vector(tf, i, k)
                 assert v.argmax() == expected_pos
                 expected_pos += 1
 
     def test_out_of_range_errors(self):
-        layout = CondLayout(columns=(0,), widths=(2,))
+        tf = cond_transformer(2)
         with pytest.raises(ModelError):
-            build_cond_vector(layout, 1, 0)
+            cond_vector(tf, 1, 0)
         with pytest.raises(ModelError):
-            build_cond_vector(layout, 0, 2)
+            cond_vector(tf, 0, 2)
+
+    def test_forced_sampling_checks_the_condition(self):
+        model, _ = small_model()
+        with pytest.raises(ModelError, match="categorical column index 1 out of range"):
+            ctgan_sample(model, 4, np.random.default_rng(0), condition=(1, 0))
+        with pytest.raises(ModelError, match="category index 3 out of range for column 0"):
+            ctgan_sample(model, 4, np.random.default_rng(0), condition=(0, 3))
 
 
 def test_config_rejects_nonpositive_tau():
@@ -131,7 +151,7 @@ class TestSampleCondition:
         i_s, k_s, cond = sample_conditions(model, 8, np.random.default_rng(0))
         assert i_s is None and k_s is None
         assert cond.shape == (8, 0)
-        assert model.layout.total_width == 0
+        assert model.transformer.cond_start == model.row_width
 
 
 class TestSampleRealConditioned:
@@ -152,8 +172,7 @@ class TestSampleRealConditioned:
     def test_empirically_uniform_over_matches(self):
         model, matrix = small_model(toy_table(n=60, seed=2))
         index = build_row_index(model, matrix)
-        span = model.transformer.span_for(model.layout.columns[0])
-        candidates = np.flatnonzero(matrix[:, span.start] == 1.0)
+        candidates = np.flatnonzero(matrix[:, model.transformer.cond_start] == 1.0)
         zeros = np.zeros(30_000, int)
         rows = sample_real_conditioned(matrix, index, zeros, zeros, np.random.default_rng(0))
         draws = [row.tobytes() for row in rows]
@@ -169,16 +188,15 @@ class TestSampleRealConditioned:
         i_s, k_s, _ = sample_conditions(model, 200, np.random.default_rng(1))
         got = sample_real_conditioned(matrix, index, i_s, k_s, np.random.default_rng(2))
         rng = np.random.default_rng(2)
+        starts = [start for start, _ in model.transformer.blocks if start >= model.transformer.cond_start]
         for row, i, k in zip(got, i_s, k_s):
-            span = model.transformer.span_for(model.layout.columns[i])
-            candidates = np.flatnonzero(matrix[:, span.start + k] == 1.0)
+            candidates = np.flatnonzero(matrix[:, starts[i] + k] == 1.0)
             assert np.array_equal(row, matrix[candidates[rng.integers(len(candidates))]])
 
     def test_no_match_errors(self):
         model, matrix = small_model()
         matrix = matrix.copy()
-        span = model.transformer.span_for(model.layout.columns[0])
-        matrix[:, span.start] = 0.0  # erase category 0 everywhere
+        matrix[:, model.transformer.cond_start] = 0.0  # erase category 0 everywhere
         index = build_row_index(model, matrix)
         with pytest.raises(ModelError, match=r"condition \(0, 0\)"):
             sample_real_conditioned(matrix, index, np.array([0, 0]), np.array([1, 0]), np.random.default_rng(0))
@@ -262,7 +280,7 @@ class TestTrainBatch:
             w_loss, penalty = critic_loss_graph(model, matrix, rng, index)
             total = w_loss + penalty
             adam_c.zero_grad()
-            model.generator.zero_grad()
+            clear_grads(model.generator)
             total.backward()
             adam_c.step()
             if step == 0:
@@ -296,8 +314,7 @@ class TestTrainBatch:
 
         w, p = critic_loss_graph(model, matrix, np.random.default_rng(7), index)
         loss = w + p
-        model.critic.zero_grad()
-        model.generator.zero_grad()
+        clear_grads(model.critic, model.generator)
         loss.backward()
         numeric = finite_diff(critic_value, model.critic.parameters())
         for name, param in model.critic.parameters():
@@ -309,8 +326,7 @@ class TestTrainBatch:
             return float(g.data)
 
         g, _ = generator_loss_graph(model, matrix.shape[0], np.random.default_rng(4))
-        model.critic.zero_grad()
-        model.generator.zero_grad()
+        clear_grads(model.critic, model.generator)
         g.backward()
         numeric = finite_diff(gen_value, model.generator.parameters())
         for name, param in model.generator.parameters():
@@ -335,11 +351,12 @@ class TestSampling:
     def test_architecture_widths(self):
         model, _ = small_model()
         cfg = model.config
-        in0 = cfg.z_dim + model.layout.total_width
+        cond_width = model.row_width - model.transformer.cond_start
+        in0 = cfg.z_dim + cond_width
         # concat-skip: |h_{l+1}| = |h_l| + L_l
         assert model.generator.in_width == in0
         assert model.generator.out_width == model.row_width
-        assert model.critic.in_width == cfg.pac * (model.row_width + model.layout.total_width)
+        assert model.critic.in_width == cfg.pac * (model.row_width + cond_width)
 
     def test_pac_must_divide_batch(self):
         table = toy_table()

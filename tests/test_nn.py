@@ -20,9 +20,9 @@ from tabforge.nn.layers import (
 )
 from tabforge.nn.optim import Adam
 from tabforge.nn.tensor import Tensor
-from tabforge.transform import ColumnSpan
+from tabforge.transform import ColumnSpan, ColumnTransformer
 
-from gradcheck import assert_grads_match, finite_diff, max_rel_error
+from gradcheck import assert_grads_match, clear_grads, finite_diff, max_rel_error
 
 
 def _scalarize(out: Tensor, rng: np.random.Generator) -> Tensor:
@@ -31,8 +31,9 @@ def _scalarize(out: Tensor, rng: np.random.Generator) -> Tensor:
 
 
 # A numeric column with 3 modes (alpha + 3-wide mode indicator) and a
-# 2-category column: the span layout the model head loops walk.
+# 2-category column: the row layout the model heads read.
 HEAD_SPANS = (ColumnSpan(0, "numeric", 0, 4), ColumnSpan(1, "categorical", 4, 2))
+HEAD_LAYOUT = ColumnTransformer((), {}, HEAD_SPANS, 6)
 
 def tanh_head(out: Tensor) -> Tensor:
     """Elementwise tanh as the models' heads compute it: every column an alpha."""
@@ -55,8 +56,8 @@ LAYER_CASES = {
     "batchnorm": ([Dense(5, 4), BatchNorm(4)], None),
     "dropout": ([Dense(5, 4), Dropout(0.4)], None),
     "concat_skip": ([ConcatSkip((Dense(5, 3), BatchNorm(3), ReLU()))], None),
-    "spans": ([Dense(5, 6)], lambda out, rng: generator_heads(out, HEAD_SPANS, 0.3, "train", rng)[0]),
-    "decoder_spans": ([Dense(5, 6)], lambda out, rng: decoder_heads(out, HEAD_SPANS)[0]),
+    "spans": ([Dense(5, 6)], lambda out, rng: generator_heads(out, HEAD_LAYOUT, 0.3, "train", rng)[0]),
+    "decoder_spans": ([Dense(5, 6)], lambda out, rng: decoder_heads(out, HEAD_LAYOUT)[0]),
 }
 
 
@@ -79,7 +80,7 @@ def test_layer_gradients_match_finite_differences(name):
         return float(_scalarize(case_output(name, net, x), np.random.default_rng(5)).data)
 
     loss = _scalarize(case_output(name, net, x), proj)
-    net.zero_grad()
+    clear_grads(net)
     loss.backward()
     numeric = finite_diff(loss_value, net.parameters())
     assert_grads_match(net.parameters(), numeric)

@@ -1,8 +1,9 @@
 """Guard against second paths: every public module-level function and class
 in src/tabforge must be used by the package itself, not only by tests;
 every defaulted parameter of a public module-level function must be set by
-some call in the package; and every field of a config dataclass must be set
-from the run config.
+some call in the package; every field of a config dataclass must be set
+from the run config; and no module but transform, which owns the encoded-row
+layout, may branch on a span's kind.
 
 A name counts as used when code in src/tabforge outside its own definition
 refers to it.  Re-exports in `__init__.py` do not count.  The entry points
@@ -166,3 +167,34 @@ def test_every_config_field_is_set_from_the_run_config(monkeypatch):
         if f.init and f.name not in set_fields[name]
     ]
     assert unset == []
+
+
+SPAN_KINDS = {"numeric", "categorical"}
+
+
+def span_kind_comparisons() -> list[str]:
+    """`module:line` for every comparison of a span kind (a `kind` name or
+    `.kind` attribute) with "numeric" or "categorical" outside transform,
+    which owns the encoded-row layout."""
+    found = []
+    for module, tree in _modules():
+        if module == "transform":
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            names_kind = any(
+                (isinstance(o, ast.Name) and o.id == "kind") or (isinstance(o, ast.Attribute) and o.attr == "kind")
+                for o in operands
+            )
+            constants = {c.value for o in operands for c in ast.walk(o) if isinstance(c, ast.Constant)}
+            if names_kind and constants & SPAN_KINDS:
+                found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_only_transform_branches_on_span_kinds():
+    # The models read the layout through ColumnTransformer.alphas, .blocks
+    # and .cond_start instead of re-deriving it span by span.
+    assert span_kind_comparisons() == []

@@ -184,12 +184,16 @@ def test_finetuned_tensors_keep_their_bytes(kind):
 
 @pytest.fixture
 def node_count(monkeypatch):
-    count = [0]
+    """[nodes built, nodes recorded]: every op output, and those that keep a
+    vjp for the backward."""
+    count = [0, 0]
     node = T._node
 
     def spy(*args, **kwargs):
+        out = node(*args, **kwargs)
         count[0] += 1
-        return node(*args, **kwargs)
+        count[1] += out._vjp is not None
+        return out
 
     monkeypatch.setattr(T, "_node", spy)
     return count
@@ -197,7 +201,9 @@ def node_count(monkeypatch):
 
 def test_tape_nodes_per_ctgan_batch(node_count):
     """The grid-ctgan shape: four numeric and three categorical columns,
-    pac 10.  The unfused tape built 231 nodes per batch."""
+    pac 10.  The unfused tape built 231 nodes per batch.  The critic step's
+    generator forward builds 11 nodes but records none: that step only
+    reads the fake rows' values."""
     rng = np.random.default_rng(0)
     cols = [ColumnMeta(f"x{i}", ColumnKind.numerical()) for i in range(4)]
     cols += [ColumnMeta(f"c{i}", ColumnKind.categorical(), ("a", "b", "c")) for i in range(3)]
@@ -208,9 +214,9 @@ def test_tape_nodes_per_ctgan_batch(node_count):
     model = build_ctgan(tf, matrix, CtganConfig(z_dim=8, pac=10, batch=250, hidden=(16, 16)), seed=1)
     critic_opt, gen_opt = model.optimizers()
     index = build_row_index(model, matrix)
-    node_count[0] = 0
+    node_count[:] = [0, 0]
     ctgan_train_batch(model, matrix, np.random.default_rng(2), critic_opt, gen_opt, index)
-    assert node_count[0] == 102
+    assert node_count == [102, 90]
 
 
 def test_tape_nodes_per_great_step(node_count):
@@ -219,9 +225,9 @@ def test_tape_nodes_per_great_step(node_count):
     vocab = train_bpe(sentences, MIN_VOCAB + 6)
     model = build_great(GreatConfig(d_model=32, n_heads=2, n_layers=2, ctx=24, batch=8), vocab, 0)
     batch = pad_batch([[BOS] + vocab.encode(s) + [EOS] for s in sentences], 24)
-    node_count[0] = 0
+    node_count[:] = [0, 0]
     great_train_step(model, batch, model.optimizer())
-    assert node_count[0] == 32
+    assert node_count == [32, 32]
 
 
 # -- the guarded step ---------------------------------------------------------------

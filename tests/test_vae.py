@@ -55,9 +55,8 @@ class TestForward:
     def test_softmax_heads_sum_to_one(self):
         model, matrix = small()
         _, _, heads, _, _ = vae_forward(model, matrix[:16], np.random.default_rng(0))
-        for span in model.transformer.spans:
-            block = heads.data[:, span.start : span.start + span.width]
-            probs = block[:, 1:] if span.kind == "numeric" else block
+        for start, stop in model.transformer.blocks:
+            probs = heads.data[:, start:stop]
             assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_stvaem_input_width_accounts_for_signatures(self):
@@ -75,13 +74,8 @@ class TestForward:
 
 
 def margin_logits(model, batch):
-    """Block logits by start column with a +/- 60 margin at the target one-hots."""
-    logits = {}
-    for span in model.transformer.spans:
-        start = span.start + 1 if span.kind == "numeric" else span.start
-        block = batch[:, start : span.start + span.width]
-        logits[start] = Tensor(60.0 * (2 * block - 1))
-    return logits
+    """Block logits, in block order, with a +/- 60 margin at the target one-hots."""
+    return [Tensor(60.0 * (2 * batch[:, start:stop] - 1)) for start, stop in model.transformer.blocks]
 
 
 class TestElbo:
@@ -105,7 +99,7 @@ class TestElbo:
         zeros = Tensor(np.zeros((4, model.config.latent), dtype=np.float32))
         ones = Tensor(np.ones((4, model.config.latent), dtype=np.float32))
         loss = elbo_loss(model, perfect, margin_logits(model, batch), batch, zeros, ones)
-        n_numeric = sum(1 for s in model.transformer.spans if s.kind == "numeric")
+        n_numeric = len(model.transformer.alphas)
         expected = n_numeric * 0.5 * np.log(2 * np.pi * 0.25**2)
         assert float(loss.data) == pytest.approx(expected, abs=1e-4)
 
