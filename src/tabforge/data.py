@@ -93,25 +93,22 @@ class Table:
 
     def validate(self) -> None:
         ncols = len(self.columns)
-        cat_sets = {
-            i: set(c.categories) for i, c in enumerate(self.columns) if c.kind.is_categorical
-        }
+        numeric = [c.kind.is_numerical for c in self.columns]
+        labels = [set(c.categories) if c.kind.is_categorical else None for c in self.columns]
         for r, row in enumerate(self.rows):
             if len(row) != ncols:
                 raise DataError(f"table {self.name!r}: row {r} has {len(row)} cells, expected {ncols}")
             for i, cell in enumerate(row):
                 if cell is None:
                     continue
-                kind = self.columns[i].kind
-                if kind.is_numerical:
+                if numeric[i]:
                     if not isinstance(cell, (int, float)) or not math.isfinite(cell):
                         raise DataError(f"table {self.name!r}: non-finite numeric cell at ({r},{i})")
-                elif kind.is_categorical:
-                    if cell not in cat_sets[i]:
-                        raise DataError(
-                            f"table {self.name!r}: label {cell!r} not in categories of column "
-                            f"{self.columns[i].name!r}"
-                        )
+                elif labels[i] is not None and cell not in labels[i]:
+                    raise DataError(
+                        f"table {self.name!r}: label {cell!r} not in categories of column "
+                        f"{self.columns[i].name!r}"
+                    )
 
     @property
     def n_rows(self) -> int:

@@ -41,25 +41,45 @@ class GreatConfig:
         for name in ("d_model", "n_heads", "n_layers", "ctx", "batch"):
             if getattr(self, name) < 1:
                 raise GreatError(f"great.{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("max_retries", "temperature"):
+            if getattr(self, name) < 0:
+                raise GreatError(f"great.{name} must be >= 0, got {getattr(self, name)}")
         if self.d_model % self.n_heads:
             raise GreatError("d_model must be divisible by n_heads")
 
 
 class KVCache:
-    """One sequence's per-layer keys and values, preallocated to the context.
+    """Per-layer keys and values of a batch of sequences decoded in lockstep,
+    preallocated to the context: (batch, n_heads, ctx, d_head) per layer.
 
-    Position i holds what the cached forward computed for the i-th token fed;
-    `tokens` keeps those ids so a failing step can be replayed on the tape.
+    Every sequence is at the same position.  Position i holds what the
+    cached forward computed for the i-th token fed; `tokens` keeps those ids
+    so a failing step can be replayed on the tape.
     """
 
-    def __init__(self, config: GreatConfig):
-        shape = (config.n_heads, config.ctx, config.d_model // config.n_heads)
+    def __init__(self, config: GreatConfig, batch: int = 1):
+        shape = (batch, config.n_heads, config.ctx, config.d_model // config.n_heads)
         self.keys = [np.empty(shape, dtype=np.float32) for _ in range(config.n_layers)]
         self.values = [np.empty(shape, dtype=np.float32) for _ in range(config.n_layers)]
-        self.tokens: list[int] = []
+        self.tokens = np.empty((batch, config.ctx), dtype=np.int64)
+        self.length = 0
 
     def __len__(self) -> int:
+        return self.length
+
+    @property
+    def batch(self) -> int:
         return len(self.tokens)
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop every sequence but those at `rows` (ascending batch indices),
+        moving only the filled positions within the preallocated buffers."""
+        n, m = self.length, len(rows)
+        for buffers in (self.keys, self.values):
+            for l, buf in enumerate(buffers):
+                buf[:m, :, :n] = buf[rows, :, :n]
+                buffers[l] = buf[:m]
+        self.tokens = self.tokens[rows]
 
 
 @dataclass
@@ -91,10 +111,10 @@ class GreatModel:
         """Token ids (B, T) -> logits (B, T, vocab).
 
         Without a cache this is the taped pass training differentiates and
-        returns a Tensor.  With one, `ids` is a single sequence's next token
-        (1, 1) at position `len(cache)`: its keys and values join the cache
-        and the logits come back as a plain (1, 1, vocab) array, computed
-        with no tape.
+        returns a Tensor.  With one, `ids` (B, 1) holds the next token of
+        each of the cache's B sequences, all at position `len(cache)`: their
+        keys and values join the cache and the logits come back as a plain
+        (B, 1, vocab) array, computed with no tape.
         """
         if cache is not None:
             return self._cached_step(ids, cache)
@@ -117,44 +137,47 @@ class GreatModel:
         return T.matmul(x, T.transpose(p["tok_emb"]))  # tied output projection
 
     def _cached_step(self, ids: np.ndarray, cache: KVCache) -> np.ndarray:
-        """The taped pass's arithmetic for one new token, on plain arrays.
+        """The taped pass's arithmetic for one new token per sequence, on
+        plain arrays.
 
         The last row of the causal mask adds zero everywhere, so it is left
         out.  Any overflow or invalid value stops the step, and so do
-        non-finite logits: the taped pass then reruns over the whole prefix
-        so its FloatingPointError names the op.
+        non-finite logits: the taped pass then reruns over the sequences'
+        prefixes so its FloatingPointError names the op.
         """
         cfg = self.config
         ids = np.asarray(ids)
-        if ids.shape != (1, 1):
-            raise GreatError(f"a cached forward takes one token of one sequence, got shape {ids.shape}")
+        b = cache.batch
+        if ids.shape != (b, 1):
+            raise GreatError(f"a cached forward takes one token for each of {b} sequences, got shape {ids.shape}")
         pos = len(cache)
         if pos >= cfg.ctx:
             raise GreatError(f"position {pos} exceeds context {cfg.ctx}")
-        cache.tokens.append(int(ids[0, 0]))
+        cache.tokens[:, pos] = ids[:, 0]
+        cache.length += 1
         p = {name: tensor.data for name, tensor in self.params.items()}
         d, h = cfg.d_model, cfg.d_model // cfg.n_heads
         try:
             with np.errstate(over="raise", invalid="raise"):
-                x = p["tok_emb"][ids[0]] + p["pos_emb"][pos : pos + 1]
+                x = p["tok_emb"][ids[:, 0]] + p["pos_emb"][pos : pos + 1]
                 for l in range(cfg.n_layers):
                     ln1 = T.layer_norm(x, p[f"b{l}.ln1.g"], p[f"b{l}.ln1.b"])
-                    qkv = (ln1 @ p[f"b{l}.attn.wqkv"] + p[f"b{l}.attn.bqkv"]).reshape(3, cfg.n_heads, 1, h)
+                    qkv = (ln1 @ p[f"b{l}.attn.wqkv"] + p[f"b{l}.attn.bqkv"]).reshape(b, 3, cfg.n_heads, 1, h)
                     keys, values = cache.keys[l], cache.values[l]
-                    keys[:, pos], values[:, pos] = qkv[1, :, 0], qkv[2, :, 0]
-                    scores = qkv[0] @ keys[:, : pos + 1].swapaxes(-1, -2) * (1.0 / math.sqrt(h))
-                    att = (T.softmax_array(scores) @ values[:, : pos + 1]).reshape(1, d)
+                    keys[:, :, pos], values[:, :, pos] = qkv[:, 1, :, 0], qkv[:, 2, :, 0]
+                    scores = qkv[:, 0] @ keys[:, :, : pos + 1].swapaxes(-1, -2) * (1.0 / math.sqrt(h))
+                    att = (T.softmax_array(scores) @ values[:, :, : pos + 1]).reshape(b, d)
                     x = x + (att @ p[f"b{l}.attn.wproj"] + p[f"b{l}.attn.bproj"])
                     ln2 = T.layer_norm(x, p[f"b{l}.ln2.g"], p[f"b{l}.ln2.b"])
                     mid, _ = T.gelu_array(ln2 @ p[f"b{l}.mlp.w1"] + p[f"b{l}.mlp.b1"])
                     x = x + (mid @ p[f"b{l}.mlp.w2"] + p[f"b{l}.mlp.b2"])
                 logits = T.layer_norm(x, p["lnf.g"], p["lnf.b"]) @ p["tok_emb"].T
             if np.isfinite(logits).all():
-                return logits[None]
+                return logits[:, None]
         except FloatingPointError:
             pass
         with T.no_grad():
-            self.forward(np.asarray([cache.tokens]))
+            self.forward(cache.tokens[:, : pos + 1])
         raise FloatingPointError(f"overflow in the cached forward at position {pos}")
 
 
@@ -242,6 +265,12 @@ def sequence_nll(model: GreatModel, token_batch: np.ndarray) -> float:
     return float(-logp[np.flatnonzero(keep), tgt[keep]].mean())
 
 
+# Rows that share one K/V cache.  A cache holds 2 * n_layers * ctx * d_model
+# floats per row, 1 MiB at the default config, so a long sample decodes in
+# chunks; which uniforms a row uses does not depend on its chunk.
+DECODE_ROWS = 64
+
+
 def great_generate(
     model: GreatModel,
     schema,
@@ -251,50 +280,75 @@ def great_generate(
     """Sample rows token by token at the configured temperature; parse back;
     retry failures.
 
-    Returns (Table, validity_rate).  Rows that keep failing after
-    `max_retries` retries are skipped and counted against the validity rate.
+    Every pending row is decoded in lockstep waves; a row that fails to
+    parse goes into the next wave, for at most `max_retries + 1` waves.
+    Returns (Table, validity_rate), rows in row-index order.  Rows that
+    fail in every wave are skipped and counted against the validity rate.
     """
     cfg = model.config
-    rows = []
+    rows: list = [None] * n
+    pending = list(range(n))
     attempted = 0
     parsed = 0
-    for _ in range(n):
-        row = None
-        for _ in range(cfg.max_retries + 1):
+    for _ in range(cfg.max_retries + 1):
+        if not pending:
+            break
+        failed = []
+        for i, sentence in zip(pending, _sample_wave(model, len(pending), rng)):
             attempted += 1
-            sentence = _sample_sentence(model, rng, cfg.temperature)
             out = parse_row_text(schema, sentence)
-            if not isinstance(out, ParseFailure):
-                row = out
+            if isinstance(out, ParseFailure):
+                failed.append(i)
+            else:
+                rows[i] = out
                 parsed += 1
-                break
-        if row is not None:
-            rows.append(row)
-    metas = [m for m in schema]
-    table = Table("synthetic", metas, rows)
+        pending = failed
+    table = Table("synthetic", list(schema), [row for row in rows if row is not None])
     validity = parsed / attempted if attempted else 1.0
     return table, validity
 
 
-def _sample_sentence(model: GreatModel, rng: np.random.Generator, temperature: float) -> str:
-    """Decode one sentence, feeding each token once through a K/V cache.
+def _sample_wave(model: GreatModel, count: int, rng: np.random.Generator) -> list[str]:
+    """Decode `count` sentences from BOS.
 
-    One `model.forward` call per sampled token, EOS included, and one
-    `rng.random()` draw per token unless the temperature is zero.
+    Unless the temperature is zero, one `rng.random((count, ctx))` block
+    is drawn, and sentence j samples its token after position p with
+    uniform [j, p].
     """
-    ids = [BOS]
     cfg = model.config
-    cache = KVCache(cfg)
-    while len(ids) < cfg.ctx:
-        logits = model.forward(np.asarray([ids[-1:]]), cache)
-        last = logits[0, -1].astype(np.float64)
-        if temperature <= 1e-6:
-            nxt = int(last.argmax())
+    uniforms = rng.random((count, cfg.ctx)) if cfg.temperature > 1e-6 else None
+    sentences = []
+    for lo in range(0, count, DECODE_ROWS):
+        hi = min(lo + DECODE_ROWS, count)
+        block = None if uniforms is None else uniforms[lo:hi]
+        sentences += _decode_lockstep(model, hi - lo, block)
+    return sentences
+
+
+def _decode_lockstep(model: GreatModel, count: int, uniforms: np.ndarray | None) -> list[str]:
+    """Decode `count` sentences together through one K/V cache: one
+    `model.forward` of shape (active, 1) per position.  A sentence leaves
+    the batch, and the cache, when it samples EOS; the rest run to ctx.
+    `uniforms` None decodes greedily."""
+    cfg = model.config
+    cache = KVCache(cfg, count)
+    sampled = np.full((count, cfg.ctx - 1), PAD, dtype=np.int64)
+    active = np.arange(count)
+    ids = np.full((count, 1), BOS, dtype=np.int64)
+    for pos in range(cfg.ctx - 1):
+        logits = model.forward(ids, cache)[:, 0].astype(np.float64)
+        if uniforms is None:
+            nxt = logits.argmax(axis=1)
         else:
-            probs = T.softmax_array(last / temperature)
-            nxt = int((rng.random() > np.cumsum(probs)).sum())
-            nxt = min(nxt, len(probs) - 1)
-        if nxt == EOS:
-            break
-        ids.append(nxt)
-    return model.vocab.decode(ids[1:])
+            probs = T.softmax_array(logits / cfg.temperature)
+            nxt = (uniforms[active, pos][:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
+            nxt = np.minimum(nxt, probs.shape[1] - 1)
+        going = np.flatnonzero(nxt != EOS)
+        sampled[active[going], pos] = nxt[going]
+        if len(going) < len(active):
+            if not len(going):
+                break
+            cache.keep(going)
+            active = active[going]
+        ids = nxt[going, None]
+    return [model.vocab.decode(row.tolist()) for row in sampled]

@@ -288,6 +288,8 @@ class TestFailuresExitTwo:
         ("--model.great.n_layers=0", "great.n_layers must be >= 1, got 0"),
         ("--model.great.ctx=0", "great.ctx must be >= 1, got 0"),
         ("--model.great.batch=0", "great.batch must be >= 1, got 0"),
+        ("--model.great.max_retries=-1", "great.max_retries must be >= 0, got -1"),
+        ("--model.great.temperature=-0.5", "great.temperature must be >= 0, got -0.5"),
         ("--training.epochs=-2", "epochs must be >= 0, got -2"),
     ])
     def test_nonpositive_size_is_a_data_error(self, flag, named, pipeline_dirs, monkeypatch, capsys):

@@ -144,6 +144,24 @@ def test_table_invariants_enforced():
     Table("t", cols, [[1.0, None], [None, "a"]])  # nulls are fine
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[1.0, "a", "x"], [2.0, "zzz", 1], [float("nan"), "a", None]],
+     "table 't': label 'zzz' not in categories of column 'g'"),
+    ([[1.0, "b", None], [float("nan"), "zzz", None]], "table 't': non-finite numeric cell at (1,0)"),
+    ([[None, None, None], ["1", "a", None]], "table 't': non-finite numeric cell at (1,0)"),
+    ([[1.0, "a", None], [1.0, "a"], [float("inf"), "a", None]], "table 't': row 1 has 2 cells, expected 3"),
+])
+def test_table_names_its_first_bad_cell_in_row_major_order(rows, message):
+    cols = [
+        ColumnMeta("x", ColumnKind.numerical()),
+        ColumnMeta("g", ColumnKind.categorical(), ("a", "b")),
+        ColumnMeta("r", ColumnKind.rejected("url")),  # holds anything
+    ]
+    with pytest.raises(DataError) as exc:
+        Table("t", cols, rows)
+    assert str(exc.value) == message
+
+
 def test_column_kind_requires_reason_for_rejection():
     with pytest.raises(ValueError):
         ColumnKind("rejected")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tabforge.data import ColumnKind, ColumnMeta, Table
 from tabforge.great.bpe import BOS, BYTE_BASE, EOS, MIN_VOCAB, PAD, BpeError, train_bpe
+import tabforge.great.model as great_model
 import tabforge.nn.tensor as T
 from tabforge.great.model import (
     GreatConfig,
@@ -20,7 +21,7 @@ from tabforge.great.model import (
     pad_batch,
     sequence_nll,
 )
-from tabforge.textrow import serialize_row_text
+from tabforge.textrow import ParseFailure, serialize_row_text
 from tabforge.training import TrainConfig, TrainingError, finetune, pretrain
 
 
@@ -173,6 +174,18 @@ class TestGeneration:
         assert table.n_rows <= 4
 
 
+class BlockRng:
+    """A Generator stand-in that records the size of each `random` call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
 class TestCachedDecode:
     SCHEMA = TestGeneration.SCHEMA
     ROWS = [[26.0, "M"], [31.5, "F"], [45.0, "M"], [52.25, "F"], [38.0, "F"]]
@@ -188,10 +201,12 @@ class TestCachedDecode:
         return model
 
     # Recorded with the full-prefix decode that the cached one replaced
-    # (x86-64, numpy 2.4 with OpenBLAS).  The digest covers the rows, the
-    # validity and the next draw, so it also pins how many draws were made.
+    # (x86-64, numpy 2.4 with OpenBLAS); the 0.7 digest again when decoding
+    # became lockstep waves, which draw the uniforms in per-wave blocks.  The
+    # digest covers the rows, the validity and the next draw, so it also
+    # pins how many draws were made.
     @pytest.mark.parametrize("temperature, digest", [
-        (0.7, "ad3b07a0fe7195b5e6769994dcf3a94e03c8f8537b779c4b9f781966c178d0c5"),
+        (0.7, "8fc57451e1b7258c13da91c01f27105b2c3ad0b92d3c06030530d9a8dd7152e8"),
         (0.0, "0d58f2f119c5792fee6372917a55eae8996e42b86821eac098962ba13ad2013d"),
     ])
     def test_rows_match_the_full_prefix_decode(self, temperature, digest):
@@ -222,32 +237,135 @@ class TestCachedDecode:
         with pytest.raises(GreatError, match="exceeds context"):
             model.forward(np.asarray([[BOS]]), cache)
 
-    def test_one_forward_call_per_decode_step(self, monkeypatch):
-        """Each sampled token, EOS included, is one cached `forward` of one
-        token: the count perfbench reports as great.decode_steps."""
-        model = self.partly_trained_model()
-        model.config.temperature, model.config.max_retries = 0.7, 2
-        calls = []
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """(ids shape, cache position) of every cached forward."""
+        seen = []
         forward = GreatModel.forward
 
         def spy(self, ids, cache=None):
-            calls.append((np.shape(ids), cache is not None))
+            if cache is not None:
+                seen.append((np.shape(ids), len(cache)))
             return forward(self, ids, cache)
 
-        rng = np.random.default_rng(5)
-
-        class CountingRng:
-            draws = 0
-
-            def random(self):
-                self.draws += 1
-                return rng.random()
-
-        counting = CountingRng()
         monkeypatch.setattr(GreatModel, "forward", spy)
-        great_generate(model, self.SCHEMA, 8, counting)
-        assert counting.draws > 0
-        assert calls == [((1, 1), True)] * counting.draws
+        return seen
+
+    @pytest.mark.parametrize("temperature", [0.7, 0.0])
+    def test_one_forward_per_position_one_draw_block_per_wave(self, temperature, steps, monkeypatch):
+        """A wave feeds its rows together: one `(active, 1)` cached forward
+        per position from 0 (the count perfbench reports as
+        great.decode_steps), and one (rows, ctx) block of uniforms unless the
+        temperature is zero.  The next wave holds the rows that failed."""
+        model = self.partly_trained_model()
+        model.config.temperature, model.config.max_retries = temperature, 2
+        failures = []
+        parse = great_model.parse_row_text
+
+        def counting_parse(schema, text):
+            out = parse(schema, text)
+            failures.append(isinstance(out, ParseFailure))
+            return out
+
+        monkeypatch.setattr(great_model, "parse_row_text", counting_parse)
+        rng = BlockRng(5)
+        great_generate(model, self.SCHEMA, 8, rng)
+
+        waves = [i for i, (_, pos) in enumerate(steps) if pos == 0] + [len(steps)]
+        sizes = [steps[lo][0][0] for lo in waves[:-1]]
+        for lo, hi in zip(waves, waves[1:]):
+            shapes = [shape for shape, _ in steps[lo:hi]]
+            assert [pos for _, pos in steps[lo:hi]] == list(range(hi - lo))
+            assert all(shape[1] == 1 and 0 < shape[0] <= prev[0] for prev, shape in zip(shapes, shapes[1:]))
+        expected, start = [8], 0
+        for size in sizes[:-1]:
+            expected.append(sum(failures[start : start + size]))
+            start += size
+        assert sizes == expected and len(failures) == sum(sizes)
+        assert rng.sizes == ([(size, model.config.ctx) for size in sizes] if temperature else [])
+        if temperature:
+            assert len(sizes) > 1  # some rows failed and were retried
+
+    def test_a_long_wave_decodes_in_chunks_from_one_draw_block(self, steps, monkeypatch):
+        model = self.partly_trained_model()
+        model.config.temperature, model.config.max_retries = 0.7, 0
+        monkeypatch.setattr(great_model, "DECODE_ROWS", 3)
+        rng = BlockRng(5)
+        great_generate(model, self.SCHEMA, 8, rng)
+        assert [shape[0] for shape, pos in steps if pos == 0] == [3, 3, 2]
+        assert rng.sizes == [(8, model.config.ctx)]
+
+    def test_cached_logits_match_the_taped_forward_while_rows_retire(self):
+        model, vocab = tiny_model(["alpha is 1 and beta is x"], ctx=24, seed=1)
+        ctx = model.config.ctx
+        ids = np.random.default_rng(0).integers(0, vocab.size, (5, ctx))
+        with T.no_grad():
+            full = model.forward(ids).data
+        retire = {3: [1], 9: [0, 4], 17: [3]}  # position -> rows that leave after it
+        cache = KVCache(model.config, len(ids))
+        active = np.arange(len(ids))
+        for pos in range(ctx):
+            step = model.forward(ids[active, pos : pos + 1], cache)
+            assert step.shape == (len(active), 1, vocab.size)
+            np.testing.assert_allclose(step[:, 0], full[active, pos], rtol=0, atol=1e-5)
+            if pos in retire:
+                keep = np.flatnonzero(~np.isin(active, retire[pos]))
+                cache.keep(keep)
+                active = active[keep]
+        assert active.tolist() == [2]
+        assert len(cache) == ctx
+
+    @pytest.mark.parametrize("max_retries, waves, rows, validity", [
+        # Parse k fails when k is in {1, 3, 6, 7}: the first wave parses rows
+        # 0-4 (parses 0-4), the second rows 1 and 3 (5, 6), the third row 3 (7).
+        (2, [5, 2, 1], [0.0, 5.0, 2.0, 4.0], 4 / 8),
+        (0, [5], [0.0, 2.0, 4.0], 3 / 5),
+    ])
+    def test_failed_rows_retry_in_later_waves_and_return_in_row_order(
+        self, max_retries, waves, rows, validity, steps, monkeypatch
+    ):
+        model = self.partly_trained_model()
+        model.config.temperature, model.config.max_retries = 0.7, max_retries
+        parses = []
+
+        def parser(schema, text):
+            k = len(parses)
+            parses.append(text)
+            return ParseFailure("chosen") if k in (1, 3, 6, 7) else [float(k), "M"]
+
+        monkeypatch.setattr(great_model, "parse_row_text", parser)
+        table, got = great_generate(model, self.SCHEMA, 5, np.random.default_rng(0))
+        assert [shape[0] for shape, pos in steps if pos == 0] == waves
+        assert table.rows == [[k, "M"] for k in rows]
+        assert got == validity
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("case, named", [
+        ("embedding", "non-finite values produced by op 'mul'"),  # the taped rerun names the op
+        ("gelu", "overflow in the cached forward at position 1"),  # only GELU's cube overflows
+    ])
+    def test_overflow_in_one_row_stops_the_step(self, case, named):
+        """Row 0 feeds BOS twice and stays finite on its own; row 1 feeds BOS,
+        then a token that overflows."""
+        model, vocab = tiny_model(["alpha is 1 and beta is x"], d=16, layers=1, ctx=24, seed=1)
+        p = {name: t.data for name, t in model.params.items()}
+        bad = vocab.encode("a")[0]
+        if case == "embedding":
+            p["tok_emb"][bad] *= np.float32(1e22)
+        else:
+            # With no positional embedding and a constant BOS embedding, BOS
+            # rows normalise to zero, so their MLP input is zero.
+            p["pos_emb"][:] = 0.0
+            p["tok_emb"][BOS] = 0.5
+            p["b0.mlp.w1"] *= np.float32(1e14)
+        ids = np.array([[BOS, BOS], [BOS, bad]])
+        alone = KVCache(model.config, 1)
+        for pos in range(2):
+            assert np.isfinite(model.forward(ids[:1, pos : pos + 1], alone)).all()
+        cache = KVCache(model.config, 2)
+        model.forward(ids[:, :1], cache)
+        with pytest.raises(FloatingPointError, match=named):
+            model.forward(ids[:, 1:], cache)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("scale, named", [
@@ -275,7 +393,7 @@ class TestTrainingOverflow:
         model.params["b0.mlp.w1"].data = model.params["b0.mlp.w1"].data * np.float32(1e14)
         before = {name: t.data.copy() for name, t in model.params.items()}
         batch = pad_batch([[BOS] + vocab.encode(s) + [EOS] for s in sentences], model.config.ctx)
-        with pytest.raises(FloatingPointError, match="overflow encountered in power in the great training step"):
+        with pytest.raises(FloatingPointError, match="overflow encountered in multiply in the great training step"):
             great_train_step(model, batch, model.optimizer())
         assert all(np.array_equal(before[name], t.data) for name, t in model.params.items())
 
@@ -289,6 +407,6 @@ class TestTrainingOverflow:
         body.tensors["b0.mlp.w1"] = body.tensors["b0.mlp.w1"] * np.float32(1e14)
         with pytest.raises(TrainingError, match=(
             "great training diverged on table 'people' at epoch 1: "
-            "overflow encountered in power in the great training step"
+            "overflow encountered in multiply in the great training step"
         )):
             finetune(body, table, cfg)
