@@ -72,15 +72,10 @@ _DATA_ERRORS = (
     GreatError,
 )
 
-EXTRA = {"ignore_unknown_options": True}
-
-
-def _cfg(config_path, overrides):
-    return load_config(config_path, list(overrides))
-
-
-def _provenance(cfg) -> dict:
-    return {"config": config_hash(cfg), "seed": cfg["seed"]}
+def _write_json(path: Path, doc: dict, cfg) -> None:
+    """`doc` and the run's provenance as sorted, indented JSON."""
+    doc = {**doc, "_provenance": {"config": config_hash(cfg), "seed": cfg["seed"]}}
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
 
 
 def _provenance_line(cfg) -> str:
@@ -138,19 +133,39 @@ def load_as_schema(path: Path, schema: list[ColumnMeta]) -> Table:
     return Table(raw.name, _union_categories(schema, rows), rows)
 
 
-@click.group()
+class _Commands(click.Group):
+    """A group whose every command takes `-c/--config FILE` and trailing
+    `--section.key=value` overrides after its own parameters, and receives
+    the config they load as `cfg`."""
+
+    def command(self, *args, **kwargs):
+        make = super().command(*args, context_settings={"ignore_unknown_options": True}, **kwargs)
+
+        def decorator(fn):
+            def run(config_path, overrides, **params):
+                return fn(**params, cfg=load_config(config_path, list(overrides)))
+
+            cmd = make(fn)
+            cmd.callback = run
+            cmd.params += [
+                click.Option(["-c", "--config", "config_path"], type=click.Path(exists=True), default=None),
+                click.Argument(["overrides"], nargs=-1, type=click.UNPROCESSED),
+            ]
+            return cmd
+
+        return decorator
+
+
+@click.group(cls=_Commands)
 def cli():
     """Clean tables, split corpora, train generators, score synthetic data."""
 
 
-@cli.command(context_settings=EXTRA)
+@cli.command()
 @click.argument("corpus_dir", type=click.Path(exists=True, file_okay=False))
 @click.argument("out_dir", type=click.Path(file_okay=False))
-@click.option("-c", "--config", "config_path", type=click.Path(exists=True), default=None)
-@click.argument("overrides", nargs=-1, type=click.UNPROCESSED)
-def clean(corpus_dir, out_dir, config_path, overrides):
+def clean(corpus_dir, out_dir, cfg):
     """Ingest, infer schemas, and clean every CSV under CORPUS_DIR."""
-    cfg = _cfg(config_path, overrides)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ccfg = cleaning_config(cfg)
@@ -166,11 +181,7 @@ def clean(corpus_dir, out_dir, config_path, overrides):
             click.echo(f"error: {path.name}: {exc}", err=True)
             failed += 1
             continue
-        doc = report.to_dict()
-        doc["_provenance"] = _provenance(cfg)
-        (out / f"{path.stem}.report.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8"
-        )
+        _write_json(out / f"{path.stem}.report.json", report.to_dict(), cfg)
         if cleaned is None:
             click.echo(f"discarded: {path.stem} ({report.verdict_reason})")
             continue
@@ -183,23 +194,19 @@ def clean(corpus_dir, out_dir, config_path, overrides):
         "failed": failed,
         "avg_columns": float(np.mean([t.n_cols for t in kept])) if kept else 0.0,
         "avg_rows": float(np.mean([t.n_rows for t in kept])) if kept else 0.0,
-        "_provenance": _provenance(cfg),
     }
-    (out / "stats.json").write_text(json.dumps(stats, indent=2, sort_keys=True), encoding="utf-8")
+    _write_json(out / "stats.json", stats, cfg)
     if failed == len(files):
         raise DataError("every input file failed")
 
 
-@cli.command(context_settings=EXTRA)
+@cli.command()
 @click.argument("clean_dir", type=click.Path(exists=True, file_okay=False))
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--mode", type=click.Choice(["random", "domain"]), default=None)
 @click.option("--embeddings", "embeddings_path", type=click.Path(exists=True), default=None)
-@click.option("-c", "--config", "config_path", type=click.Path(exists=True), default=None)
-@click.argument("overrides", nargs=-1, type=click.UNPROCESSED)
-def split(clean_dir, out_path, mode, embeddings_path, config_path, overrides):
+def split(clean_dir, out_path, mode, embeddings_path, cfg):
     """Emit a train/val/test split manifest for a cleaned corpus."""
-    cfg = _cfg(config_path, overrides)
     if mode:
         cfg["split"]["mode"] = mode
     corpus = [load_clean_table(p) for p in sorted(Path(clean_dir).glob("*.csv"))]
@@ -231,16 +238,13 @@ def _load_part(manifest: DatasetSplit, clean_dir: str, part: str) -> list[Table]
     return tables
 
 
-@cli.command("pretrain", context_settings=EXTRA)
+@cli.command("pretrain")
 @click.option("--split", "manifest_path", type=click.Path(exists=True), required=True)
 @click.option("--clean-dir", type=click.Path(exists=True, file_okay=False), required=True)
 @click.option("--method", default=None)
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("-c", "--config", "config_path", type=click.Path(exists=True), default=None)
-@click.argument("overrides", nargs=-1, type=click.UNPROCESSED)
-def pretrain_cmd(manifest_path, clean_dir, method, out_path, config_path, overrides):
+def pretrain_cmd(manifest_path, clean_dir, method, out_path, cfg):
     """Pretrain a model body across the manifest's training tables."""
-    cfg = _cfg(config_path, overrides)
     method = method or cfg["method"]
     manifest = DatasetSplit.from_json(Path(manifest_path).read_text(encoding="utf-8"))
     corpus = _load_part(manifest, clean_dir, "train")
@@ -267,42 +271,33 @@ def _single_table_cmd(action, table_path, base, method, out_path, cfg):
     click.echo(f"{action} {method} on {table.name} -> {out} (best epoch {log.best_epoch})")
 
 
-@cli.command("finetune", context_settings=EXTRA)
+@cli.command("finetune")
 @click.option("--checkpoint", "ckpt_path", type=click.Path(exists=True), required=True)
 @click.option("--table", "table_path", type=click.Path(exists=True), required=True)
 @click.option("--method", default=None)
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("-c", "--config", "config_path", type=click.Path(exists=True), default=None)
-@click.argument("overrides", nargs=-1, type=click.UNPROCESSED)
-def finetune_cmd(ckpt_path, table_path, method, out_path, config_path, overrides):
+def finetune_cmd(ckpt_path, table_path, method, out_path, cfg):
     """Fine-tune a pretrained body on one cleaned table."""
-    cfg = _cfg(config_path, overrides)
     base = load_checkpoint(ckpt_path)
     _single_table_cmd("finetune", table_path, base, method or base.kind, out_path, cfg)
 
 
-@cli.command("train-scratch", context_settings=EXTRA)
+@cli.command("train-scratch")
 @click.option("--table", "table_path", type=click.Path(exists=True), required=True)
 @click.option("--method", default=None)
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("-c", "--config", "config_path", type=click.Path(exists=True), default=None)
-@click.argument("overrides", nargs=-1, type=click.UNPROCESSED)
-def train_scratch_cmd(table_path, method, out_path, config_path, overrides):
+def train_scratch_cmd(table_path, method, out_path, cfg):
     """Train a fresh model on one cleaned table."""
-    cfg = _cfg(config_path, overrides)
     _single_table_cmd("scratch", table_path, None, method, out_path, cfg)
 
 
-@cli.command("sample", context_settings=EXTRA)
+@cli.command("sample")
 @click.option("--checkpoint", "ckpt_path", type=click.Path(exists=True), required=True)
 @click.option("--rows", type=int, required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--seed", type=int, default=None)
-@click.option("-c", "--config", "config_path", type=click.Path(exists=True), default=None)
-@click.argument("overrides", nargs=-1, type=click.UNPROCESSED)
-def sample_cmd(ckpt_path, rows, out_path, seed, config_path, overrides):
+def sample_cmd(ckpt_path, rows, out_path, seed, cfg):
     """Decode synthetic rows from a trained checkpoint into a CSV."""
-    cfg = _cfg(config_path, overrides)
     if rows < 0:
         raise DataError("--rows must be >= 0")
     ckpt = load_checkpoint(ckpt_path)
@@ -313,25 +308,20 @@ def sample_cmd(ckpt_path, rows, out_path, seed, config_path, overrides):
     click.echo(f"sampled {table.n_rows} rows -> {out}")
 
 
-@cli.command("evaluate", context_settings=EXTRA)
+@cli.command("evaluate")
 @click.option("--real", "real_path", type=click.Path(exists=True), required=True)
 @click.option("--synthetic", "syn_path", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--histograms", "hist_path", type=click.Path(), default=None)
-@click.option("-c", "--config", "config_path", type=click.Path(exists=True), default=None)
-@click.argument("overrides", nargs=-1, type=click.UNPROCESSED)
-def evaluate_cmd(real_path, syn_path, out_path, hist_path, config_path, overrides):
+def evaluate_cmd(real_path, syn_path, out_path, hist_path, cfg):
     """Score a synthetic CSV against its real source table."""
-    cfg = _cfg(config_path, overrides)
     real = load_clean_table(Path(real_path))
     syn = load_as_schema(Path(syn_path), list(real.columns))
     real = Table(real.name, syn.columns, real.rows)  # align category unions
     report = table_report(real, syn)
-    doc = report.to_dict()
-    doc["_provenance"] = _provenance(cfg)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+    _write_json(out, report.to_dict(), cfg)
     if hist_path:
         hists = {}
         for i, col in enumerate(real.columns):
@@ -369,7 +359,7 @@ def _benchmark_one(args):
     return table.name, results, logs, checkpoints
 
 
-@cli.command("benchmark", context_settings=EXTRA)
+@cli.command("benchmark")
 @click.option("--split", "manifest_path", type=click.Path(exists=True), required=True)
 @click.option("--clean-dir", type=click.Path(exists=True, file_okay=False), required=True)
 @click.option("--method", "methods", multiple=True, required=True)
@@ -378,11 +368,8 @@ def _benchmark_one(args):
 @click.option("--part", type=click.Choice(["val", "test"]), default="test")
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
 @click.option("--workers", type=int, default=None)
-@click.option("-c", "--config", "config_path", type=click.Path(exists=True), default=None)
-@click.argument("overrides", nargs=-1, type=click.UNPROCESSED)
-def benchmark_cmd(manifest_path, clean_dir, methods, pretrained_paths, part, out_dir, workers, config_path, overrides):
+def benchmark_cmd(manifest_path, clean_dir, methods, pretrained_paths, part, out_dir, workers, cfg):
     """Finetune-vs-scratch grid over a split part; emits the leaderboard."""
-    cfg = _cfg(config_path, overrides)
     workers = workers or cfg["workers"]
     manifest = DatasetSplit.from_json(Path(manifest_path).read_text(encoding="utf-8"))
     tables = _load_part(manifest, clean_dir, part)
@@ -423,11 +410,7 @@ def benchmark_cmd(manifest_path, clean_dir, methods, pretrained_paths, part, out
     for (_, method, _, _), (name, results, logs, ckpts) in zip(tasks, raw):
         for regime, report in results.items():
             keyed.setdefault((split_name, method, regime), []).append(report)
-            doc = report.to_dict()
-            doc["_provenance"] = _provenance(cfg)
-            (out / "reports" / f"{name}.{method}.{regime}.json").write_text(
-                json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8"
-            )
+            _write_json(out / "reports" / f"{name}.{method}.{regime}.json", report.to_dict(), cfg)
             (out / "logs" / f"{name}.{method}.{regime}.csv").write_text(
                 _provenance_line(cfg) + logs[regime].to_csv(), encoding="utf-8"
             )
@@ -456,14 +439,11 @@ def _read_report(path: Path) -> tuple[tuple[str, str, str], TableReport]:
         raise DataError(f"{path}: not a benchmark report: {exc}") from None
 
 
-@cli.command("report", context_settings=EXTRA)
+@cli.command("report")
 @click.option("--bench-dir", type=click.Path(exists=True, file_okay=False), required=True)
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
-@click.option("-c", "--config", "config_path", type=click.Path(exists=True), default=None)
-@click.argument("overrides", nargs=-1, type=click.UNPROCESSED)
-def report_cmd(bench_dir, out_dir, config_path, overrides):
+def report_cmd(bench_dir, out_dir, cfg):
     """Render leaderboard text and per-column/per-pair score deltas."""
-    cfg = _cfg(config_path, overrides)
     bench = Path(bench_dir)
     reports_dir = bench / "reports"
     if not reports_dir.exists():

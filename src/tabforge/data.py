@@ -92,6 +92,10 @@ class Table:
         self.validate()
 
     def validate(self) -> None:
+        names = [c.name for c in self.columns]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise DataError(f"table {self.name!r}: column {name!r} appears more than once")
         ncols = len(self.columns)
         numeric = [c.kind.is_numerical for c in self.columns]
         labels = [set(c.categories) if c.kind.is_categorical else None for c in self.columns]

@@ -9,9 +9,8 @@ entropy between the generated one-hot and the conditioning mask).
 
 The critic consumes `pac` rows jointly; the generator grows its hidden
 state by concatenation (h ⊕ ReLU(BN(FC(h)))) into one Dense over the row
-width; `generator_heads` then applies the per-column heads: tanh for each
-alpha, gumbel-softmax (tau 0.2) for each mode indicator and categorical
-block.
+width; the per-column heads over it are tanh for each alpha and
+gumbel-softmax (tau 0.2) for each mode indicator and categorical block.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from tabforge.nn.layers import (
 )
 from tabforge.nn.optim import Adam
 from tabforge.nn.tensor import Tensor
-from tabforge.transform import ColumnTransformer, decode_matrix
+from tabforge.transform import ColumnTransformer, decode_batches
 
 
 CRITIC_DROPOUT = 0.5
@@ -307,21 +306,18 @@ def _batch_size(model: CtganModel, n_rows: int) -> int:
     return batch
 
 
-def generator_heads(raw: Tensor, transformer: ColumnTransformer, tau: float, mode: str, rng):
-    """The generator's per-column heads over its last Dense output: tanh for
-    each alpha, gumbel-softmax for each mode indicator and categorical block.
+def _generate(model: CtganModel, cond: np.ndarray, mode: str, rng: np.random.Generator):
+    """Noise ⊕ cond through the generator body, then its per-column heads
+    over the last Dense output: tanh for each alpha, gumbel-softmax for each
+    mode indicator and categorical block.
 
     Returns the encoded row and, in train mode, the noised logits over tau
     (the conditional cross entropy reads its categorical blocks).
     """
-    return gumbel_softmax(raw, tau, mode, rng, transformer.blocks, transformer.alphas)
-
-
-def _generate(model: CtganModel, cond: np.ndarray, mode: str, rng: np.random.Generator):
-    """Noise ⊕ cond through the generator body and heads: (row, scaled logits)."""
     z = rng.standard_normal((cond.shape[0], model.config.z_dim)).astype(np.float32)
     raw = model.generator.forward(np.concatenate([z, cond], axis=1), mode=mode, rng=rng)
-    return generator_heads(raw, model.transformer, model.config.tau, mode, rng)
+    tf = model.transformer
+    return gumbel_softmax(raw, model.config.tau, mode, rng, tf.blocks, tf.alphas)
 
 
 def critic_loss_graph(
@@ -434,21 +430,15 @@ def ctgan_sample(
     condition: tuple[int, int] | None = None,
 ) -> Table:
     """Decode n generated rows; `condition` forces (i*, k*) for every row."""
-    cfg = model.config
-    rows = []
-    remaining = n
-    while remaining > 0:
-        chunk = min(remaining, cfg.batch)
+
+    def draw(count: int) -> np.ndarray:
         if condition is not None:
             i_star, k_star = condition
-            cond = _cond_matrix(model.transformer, np.full(chunk, i_star), np.full(chunk, k_star))
+            cond = _cond_matrix(model.transformer, np.full(count, i_star), np.full(count, k_star))
         else:
-            _, _, cond = sample_conditions(model, chunk, rng)
+            _, _, cond = sample_conditions(model, count, rng)
         with T.no_grad():
             out, _ = _generate(model, cond, "eval", rng)
-        rows.append(out.data)
-        remaining -= chunk
-    matrix = np.concatenate(rows, axis=0) if rows else np.zeros((0, model.row_width), dtype=np.float32)
-    table = decode_matrix(matrix, model.transformer)
-    table.name = "synthetic"
-    return table
+        return out.data
+
+    return decode_batches(model.transformer, n, model.config.batch, draw)

@@ -25,7 +25,7 @@ from tabforge.nn.layers import Dense, Net, ReLU
 from tabforge.nn.optim import Adam
 from tabforge.nn.tensor import Tensor
 from tabforge.split import name_embedding
-from tabforge.transform import ColumnTransformer, decode_matrix
+from tabforge.transform import ColumnTransformer, decode_batches
 
 from tabforge.models.ctgan import ModelError
 
@@ -252,26 +252,18 @@ def vae_train_batch(model: VaeModel, batch: np.ndarray, rng: np.random.Generator
 
 
 def vae_val_loss(model: VaeModel, batch: np.ndarray, rng: np.random.Generator) -> float:
-    mu, sigma, heads, logits, _ = vae_forward(model, batch, rng)
-    return float(elbo_loss(model, heads, logits, batch, mu, sigma).data)
+    with T.no_grad():  # nothing backpropagates a validation loss
+        mu, sigma, heads, logits, _ = vae_forward(model, batch, rng)
+        return float(elbo_loss(model, heads, logits, batch, mu, sigma).data)
 
 
 def vae_sample(model: VaeModel, n: int, rng: np.random.Generator) -> Table:
     """z ~ N(0, I) through the decoder; blocks decode by argmax."""
-    chunks = []
-    remaining = n
-    while remaining > 0:
-        take = min(remaining, model.config.batch)
-        z = rng.standard_normal((take, model.config.latent)).astype(np.float32)
+
+    def draw(count: int) -> np.ndarray:
+        z = rng.standard_normal((count, model.config.latent)).astype(np.float32)
         with T.no_grad():
             heads, _ = decoder_heads(model.decoder.forward(z, mode="eval"), model.transformer)
-        chunks.append(heads.data)
-        remaining -= take
-    matrix = (
-        np.concatenate(chunks, axis=0)
-        if chunks
-        else np.zeros((0, model.row_width), dtype=np.float32)
-    )
-    table = decode_matrix(matrix, model.transformer)
-    table.name = "synthetic"
-    return table
+        return heads.data
+
+    return decode_batches(model.transformer, n, model.config.batch, draw)

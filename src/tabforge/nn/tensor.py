@@ -97,10 +97,6 @@ class Tensor:
     # -- graph plumbing -------------------------------------------------
 
     @property
-    def shape(self):
-        return self.data.shape
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -157,45 +153,20 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return add(self, mul(_wrap(other, self), -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), _wrap(other, self))
 
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        other = _wrap(other, self)
-        return mul(self, pow_(other, -1.0))
-
-    def __rtruediv__(self, other):
-        return mul(_wrap(other, self), pow_(self, -1.0))
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return pow_(self, exponent)
 
     def __getitem__(self, key):
         return take(self, key)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis, keepdims)
 
 
 def _wrap(x, like: Tensor) -> Tensor:
@@ -363,26 +334,20 @@ def maximum_const(a: Tensor, floor: float):
 # -- reductions ----------------------------------------------------------
 
 
-def sum_(a: Tensor, axis=None, keepdims=False):
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def sum_(a: Tensor, axis=None):
+    data = a.data.sum(axis=axis)
 
     def vjp(g):
         if axis is None:
             return (np.broadcast_to(g, a.data.shape).copy(),)
-        g2 = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g2, a.data.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),)
 
     return _node(data, (a,), vjp, "sum")
 
 
-def mean(a: Tensor, axis=None, keepdims=False):
-    if axis is None:
-        n = a.data.size
-    elif isinstance(axis, tuple):
-        n = int(np.prod([a.data.shape[ax] for ax in axis]))
-    else:
-        n = a.data.shape[axis]
-    return mul(sum_(a, axis, keepdims), 1.0 / n)
+def mean(a: Tensor):
+    """The mean over every element."""
+    return mul(sum_(a), 1.0 / a.data.size)
 
 
 # -- shape ---------------------------------------------------------------

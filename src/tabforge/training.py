@@ -37,12 +37,12 @@ from tabforge.models.ctgan import (
     CtganConfig,
     build_ctgan,
     build_row_index,
-    condition_log_pmfs,
     ctgan_sample,
     ctgan_train_batch,
     make_ctgan,
 )
 from tabforge.models.vae import (
+    VARIANTS,
     VaeConfig,
     build_vae,
     vae_sample,
@@ -206,10 +206,13 @@ def _segment_rows(seglist) -> dict[str, tuple[int, int]]:
 # -- drivers ------------------------------------------------------------------------
 #
 # A driver owns everything that differs between methods: the per-table prep
-# (whose "rows" are what an epoch trains on), the model, one epoch, the
-# validation loss, sampling, the checkpoint aux and the rebuild from it.
-# `early_stops` picks fine-tuning's policy: early stopping on validation
-# loss, or scoring snapshots against a held-out slice.
+# (whose "rows" a run splits into training and validation rows), the start
+# of a run, one epoch, the validation loss, sampling, the checkpoint aux and
+# the rebuild from it.  `start` builds the model and its session from the
+# rows the run trains on; the session holds everything an epoch reads, so
+# `train_epoch(model, session, rng)` takes nothing else.  Drivers hold no
+# state of their own.  `early_stops` picks fine-tuning's policy: early
+# stopping on validation loss, or scoring snapshots against a held-out slice.
 #
 # Drivers call the model functions by their module-global names at call
 # time, never through a reference captured in a class body, so that a
@@ -233,7 +236,7 @@ def _stored_config(cls, ckpt: ModelCheckpoint):
 
 class _GmmDriver:
     """What the GMM-encoded methods share: the fitted column transformer,
-    and the encoded matrix as the training rows."""
+    and the encoded matrix as the rows."""
 
     early_stops = True
 
@@ -252,23 +255,23 @@ class _GmmDriver:
         return ColumnTransformer.from_dict(_aux_entry(ckpt, "transformer"))
 
 
+def _batches(n: int, size: int, rng) -> list[np.ndarray]:
+    """`rng.permutation(n)` cut into consecutive batches of `size` indices."""
+    order = rng.permutation(n)
+    return [order[start : start + size] for start in range(0, n, size)]
+
+
 class _VaeDriver(_GmmDriver):
-    def __init__(self, variant: str):
-        self.variant = variant
+    def start(self, prep, rows: np.ndarray, config: TrainConfig, seed: int):
+        model = build_vae(prep["transformer"], replace(config.vae, variant=config.kind), seed)
+        return model, {"opt": model.optimizer(), "rows": rows}
 
-    def build(self, prep, config: TrainConfig, seed: int):
-        return build_vae(prep["transformer"], replace(config.vae, variant=self.variant), seed)
-
-    def setup(self, model):
-        return {"opt": model.optimizer()}
-
-    def train_epoch(self, model, session, matrix: np.ndarray, rng) -> float:
-        batch_size = model.config.batch
-        order = rng.permutation(matrix.shape[0])
-        losses = []
-        for start in range(0, len(order), batch_size):
-            batch = matrix[order[start : start + batch_size]]
-            losses.append(vae_train_batch(model, batch, rng, session["opt"]))
+    def train_epoch(self, model, session, rng) -> float:
+        rows = session["rows"]
+        losses = [
+            vae_train_batch(model, rows[ids], rng, session["opt"])
+            for ids in _batches(len(rows), model.config.batch, rng)
+        ]
         return float(np.mean(losses))
 
     def val_loss(self, model, prep, val_matrix: np.ndarray, rng) -> float:
@@ -284,26 +287,22 @@ class _VaeDriver(_GmmDriver):
 class _CtganDriver(_GmmDriver):
     early_stops = False  # a GAN has no usable validation loss
 
-    def build(self, prep, config: TrainConfig, seed: int):
-        return build_ctgan(prep["transformer"], prep["rows"], config.ctgan, seed)
-
-    def setup(self, model):
+    def start(self, prep, rows: np.ndarray, config: TrainConfig, seed: int):
+        # The condition PMFs and the row index cover the rows trained on: a
+        # category whose rows all fell into the validation slice gets zero
+        # mass, so the condition sampler never asks for a real row that is
+        # not there.
+        model = build_ctgan(prep["transformer"], rows, config.ctgan, seed)
         critic_opt, gen_opt = model.optimizers()
-        return {"critic_opt": critic_opt, "gen_opt": gen_opt, "row_index": None}
+        row_index = build_row_index(model, rows)
+        return model, {"critic_opt": critic_opt, "gen_opt": gen_opt, "rows": rows, "row_index": row_index}
 
-    def train_epoch(self, model, session, matrix: np.ndarray, rng) -> float:
-        if session["row_index"] is None or session.get("rows") is not matrix:
-            session["row_index"] = build_row_index(model, matrix)
-            session["rows"] = matrix
-            # PMFs of the rows trained on: a category whose rows all fell into
-            # the validation slice gets zero mass, so the condition sampler
-            # never asks for a real row that is not there.
-            model.log_pmfs = condition_log_pmfs(model.transformer, matrix)
-        steps = max(1, matrix.shape[0] // model.config.batch)
+    def train_epoch(self, model, session, rng) -> float:
+        rows = session["rows"]
         losses = []
-        for _ in range(steps):
+        for _ in range(max(1, rows.shape[0] // model.config.batch)):
             out = ctgan_train_batch(
-                model, matrix, rng, session["critic_opt"], session["gen_opt"], session["row_index"]
+                model, rows, rng, session["critic_opt"], session["gen_opt"], session["row_index"]
             )
             losses.append(out["generator_loss"])
         return float(np.mean(losses))
@@ -335,11 +334,9 @@ class _GreatDriver:
         vocab = Vocab.from_dict((aux or self.corpus_aux([table], config))["vocab"])
         return {"table": table, "vocab": vocab, "rows": np.arange(table.n_rows)}
 
-    def build(self, prep, config: TrainConfig, seed: int):
-        return build_great(config.great, prep["vocab"], seed)
-
-    def setup(self, model):
-        return {"opt": model.optimizer()}
+    def start(self, prep, rows: np.ndarray, config: TrainConfig, seed: int):
+        model = build_great(config.great, prep["vocab"], seed)
+        return model, {"opt": model.optimizer(), "prep": prep, "rows": rows}
 
     def _framed(self, prep, rows, permute_rng=None) -> list[list[int]]:
         table = prep["table"]
@@ -352,15 +349,12 @@ class _GreatDriver:
             out.append([BOS] + vocab.encode(sentence) + [EOS])
         return out
 
-    def train_epoch(self, model, session, row_ids: np.ndarray, rng) -> float:
-        seqs = self._framed(session["prep"], row_ids, permute_rng=rng)
-        order = rng.permutation(len(seqs))
-        batch_size = model.config.batch
-        losses = []
-        for start in range(0, len(order), batch_size):
-            chunk = [seqs[i] for i in order[start : start + batch_size]]
-            batch = pad_batch(chunk, model.config.ctx)
-            losses.append(great_train_step(model, batch, session["opt"]))
+    def train_epoch(self, model, session, rng) -> float:
+        seqs = self._framed(session["prep"], session["rows"], permute_rng=rng)
+        losses = [
+            great_train_step(model, pad_batch([seqs[i] for i in ids], model.config.ctx), session["opt"])
+            for ids in _batches(len(seqs), model.config.batch, rng)
+        ]
         return float(np.mean(losses))
 
     def val_loss(self, model, prep, row_ids: np.ndarray, rng) -> float:
@@ -392,14 +386,14 @@ class _GreatDriver:
         return model, {"table": Table("synthetic", schema, [])}  # sampling needs only the schema
 
 
+_DRIVERS = {"ctgan": _CtganDriver(), **dict.fromkeys(VARIANTS, _VaeDriver()), "great": _GreatDriver()}
+
+
 def _driver(kind: str):
-    if kind == "ctgan":
-        return _CtganDriver()
-    if kind in ("tvae", "stvae", "stvaem"):
-        return _VaeDriver(kind)
-    if kind == "great":
-        return _GreatDriver()
-    raise TrainingError(f"unknown model kind {kind!r}")
+    driver = _DRIVERS.get(kind)
+    if driver is None:
+        raise TrainingError(f"unknown model kind {kind!r}")
+    return driver
 
 
 @contextlib.contextmanager
@@ -449,17 +443,14 @@ def pretrain(corpus: list[Table], config: TrainConfig) -> tuple[ModelCheckpoint,
         iteration_losses = []
         for idx in order:
             table, prep = corpus[int(idx)], preps[int(idx)]
-            model = driver.build(
-                prep, config, int(substream(config.seed, "pretrain", "model", table.name, iteration).integers(2**63))
-            )
+            model_seed = int(substream(config.seed, "pretrain", "model", table.name, iteration).integers(2**63))
+            model, session = driver.start(prep, prep["rows"], config, model_seed)
             if body is not None:
                 transfer_state(model, body, last_model.segments())
-            session = driver.setup(model)
-            session["prep"] = prep
             rng = substream(config.seed, "pretrain", "epoch", table.name, iteration)
             where = f"pretraining iteration {iteration + 1}"
             with _diverged(f"{config.kind} training diverged on table {table.name!r} at {where}"):
-                loss = driver.train_epoch(model, session, prep["rows"], rng)
+                loss = driver.train_epoch(model, session, rng)
             iteration_losses.append(loss)
             body = copy_state(model)
             last_model = model
@@ -493,16 +484,13 @@ def finetune(
     driver = _driver(config.kind)
 
     prep = driver.prep(table, config, checkpoint.aux if checkpoint is not None else {})
-    model_seed = int(substream(config.seed, "model", table.name).integers(2**63))
-    model = driver.build(prep, config, model_seed)
-    if checkpoint is not None:
-        transfer_state(model, checkpoint.tensors, checkpoint.segments)
-    session = driver.setup(model)
-    session["prep"] = prep
-
     rows = prep["rows"]
     train_ids, val_ids = _val_split(len(rows), config.val_fraction, substream(config.seed, "valsplit", table.name))
-    train_rows, val_rows = rows[train_ids], rows[val_ids]
+    val_rows = rows[val_ids]
+    model_seed = int(substream(config.seed, "model", table.name).integers(2**63))
+    model, session = driver.start(prep, rows[train_ids], config, model_seed)
+    if checkpoint is not None:
+        transfer_state(model, checkpoint.tensors, checkpoint.segments)
 
     log = TrainLog()
     best_state = copy_state(model)
@@ -514,7 +502,7 @@ def finetune(
     for epoch in range(1, config.epochs + 1):
         with _diverged(f"{config.kind} training diverged on table {table.name!r} at epoch {epoch}"):
             rng = substream(config.seed, "epoch", table.name, epoch)
-            train_loss = driver.train_epoch(model, session, train_rows, rng)
+            train_loss = driver.train_epoch(model, session, rng)
             val_loss = None
             if driver.early_stops and len(val_ids):
                 val_loss = driver.val_loss(model, prep, val_rows, substream(config.seed, "val", table.name, epoch))

@@ -372,3 +372,14 @@ def decode_matrix(matrix: np.ndarray, transformer: ColumnTransformer) -> Table:
     ]
     rows = [[cells[i][r] for i in range(len(schema))] for r in range(n)]
     return Table(name="decoded", columns=schema, rows=rows)
+
+
+def decode_batches(transformer: ColumnTransformer, n: int, batch: int, draw) -> Table:
+    """`n` rows drawn in chunks of at most `batch`, decoded as one table named
+    "synthetic"; `draw(count)` returns a chunk as an encoded (count, width)
+    matrix."""
+    chunks = [draw(min(batch, n - start)) for start in range(0, n, batch)]
+    matrix = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, transformer.total_width), dtype=np.float32)
+    table = decode_matrix(matrix, transformer)
+    table.name = "synthetic"
+    return table

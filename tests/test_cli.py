@@ -390,6 +390,26 @@ class TestFailuresExitTwo:
         assert main_exit_code(monkeypatch, args) == 2
         assert capsys.readouterr().err == f"error: table 'syn' has a null cell in column {where!r}\n"
 
+    def test_clean_counts_a_repeated_column_name_as_failed(self, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        rows = [f"{i},{i % 7},{'xy'[i % 2]}" for i in range(40)]
+        (corpus / "dup.csv").write_text("a,a,g\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main_exit_code(monkeypatch, ["clean", str(corpus), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: dup.csv: table 'dup': column 'a' appears more than once" in err
+        assert json.loads((out / "stats.json").read_text())["failed"] == 1
+
+    def test_evaluate_rejects_a_repeated_column_name(self, tmp_path, monkeypatch, capsys):
+        rows = [f"{i},{i % 7},{'xy'[i % 2]}" for i in range(40)]
+        for name in ("real", "syn"):
+            (tmp_path / f"{name}.csv").write_text("a,a,g\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        args = ["evaluate", "--real", str(tmp_path / "real.csv"), "--synthetic", str(tmp_path / "syn.csv"),
+                "--out", str(tmp_path / "r.json")]
+        assert main_exit_code(monkeypatch, args) == 2
+        assert capsys.readouterr().err == "error: table 'real': column 'a' appears more than once\n"
+
     @pytest.mark.parametrize("command", ["pretrain", "train-scratch"])
     def test_diverged_training_names_method_table_and_epoch(
         self, command, pipeline_dirs, monkeypatch, capsys
@@ -397,7 +417,7 @@ class TestFailuresExitTwo:
         cleaned, manifest, tmp = pipeline_dirs
         table = sorted(cleaned.glob("*.csv"))[0]
 
-        def diverge(self, model, session, rows, rng):
+        def diverge(self, model, session, rng):
             raise FloatingPointError("non-finite values produced by op 'exp'")
 
         monkeypatch.setattr(tr._VaeDriver, "train_epoch", diverge)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from tabforge.nn import tensor as T
-from tabforge.models.ctgan import generator_heads
 from tabforge.models.vae import decoder_heads
 from tabforge.nn.functional import cross_entropy_logits, gumbel_softmax, kl_std_normal
 from tabforge.nn.layers import (
@@ -56,7 +55,10 @@ LAYER_CASES = {
     "batchnorm": ([Dense(5, 4), BatchNorm(4)], None),
     "dropout": ([Dense(5, 4), Dropout(0.4)], None),
     "concat_skip": ([ConcatSkip((Dense(5, 3), BatchNorm(3), ReLU()))], None),
-    "spans": ([Dense(5, 6)], lambda out, rng: generator_heads(out, HEAD_LAYOUT, 0.3, "train", rng)[0]),
+    "spans": (
+        [Dense(5, 6)],
+        lambda out, rng: gumbel_softmax(out, 0.3, "train", rng, HEAD_LAYOUT.blocks, HEAD_LAYOUT.alphas)[0],
+    ),
     "decoder_spans": ([Dense(5, 6)], lambda out, rng: decoder_heads(out, HEAD_LAYOUT)[0]),
 }
 

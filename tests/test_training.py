@@ -195,6 +195,16 @@ class TestScratchTraining:
             ckpt, _ = finetune(None, table, cfg)
             assert ckpt.tensors
 
+    def test_ctgan_condition_pmfs_do_not_depend_on_the_epoch_count(self):
+        # The PMFs are those of the rows trained on from the start, so a run
+        # that trains no epoch stores the same ones as a run that trains one.
+        table = make_table("pm", n=45, cats=("a", "b", "c"))
+        pmfs = [
+            finetune(None, table, quick_config("ctgan", epochs=epochs))[0].aux["log_pmfs"]
+            for epochs in (0, 1)
+        ]
+        assert pmfs[0] == pmfs[1]
+
     def test_great_scratch_runs_and_samples(self):
         table = make_table("t3", n=30)
         cfg = quick_config("great", epochs=2)
@@ -324,8 +334,8 @@ class TestPretrain:
         hashes = []
         original = tr._VaeDriver.train_epoch
 
-        def spy(self, model, session, matrix, rng):
-            loss = original(self, model, session, matrix, rng)
+        def spy(self, model, session, rng):
+            loss = original(self, model, session, rng)
             state = tr.copy_state(model)
             digest = hashlib.sha256(
                 b"".join(state[k].tobytes() for k in sorted(state) if not k.endswith("running_mean"))
@@ -357,9 +367,9 @@ class TestPretrain:
             cfg = quick_config(iterations=2)
             passes = []
 
-            def spy(self, model, session, matrix, rng):
-                passes.append(id(session["prep"]["table"]))
-                return original(self, model, session, matrix, rng)
+            def spy(self, model, session, rng):
+                passes.append(id(session["rows"]))
+                return original(self, model, session, rng)
 
             tr._VaeDriver.train_epoch = spy
             try:
