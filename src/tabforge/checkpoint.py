@@ -16,11 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from tabforge.data import DataError
+
 MAGIC = b"TFCK"
 FORMAT_VERSION = 1
 
 
-class CheckpointError(Exception):
+class CheckpointError(DataError):
     pass
 
 

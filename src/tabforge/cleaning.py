@@ -47,6 +47,10 @@ class CleaningConfig:
                 raise DataError(f"{name} must be in (0, 1], got {v}")
 
 
+def cleaning_config(cfg: dict) -> CleaningConfig:
+    return CleaningConfig(**cfg["cleaning"])
+
+
 @dataclass
 class CleaningReport:
     table: str

@@ -5,7 +5,12 @@ overrides, and is re-runnable: identical config and seed give byte-identical
 artifacts.  Work-dir layout: cleaned/, splits/, checkpoints/, samples/,
 reports/.
 
-Exit codes: 0 success, 1 usage, 2 data error, 3 budget exceeded.
+Exit codes: 0 success, 1 usage, 2 data error, 3 budget exceeded.  Every
+data error is a `DataError`.
+
+Each command imports what it runs inside its own body, so a process loads
+only the modules of the command it runs: `clean` never loads numpy, and
+`split` and `report` never load the training stack.
 """
 
 from __future__ import annotations
@@ -14,22 +19,12 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
-import numpy as np
 
-from tabforge.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from tabforge.cleaning import clean_table
-from tabforge.config import (
-    ConfigError,
-    cleaning_config,
-    config_hash,
-    load_config,
-    split_spec,
-    train_config,
-)
+from tabforge.cleaning import clean_table, cleaning_config
+from tabforge.config import ConfigError, config_hash, load_config
 from tabforge.data import (
     ColumnKind,
     ColumnMeta,
@@ -38,39 +33,7 @@ from tabforge.data import (
     infer_schema,
     ingest_csv,
 )
-from tabforge.great.model import GreatError
-from tabforge.metrics import (
-    MetricError,
-    TableReport,
-    build_leaderboard,
-    column_histogram,
-    table_report,
-)
-from tabforge.models.ctgan import ModelError
-from tabforge.split import (
-    DatasetSplit,
-    domain_split,
-    load_embedding_file,
-    name_embedding,
-    random_split,
-)
-from tabforge.training import (
-    TrainingError,
-    finetune,
-    pretrain,
-    sample_from_checkpoint,
-)
-from tabforge.transform import TransformError
 
-_DATA_ERRORS = (
-    DataError,
-    MetricError,
-    TransformError,
-    CheckpointError,
-    TrainingError,
-    ModelError,
-    GreatError,
-)
 
 def _write_json(path: Path, doc: dict, cfg) -> None:
     """`doc` and the run's provenance as sorted, indented JSON."""
@@ -192,8 +155,8 @@ def clean(corpus_dir, out_dir, cfg):
         "tables": len(kept),
         "discarded": len(files) - failed - len(kept),
         "failed": failed,
-        "avg_columns": float(np.mean([t.n_cols for t in kept])) if kept else 0.0,
-        "avg_rows": float(np.mean([t.n_rows for t in kept])) if kept else 0.0,
+        "avg_columns": sum(t.n_cols for t in kept) / len(kept) if kept else 0.0,
+        "avg_rows": sum(t.n_rows for t in kept) / len(kept) if kept else 0.0,
     }
     _write_json(out / "stats.json", stats, cfg)
     if failed == len(files):
@@ -207,6 +170,14 @@ def clean(corpus_dir, out_dir, cfg):
 @click.option("--embeddings", "embeddings_path", type=click.Path(exists=True), default=None)
 def split(clean_dir, out_path, mode, embeddings_path, cfg):
     """Emit a train/val/test split manifest for a cleaned corpus."""
+    from tabforge.split import (
+        domain_split,
+        load_embedding_file,
+        name_embedding,
+        random_split,
+        split_spec,
+    )
+
     if mode:
         cfg["split"]["mode"] = mode
     corpus = [load_clean_table(p) for p in sorted(Path(clean_dir).glob("*.csv"))]
@@ -227,7 +198,8 @@ def split(clean_dir, out_path, mode, embeddings_path, cfg):
     )
 
 
-def _load_part(manifest: DatasetSplit, clean_dir: str, part: str) -> list[Table]:
+def _load_part(manifest, clean_dir: str, part: str) -> list[Table]:
+    """The cleaned tables of a split manifest's `part`."""
     names = {"train": manifest.train, "val": manifest.val, "test": manifest.test}[part]
     tables = []
     for name in names:
@@ -245,6 +217,10 @@ def _load_part(manifest: DatasetSplit, clean_dir: str, part: str) -> list[Table]
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def pretrain_cmd(manifest_path, clean_dir, method, out_path, cfg):
     """Pretrain a model body across the manifest's training tables."""
+    from tabforge.checkpoint import save_checkpoint
+    from tabforge.split import DatasetSplit
+    from tabforge.training import pretrain, train_config
+
     method = method or cfg["method"]
     manifest = DatasetSplit.from_json(Path(manifest_path).read_text(encoding="utf-8"))
     corpus = _load_part(manifest, clean_dir, "train")
@@ -261,6 +237,9 @@ def pretrain_cmd(manifest_path, clean_dir, method, out_path, cfg):
 
 def _single_table_cmd(action, table_path, base, method, out_path, cfg):
     """Train on one table from `base` (None: from scratch) and save it."""
+    from tabforge.checkpoint import save_checkpoint
+    from tabforge.training import finetune, train_config
+
     table = load_clean_table(Path(table_path))
     method = method or cfg["method"]
     ckpt, log = finetune(base, table, train_config(cfg, method))
@@ -278,6 +257,8 @@ def _single_table_cmd(action, table_path, base, method, out_path, cfg):
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def finetune_cmd(ckpt_path, table_path, method, out_path, cfg):
     """Fine-tune a pretrained body on one cleaned table."""
+    from tabforge.checkpoint import load_checkpoint
+
     base = load_checkpoint(ckpt_path)
     _single_table_cmd("finetune", table_path, base, method or base.kind, out_path, cfg)
 
@@ -298,6 +279,9 @@ def train_scratch_cmd(table_path, method, out_path, cfg):
 @click.option("--seed", type=int, default=None)
 def sample_cmd(ckpt_path, rows, out_path, seed, cfg):
     """Decode synthetic rows from a trained checkpoint into a CSV."""
+    from tabforge.checkpoint import load_checkpoint
+    from tabforge.training import sample_from_checkpoint
+
     if rows < 0:
         raise DataError("--rows must be >= 0")
     ckpt = load_checkpoint(ckpt_path)
@@ -315,6 +299,8 @@ def sample_cmd(ckpt_path, rows, out_path, seed, cfg):
 @click.option("--histograms", "hist_path", type=click.Path(), default=None)
 def evaluate_cmd(real_path, syn_path, out_path, hist_path, cfg):
     """Score a synthetic CSV against its real source table."""
+    from tabforge.metrics import column_histogram, table_report
+
     real = load_clean_table(Path(real_path))
     syn = load_as_schema(Path(syn_path), list(real.columns))
     real = Table(real.name, syn.columns, real.rows)  # align category unions
@@ -337,9 +323,12 @@ def evaluate_cmd(real_path, syn_path, out_path, hist_path, cfg):
 
 def _benchmark_one(args):
     """(table × method) task: finetune + scratch, sample, score."""
-    table, method, ckpt_blob, cfg = args
+    # Imported here, not at module level: process-pool workers call this.
     from tabforge.checkpoint import load_checkpoint_bytes
+    from tabforge.metrics import TableReport, table_report
+    from tabforge.training import finetune, sample_from_checkpoint, train_config
 
+    table, method, ckpt_blob, cfg = args
     tcfg = train_config(cfg, method)
     base = load_checkpoint_bytes(ckpt_blob)
     results = {}
@@ -370,6 +359,10 @@ def _benchmark_one(args):
 @click.option("--workers", type=int, default=None)
 def benchmark_cmd(manifest_path, clean_dir, methods, pretrained_paths, part, out_dir, workers, cfg):
     """Finetune-vs-scratch grid over a split part; emits the leaderboard."""
+    from tabforge.checkpoint import CheckpointError, save_checkpoint
+    from tabforge.metrics import build_leaderboard
+    from tabforge.split import DatasetSplit
+
     workers = workers or cfg["workers"]
     manifest = DatasetSplit.from_json(Path(manifest_path).read_text(encoding="utf-8"))
     tables = _load_part(manifest, clean_dir, part)
@@ -399,13 +392,15 @@ def benchmark_cmd(manifest_path, clean_dir, methods, pretrained_paths, part, out
             tasks.append((table, method, blob, cfg))
 
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_benchmark_one, tasks))
     else:
         raw = [_benchmark_one(t) for t in tasks]
 
     split_name = f"{manifest.provenance.mode}-{part}"
-    keyed: dict[tuple[str, str, str], list[TableReport]] = {}
+    keyed: dict[tuple[str, str, str], list] = {}
     # pool.map preserves task order, so outputs stay deterministic.
     for (_, method, _, _), (name, results, logs, ckpts) in zip(tasks, raw):
         for regime, report in results.items():
@@ -421,9 +416,11 @@ def benchmark_cmd(manifest_path, clean_dir, methods, pretrained_paths, part, out
     click.echo(board.render())
 
 
-def _read_report(path: Path) -> tuple[tuple[str, str, str], TableReport]:
+def _read_report(path: Path) -> tuple:
     """A `<table>.<method>.<regime>.json` report as its key and TableReport;
     a file that is not one is a DataError naming it."""
+    from tabforge.metrics import MetricError, TableReport
+
     key = tuple(path.stem.rsplit(".", 2))
     if len(key) != 3:
         raise DataError(f"{path}: a report is named <table>.<method>.<regime>.json")
@@ -444,6 +441,8 @@ def _read_report(path: Path) -> tuple[tuple[str, str, str], TableReport]:
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
 def report_cmd(bench_dir, out_dir, cfg):
     """Render leaderboard text and per-column/per-pair score deltas."""
+    from tabforge.metrics import build_leaderboard
+
     bench = Path(bench_dir)
     reports_dir = bench / "reports"
     if not reports_dir.exists():
@@ -471,7 +470,7 @@ def report_cmd(bench_dir, out_dir, cfg):
         }
     (out / "deltas.json").write_text(json.dumps(deltas, indent=2, sort_keys=True), encoding="utf-8")
 
-    keyed: dict[tuple[str, str, str], list[TableReport]] = {}
+    keyed: dict[tuple[str, str, str], list] = {}
     for (_, method, regime), report in loaded.items():
         keyed.setdefault(("bench", method, regime), []).append(report)
     board = build_leaderboard(keyed)
@@ -494,7 +493,7 @@ def main():
     except ConfigError as exc:
         click.echo(f"usage error: {exc}", err=True)
         sys.exit(1)
-    except _DATA_ERRORS as exc:
+    except DataError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 

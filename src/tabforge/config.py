@@ -3,6 +3,10 @@
 Precedence is default < file < flag.  Flags arrive as `--section.key=value`
 tokens; values parse as JSON when possible (numbers, booleans, lists) and
 fall back to bare strings.
+
+This module imports no other tabforge module.  Each config dataclass is
+built from the loaded dict next to its definition: `cleaning.cleaning_config`,
+`split.split_spec` and `training.train_config`.
 """
 
 from __future__ import annotations
@@ -11,19 +15,10 @@ import copy
 import hashlib
 import json
 
-from tabforge.cleaning import CleaningConfig
-from tabforge.great.model import GreatConfig
-from tabforge.models.ctgan import CtganConfig
-from tabforge.models.vae import VaeConfig
-from tabforge.split import SplitSpec
-from tabforge.training import TrainConfig
-
 
 class ConfigError(Exception):
     pass
 
-
-NET_SIZES = {"small": (128, 128), "normal": (256, 256)}
 
 DEFAULTS: dict = {
     "seed": 0,
@@ -142,60 +137,3 @@ def load_config(path=None, overrides: list[str] = ()) -> dict:
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
-
-
-def cleaning_config(cfg: dict) -> CleaningConfig:
-    return CleaningConfig(**cfg["cleaning"])
-
-
-def split_spec(cfg: dict) -> SplitSpec:
-    s = cfg["split"]
-    return SplitSpec(
-        ratios=tuple(s["ratios"]),
-        seed=cfg["seed"],
-        mode=s["mode"],
-        k=s["k"],
-    )
-
-
-def train_config(cfg: dict, method: str | None = None) -> TrainConfig:
-    method = method or cfg["method"]
-    m = cfg["model"]
-    hidden = NET_SIZES.get(m["net_size"])
-    if hidden is None:
-        raise ConfigError(f"unknown net_size {m['net_size']!r}")
-    t = cfg["training"]
-    ctgan = CtganConfig(
-        z_dim=m["z_dim"],
-        pac=m["pac"],
-        batch=m["batch"],
-        lambda_gp=m["lambda_gp"],
-        tau=m["tau"],
-        hidden=hidden,
-        lr=m["lr_gan"],
-    )
-    vae = VaeConfig(
-        variant=method if method in ("tvae", "stvae", "stvaem") else "stvae",
-        latent=m["latent"],
-        hidden=hidden,
-        sig_dim=m["sig_dim"],
-        lr=m["lr_vae"],
-        batch=m["batch"],
-        recon_weight=m["recon_weight"],
-    )
-    great = GreatConfig(**m["great"])
-    return TrainConfig(
-        kind=method,
-        seed=cfg["seed"],
-        iterations=t["iterations"],
-        epochs=t["epochs"],
-        wall_clock_budget=t["wall_clock_budget"],
-        patience=t["patience"],
-        min_delta=t["min_delta"],
-        ckpt_every=t["ckpt_every"],
-        val_fraction=t["val_fraction"],
-        gmm_modes=cfg["transform"]["gmm_modes"],
-        ctgan=ctgan,
-        vae=vae,
-        great=great,
-    )

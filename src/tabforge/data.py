@@ -25,7 +25,10 @@ _PHONE_RE = re.compile(r"^\+?[\d\s\-().]{7,}$")
 
 
 class DataError(Exception):
-    """Raised on malformed input data (unreadable files, ragged rows, ...)."""
+    """Raised on malformed input data (unreadable files, ragged rows, ...).
+
+    Every module's own error class subclasses it, so the CLI reports all of
+    them with exit 2 without importing the modules that define them."""
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from tabforge.data import DataError
 
-class BpeError(Exception):
+
+class BpeError(DataError):
     pass
 
 

@@ -13,15 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tabforge.data import Table
-from tabforge.great.bpe import BOS, EOS, PAD, Vocab
+from tabforge.data import DataError, Table
+from tabforge.great.bpe import BOS, EOS, MIN_VOCAB, PAD, Vocab
 from tabforge.nn import tensor as T
 from tabforge.nn.optim import Adam
 from tabforge.nn.tensor import Tensor
 from tabforge.textrow import ParseFailure, parse_row_text
 
 
-class GreatError(Exception):
+class GreatError(DataError):
     pass
 
 
@@ -44,6 +44,8 @@ class GreatConfig:
         for name in ("max_retries", "temperature"):
             if getattr(self, name) < 0:
                 raise GreatError(f"great.{name} must be >= 0, got {getattr(self, name)}")
+        if self.vocab_size < MIN_VOCAB:
+            raise GreatError(f"great.vocab_size must be >= {MIN_VOCAB}, got {self.vocab_size}")
         if self.d_model % self.n_heads:
             raise GreatError("d_model must be divisible by n_heads")
 

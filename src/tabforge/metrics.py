@@ -16,10 +16,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from tabforge.data import Table
+from tabforge.data import DataError, Table
 
 
-class MetricError(Exception):
+class MetricError(DataError):
     pass
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tabforge.data import Table
+from tabforge.data import DataError, Table
 from tabforge.nn import tensor as T
 from tabforge.nn.functional import gumbel_softmax
 from tabforge.nn.layers import (
@@ -40,7 +40,7 @@ CRITIC_DROPOUT = 0.5
 BETAS = (0.5, 0.9)  # Adam's, for both critic and generator
 
 
-class ModelError(Exception):
+class ModelError(DataError):
     pass
 
 

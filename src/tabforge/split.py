@@ -32,6 +32,16 @@ class SplitSpec:
             raise DataError(f"domain mode needs split k >= 1, got {self.k}")
 
 
+def split_spec(cfg: dict) -> SplitSpec:
+    s = cfg["split"]
+    return SplitSpec(
+        ratios=tuple(s["ratios"]),
+        seed=cfg["seed"],
+        mode=s["mode"],
+        k=s["k"],
+    )
+
+
 @dataclass
 class DatasetSplit:
     train: list[str]

@@ -22,7 +22,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from tabforge.checkpoint import CheckpointError, ModelCheckpoint
-from tabforge.data import ColumnKind, ColumnMeta, Table
+from tabforge.config import ConfigError
+from tabforge.data import ColumnKind, ColumnMeta, DataError, Table
 from tabforge.great.bpe import BOS, EOS, Vocab, train_bpe
 from tabforge.great.model import (
     GreatConfig,
@@ -56,7 +57,7 @@ from tabforge.transform import ColumnTransformer, encode_table
 KINDS = ("ctgan", "tvae", "stvae", "stvaem", "great")
 
 
-class TrainingError(Exception):
+class TrainingError(DataError):
     pass
 
 
@@ -87,6 +88,52 @@ class TrainConfig:
             raise TrainingError(f"ckpt_every must be >= 1, got {self.ckpt_every}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise TrainingError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
+
+
+NET_SIZES = {"small": (128, 128), "normal": (256, 256)}
+
+
+def train_config(cfg: dict, method: str | None = None) -> TrainConfig:
+    method = method or cfg["method"]
+    m = cfg["model"]
+    hidden = NET_SIZES.get(m["net_size"])
+    if hidden is None:
+        raise ConfigError(f"unknown net_size {m['net_size']!r}")
+    t = cfg["training"]
+    ctgan = CtganConfig(
+        z_dim=m["z_dim"],
+        pac=m["pac"],
+        batch=m["batch"],
+        lambda_gp=m["lambda_gp"],
+        tau=m["tau"],
+        hidden=hidden,
+        lr=m["lr_gan"],
+    )
+    vae = VaeConfig(
+        variant=method if method in ("tvae", "stvae", "stvaem") else "stvae",
+        latent=m["latent"],
+        hidden=hidden,
+        sig_dim=m["sig_dim"],
+        lr=m["lr_vae"],
+        batch=m["batch"],
+        recon_weight=m["recon_weight"],
+    )
+    great = GreatConfig(**m["great"])
+    return TrainConfig(
+        kind=method,
+        seed=cfg["seed"],
+        iterations=t["iterations"],
+        epochs=t["epochs"],
+        wall_clock_budget=t["wall_clock_budget"],
+        patience=t["patience"],
+        min_delta=t["min_delta"],
+        ckpt_every=t["ckpt_every"],
+        val_fraction=t["val_fraction"],
+        gmm_modes=cfg["transform"]["gmm_modes"],
+        ctgan=ctgan,
+        vae=vae,
+        great=great,
+    )
 
 
 @dataclass

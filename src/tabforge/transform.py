@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tabforge.data import ColumnMeta, Table
+from tabforge.data import ColumnMeta, DataError, Table
 from tabforge.rng import substream
 
 EM_MAX_ITER = 300
@@ -29,7 +29,7 @@ DEFAULT_MODES = 10
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-class TransformError(Exception):
+class TransformError(DataError):
     pass
 
 

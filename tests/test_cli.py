@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import tabforge.checkpoint
 import tabforge.cli
 import tabforge.training as tr
 from tabforge.checkpoint import load_checkpoint, save_checkpoint
@@ -149,7 +150,7 @@ class TestTrainAndSample:
             loads.append(path)
             return load_checkpoint(path)
 
-        monkeypatch.setattr(tabforge.cli, "load_checkpoint", counted_load)
+        monkeypatch.setattr(tabforge.checkpoint, "load_checkpoint", counted_load)
         pre = tmp / "pre.ckpt"
         run(
             ["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned),
@@ -212,6 +213,26 @@ class TestBenchmark:
         assert regimes == {"finetuned", "scratch"}
         assert any((bench / "reports").glob("*.json"))
         assert any((bench / "checkpoints").glob("*.ckpt"))
+
+    def test_process_pool_writes_the_same_bytes(self, pipeline_dirs):
+        cleaned, manifest, tmp = pipeline_dirs
+        pre = tmp / "pre.ckpt"
+        run(
+            ["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned),
+             "--method", "tvae", "--out", str(pre)] + TINY
+        )
+        outputs = {}
+        for workers in (1, 2):
+            bench = tmp / f"bench{workers}"
+            run(
+                ["benchmark", "--split", str(manifest), "--clean-dir", str(cleaned),
+                 "--method", "tvae", "--pretrained", f"tvae={pre}", "--part", "val",
+                 "--out-dir", str(bench), "--workers", str(workers)] + TINY
+            )
+            files = [bench / "leaderboard.csv", *sorted((bench / "checkpoints").glob("*.ckpt"))]
+            outputs[workers] = {p.relative_to(bench): p.read_bytes() for p in files}
+        assert len(outputs[1]) == 3  # leaderboard, finetuned and scratch checkpoints
+        assert outputs[2] == outputs[1]
 
     def test_missing_pretrained_checkpoint_errors(self, pipeline_dirs, monkeypatch):
         cleaned, manifest, tmp = pipeline_dirs
@@ -300,6 +321,14 @@ class TestFailuresExitTwo:
         assert main_exit_code(monkeypatch, args) == 2
         err = capsys.readouterr().err
         assert err == f"error: {named}\n"
+        assert not (tmp / "g.ckpt").exists()
+
+    def test_great_vocab_below_the_byte_alphabet_is_a_data_error(self, pipeline_dirs, monkeypatch, capsys):
+        cleaned, manifest, tmp = pipeline_dirs
+        args = ["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned), "--method", "great",
+                "--out", str(tmp / "g.ckpt"), *GREAT_TINY, "--model.great.vocab_size=10"]
+        assert main_exit_code(monkeypatch, args) == 2
+        assert capsys.readouterr().err == "error: great.vocab_size must be >= 259, got 10\n"
         assert not (tmp / "g.ckpt").exists()
 
     def _great_body(self, cleaned, manifest, tmp):

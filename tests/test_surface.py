@@ -2,8 +2,9 @@
 in src/tabforge must be used by the package itself, not only by tests;
 every defaulted parameter of a public module-level function must be set by
 some call in the package; every field of a config dataclass must be set
-from the run config; and no module but transform, which owns the encoded-row
-layout, may branch on a span's kind.
+from the run config; no module but transform, which owns the encoded-row
+layout, may branch on a span's kind; and importing the CLI loads none of the
+modules only some commands run.
 
 A name counts as used when code in src/tabforge outside its own definition
 refers to it.  Re-exports in `__init__.py` do not count.  The entry points
@@ -19,10 +20,17 @@ disguise; PINNED_DEFAULTS lists the few kept for callers outside the package.
 
 import ast
 import dataclasses
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tabforge
+import tabforge.cleaning as cleaning
 import tabforge.config as config
+import tabforge.split as split
+import tabforge.training as training
 
 PACKAGE = Path(tabforge.__file__).parent
 
@@ -138,12 +146,24 @@ def test_every_defaulted_parameter_is_set_by_the_package():
     assert unset_defaulted_params() == []
 
 
+# (defining module, dataclass, module whose builder constructs it) for every
+# config dataclass a run builds from its config.
+CONFIG_CLASSES = [
+    ("tabforge.cleaning", "CleaningConfig", "tabforge.cleaning"),
+    ("tabforge.split", "SplitSpec", "tabforge.split"),
+    ("tabforge.models.ctgan", "CtganConfig", "tabforge.training"),
+    ("tabforge.models.vae", "VaeConfig", "tabforge.training"),
+    ("tabforge.great.model", "GreatConfig", "tabforge.training"),
+    ("tabforge.training", "TrainConfig", "tabforge.training"),
+]
+
+
 def test_every_config_field_is_set_from_the_run_config(monkeypatch):
-    # A field config.py leaves at its dataclass default is a setting no run
-    # can change: a constant in disguise.
-    classes = {
-        name: cls for name, cls in vars(config).items() if dataclasses.is_dataclass(cls) and isinstance(cls, type)
-    }
+    # A field its builder leaves at the dataclass default is a setting no
+    # run can change: a constant in disguise.
+    classes = {name: getattr(importlib.import_module(home), name, None) for home, name, _ in CONFIG_CLASSES}
+    found = [name for name, cls in classes.items() if dataclasses.is_dataclass(cls) and isinstance(cls, type)]
+    assert found == [name for _, name, _ in CONFIG_CLASSES]
     set_fields = {name: set() for name in classes}
 
     def recording(name, cls):
@@ -154,12 +174,12 @@ def test_every_config_field_is_set_from_the_run_config(monkeypatch):
 
         return build
 
-    for name, cls in classes.items():
-        monkeypatch.setattr(config, name, recording(name, cls))
+    for _, name, builder_home in CONFIG_CLASSES:
+        monkeypatch.setattr(importlib.import_module(builder_home), name, recording(name, classes[name]))
     cfg = config.load_config()
-    config.cleaning_config(cfg)
-    config.split_spec(cfg)
-    config.train_config(cfg)
+    cleaning.cleaning_config(cfg)
+    split.split_spec(cfg)
+    training.train_config(cfg)
     unset = [
         f"{name}.{f.name}"
         for name, cls in sorted(classes.items())
@@ -198,3 +218,51 @@ def test_only_transform_branches_on_span_kinds():
     # The models read the layout through ColumnTransformer.alphas, .blocks
     # and .cond_start instead of re-deriving it span by span.
     assert span_kind_comparisons() == []
+
+
+# Modules `import tabforge.cli` must not load: each command imports what it
+# runs, so `clean` runs without numpy and no command pays for another's stack.
+LAZY_MODULES = (
+    "numpy",
+    "concurrent.futures.process",
+    "tabforge.training",
+    "tabforge.transform",
+    "tabforge.metrics",
+    "tabforge.split",
+    "tabforge.checkpoint",
+)
+LAZY_PACKAGES = ("tabforge.models", "tabforge.great", "tabforge.nn")
+
+
+def _loaded_after(script: str) -> set[str]:
+    """Module names in `sys.modules` after `script` runs in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    script += "\nimport sys\nprint(*('loaded:' + m for m in sys.modules), sep='\\n')\n"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return {line[len("loaded:"):] for line in out.stdout.splitlines() if line.startswith("loaded:")}
+
+
+def test_importing_the_cli_loads_no_command_stack():
+    loaded = _loaded_after("import tabforge.cli")
+    assert "tabforge.cli" in loaded
+    eager = sorted(
+        m for m in loaded if m in LAZY_MODULES or any(m == p or m.startswith(p + ".") for p in LAZY_PACKAGES)
+    )
+    assert eager == []
+
+
+def test_clean_runs_without_numpy(tmp_path):
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    corpus.mkdir()
+    for t in range(2):
+        rows = [f"{i * (t + 1)}.5,{'abc'[i % 3]}" for i in range(20)]
+        (corpus / f"t{t}.csv").write_text("x,color\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    script = (
+        "import sys\n"
+        "import tabforge.cli\n"
+        f"sys.argv = ['tabforge', 'clean', {str(corpus)!r}, {str(out)!r}]\n"
+        "tabforge.cli.main()\n"
+    )
+    loaded = _loaded_after(script)
+    assert sorted(p.name for p in out.glob("*.csv")) == ["t0.csv", "t1.csv"]
+    assert "numpy" not in loaded
