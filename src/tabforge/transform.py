@@ -21,8 +21,7 @@ from tabforge.data import ColumnMeta, DataError, Table
 from tabforge.rng import substream
 
 EM_MAX_ITER = 300
-BIC_PATIENCE = 2  # consecutive k without a BIC improvement that end the sweep
-EM_TOL = 1e-6
+EM_TOL = 1e-5  # EM stops once the log-likelihood gains less than this per row
 WEIGHT_PRUNE = 0.005
 DEFAULT_MODES = 10
 
@@ -69,11 +68,12 @@ def _std_floor(values: np.ndarray) -> float:
     return max(1e-4 * float(values.std()), 1e-6)
 
 
-def _em_fit(x: np.ndarray, k: int, seed: int, floor: float):
-    """One EM run at a fixed component count.  A log-likelihood that falls
-    (or is not a number) raises TransformError.  Returns (weights, means,
-    stds, loglik)."""
-    distinct = np.unique(x)
+def _em_fit(x: np.ndarray, k: int, seed: int, floor: float, distinct: np.ndarray):
+    """One EM run at a fixed component count, k-means++ seeded over
+    `distinct` (np.unique(x)).  It stops once an iteration gains less than
+    EM_TOL * len(x) in log-likelihood, so the stop does not depend on the row
+    count.  A log-likelihood that falls (or is not a number) raises
+    TransformError.  Returns (weights, means, stds, loglik)."""
     rng = np.random.default_rng(seed)
 
     # k-means++ seeding over the distinct values.
@@ -105,10 +105,10 @@ def _em_fit(x: np.ndarray, k: int, seed: int, floor: float):
         ll = float(log_norm.sum())
         if not ll >= prev_ll - 1e-8 * max(1.0, abs(prev_ll)):
             raise TransformError(f"EM log-likelihood fell from {prev_ll} to {ll} at k={k}, iteration {it}")
-        resp = np.exp(log_comp - log_norm[:, None])
-        if ll - prev_ll < EM_TOL:
+        if ll - prev_ll < EM_TOL * x.size:
             break
         prev_ll = ll
+        resp = np.exp(log_comp - log_norm[:, None])
         nk = resp.sum(axis=0)
         nk = np.maximum(nk, 1e-12)
         weights = nk / x.size
@@ -125,10 +125,12 @@ def fit_gmm(values, K: int = DEFAULT_MODES, seed: int = 0) -> GmmParams:
     EM alone keeps redundant components alive (two components sharing one
     true cluster both retain large weights), so the mode count is selected
     by BIC across EM runs at k = 1, 2, ...; ties go to the smaller k.  The
-    sweep stops at K, or once BIC_PATIENCE consecutive k have not improved
-    on the best BIC.  Each k's EM run is seeded with seed + k, so the fit
-    at the selected k does not depend on where the sweep stops.  Modes with
-    weight < 0.005 are then deactivated and the rest renormalized.
+    sweep stops at K, or at the first k whose BIC does not improve on the
+    best.  Each k's EM run is seeded with seed + k, so the fit at the
+    selected k does not depend on where the sweep stops.  Each EM run stops
+    once an iteration gains less than EM_TOL (1e-5) in log-likelihood per
+    row.  Modes with weight < 0.005 are then deactivated and the rest
+    renormalized.
 
     The result depends only on the values, K and seed, so it is memoised
     for the life of the process; the returned arrays are read-only.
@@ -156,16 +158,13 @@ def _fit_gmm_arrays(x: np.ndarray, K: int, seed: int) -> tuple[np.ndarray, ...]:
     k_max = min(K, distinct.size)
     best = None
     best_bic = np.inf
-    best_k = 0
     for k in range(1, k_max + 1):
-        weights, means, stds, ll = _em_fit(x, k, seed + k, floor)
+        weights, means, stds, ll = _em_fit(x, k, seed + k, floor, distinct)
         bic = -2.0 * ll + (3 * k - 1) * np.log(x.size)
-        if bic < best_bic - 1e-9:
-            best_bic = bic
-            best = (weights, means, stds)
-            best_k = k
-        elif k - best_k == BIC_PATIENCE:
+        if not bic < best_bic - 1e-9:
             break
+        best_bic = bic
+        best = (weights, means, stds)
 
     weights, means, stds = best
     active = weights >= WEIGHT_PRUNE
@@ -245,7 +244,10 @@ class ColumnTransformer:
         for i in table.numeric_indices():
             values = [v for v in table.column_values(i) if v is not None]
             rng = substream(seed, "gmm", table.name, i)
-            params = fit_gmm(np.asarray(values, dtype=np.float64), modes, int(rng.integers(2**63)))
+            try:
+                params = fit_gmm(np.asarray(values, dtype=np.float64), modes, int(rng.integers(2**63)))
+            except TransformError as exc:
+                raise TransformError(f"table {table.name!r}, column {table.columns[i].name!r}: {exc}") from exc
             gmms[i] = params
             width = 1 + params.n_active
             spans.append(ColumnSpan(i, "numeric", start, width))
@@ -253,7 +255,9 @@ class ColumnTransformer:
         for i in table.categorical_indices():
             width = len(table.columns[i].categories)
             if width == 0:
-                raise TransformError(f"categorical column {table.columns[i].name!r} has no categories")
+                raise TransformError(
+                    f"table {table.name!r}: categorical column {table.columns[i].name!r} has no categories"
+                )
             spans.append(ColumnSpan(i, "categorical", start, width))
             start += width
         return cls(tuple(table.columns), gmms, tuple(spans), start)

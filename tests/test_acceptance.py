@@ -48,6 +48,7 @@ from conftest import make_toy_corpus
 from gradcheck import clear_grads, finite_diff, max_rel_error
 from test_metrics import random_toy_pair
 from test_nn import LAYER_CASES, _scalarize, case_output
+from test_transform import round_trip_columns
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -112,14 +113,7 @@ def test_criterion_2_exact_mann_whitney():
 def test_criterion_3_transform_round_trip():
     t0 = time.time()
     rng = np.random.default_rng(0)
-    columns = {
-        "bimodal": np.concatenate([rng.normal(-5, 1, 1000), rng.normal(5, 1, 1000)]),
-        "lognormal": rng.lognormal(0, 0.6, 1500),
-        "wide": rng.normal(100, 25, 1500),
-        "trimodal": np.concatenate(
-            [rng.normal(-10, 0.5, 700), rng.normal(0, 1, 700), rng.normal(12, 2, 700)]
-        ),
-    }
+    columns = round_trip_columns(rng)
     worst = 0.0
     checked = 0
     for name, values in columns.items():
