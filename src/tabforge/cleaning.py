@@ -28,12 +28,12 @@ _TS_MATCH_FRACTION = 0.90
 
 @dataclass(frozen=True)
 class CleaningConfig:
-    category_uniqueness_max: float = 0.90
-    min_avg_category_freq: float = 0.03
-    max_null_fraction: float = 0.50
-    max_rejected_column_fraction: float = 0.90
-    min_columns: int = 2
-    min_rows: int = 10
+    category_uniqueness_max: float
+    min_avg_category_freq: float
+    max_null_fraction: float
+    max_rejected_column_fraction: float
+    min_columns: int
+    min_rows: int
 
     def __post_init__(self):
         for name in (
@@ -167,13 +167,12 @@ def impute_column(column: ColumnMeta, cells: list[Cell], config: CleaningConfig)
     return meta, new_cells, null_count
 
 
-def clean_table(table: Table, config: CleaningConfig | None = None):
+def clean_table(table: Table, config: CleaningConfig):
     """Run the full per-column rule chain and the table-level verdict.
 
     Returns (cleaned Table | None, CleaningReport); a None table means the
     verdict is "discarded" (too many dropped columns or too small to train).
     """
-    config = config or CleaningConfig()
     report = CleaningReport(table=table.name)
     kept_meta: list[ColumnMeta] = []
     kept_cells: list[list[Cell]] = []

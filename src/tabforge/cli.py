@@ -198,6 +198,14 @@ def split(clean_dir, out_path, mode, embeddings_path, cfg):
     )
 
 
+def _load_manifest(path: str):
+    """The split manifest at `path`; one that is not a manifest is a
+    DataError naming the file."""
+    from tabforge.split import DatasetSplit
+
+    return DatasetSplit.from_json(Path(path).read_bytes(), path)
+
+
 def _load_part(manifest, clean_dir: str, part: str) -> list[Table]:
     """The cleaned tables of a split manifest's `part`."""
     names = {"train": manifest.train, "val": manifest.val, "test": manifest.test}[part]
@@ -218,11 +226,10 @@ def _load_part(manifest, clean_dir: str, part: str) -> list[Table]:
 def pretrain_cmd(manifest_path, clean_dir, method, out_path, cfg):
     """Pretrain a model body across the manifest's training tables."""
     from tabforge.checkpoint import save_checkpoint
-    from tabforge.split import DatasetSplit
     from tabforge.training import pretrain, train_config
 
     method = method or cfg["method"]
-    manifest = DatasetSplit.from_json(Path(manifest_path).read_text(encoding="utf-8"))
+    manifest = _load_manifest(manifest_path)
     corpus = _load_part(manifest, clean_dir, "train")
     tcfg = train_config(cfg, method)
     ckpt, log = pretrain(corpus, tcfg)
@@ -361,10 +368,9 @@ def benchmark_cmd(manifest_path, clean_dir, methods, pretrained_paths, part, out
     """Finetune-vs-scratch grid over a split part; emits the leaderboard."""
     from tabforge.checkpoint import CheckpointError, save_checkpoint
     from tabforge.metrics import build_leaderboard
-    from tabforge.split import DatasetSplit
 
     workers = workers or cfg["workers"]
-    manifest = DatasetSplit.from_json(Path(manifest_path).read_text(encoding="utf-8"))
+    manifest = _load_manifest(manifest_path)
     tables = _load_part(manifest, clean_dir, part)
     if not tables:
         raise DataError(f"no tables in part {part!r}")
@@ -374,7 +380,9 @@ def benchmark_cmd(manifest_path, clean_dir, methods, pretrained_paths, part, out
             raise DataError("--pretrained takes method=path")
         m, p = token.split("=", 1)
         ckpt_by_method[m] = Path(p)
-    for m in methods:
+    for i, m in enumerate(methods):
+        if m in methods[:i]:
+            raise DataError(f"--method {m!r} given more than once")
         if m not in ckpt_by_method:
             raise CheckpointError(f"missing pretrained checkpoint for method {m!r}")
         if not ckpt_by_method[m].exists():

@@ -4,6 +4,10 @@ Precedence is default < file < flag.  Flags arrive as `--section.key=value`
 tokens; values parse as JSON when possible (numbers, booleans, lists) and
 fall back to bare strings.
 
+`DEFAULTS` is the only table of defaults: the config dataclasses declare
+none, so every setting a run uses is a key here, whether the run comes from
+the CLI, the library or the tests.
+
 This module imports no other tabforge module.  Each config dataclass is
 built from the loaded dict next to its definition: `cleaning.cleaning_config`,
 `split.split_spec` and `training.train_config`.

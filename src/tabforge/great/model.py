@@ -27,15 +27,15 @@ class GreatError(DataError):
 
 @dataclass
 class GreatConfig:
-    d_model: int = 128
-    n_heads: int = 4
-    n_layers: int = 4
-    ctx: int = 256
-    vocab_size: int = 2048
-    lr: float = 3e-4
-    batch: int = 32
-    temperature: float = 0.7
-    max_retries: int = 8
+    d_model: int
+    n_heads: int
+    n_layers: int
+    ctx: int
+    vocab_size: int
+    lr: float
+    batch: int
+    temperature: float
+    max_retries: int
 
     def __post_init__(self):
         for name in ("d_model", "n_heads", "n_layers", "ctx", "batch"):

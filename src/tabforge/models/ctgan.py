@@ -46,13 +46,13 @@ class ModelError(DataError):
 
 @dataclass
 class CtganConfig:
-    z_dim: int = 128
-    pac: int = 10
-    batch: int = 500
-    lambda_gp: float = 10.0
-    tau: float = 0.2
-    hidden: tuple[int, int] = (256, 256)
-    lr: float = 2e-4
+    z_dim: int
+    pac: int
+    batch: int
+    lambda_gp: float
+    tau: float
+    hidden: tuple[int, int]
+    lr: float
 
     def __post_init__(self):
         for name in ("z_dim", "pac", "batch"):

@@ -35,17 +35,17 @@ DELTA_FLOOR = 1e-3
 
 @dataclass
 class VaeConfig:
-    variant: str = "stvae"
-    latent: int = 64
-    hidden: tuple[int, int] = (128, 128)
-    sig_dim: int = 16  # stvaem only; 0 reduces stvaem to stvae
-    lr: float = 1e-3
-    batch: int = 500
+    variant: str
+    latent: int
+    hidden: tuple[int, int]
+    sig_dim: int  # stvaem only; 0 reduces stvaem to stvae
+    lr: float
+    batch: int
     # Reconstruction weight against the KL term.  The original TVAE formula
     # effectively upweights numeric reconstruction by 1/(2 sigma^2) through
     # its learnable column stds; with plain MSE that pressure must come from
     # an explicit factor (1.0 recovers the textbook ELBO).
-    recon_weight: float = 2.0
+    recon_weight: float
 
     def __post_init__(self):
         if self.variant not in VARIANTS:

@@ -13,7 +13,7 @@ class Adam:
     def __init__(
         self,
         params: list[tuple[str, Tensor]],
-        lr: float = 1e-3,
+        lr: float,
         betas: tuple[float, float] = (0.9, 0.999),
     ):
         self.params = list(params)

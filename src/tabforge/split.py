@@ -16,8 +16,8 @@ from tabforge.data import DataError, Table
 class SplitSpec:
     ratios: tuple[float, float, float]
     seed: int
-    mode: str = "random"  # "random" | "domain"
-    k: int = 0  # cluster count, domain mode only
+    mode: str  # "random" | "domain"
+    k: int  # cluster count, domain mode only
 
     def __post_init__(self):
         if len(self.ratios) != 3:
@@ -53,14 +53,16 @@ class DatasetSplit:
     def __post_init__(self):
         parts = [set(self.train), set(self.val), set(self.test)]
         if sum(len(p) for p in parts) != len(set().union(*parts)):
-            raise ValueError("split parts must be pairwise disjoint")
+            raise DataError("split parts must be pairwise disjoint")
         if self.cluster_assignments is not None:
             seen: dict[int, str] = {}
             for part_name, names in (("train", self.train), ("val", self.val), ("test", self.test)):
                 for n in names:
+                    if n not in self.cluster_assignments:
+                        raise DataError(f"table {n!r} has no cluster")
                     cid = self.cluster_assignments[n]
                     if seen.setdefault(cid, part_name) != part_name:
-                        raise ValueError(f"cluster {cid} straddles parts")
+                        raise DataError(f"cluster {cid} straddles parts")
 
     def to_json(self) -> str:
         doc = {
@@ -78,16 +80,25 @@ class DatasetSplit:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "DatasetSplit":
-        doc = json.loads(text)
-        spec = SplitSpec(
-            ratios=tuple(doc["spec"]["ratios"]),
-            seed=doc["spec"]["seed"],
-            mode=doc["spec"]["mode"],
-            k=doc["spec"].get("k", 0),
-        )
-        clusters = {k: int(v) for k, v in doc.get("clusters", {}).items()} or None
-        return cls(doc["train"], doc["val"], doc["test"], spec, clusters)
+    def from_json(cls, text: str | bytes, source) -> "DatasetSplit":
+        """The manifest `to_json` wrote.  Text that is not JSON (bytes that
+        do not decode included), lacks a key, holds a value of the wrong type
+        or breaks a split invariant is a DataError naming `source`."""
+        try:
+            doc = json.loads(text)
+            if not isinstance(doc, dict):
+                raise DataError("not a JSON object")
+            spec = SplitSpec(
+                ratios=tuple(doc["spec"]["ratios"]),
+                seed=doc["spec"]["seed"],
+                mode=doc["spec"]["mode"],
+                k=doc["spec"].get("k", 0),
+            )
+            clusters = {k: int(v) for k, v in doc.get("clusters", {}).items()} or None
+            return cls(doc["train"], doc["val"], doc["test"], spec, clusters)
+        except (DataError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            detail = f"no key {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise DataError(f"{source}: not a split manifest: {detail}") from None
 
 
 def _cut_sizes(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:

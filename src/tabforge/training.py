@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -63,23 +63,25 @@ class TrainingError(DataError):
 
 @dataclass
 class TrainConfig:
-    kind: str = "stvae"
-    seed: int = 0
-    iterations: int = 10  # pretraining corpus passes
-    epochs: int = 50  # finetune / scratch epochs
-    wall_clock_budget: float | None = None  # seconds, checked at iteration bounds
-    patience: int = 30
-    min_delta: float = 1e-4
-    ckpt_every: int = 50
-    val_fraction: float = 0.1
-    gmm_modes: int = 10
-    ctgan: CtganConfig = field(default_factory=CtganConfig)
-    vae: VaeConfig = field(default_factory=VaeConfig)
-    great: GreatConfig = field(default_factory=GreatConfig)
+    kind: str
+    seed: int
+    iterations: int  # pretraining corpus passes
+    epochs: int  # finetune / scratch epochs
+    wall_clock_budget: float | None  # seconds, checked at iteration bounds
+    patience: int
+    min_delta: float
+    ckpt_every: int
+    val_fraction: float
+    gmm_modes: int
+    ctgan: CtganConfig
+    vae: VaeConfig
+    great: GreatConfig
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise TrainingError(f"unknown model kind {self.kind!r}")
+        if self.kind in VARIANTS and self.vae.variant != self.kind:
+            raise TrainingError(f"a {self.kind} run needs vae.variant {self.kind!r}, got {self.vae.variant!r}")
         if self.iterations < 1:
             raise TrainingError("iterations must be >= 1")
         if self.epochs < 0:
@@ -99,7 +101,6 @@ def train_config(cfg: dict, method: str | None = None) -> TrainConfig:
     hidden = NET_SIZES.get(m["net_size"])
     if hidden is None:
         raise ConfigError(f"unknown net_size {m['net_size']!r}")
-    t = cfg["training"]
     ctgan = CtganConfig(
         z_dim=m["z_dim"],
         pac=m["pac"],
@@ -110,7 +111,7 @@ def train_config(cfg: dict, method: str | None = None) -> TrainConfig:
         lr=m["lr_gan"],
     )
     vae = VaeConfig(
-        variant=method if method in ("tvae", "stvae", "stvaem") else "stvae",
+        variant=method if method in VARIANTS else "stvae",
         latent=m["latent"],
         hidden=hidden,
         sig_dim=m["sig_dim"],
@@ -118,21 +119,14 @@ def train_config(cfg: dict, method: str | None = None) -> TrainConfig:
         batch=m["batch"],
         recon_weight=m["recon_weight"],
     )
-    great = GreatConfig(**m["great"])
     return TrainConfig(
         kind=method,
         seed=cfg["seed"],
-        iterations=t["iterations"],
-        epochs=t["epochs"],
-        wall_clock_budget=t["wall_clock_budget"],
-        patience=t["patience"],
-        min_delta=t["min_delta"],
-        ckpt_every=t["ckpt_every"],
-        val_fraction=t["val_fraction"],
         gmm_modes=cfg["transform"]["gmm_modes"],
         ctgan=ctgan,
         vae=vae,
-        great=great,
+        great=GreatConfig(**m["great"]),
+        **cfg["training"],
     )
 
 
@@ -275,9 +269,13 @@ def _aux_entry(ckpt: ModelCheckpoint, key: str):
 def _stored_config(cls, ckpt: ModelCheckpoint):
     """The checkpoint's model config; JSON stored its tuples as lists.  Keys
     the config no longer has (older checkpoints' settings that became
-    constants) are ignored."""
-    names = {f.name for f in fields(cls)}
+    constants) are ignored; a field the checkpoint lacks is a
+    CheckpointError naming it."""
+    names = [f.name for f in fields(cls)]
     doc = ckpt.config["model"]
+    missing = [name for name in names if name not in doc]
+    if missing:
+        raise CheckpointError(f"checkpoint model config lacks {', '.join(missing)}")
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items() if k in names})
 
 
@@ -310,7 +308,7 @@ def _batches(n: int, size: int, rng) -> list[np.ndarray]:
 
 class _VaeDriver(_GmmDriver):
     def start(self, prep, rows: np.ndarray, config: TrainConfig, seed: int):
-        model = build_vae(prep["transformer"], replace(config.vae, variant=config.kind), seed)
+        model = build_vae(prep["transformer"], config.vae, seed)
         return model, {"opt": model.optimizer(), "rows": rows}
 
     def train_epoch(self, model, session, rng) -> float:

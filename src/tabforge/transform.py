@@ -23,7 +23,6 @@ from tabforge.rng import substream
 EM_MAX_ITER = 300
 EM_TOL = 1e-5  # EM stops once the log-likelihood gains less than this per row
 WEIGHT_PRUNE = 0.005
-DEFAULT_MODES = 10
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -119,7 +118,7 @@ def _em_fit(x: np.ndarray, k: int, seed: int, floor: float, distinct: np.ndarray
     return weights, means, stds, ll
 
 
-def fit_gmm(values, K: int = DEFAULT_MODES, seed: int = 0) -> GmmParams:
+def fit_gmm(values, K: int, seed: int) -> GmmParams:
     """Fit a mixture with at most K modes.
 
     EM alone keeps redundant components alive (two components sharing one
@@ -237,7 +236,7 @@ class ColumnTransformer:
     total_width: int
 
     @classmethod
-    def fit(cls, table: Table, modes: int = DEFAULT_MODES, seed: int = 0) -> "ColumnTransformer":
+    def fit(cls, table: Table, modes: int, seed: int) -> "ColumnTransformer":
         gmms: dict[int, GmmParams] = {}
         spans: list[ColumnSpan] = []
         start = 0

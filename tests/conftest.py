@@ -1,10 +1,27 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tabforge.config import load_config
+from tabforge.training import train_config
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+def run_config(kind: str, *overrides: str, **fields):
+    """The TrainConfig a `kind` run builds, as the CLI builds it:
+    `train_config` over `load_config` with `--section.key=value` overrides.
+    `fields` replace what no config key reaches, such as `hidden`: a
+    TrainConfig field, or for `ctgan`, `vae` and `great` a dict of the
+    sub-config's fields."""
+    cfg = train_config(load_config(overrides=list(overrides)), kind)
+    for name in ("ctgan", "vae", "great"):
+        if name in fields:
+            fields[name] = replace(getattr(cfg, name), **fields[name])
+    return replace(cfg, **fields)
 
 
 def write_csv(directory: Path, name: str, header: list[str], rows: list[list]) -> Path:

@@ -14,10 +14,10 @@ from click.testing import CliRunner
 
 from tabforge.cli import cli
 from tabforge.data import ColumnKind, ColumnMeta, Table
-from tabforge.cleaning import CleaningConfig, clean_table
+from tabforge.cleaning import clean_table, cleaning_config
+from tabforge.config import load_config
 from tabforge.great.bpe import BOS, EOS, MIN_VOCAB, train_bpe
 from tabforge.great.model import (
-    GreatConfig,
     build_great,
     great_generate,
     great_train_step,
@@ -25,18 +25,16 @@ from tabforge.great.model import (
 )
 from tabforge.metrics import mann_whitney_u, table_report
 from tabforge.models.ctgan import (
-    CtganConfig,
     build_row_index,
     critic_loss_graph,
     ctgan_sample,
     generator_loss_graph,
     gradient_penalty,
 )
-from tabforge.models.vae import VaeConfig, build_vae, elbo_loss, vae_forward
+from tabforge.models.vae import build_vae, elbo_loss, vae_forward
 from tabforge.nn.layers import Dense, Net
 from tabforge.textrow import serialize_row_text
 from tabforge.training import (
-    TrainConfig,
     finetune,
     pretrain,
     sample_from_checkpoint,
@@ -44,7 +42,7 @@ from tabforge.training import (
 from tabforge.transform import ColumnTransformer, encode_table, fit_gmm, _encode_numeric_batch
 
 import oracle_metrics as oracle
-from conftest import make_toy_corpus
+from conftest import make_toy_corpus, run_config
 from gradcheck import clear_grads, finite_diff, max_rel_error
 from test_metrics import random_toy_pair
 from test_nn import LAYER_CASES, _scalarize, case_output
@@ -152,7 +150,10 @@ def _ctgan_fixture(dtype=np.float64):
     from tabforge.models.ctgan import build_ctgan
 
     matrix = encode_table(table, tf, np.random.default_rng(3))
-    model = build_ctgan(tf, matrix, CtganConfig(z_dim=8, pac=2, batch=16, hidden=(16, 16)), 1, dtype)
+    cfg = run_config(
+        "ctgan", "--model.z_dim=8", "--model.pac=2", "--model.batch=16", ctgan={"hidden": (16, 16)}
+    ).ctgan
+    model = build_ctgan(tf, matrix, cfg, 1, dtype)
     return model, matrix
 
 
@@ -222,7 +223,9 @@ def test_criterion_4_gradient_fidelity():
     # Init seeds chosen so no ReLU pre-activation sits within h of a kink
     # (finite differences are undefined there; convergence in h verified).
     for variant, init_seed in (("tvae", 2), ("stvae", 2), ("stvaem", 3)):
-        cfg = VaeConfig(variant=variant, latent=5, hidden=(12, 12), sig_dim=3, batch=16)
+        cfg = run_config(
+            variant, "--model.latent=5", "--model.sig_dim=3", "--model.batch=16", vae={"hidden": (12, 12)}
+        ).vae
         vmodel = build_vae(tf, cfg, seed=init_seed, dtype=np.float64)
         batch = enc[:6]
 
@@ -300,13 +303,16 @@ def bench_table(n=1000, seed=11):
 @pytest.fixture(scope="module")
 def trained_ctgan():
     table = bench_table()
-    cfg = TrainConfig(
-        kind="ctgan",
-        seed=0,
-        epochs=300,
-        ckpt_every=100,
-        gmm_modes=10,
-        ctgan=CtganConfig(z_dim=128, pac=10, batch=100, hidden=(128, 128)),
+    cfg = run_config(
+        "ctgan",
+        "--seed=0",
+        "--training.epochs=300",
+        "--training.ckpt_every=100",
+        "--transform.gmm_modes=10",
+        "--model.net_size=small",
+        "--model.z_dim=128",
+        "--model.pac=10",
+        "--model.batch=100",
     )
     t0 = time.time()
     ckpt, _ = finetune(None, table, cfg)
@@ -316,13 +322,16 @@ def trained_ctgan():
 def test_criterion_6_desk_scale_generation_quality(trained_ctgan):
     table = bench_table()
     t0 = time.time()
-    cfg = TrainConfig(
-        kind="stvae",
-        seed=0,
-        epochs=300,
-        patience=301,
-        gmm_modes=10,
-        vae=VaeConfig(variant="stvae", latent=64, hidden=(128, 128), batch=100, recon_weight=32.0),
+    cfg = run_config(
+        "stvae",
+        "--seed=0",
+        "--training.epochs=300",
+        "--training.patience=301",
+        "--transform.gmm_modes=10",
+        "--model.net_size=small",
+        "--model.latent=64",
+        "--model.batch=100",
+        "--model.recon_weight=32.0",
     )
     ckpt, _ = finetune(None, table, cfg)
     syn = sample_from_checkpoint(ckpt, table.n_rows, seed=1)
@@ -381,14 +390,16 @@ def test_criterion_7_transferability_direction():
     t0 = time.time()
 
     def tconfig(seed):
-        return TrainConfig(
-            kind="stvae",
-            seed=seed,
-            epochs=50,
-            iterations=60,
-            patience=51,  # equal 50-epoch budget: never early-stop
-            gmm_modes=1,
-            vae=VaeConfig(variant="stvae", latent=16, hidden=(64, 64), batch=100),
+        return run_config(
+            "stvae",
+            f"--seed={seed}",
+            "--training.epochs=50",
+            "--training.iterations=60",
+            "--training.patience=51",  # equal 50-epoch budget: never early-stop
+            "--transform.gmm_modes=1",
+            "--model.latent=16",
+            "--model.batch=100",
+            vae={"hidden": (64, 64)},
         )
 
     corpus = [family_table(f"fam{i}", seed=100 + i) for i in range(5)]
@@ -441,7 +452,16 @@ def test_criterion_9_great_pipeline():
     sentence = "Age is 26 and Gender is M"
     vocab = train_bpe([sentence], MIN_VOCAB + 32)
     seq = [BOS] + vocab.encode(sentence) + [EOS]
-    cfg = GreatConfig(d_model=32, n_heads=2, n_layers=2, ctx=64, vocab_size=512, lr=3e-3, batch=8)
+    cfg = run_config(
+        "great",
+        "--model.great.d_model=32",
+        "--model.great.n_heads=2",
+        "--model.great.n_layers=2",
+        "--model.great.ctx=64",
+        "--model.great.vocab_size=512",
+        "--model.great.lr=3e-3",
+        "--model.great.batch=8",
+    ).great
     model = build_great(cfg, vocab, seed=0)
     opt = model.optimizer()
     batch = pad_batch([seq] * 8, cfg.ctx)
@@ -467,9 +487,17 @@ def test_criterion_9_great_pipeline():
     vocab2 = train_bpe(sentences, MIN_VOCAB + 128)
     seqs = [[BOS] + vocab2.encode(s) + [EOS] for s in sentences]
     ctx = max(len(s) for s in seqs) + 8
-    cfg2 = GreatConfig(
-        d_model=64, n_heads=2, n_layers=2, ctx=ctx, vocab_size=4096, lr=1e-3, batch=16, max_retries=2
-    )
+    cfg2 = run_config(
+        "great",
+        "--model.great.d_model=64",
+        "--model.great.n_heads=2",
+        "--model.great.n_layers=2",
+        f"--model.great.ctx={ctx}",
+        "--model.great.vocab_size=4096",
+        "--model.great.lr=1e-3",
+        "--model.great.batch=16",
+        "--model.great.max_retries=2",
+    ).great
     model2 = build_great(cfg2, vocab2, seed=0)
     opt2 = model2.optimizer()
     perm = np.random.default_rng(1)
@@ -520,7 +548,8 @@ def test_criterion_10_cleaning_conformance():
             ]
         )
     table = Table("fixture", cols, rows)
-    cleaned, rep = clean_table(table, CleaningConfig())
+    ccfg = cleaning_config(load_config())
+    cleaned, rep = clean_table(table, ccfg)
     decisions = {name: entry.get("reason", entry["action"]) for name, entry in rep.columns.items()}
     expected = {
         "user_id": "identity",
@@ -536,7 +565,7 @@ def test_criterion_10_cleaning_conformance():
     # A 10-column table losing all 10 columns is discarded (100% > 90%).
     id_cols = [ColumnMeta(f"c{i}_id", ColumnKind.numerical()) for i in range(10)]
     id_rows = [[float(r * 10 + i) for i in range(10)] for r in range(20)]
-    discarded, rep2 = clean_table(Table("ids", id_cols, id_rows), CleaningConfig())
+    discarded, rep2 = clean_table(Table("ids", id_cols, id_rows), ccfg)
     ok = ok and discarded is None and rep2.verdict == "discarded"
     report("criterion 10 (cleaning conformance)", ok, f"decisions={decisions}")
 

@@ -1,14 +1,17 @@
 import pytest
 
 from tabforge.cleaning import (
-    CleaningConfig,
     categorical_sparsity_check,
     clean_table,
+    cleaning_config,
     detect_identity,
     detect_timestamp,
     impute_column,
 )
+from tabforge.config import load_config
 from tabforge.data import ColumnKind, ColumnMeta, DataError, Table
+
+CONFIG = cleaning_config(load_config())
 
 
 def num_col(name="x"):
@@ -58,41 +61,41 @@ class TestSparsity:
     def test_mostly_unique_dropped(self):
         cats = tuple(f"c{i}" for i in range(95))
         cells = [f"c{i}" for i in range(95)] + ["c0"] * 5
-        assert not categorical_sparsity_check(cat_col("g", cats), cells, CleaningConfig())
+        assert not categorical_sparsity_check(cat_col("g", cats), cells, CONFIG)
 
     def test_balanced_two_categories_kept(self):
         cells = ["a"] * 50 + ["b"] * 50
-        assert categorical_sparsity_check(cat_col("g", ("a", "b")), cells, CleaningConfig())
+        assert categorical_sparsity_check(cat_col("g", ("a", "b")), cells, CONFIG)
 
     def test_fifty_uniform_categories_dropped(self):
         # avg frequency 1/50 = 0.02 < 0.03
         cats = tuple(f"c{i}" for i in range(50))
         cells = [f"c{i % 50}" for i in range(100)]
-        assert not categorical_sparsity_check(cat_col("g", cats), cells, CleaningConfig())
+        assert not categorical_sparsity_check(cat_col("g", cats), cells, CONFIG)
 
 
 class TestImpute:
     def test_numeric_mean_fill(self):
-        meta, cells, n = impute_column(num_col(), [1.0, 2.0, None, 3.0], CleaningConfig())
+        meta, cells, n = impute_column(num_col(), [1.0, 2.0, None, 3.0], CONFIG)
         assert cells == [1.0, 2.0, 2.0, 3.0]
         assert n == 1
 
     def test_categorical_mode_fill(self):
         col = cat_col("g", ("A", "B"))
-        meta, cells, n = impute_column(col, ["A", "A", "B", None], CleaningConfig())
+        meta, cells, n = impute_column(col, ["A", "A", "B", None], CONFIG)
         assert cells == ["A", "A", "B", "A"]
 
     def test_mode_tie_breaks_to_first_category(self):
         col = cat_col("g", ("B", "A"))
-        _, cells, _ = impute_column(col, ["A", "B", None, None], CleaningConfig())
+        _, cells, _ = impute_column(col, ["A", "B", None, None], CONFIG)
         assert cells[2] == "B"
 
     def test_over_half_null_dropped(self):
-        meta, reason, _ = impute_column(num_col(), [1.0] * 4 + [None] * 6, CleaningConfig())
+        meta, reason, _ = impute_column(num_col(), [1.0] * 4 + [None] * 6, CONFIG)
         assert meta is None and reason == "too_many_nulls"
 
     def test_all_null_dropped(self):
-        meta, reason, _ = impute_column(num_col(), [None, None], CleaningConfig())
+        meta, reason, _ = impute_column(num_col(), [None, None], CONFIG)
         assert meta is None and reason == "all_null"
 
 
@@ -112,7 +115,7 @@ def demo_table():
 
 class TestCleanTable:
     def test_rule_composition(self):
-        cleaned, report = clean_table(demo_table())
+        cleaned, report = clean_table(demo_table(), CONFIG)
         assert [c.name for c in cleaned.columns] == ["price", "color"]
         assert report.columns["id"]["reason"] == "identity"
         assert report.columns["date"]["reason"] == "timestamp"
@@ -122,7 +125,7 @@ class TestCleanTable:
         cols = [ColumnMeta(f"c{i}_id", ColumnKind.numerical()) for i in range(10)]
         rows = [[float(r * 10 + i) for i in range(10)] for r in range(12)]
         table = Table("ids", cols, rows)
-        cleaned, report = clean_table(table)
+        cleaned, report = clean_table(table, CONFIG)
         assert cleaned is None
         assert report.verdict == "discarded"
         assert report.verdict_reason == "too_many_dropped_columns"
@@ -130,12 +133,12 @@ class TestCleanTable:
     def test_too_few_rows_discards(self):
         cols = [num_col("a"), num_col("b")]
         table = Table("small", cols, [[1.0, 2.0]] * 5)
-        cleaned, report = clean_table(table)
+        cleaned, report = clean_table(table, CONFIG)
         assert cleaned is None and report.verdict_reason == "too_few_rows"
 
     def test_clean_is_idempotent_and_null_free(self):
-        cleaned, _ = clean_table(demo_table())
-        again, report = clean_table(cleaned)
+        cleaned, _ = clean_table(demo_table(), CONFIG)
+        again, report = clean_table(cleaned, CONFIG)
         assert again is not None
         assert again.rows == cleaned.rows
         assert [c.name for c in again.columns] == [c.name for c in cleaned.columns]
@@ -144,12 +147,12 @@ class TestCleanTable:
 
     def test_report_covers_every_original_column(self):
         table = demo_table()
-        _, report = clean_table(table)
+        _, report = clean_table(table, CONFIG)
         assert set(report.columns) == {c.name for c in table.columns}
 
 
 def test_config_validation():
     with pytest.raises(DataError):
-        CleaningConfig(max_null_fraction=0.0)
+        cleaning_config(load_config(overrides=["--cleaning.max_null_fraction=0.0"]))
     with pytest.raises(DataError):
-        CleaningConfig(category_uniqueness_max=1.5)
+        cleaning_config(load_config(overrides=["--cleaning.category_uniqueness_max=1.5"]))

@@ -392,6 +392,42 @@ class TestFailuresExitTwo:
         assert main_exit_code(monkeypatch, args) == 2
         assert "tensor 'lnf.g' holds non-finite values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, edit, detail", [
+        ("pretrain", lambda doc: "{not json", "not a split manifest: Expecting property name"),
+        ("pretrain", lambda doc: {**doc, "val": doc["val"] + doc["train"][:1]},
+         "not a split manifest: split parts must be pairwise disjoint"),
+        ("pretrain", lambda doc: {k: v for k, v in doc.items() if k != "spec"}, "not a split manifest: no key 'spec'"),
+        ("benchmark", lambda doc: list(doc), "not a split manifest: not a JSON object"),
+        ("benchmark", lambda doc: b"\xff{}", "not a split manifest: 'utf-8' codec can't decode"),
+    ])
+    def test_malformed_split_manifest_names_the_file(self, command, edit, detail, pipeline_dirs, monkeypatch, capsys):
+        cleaned, manifest, tmp = pipeline_dirs
+        edited = edit(json.loads(manifest.read_text()))
+        bad = tmp / "bad.json"
+        if isinstance(edited, bytes):
+            bad.write_bytes(edited)
+        else:
+            bad.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+        args = [command, "--split", str(bad), "--clean-dir", str(cleaned), "--method", "stvae", *TINY]
+        if command == "pretrain":
+            args += ["--out", str(tmp / "pre.ckpt")]
+        else:
+            args += ["--pretrained", f"stvae={tmp / 'pre.ckpt'}", "--out-dir", str(tmp / "bench")]
+        assert main_exit_code(monkeypatch, args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {detail}")
+
+    def test_benchmark_rejects_a_repeated_method(self, pipeline_dirs, monkeypatch, capsys):
+        cleaned, manifest, tmp = pipeline_dirs
+        pre = tmp / "pre.ckpt"
+        run(["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned),
+             "--method", "stvae", "--out", str(pre), *TINY])
+        args = ["benchmark", "--split", str(manifest), "--clean-dir", str(cleaned),
+                "--method", "stvae", "--method", "stvae", "--pretrained", f"stvae={pre}",
+                "--part", "val", "--out-dir", str(tmp / "bench"), *TINY]
+        assert main_exit_code(monkeypatch, args) == 2
+        assert capsys.readouterr().err == "error: --method 'stvae' given more than once\n"
+        assert not (tmp / "bench").exists()
+
     @pytest.mark.parametrize("name, text, detail", [
         ("stray.json", "{}", "a report is named <table>.<method>.<regime>.json"),
         ("t.stvae.scratch.json", "{not json", "not a benchmark report: Expecting property name"),

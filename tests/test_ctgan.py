@@ -3,7 +3,6 @@ import pytest
 
 from tabforge.data import ColumnKind, ColumnMeta, Table
 from tabforge.models.ctgan import (
-    CtganConfig,
     ModelError,
     _cond_matrix,
     build_ctgan,
@@ -19,6 +18,7 @@ from tabforge.models.ctgan import (
 from tabforge.nn.layers import Dense, Dropout, LeakyReLU, Net
 from tabforge.transform import ColumnTransformer, encode_table
 
+from conftest import run_config
 from gradcheck import clear_grads, finite_diff, max_rel_error
 
 
@@ -34,10 +34,15 @@ def toy_table(n=120, seed=0, cats=("a", "b", "c")):
     return Table("toy", cols, rows)
 
 
-def small_model(table=None, dtype=np.float32, **cfg_kw):
+def ctgan_config(*overrides, hidden):
+    """A run's CtganConfig with z_dim 8, pac 2 and `hidden` widths."""
+    return run_config("ctgan", "--model.z_dim=8", "--model.pac=2", *overrides, ctgan={"hidden": hidden}).ctgan
+
+
+def small_model(table=None, dtype=np.float32, overrides=()):
     table = table or toy_table()
     tf = ColumnTransformer.fit(table, modes=2, seed=0)
-    cfg = CtganConfig(z_dim=8, pac=2, batch=16, hidden=(16, 16), **cfg_kw)
+    cfg = ctgan_config("--model.batch=16", *overrides, hidden=(16, 16))
     matrix = encode_table(table, tf, np.random.default_rng(3))
     model = build_ctgan(tf, matrix, cfg, seed=1, dtype=dtype)
     return model, matrix
@@ -95,7 +100,7 @@ class TestCondLayout:
 
 def test_config_rejects_nonpositive_tau():
     with pytest.raises(ModelError, match="tau"):
-        CtganConfig(tau=0.0)
+        run_config("ctgan", "--model.tau=0.0")
 
 
 class TestSampleCondition:
@@ -115,7 +120,7 @@ class TestSampleCondition:
         table2 = Table("t2", cols, rows)
         tf = ColumnTransformer.fit(table2, modes=2, seed=0)
         matrix = encode_table(table2, tf, np.random.default_rng(0))
-        model = build_ctgan(tf, matrix, CtganConfig(z_dim=8, pac=2, hidden=(8, 8)), seed=0)
+        model = build_ctgan(tf, matrix, ctgan_config(hidden=(8, 8)), seed=0)
         picks, _, _ = sample_conditions(model, 10_000, rng)
         freq = float(np.mean(picks == 0))
         assert abs(freq - 0.5) < 0.02
@@ -134,7 +139,7 @@ class TestSampleCondition:
         table = Table("t", cols, rows)
         tf = ColumnTransformer.fit(table, modes=1, seed=0)
         matrix = encode_table(table, tf, np.random.default_rng(0))
-        model = build_ctgan(tf, matrix, CtganConfig(z_dim=8, pac=2, hidden=(8, 8)), seed=0)
+        model = build_ctgan(tf, matrix, ctgan_config(hidden=(8, 8)), seed=0)
         expected = np.log1p([1, 100])
         expected = expected / expected.sum()
         _, draws, _ = sample_conditions(model, 100_000, rng)
@@ -147,7 +152,7 @@ class TestSampleCondition:
         table = Table("nums", cols, rows)
         tf = ColumnTransformer.fit(table, modes=2, seed=0)
         matrix = encode_table(table, tf, np.random.default_rng(0))
-        model = build_ctgan(tf, matrix, CtganConfig(z_dim=8, pac=2, hidden=(8, 8)), seed=0)
+        model = build_ctgan(tf, matrix, ctgan_config(hidden=(8, 8)), seed=0)
         i_s, k_s, cond = sample_conditions(model, 8, np.random.default_rng(0))
         assert i_s is None and k_s is None
         assert cond.shape == (8, 0)
@@ -163,7 +168,7 @@ class TestSampleRealConditioned:
         table = Table("t", table.columns[:1] + [ColumnMeta("g", ColumnKind.categorical(), ("a", "b"))], rows)
         tf = ColumnTransformer.fit(table, modes=1, seed=0)
         matrix = encode_table(table, tf, np.random.default_rng(0))
-        model = build_ctgan(tf, matrix, CtganConfig(z_dim=8, pac=2, hidden=(8, 8)), seed=0)
+        model = build_ctgan(tf, matrix, ctgan_config(hidden=(8, 8)), seed=0)
         index = build_row_index(model, matrix)
         rows = sample_real_conditioned(matrix, index, np.zeros(10, int), np.ones(10, int), np.random.default_rng(5))
         assert rows.shape == (10, matrix.shape[1])
@@ -271,7 +276,7 @@ class TestTrainBatch:
     def test_critic_separates_frozen_generator(self):
         # lambda=0, frozen generator, linearly separable real vs fake:
         # the critic loss (fake - real score difference) must fall.
-        model, matrix = small_model(lambda_gp=0.0)
+        model, matrix = small_model(overrides=["--model.lambda_gp=0.0"])
         adam_c, _ = model.optimizers()
         rng = np.random.default_rng(1)
         index = build_row_index(model, matrix)
@@ -361,7 +366,7 @@ class TestSampling:
     def test_pac_must_divide_batch(self):
         table = toy_table()
         tf = ColumnTransformer.fit(table, modes=2, seed=0)
-        cfg = CtganConfig(z_dim=8, pac=3, batch=16, hidden=(8, 8))
+        cfg = ctgan_config("--model.pac=3", "--model.batch=16", hidden=(8, 8))
         matrix = encode_table(table, tf, np.random.default_rng(0))
         model = build_ctgan(tf, matrix, cfg, seed=0)
         adam_c, adam_g = model.optimizers()

@@ -12,7 +12,8 @@ from tabforge.data import (
     infer_schema,
     ingest_csv,
 )
-from tabforge.split import DatasetSplit, SplitSpec
+from tabforge.config import load_config
+from tabforge.split import DatasetSplit, split_spec
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -124,7 +125,7 @@ class TestDatasetStats:
     def test_dangling_id_errors(self, tmp_path, monkeypatch, capsys):
         cleaned, _ = self.clean(tmp_path, {"a": (3, 5)})
         manifest = tmp_path / "split.json"
-        manifest.write_text(DatasetSplit(["ghost"], [], [], SplitSpec((0.8, 0.1, 0.1), 0)).to_json())
+        manifest.write_text(DatasetSplit(["ghost"], [], [], split_spec(load_config())).to_json())
         args = ["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned), "--out", str(tmp_path / "m")]
         monkeypatch.setattr("sys.argv", ["tabforge", *args])
         with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,6 @@ from tabforge.great.bpe import BOS, BYTE_BASE, EOS, MIN_VOCAB, PAD, BpeError, tr
 import tabforge.great.model as great_model
 import tabforge.nn.tensor as T
 from tabforge.great.model import (
-    GreatConfig,
     GreatError,
     GreatModel,
     KVCache,
@@ -22,7 +21,9 @@ from tabforge.great.model import (
     sequence_nll,
 )
 from tabforge.textrow import ParseFailure, serialize_row_text
-from tabforge.training import TrainConfig, TrainingError, finetune, pretrain
+from tabforge.training import TrainingError, finetune, pretrain
+
+from conftest import run_config
 
 
 class TestBpe:
@@ -76,9 +77,16 @@ class TestBpe:
 
 def tiny_model(sentences, d=32, layers=2, heads=2, ctx=64, lr=1e-3, seed=0):
     vocab = train_bpe(sentences, MIN_VOCAB + 64)
-    cfg = GreatConfig(
-        d_model=d, n_heads=heads, n_layers=layers, ctx=ctx, vocab_size=4096, lr=lr, batch=8
-    )
+    cfg = run_config(
+        "great",
+        f"--model.great.d_model={d}",
+        f"--model.great.n_heads={heads}",
+        f"--model.great.n_layers={layers}",
+        f"--model.great.ctx={ctx}",
+        "--model.great.vocab_size=4096",
+        f"--model.great.lr={lr}",
+        "--model.great.batch=8",
+    ).great
     model = build_great(cfg, vocab, seed)
     return model, vocab
 
@@ -399,9 +407,16 @@ class TestTrainingOverflow:
 
     def test_finetune_names_method_table_and_epoch(self):
         table = Table("people", list(self.SCHEMA), [list(r) for r in self.ROWS] * 4)
-        cfg = TrainConfig(
-            kind="great", seed=0, iterations=1, epochs=2,
-            great=GreatConfig(d_model=16, n_heads=2, n_layers=1, ctx=96, vocab_size=300, batch=8),
+        cfg = run_config(
+            "great",
+            "--training.iterations=1",
+            "--training.epochs=2",
+            "--model.great.d_model=16",
+            "--model.great.n_heads=2",
+            "--model.great.n_layers=1",
+            "--model.great.ctx=96",
+            "--model.great.vocab_size=300",
+            "--model.great.batch=8",
         )
         body, _ = pretrain([table], cfg)
         body.tensors["b0.mlp.w1"] = body.tensors["b0.mlp.w1"] * np.float32(1e14)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -9,16 +10,23 @@ from click.testing import CliRunner
 
 import tabforge
 from tabforge.cli import cli, main
+from tabforge.config import load_config
 from tabforge.data import ColumnKind, ColumnMeta, DataError, Table
 from tabforge.split import (
     DatasetSplit,
-    SplitSpec,
     domain_split,
     kmeans,
     load_embedding_file,
     name_embedding,
     random_split,
+    split_spec,
 )
+
+
+def spec(ratios, seed, *overrides):
+    """The SplitSpec a run builds from these ratios, seed and overrides."""
+    ratio_flag = f"--split.ratios={json.dumps(list(ratios))}"
+    return split_spec(load_config(overrides=[ratio_flag, f"--seed={seed}", *overrides]))
 
 
 def corpus_of(n):
@@ -28,29 +36,29 @@ def corpus_of(n):
 
 class TestRandomSplit:
     def test_sizes_follow_floor_rule(self):
-        split = random_split(corpus_of(10), SplitSpec((0.8, 0.1, 0.1), seed=1))
+        split = random_split(corpus_of(10), spec((0.8, 0.1, 0.1), 1))
         assert (len(split.train), len(split.val), len(split.test)) == (8, 1, 1)
 
     def test_corpus_scale_sizes(self):
-        split = random_split(corpus_of(1435), SplitSpec((0.8, 0.1, 0.1), seed=7))
+        split = random_split(corpus_of(1435), spec((0.8, 0.1, 0.1), 7))
         assert (len(split.train), len(split.val), len(split.test)) == (1148, 143, 144)
 
     def test_deterministic_given_seed(self):
-        a = random_split(corpus_of(50), SplitSpec((0.6, 0.2, 0.2), seed=9))
-        b = random_split(corpus_of(50), SplitSpec((0.6, 0.2, 0.2), seed=9))
+        a = random_split(corpus_of(50), spec((0.6, 0.2, 0.2), 9))
+        b = random_split(corpus_of(50), spec((0.6, 0.2, 0.2), 9))
         assert a.train == b.train and a.val == b.val and a.test == b.test
 
     @pytest.mark.parametrize("seed", range(5))
     def test_partition_property(self, seed):
         corpus = corpus_of(23)
-        split = random_split(corpus, SplitSpec((0.5, 0.25, 0.25), seed=seed))
+        split = random_split(corpus, spec((0.5, 0.25, 0.25), seed))
         names = {t.name for t in corpus}
         assert set(split.train) | set(split.val) | set(split.test) == names
         assert len(split.train) + len(split.val) + len(split.test) == len(names)
 
     def test_empty_part_errors(self):
         with pytest.raises(DataError):
-            random_split(corpus_of(3), SplitSpec((0.9, 0.05, 0.05), seed=0))
+            random_split(corpus_of(3), spec((0.9, 0.05, 0.05), 0))
 
 
 class TestKmeans:
@@ -129,7 +137,7 @@ class TestDomainSplit:
         corpus = corpus_of(12)
         pos = [(i % 4 * 10, i % 4 * 10) for i in range(12)]  # 4 tight clusters
         emb = self.embeddings_for(corpus, pos)
-        split = domain_split(corpus, emb, SplitSpec((0.5, 0.25, 0.25), seed=3, mode="domain", k=4))
+        split = domain_split(corpus, emb, spec((0.5, 0.25, 0.25), 3, "--split.mode=domain", "--split.k=4"))
         for cid in set(split.cluster_assignments.values()):
             members = [n for n, c in split.cluster_assignments.items() if c == cid]
             in_part = [
@@ -142,12 +150,12 @@ class TestDomainSplit:
         corpus = corpus_of(4)
         emb = self.embeddings_for(corpus, [(0, 0), (0, 1), (10, 10), (10, 11)])
         with pytest.raises(DataError):
-            domain_split(corpus, emb, SplitSpec((0.5, 0.25, 0.25), seed=0, mode="domain", k=2))
+            domain_split(corpus, emb, spec((0.5, 0.25, 0.25), 0, "--split.mode=domain", "--split.k=2"))
 
     def test_singleton_clusters_partition(self):
         corpus = corpus_of(12)
         emb = self.embeddings_for(corpus, [(i * 5, 0) for i in range(12)])
-        split = domain_split(corpus, emb, SplitSpec((0.5, 0.25, 0.25), seed=1, mode="domain", k=12))
+        split = domain_split(corpus, emb, spec((0.5, 0.25, 0.25), 1, "--split.mode=domain", "--split.k=12"))
         names = {t.name for t in corpus}
         assert set(split.train) | set(split.val) | set(split.test) == names
         assert min(len(split.train), len(split.val), len(split.test)) >= 1
@@ -155,15 +163,27 @@ class TestDomainSplit:
     def test_missing_embedding_errors(self):
         corpus = corpus_of(3)
         with pytest.raises(DataError, match="missing"):
-            domain_split(corpus, {}, SplitSpec((0.4, 0.3, 0.3), seed=0, mode="domain", k=2))
+            domain_split(corpus, {}, spec((0.4, 0.3, 0.3), 0, "--split.mode=domain", "--split.k=2"))
 
 
 def test_manifest_round_trip():
-    split = DatasetSplit(["a", "b"], ["c"], ["d"], SplitSpec((0.5, 0.25, 0.25), 11), {"a": 0, "b": 0, "c": 1, "d": 2})
-    again = DatasetSplit.from_json(split.to_json())
+    split = DatasetSplit(["a", "b"], ["c"], ["d"], spec((0.5, 0.25, 0.25), 11), {"a": 0, "b": 0, "c": 1, "d": 2})
+    again = DatasetSplit.from_json(split.to_json(), "split.json")
     assert again.train == split.train and again.val == split.val and again.test == split.test
     assert again.provenance == split.provenance
     assert again.cluster_assignments == split.cluster_assignments
+
+
+@pytest.mark.parametrize("clusters, detail", [
+    ({"a": 0, "b": 1, "c": 1, "d": 2}, "cluster 1 straddles parts"),
+    ({"a": 0, "b": 0, "c": 1}, "table 'd' has no cluster"),
+])
+def test_manifest_breaking_a_cluster_invariant_is_a_data_error(clusters, detail):
+    with pytest.raises(DataError, match=f"^{detail}$"):
+        DatasetSplit(["a", "b"], ["c"], ["d"], spec((0.5, 0.25, 0.25), 11), clusters)
+    doc = json.loads(DatasetSplit(["a", "b"], ["c"], ["d"], spec((0.5, 0.25, 0.25), 11)).to_json())
+    with pytest.raises(DataError, match=f"^split.json: not a split manifest: {detail}$"):
+        DatasetSplit.from_json(json.dumps({**doc, "clusters": clusters}), "split.json")
 
 
 def test_embedding_file_loader(tmp_path):
@@ -218,8 +238,8 @@ def test_kmeans_nan_check_survives_optimize_flag():
 
 def test_split_spec_validation():
     with pytest.raises(DataError):
-        SplitSpec((0.5, 0.5, 0.1), 0)
+        spec((0.5, 0.5, 0.1), 0)
     with pytest.raises(DataError):
-        SplitSpec((1.0, 0.0, 0.0), 0)
+        spec((1.0, 0.0, 0.0), 0)
     with pytest.raises(DataError):
-        SplitSpec((0.5, 0.25, 0.25), 0, mode="domain", k=0)
+        spec((0.5, 0.25, 0.25), 0, "--split.mode=domain", "--split.k=0")

@@ -1,8 +1,8 @@
 """Guard against second paths: every public module-level function and class
 in src/tabforge must be used by the package itself, not only by tests;
 every defaulted parameter of a public module-level function must be set by
-some call in the package; every field of a config dataclass must be set
-from the run config; no module but transform, which owns the encoded-row
+some call in the package; no config dataclass declares a default, and each
+builds from the run config; no module but transform, which owns the encoded-row
 layout, may branch on a span's kind; and importing the CLI loads none of the
 modules only some commands run.
 
@@ -146,47 +146,41 @@ def test_every_defaulted_parameter_is_set_by_the_package():
     assert unset_defaulted_params() == []
 
 
-# (defining module, dataclass, module whose builder constructs it) for every
-# config dataclass a run builds from its config.
+# (defining module, dataclass) for every config dataclass a run builds from
+# its config.
 CONFIG_CLASSES = [
-    ("tabforge.cleaning", "CleaningConfig", "tabforge.cleaning"),
-    ("tabforge.split", "SplitSpec", "tabforge.split"),
-    ("tabforge.models.ctgan", "CtganConfig", "tabforge.training"),
-    ("tabforge.models.vae", "VaeConfig", "tabforge.training"),
-    ("tabforge.great.model", "GreatConfig", "tabforge.training"),
-    ("tabforge.training", "TrainConfig", "tabforge.training"),
+    ("tabforge.cleaning", "CleaningConfig"),
+    ("tabforge.split", "SplitSpec"),
+    ("tabforge.models.ctgan", "CtganConfig"),
+    ("tabforge.models.vae", "VaeConfig"),
+    ("tabforge.great.model", "GreatConfig"),
+    ("tabforge.training", "TrainConfig"),
 ]
 
 
-def test_every_config_field_is_set_from_the_run_config(monkeypatch):
-    # A field its builder leaves at the dataclass default is a setting no
-    # run can change: a constant in disguise.
-    classes = {name: getattr(importlib.import_module(home), name, None) for home, name, _ in CONFIG_CLASSES}
+def test_no_config_dataclass_declares_a_default():
+    # config.DEFAULTS is the only table of defaults: a default written on a
+    # field is a second copy, free to drift from the one a run reads.
+    classes = {name: getattr(importlib.import_module(home), name, None) for home, name in CONFIG_CLASSES}
     found = [name for name, cls in classes.items() if dataclasses.is_dataclass(cls) and isinstance(cls, type)]
-    assert found == [name for _, name, _ in CONFIG_CLASSES]
-    set_fields = {name: set() for name in classes}
-
-    def recording(name, cls):
-        def build(*args, **kwargs):
-            names = [f.name for f in dataclasses.fields(cls) if f.init]
-            set_fields[name].update(names[: len(args)], kwargs)
-            return cls(*args, **kwargs)
-
-        return build
-
-    for _, name, builder_home in CONFIG_CLASSES:
-        monkeypatch.setattr(importlib.import_module(builder_home), name, recording(name, classes[name]))
-    cfg = config.load_config()
-    cleaning.cleaning_config(cfg)
-    split.split_spec(cfg)
-    training.train_config(cfg)
-    unset = [
+    assert found == [name for _, name in CONFIG_CLASSES]
+    defaulted = [
         f"{name}.{f.name}"
-        for name, cls in sorted(classes.items())
+        for name, cls in classes.items()
         for f in dataclasses.fields(cls)
-        if f.init and f.name not in set_fields[name]
+        if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
     ]
-    assert unset == []
+    assert defaulted == []
+
+
+def test_every_config_field_is_set_from_the_run_config():
+    # With no field defaulted, a builder that leaves a field unset raises
+    # TypeError, so building each config from the defaults checks that every
+    # field is set from the run config.
+    cfg = config.load_config()
+    assert isinstance(cleaning.cleaning_config(cfg), cleaning.CleaningConfig)
+    assert isinstance(split.split_spec(cfg), split.SplitSpec)
+    assert [training.train_config(cfg, kind).kind for kind in training.KINDS] == list(training.KINDS)
 
 
 SPAN_KINDS = {"numeric", "categorical"}

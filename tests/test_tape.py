@@ -9,14 +9,14 @@ import pytest
 
 from tabforge.data import ColumnKind, ColumnMeta, Table
 from tabforge.great.bpe import BOS, EOS, MIN_VOCAB, train_bpe
-from tabforge.great.model import GreatConfig, build_great, great_train_step, pad_batch
-from tabforge.models.ctgan import CtganConfig, build_ctgan, build_row_index, ctgan_train_batch
-from tabforge.models.vae import VaeConfig
+from tabforge.great.model import build_great, great_train_step, pad_batch
+from tabforge.models.ctgan import build_ctgan, build_row_index, ctgan_train_batch
 from tabforge.nn import tensor as T
 from tabforge.nn.tensor import Tensor
-from tabforge.training import TrainConfig, finetune, pretrain
+from tabforge.training import finetune, pretrain
 from tabforge.transform import ColumnTransformer, encode_table
 
+from conftest import run_config
 from gradcheck import assert_grads_match, finite_diff
 
 
@@ -150,11 +150,25 @@ def fixture_table(name, seed, n=60):
 
 
 def fixture_config(kind):
-    return TrainConfig(
-        kind=kind, seed=3, iterations=2, epochs=3, gmm_modes=2, ckpt_every=2,
-        ctgan=CtganConfig(z_dim=8, pac=2, batch=16, hidden=(16, 16)),
-        vae=VaeConfig(latent=8, hidden=(16, 16), batch=16),
-        great=GreatConfig(d_model=16, n_heads=2, n_layers=2, ctx=96, vocab_size=300, batch=8),
+    return run_config(
+        kind,
+        "--seed=3",
+        "--training.iterations=2",
+        "--training.epochs=3",
+        "--training.ckpt_every=2",
+        "--transform.gmm_modes=2",
+        "--model.z_dim=8",
+        "--model.pac=2",
+        "--model.batch=16",
+        "--model.latent=8",
+        "--model.great.d_model=16",
+        "--model.great.n_heads=2",
+        "--model.great.n_layers=2",
+        "--model.great.ctx=96",
+        "--model.great.vocab_size=300",
+        "--model.great.batch=8",
+        ctgan={"hidden": (16, 16)},
+        vae={"hidden": (16, 16)},
     )
 
 
@@ -211,7 +225,8 @@ def test_tape_nodes_per_ctgan_batch(node_count):
     table = Table("t", cols, rows)
     tf = ColumnTransformer.fit(table, 2, 0)
     matrix = encode_table(table, tf, np.random.default_rng(1))
-    model = build_ctgan(tf, matrix, CtganConfig(z_dim=8, pac=10, batch=250, hidden=(16, 16)), seed=1)
+    cfg = run_config("ctgan", "--model.z_dim=8", "--model.batch=250", ctgan={"hidden": (16, 16)}).ctgan
+    model = build_ctgan(tf, matrix, cfg, seed=1)
     critic_opt, gen_opt = model.optimizers()
     index = build_row_index(model, matrix)
     node_count[:] = [0, 0]
@@ -223,7 +238,15 @@ def test_tape_nodes_per_great_step(node_count):
     """The grid-great shape: two layers.  The unfused tape built 127."""
     sentences = [f"n is {i} and ok is {'yes' if i % 2 else 'no'}" for i in range(8)]
     vocab = train_bpe(sentences, MIN_VOCAB + 6)
-    model = build_great(GreatConfig(d_model=32, n_heads=2, n_layers=2, ctx=24, batch=8), vocab, 0)
+    cfg = run_config(
+        "great",
+        "--model.great.d_model=32",
+        "--model.great.n_heads=2",
+        "--model.great.n_layers=2",
+        "--model.great.ctx=24",
+        "--model.great.batch=8",
+    ).great
+    model = build_great(cfg, vocab, 0)
     batch = pad_batch([[BOS] + vocab.encode(s) + [EOS] for s in sentences], 24)
     node_count[:] = [0, 0]
     great_train_step(model, batch, model.optimizer())

@@ -13,22 +13,21 @@ from tabforge.checkpoint import (
     save_checkpoint,
     serialize_checkpoint,
 )
+from tabforge.cli import main
 from tabforge.data import ColumnKind, ColumnMeta, Table
 from tabforge.great.bpe import MIN_VOCAB
-from tabforge.great.model import GreatConfig
 from tabforge.metrics import MetricError
-from tabforge.models.ctgan import CtganConfig
-from tabforge.models.vae import VaeConfig
 import tabforge.training as tr
 from tabforge.training import (
     EarlyStopper,
-    TrainConfig,
     TrainingError,
     finetune,
     pretrain,
     sample_from_checkpoint,
     transfer_state,
 )
+
+from conftest import run_config
 
 
 def rewrite_header(blob: bytes, edit) -> bytes:
@@ -57,17 +56,27 @@ def make_table(name, n=60, seed=0, mean=0.0, cats=("a", "b")):
     return Table(name, cols, rows)
 
 
-def quick_config(kind="stvae", epochs=3, **kw):
-    return TrainConfig(
-        kind=kind,
-        seed=7,
-        iterations=kw.pop("iterations", 2),
-        epochs=epochs,
-        gmm_modes=1,
-        ctgan=CtganConfig(z_dim=8, pac=2, batch=16, hidden=(16, 16)),
-        vae=VaeConfig(latent=8, hidden=(16, 16), batch=32),
-        great=GreatConfig(d_model=16, n_heads=2, n_layers=1, ctx=96, vocab_size=300, batch=8),
-        **kw,
+def quick_config(kind="stvae", epochs=3, iterations=2, **training):
+    """A tiny `kind` run; `training` sets `training.*` keys."""
+    return run_config(
+        kind,
+        "--seed=7",
+        f"--training.epochs={epochs}",
+        f"--training.iterations={iterations}",
+        *(f"--training.{key}={json.dumps(value)}" for key, value in training.items()),
+        "--transform.gmm_modes=1",
+        "--model.z_dim=8",
+        "--model.pac=2",
+        "--model.latent=8",
+        "--model.batch=32",
+        "--model.great.d_model=16",
+        "--model.great.n_heads=2",
+        "--model.great.n_layers=1",
+        "--model.great.ctx=96",
+        "--model.great.vocab_size=300",
+        "--model.great.batch=8",
+        ctgan={"batch": 16, "hidden": (16, 16)},
+        vae={"hidden": (16, 16)},
     )
 
 
@@ -255,6 +264,29 @@ class TestScratchTraining:
             assert from_old.tensors.keys() == from_new.tensors.keys()
             for name, arr in from_new.tensors.items():
                 assert np.array_equal(from_old.tensors[name], arr), (kind, name)
+
+    @pytest.mark.parametrize("kind, field", [
+        ("stvae", "recon_weight"), ("ctgan", "lambda_gp"), ("great", "max_retries"),
+    ])
+    def test_checkpoint_lacking_a_model_config_field_names_it(self, kind, field, tmp_path, monkeypatch, capsys):
+        ckpt, _ = finetune(None, make_table("t3", n=30), quick_config(kind, epochs=1))
+        path = tmp_path / f"{kind}.ckpt"
+        path.write_bytes(rewrite_header(serialize_checkpoint(ckpt), lambda h: h["config"]["model"].pop(field)))
+        with pytest.raises(CheckpointError, match=f"^checkpoint model config lacks {field}$"):
+            sample_from_checkpoint(load_checkpoint(path), 3, seed=0)
+        args = ["tabforge", "sample", "--checkpoint", str(path), "--rows", "2", "--out", str(tmp_path / "s.csv")]
+        monkeypatch.setattr("sys.argv", args)
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: checkpoint model config lacks {field}\n"
+
+
+def test_a_vae_run_trains_the_variant_its_kind_names():
+    cfg = quick_config("tvae")
+    assert cfg.vae.variant == "tvae"
+    with pytest.raises(TrainingError, match="a tvae run needs vae.variant 'tvae', got 'stvae'"):
+        replace(cfg, vae=replace(cfg.vae, variant="stvae"))
 
 
 class TestFinetune:

@@ -4,7 +4,6 @@ import pytest
 from tabforge.data import ColumnKind, ColumnMeta, Table
 from tabforge.models.ctgan import ModelError
 from tabforge.models.vae import (
-    VaeConfig,
     build_vae,
     elbo_loss,
     stvaem_signatures,
@@ -15,6 +14,7 @@ from tabforge.models.vae import (
 from tabforge.nn.tensor import Tensor
 from tabforge.transform import ColumnTransformer, encode_table
 
+from conftest import run_config
 from gradcheck import finite_diff, max_rel_error
 
 
@@ -32,10 +32,14 @@ def toy_table(n=80, seed=0):
 def small(variant="stvae", table=None, dtype=np.float32, sig_dim=4, latent=6, recon_weight=1.0):
     table = table or toy_table()
     tf = ColumnTransformer.fit(table, modes=2, seed=0)
-    cfg = VaeConfig(
-        variant=variant, latent=latent, hidden=(16, 16), sig_dim=sig_dim, batch=32,
-        recon_weight=recon_weight,
-    )
+    cfg = run_config(
+        variant,
+        f"--model.latent={latent}",
+        f"--model.sig_dim={sig_dim}",
+        "--model.batch=32",
+        f"--model.recon_weight={recon_weight}",
+        vae={"hidden": (16, 16)},
+    ).vae
     model = build_vae(tf, cfg, seed=1, dtype=dtype)
     matrix = encode_table(table, tf, np.random.default_rng(2))
     return model, matrix
@@ -179,7 +183,7 @@ class TestSampling:
         cols = [ColumnMeta("x", ColumnKind.numerical()), ColumnMeta("g", ColumnKind.categorical(), ("k",))]
         table = Table("n", cols, [[float(v), "k"] for v in x])
         tf = ColumnTransformer.fit(table, modes=1, seed=0)
-        cfg = VaeConfig(variant="stvae", latent=8, hidden=(32, 32), batch=100)
+        cfg = run_config("stvae", "--model.latent=8", "--model.batch=100", vae={"hidden": (32, 32)}).vae
         model = build_vae(tf, cfg, seed=0)
         matrix = encode_table(table, tf, np.random.default_rng(1))
         opt = model.optimizer()
