@@ -35,9 +35,6 @@ class ModelCheckpoint:
     aux: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
 
-    def checksum(self) -> str:
-        return hashlib.sha256(serialize_checkpoint(self)).hexdigest()
-
 
 def serialize_checkpoint(ckpt: ModelCheckpoint) -> bytes:
     directory = []

@@ -224,15 +224,23 @@ def _load_part(manifest, clean_dir: str, part: str) -> list[Table]:
 @click.option("--method", default=None)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def pretrain_cmd(manifest_path, clean_dir, method, out_path, cfg):
-    """Pretrain a model body across the manifest's training tables."""
+    """Pretrain a model body across the manifest's training tables.
+
+    A spent wall-clock budget exits 3: after writing the checkpoint and log
+    of the completed iterations, or with nothing written if none completed.
+    """
     from tabforge.checkpoint import save_checkpoint
-    from tabforge.training import pretrain, train_config
+    from tabforge.training import BudgetExhausted, pretrain, train_config
 
     method = method or cfg["method"]
     manifest = _load_manifest(manifest_path)
     corpus = _load_part(manifest, clean_dir, "train")
     tcfg = train_config(cfg, method)
-    ckpt, log = pretrain(corpus, tcfg)
+    try:
+        ckpt, log = pretrain(corpus, tcfg)
+    except BudgetExhausted as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(3)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt, out)

@@ -16,6 +16,10 @@ Fused ops (`linear`, `batch_norm`, `layer_norm`, `causal_attention`,
 chain of elementary ops.  Each runs the chain's numpy calls in the chain's
 order, forward and backward, and sums a gradient's contributions in the
 order the tape would, so a fused and an unfused step give the same bytes.
+
+`scale` multiplies by a constant array.  A `Net`, walking its descriptor
+tuple, applies ReLU, LeakyReLU and dropout with it, and a critic's input
+gradient applies the same recorded factors again.
 """
 
 from __future__ import annotations
@@ -265,34 +269,14 @@ def sqrt(a: Tensor):
     return _node(data, (a,), vjp, "sqrt")
 
 
-def relu_factor(x: np.ndarray) -> np.ndarray:
-    """ReLU's derivative at x, in x's dtype."""
-    return (x > 0.0).astype(x.dtype)
-
-
-def leaky_factor(x: np.ndarray, slope: float) -> np.ndarray:
-    """LeakyReLU's derivative at x, in x's dtype; also its output over x."""
-    return np.where(x > 0.0, x.dtype.type(1.0), x.dtype.type(slope))
-
-
-def relu(a: Tensor, factor: np.ndarray):
-    """max(a, 0); `factor` is `relu_factor(a.data)`, its derivative."""
-    data = np.maximum(a.data, 0.0)
-
-    def vjp(g):
-        return (g * factor,)
-
-    return _node(data, (a,), vjp, "relu")
-
-
-def leaky_relu(a: Tensor, factor: np.ndarray):
-    """a * factor, with `factor` = `leaky_factor(a.data, slope)`."""
+def scale(a: Tensor, factor: np.ndarray):
+    """a * factor for a constant array `factor`; the gradient is g * factor."""
     data = a.data * factor
 
     def vjp(g):
         return (g * factor,)
 
-    return _node(data, (a,), vjp, "leaky_relu")
+    return _node(data, (a,), vjp, "scale")
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))

@@ -61,6 +61,11 @@ class TrainingError(DataError):
     pass
 
 
+class BudgetExhausted(TrainingError):
+    """Pretraining's wall-clock budget ran out before its first pass, so
+    there is no checkpoint to write."""
+
+
 @dataclass
 class TrainConfig:
     kind: str
@@ -502,7 +507,9 @@ def pretrain(corpus: list[Table], config: TrainConfig) -> tuple[ModelCheckpoint,
         log.record(iteration + 1, float(np.mean(iteration_losses)), None)
     log.stop_reason = stop_reason
     if body is None:
-        raise TrainingError("wall-clock budget exhausted before the first iteration")
+        raise BudgetExhausted(
+            f"wall-clock budget of {config.wall_clock_budget:g} s exhausted before the first pretraining iteration"
+        )
     return _checkpoint(last_model, config, body, aux, corpus, len(log.entries)), log
 
 
@@ -554,7 +561,7 @@ def finetune(
             log.record(epoch, train_loss, val_loss)
 
             if not driver.early_stops:
-                if epoch % config.ckpt_every == 0 or epoch == config.epochs:
+                if len(val_ids) and (epoch % config.ckpt_every == 0 or epoch == config.epochs):
                     score = _snapshot_score(driver, model, prep, table, val_ids, config, epoch)
                     snapshots.append((epoch, copy_state(model), score))
                     log.checkpoints.append({"epoch": epoch, "overall": score})
@@ -578,8 +585,6 @@ def finetune(
 
 
 def _snapshot_score(driver, model, prep, table: Table, val_ids: np.ndarray, config: TrainConfig, epoch: int) -> float:
-    if len(val_ids) == 0:
-        return 0.0
     val_table = Table(table.name, list(table.columns), [table.rows[int(i)] for i in val_ids])
     rng = substream(config.seed, "snapshot", table.name, epoch)
     syn = driver.sample(model, prep, val_table.n_rows, rng)

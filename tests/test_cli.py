@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -496,6 +497,49 @@ class TestFailuresExitTwo:
         assert main_exit_code(monkeypatch, args) == 2
         err = capsys.readouterr().err
         assert "stvae training diverged" in err and where in err and "op 'exp'" in err
+
+
+class TestBudgetExitsThree:
+    """An exhausted pretraining budget exits 3.  The clock `pretrain` reads
+    moves only when a patched stage of the stvae driver says it took time."""
+
+    @pytest.fixture
+    def takes(self, monkeypatch):
+        now = [0.0]
+        monkeypatch.setattr(tr, "time", SimpleNamespace(monotonic=lambda: now[0]))
+
+        def takes(method, seconds):
+            run = getattr(tr._VaeDriver, method)
+
+            def timed(driver, *args):
+                now[0] += seconds
+                return run(driver, *args)
+
+            monkeypatch.setattr(tr._VaeDriver, method, timed)
+
+        return takes
+
+    def pretrain_args(self, pipeline_dirs, budget):
+        cleaned, manifest, tmp = pipeline_dirs
+        return ["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned), "--method", "stvae",
+                "--out", str(tmp / "p.ckpt"), *TINY, "--training.iterations=3",
+                f"--training.wall_clock_budget={budget}"]
+
+    def test_budget_spent_mid_run_writes_the_completed_passes(self, takes, pipeline_dirs, monkeypatch, capsys):
+        takes("train_epoch", 3600.0)
+        assert main_exit_code(monkeypatch, self.pretrain_args(pipeline_dirs, 60)) == 3
+        out = pipeline_dirs[2] / "p.ckpt"
+        assert load_checkpoint(out).provenance["epoch"] == 1
+        log = out.with_suffix(".log.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in log[1:]] == ["epoch", "1"]  # after the provenance line
+        assert "pretrained stvae" in capsys.readouterr().out
+
+    def test_budget_spent_before_the_first_pass_writes_nothing(self, takes, pipeline_dirs, monkeypatch, capsys):
+        takes("prep", 1.0)
+        assert main_exit_code(monkeypatch, self.pretrain_args(pipeline_dirs, 0.5)) == 3
+        assert list(pipeline_dirs[2].glob("p.*")) == []
+        err = capsys.readouterr().err
+        assert err == "error: wall-clock budget of 0.5 s exhausted before the first pretraining iteration\n"
 
 
 def test_unknown_override_is_usage_error(toy_corpus, tmp_path, monkeypatch):

@@ -110,6 +110,29 @@ def test_input_gradient_before_forward_raises():
         net.input_gradient()
 
 
+def test_input_gradient_equals_the_backward_input_gradient():
+    # The critic's shape, in train mode: the activation and dropout factors
+    # the forward recorded are the ones the tape differentiates through.
+    rng = np.random.default_rng(0)
+    layers = [Dense(6, 5), LeakyReLU(), Dropout(0.3), Dense(5, 4), LeakyReLU(), Dropout(0.3), Dense(4, 1)]
+    net = Net(layers, rng, dtype=np.float64)
+    x = Tensor(rng.normal(size=(7, 6)), requires_grad=True)
+    T.sum_(net.forward(x, "train", np.random.default_rng(1))).backward()
+    assert np.array_equal(net.input_gradient().data, x.grad)
+
+
+@pytest.mark.parametrize("p", [1.0, -0.1])
+def test_dropout_outside_unit_interval_raises_at_construction(p):
+    with pytest.raises(ValueError, match="dropout p"):
+        Dropout(p)
+
+
+@pytest.mark.parametrize("layers", [[ReLU(), Dense(3, 2)], [ConcatSkip((BatchNorm(3),))], []])
+def test_net_without_an_input_width_raises(layers):
+    with pytest.raises(ValueError, match="first layer"):
+        Net(layers, np.random.default_rng(0))
+
+
 def test_identity_dense_passes_input_through():
     net = Net([Dense(3, 3)], np.random.default_rng(0))
     net.params["0.W"].data = np.eye(3, dtype=np.float32)

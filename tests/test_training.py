@@ -325,6 +325,12 @@ class TestFinetune:
         assert log.checkpoints == []  # early-stopping methods never score snapshots
         assert log.best_epoch == 3 and ckpt.provenance["epoch"] == 3
 
+    def test_ctgan_without_validation_rows_keeps_final_weights(self):
+        table = make_table("noval", n=40)
+        ckpt, log = finetune(None, table, quick_config("ctgan", epochs=6, val_fraction=0.0, ckpt_every=2))
+        assert log.checkpoints == []  # no rows to score a snapshot on
+        assert log.best_epoch == 6 and ckpt.provenance["epoch"] == 6
+
 
 class TestSnapshotScore:
     class _EchoDriver:
