@@ -32,6 +32,8 @@ from tabforge.data import (
     Table,
     infer_schema,
     ingest_csv,
+    parse_number,
+    read_csv,
 )
 
 
@@ -63,7 +65,11 @@ def write_table_csv(table: Table, path: Path) -> None:
 
 
 def load_clean_table(path: Path) -> Table:
-    return infer_schema(ingest_csv(path, Path(path).stem))
+    """A CSV that `clean` wrote.  A column is numerical only when every
+    non-empty cell parses as a finite number, and no column is rejected:
+    imputation can carry a column across the raw-table rules of
+    `infer_schema`, which only `clean` applies."""
+    return ingest_csv(path, Path(path).stem, parse_threshold=1.0)
 
 
 def _union_categories(schema: list[ColumnMeta], rows: list[list]) -> list[ColumnMeta]:
@@ -82,18 +88,20 @@ def _union_categories(schema: list[ColumnMeta], rows: list[list]) -> list[Column
 
 
 def load_as_schema(path: Path, schema: list[ColumnMeta]) -> Table:
-    """Read a CSV under an existing schema (synthetic data evaluation)."""
-    raw = ingest_csv(path, Path(path).stem)
-    if [c.name for c in raw.columns] != [c.name for c in schema]:
+    """Read a CSV under an existing schema (synthetic data evaluation): a
+    numerical column's cells must parse as finite numbers, a categorical
+    column's cells keep their text, and empty cells are nulls."""
+    header, data = read_csv(path)
+    if header != [c.name for c in schema]:
         raise DataError(f"{path}: columns do not match the reference schema")
-    rows = [list(r) for r in raw.rows]
+    rows = [[None if cell == "" else cell for cell in row] for row in data]
     for i, ref in enumerate(schema):
         for row in rows:
-            if ref.kind.is_numerical and isinstance(row[i], str):
-                raise DataError(f"{path}: non-numeric cell in numeric column {ref.name!r}")
-            if not ref.kind.is_numerical and row[i] is not None:
-                row[i] = str(row[i])
-    return Table(raw.name, _union_categories(schema, rows), rows)
+            if ref.kind.is_numerical and row[i] is not None:
+                row[i] = parse_number(row[i])
+                if row[i] is None:
+                    raise DataError(f"{path}: non-numeric cell in numeric column {ref.name!r}")
+    return Table(Path(path).stem, _union_categories(schema, rows), rows)
 
 
 class _Commands(click.Group):
@@ -138,7 +146,7 @@ def clean(corpus_dir, out_dir, cfg):
     kept, failed = [], 0
     for path in files:
         try:
-            table = load_clean_table(path)
+            table = infer_schema(ingest_csv(path, path.stem))
             cleaned, report = clean_table(table, ccfg)
         except DataError as exc:
             click.echo(f"error: {path.name}: {exc}", err=True)
@@ -247,6 +255,11 @@ def pretrain_cmd(manifest_path, clean_dir, method, out_path, cfg):
     out.with_suffix(".log.csv").write_text(_provenance_line(cfg) + log.to_csv(), encoding="utf-8")
     click.echo(f"pretrained {method} on {len(corpus)} tables -> {out}")
     if log.stop_reason == "budget":
+        click.echo(
+            f"error: wall-clock budget of {tcfg.wall_clock_budget:g} s exhausted after "
+            f"{len(log.entries)} of {tcfg.iterations} pretraining iterations",
+            err=True,
+        )
         sys.exit(3)
 
 

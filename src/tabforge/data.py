@@ -135,7 +135,8 @@ class Table:
         return [i for i, c in enumerate(self.columns) if c.kind.is_categorical]
 
 
-def _try_float(text: str) -> float | None:
+def parse_number(text: str) -> float | None:
+    """`text` as a finite float, or None when it is not one."""
     try:
         value = float(text)
     except ValueError:
@@ -143,13 +144,10 @@ def _try_float(text: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def ingest_csv(path, name: str) -> Table:
-    """Read an RFC-4180 CSV with a header row into a typed Table.
-
-    Each column is typed by majority parse: numerical when >= 95% of its
-    non-null cells parse as finite numbers (stragglers become null),
-    categorical otherwise.  Empty strings are nulls.
-    """
+def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """The header and the data rows of an RFC-4180 CSV, each data cell
+    stripped.  An unreadable or empty file, one without data rows and a
+    ragged row are DataErrors."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -167,18 +165,29 @@ def ingest_csv(path, name: str) -> Table:
     for r, row in enumerate(data):
         if len(row) != len(header):
             raise DataError(f"{path}: ragged row {r + 1} ({len(row)} cells, header has {len(header)})")
+    return header, [[cell.strip() for cell in row] for row in data]
 
+
+def ingest_csv(path, name: str, parse_threshold: float = NUMERIC_PARSE_THRESHOLD) -> Table:
+    """Read an RFC-4180 CSV with a header row into a typed Table.
+
+    Each column is typed by majority parse: numerical when at least
+    `parse_threshold` (95% for a raw table) of its non-null cells parse as
+    finite numbers (stragglers become null), categorical otherwise.  Empty
+    strings are nulls.
+    """
+    header, data = read_csv(path)
     columns: list[ColumnMeta] = []
     typed_cols: list[list[Cell]] = []
     for i, col_name in enumerate(header):
-        cells = [row[i].strip() for row in data]
+        cells = [row[i] for row in data]
         non_null = [c for c in cells if c != ""]
         nulls = len(cells) - len(non_null)
-        parsed = [_try_float(c) for c in non_null]
+        parsed = [parse_number(c) for c in non_null]
         ok = sum(1 for p in parsed if p is not None)
-        numeric = bool(non_null) and ok >= NUMERIC_PARSE_THRESHOLD * len(non_null)
+        numeric = bool(non_null) and ok >= parse_threshold * len(non_null)
         if numeric:
-            values: list[Cell] = [None if c == "" else _try_float(c) for c in cells]
+            values: list[Cell] = [None if c == "" else parse_number(c) for c in cells]
             null_fraction = sum(1 for v in values if v is None) / len(values)
             columns.append(ColumnMeta(col_name, ColumnKind.numerical(), (), null_fraction))
         else:

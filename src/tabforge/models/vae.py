@@ -210,9 +210,6 @@ def elbo_loss(
     cross entropy against the target one-hots, computed from `logits`, the
     pre-softmax blocks in `transformer.blocks` order, for stability.
     """
-    variant = model.config.variant
-    if variant == "tvae" and model.delta is None:
-        raise ModelError("tvae needs delta")
     target = np.asarray(target, dtype=heads.data.dtype)
     batch = target.shape[0]
     recon_terms: list[Tensor] = []
@@ -220,7 +217,7 @@ def elbo_loss(
     for j, ((start, stop), block_logits) in enumerate(zip(model.transformer.blocks, logits)):
         if j < len(alphas):  # a mode indicator: its column's alpha comes first
             diff = heads[:, alphas[j]] - Tensor(target[:, alphas[j]])
-            if variant == "tvae":
+            if model.delta is not None:  # tvae
                 d = T.maximum_const(model.delta[j : j + 1], DELTA_FLOOR)
                 nll = T.log(d) + float(0.5 * np.log(2.0 * np.pi)) + (diff * diff) * (T.pow_(d, -2.0) * 0.5)
                 recon_terms.append(T.sum_(nll))

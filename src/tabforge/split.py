@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tabforge.data import DataError, Table
+from tabforge.rng import kmeans_pp
 
 
 @dataclass(frozen=True)
@@ -149,17 +150,7 @@ def kmeans(vectors, k: int, seed: int) -> list[int]:
     if k > n or k < 1:
         raise DataError(f"k={k} out of range for {n} vectors")
 
-    rng = np.random.default_rng(seed)
-    centers = np.empty((k, x.shape[1]))
-    centers[0] = x[rng.integers(n)]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            centers[j] = x[rng.integers(n)]
-        else:
-            centers[j] = x[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((x - centers[j]) ** 2, axis=1))
+    centers = kmeans_pp(x, k, np.random.default_rng(seed))
 
     assign = np.full(n, -1, dtype=int)
     prev_wcss = np.inf

@@ -155,27 +155,6 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
-class EarlyStopper:
-    """Stop after `patience` epochs without improving by at least min_delta."""
-
-    def __init__(self, patience: int, min_delta: float):
-        self.patience = patience
-        self.min_delta = min_delta
-        self.best = np.inf
-        self.best_epoch = 0
-        self.counter = 0
-
-    def update(self, epoch: int, val_loss: float) -> bool:
-        """Returns True when training should stop."""
-        if val_loss < self.best - self.min_delta:
-            self.best = val_loss
-            self.best_epoch = epoch
-            self.counter = 0
-            return False
-        self.counter += 1
-        return self.counter >= self.patience
-
-
 def corpus_hash(tables: list[Table]) -> str:
     lines = sorted(f"{t.name}:{t.n_rows}x{t.n_cols}" for t in tables)
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
@@ -544,43 +523,39 @@ def finetune(
     if checkpoint is not None:
         transfer_state(model, checkpoint.tensors, checkpoint.segments)
 
+    # One running best: an epoch yields at most one loss, the validation loss
+    # or a snapshot's negated Overall score; only validation losses stop early.
     log = TrainLog()
-    best_state = copy_state(model)
-    best_epoch = 0
-    stopper = EarlyStopper(config.patience, config.min_delta)
-    snapshots: list[tuple[int, dict, float]] = []
+    best_loss, best_state, best_epoch, stale = np.inf, None, config.epochs, 0
+    min_delta = config.min_delta if driver.early_stops else 0.0  # a snapshot tie keeps the earlier
     stop_reason = "epochs"
 
     for epoch in range(1, config.epochs + 1):
         with _diverged(f"{config.kind} training diverged on table {table.name!r} at epoch {epoch}"):
             rng = substream(config.seed, "epoch", table.name, epoch)
             train_loss = driver.train_epoch(model, session, rng)
-            val_loss = None
+            val_loss = loss = None
             if driver.early_stops and len(val_ids):
-                val_loss = driver.val_loss(model, prep, val_rows, substream(config.seed, "val", table.name, epoch))
+                val_rng = substream(config.seed, "val", table.name, epoch)
+                val_loss = loss = driver.val_loss(model, prep, val_rows, val_rng)
+            elif len(val_ids) and (epoch % config.ckpt_every == 0 or epoch == config.epochs):
+                score = _snapshot_score(driver, model, prep, table, val_ids, config, epoch)
+                log.checkpoints.append({"epoch": epoch, "overall": score})
+                loss = -score
             log.record(epoch, train_loss, val_loss)
 
-            if not driver.early_stops:
-                if len(val_ids) and (epoch % config.ckpt_every == 0 or epoch == config.epochs):
-                    score = _snapshot_score(driver, model, prep, table, val_ids, config, epoch)
-                    snapshots.append((epoch, copy_state(model), score))
-                    log.checkpoints.append({"epoch": epoch, "overall": score})
-            elif val_loss is not None:
-                stop = stopper.update(epoch, val_loss)
-                if stopper.best_epoch == epoch:  # improved
-                    best_state = copy_state(model)
-                best_epoch = stopper.best_epoch
-                if stop:
-                    stop_reason = "early_stop"
-                    break
+        if loss is not None and loss < best_loss - min_delta:
+            best_loss, best_state, best_epoch, stale = loss, copy_state(model), epoch, 0
+        elif val_loss is not None:
+            stale += 1
+            if stale >= config.patience:
+                stop_reason = "early_stop"
+                break
 
-    if snapshots:
-        best_epoch, best_state, _ = max(snapshots, key=lambda s: (s[2], -s[0]))
-    elif all(e["val_loss"] is None for e in log.entries):
-        best_state = copy_state(model)  # nothing scored: keep the final weights
-        best_epoch = config.epochs
     log.best_epoch = best_epoch
     log.stop_reason = stop_reason
+    if best_state is None:  # nothing scored: keep the final weights
+        best_state = copy_state(model)
     return _checkpoint(model, config, best_state, driver.aux(prep, model), [table], best_epoch), log
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tabforge.data import ColumnMeta, DataError, Table
-from tabforge.rng import substream
+from tabforge.rng import kmeans_pp, substream
 
 EM_MAX_ITER = 300
 EM_TOL = 1e-5  # EM stops once the log-likelihood gains less than this per row
@@ -73,20 +73,7 @@ def _em_fit(x: np.ndarray, k: int, seed: int, floor: float, distinct: np.ndarray
     EM_TOL * len(x) in log-likelihood, so the stop does not depend on the row
     count.  A log-likelihood that falls (or is not a number) raises
     TransformError.  Returns (weights, means, stds, loglik)."""
-    rng = np.random.default_rng(seed)
-
-    # k-means++ seeding over the distinct values.
-    means = np.empty(k)
-    means[0] = distinct[rng.integers(distinct.size)]
-    d2 = (distinct - means[0]) ** 2
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            means[j] = distinct[rng.integers(distinct.size)]
-        else:
-            means[j] = distinct[rng.choice(distinct.size, p=d2 / total)]
-        d2 = np.minimum(d2, (distinct - means[j]) ** 2)
-
+    means = kmeans_pp(distinct[:, None], k, np.random.default_rng(seed))[:, 0]
     weights = np.full(k, 1.0 / k)
     stds = np.full(k, max(float(x.std()), floor))
 
@@ -337,7 +324,9 @@ def encode_table(table: Table, transformer: ColumnTransformer, rng: np.random.Ge
     for span in transformer.spans:
         col = table.column_values(span.column)
         if any(v is None for v in col):
-            raise TransformError(f"null cell in column {transformer.schema[span.column].name!r}")
+            raise TransformError(
+                f"table {table.name!r}: null cell in column {transformer.schema[span.column].name!r}"
+            )
         if span.kind == "numeric":
             values = np.asarray(col, dtype=np.float64)
             alpha, beta = _encode_numeric_batch(transformer.gmms[span.column], values, rng)

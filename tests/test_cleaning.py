@@ -1,4 +1,10 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tabforge.cleaning import (
     categorical_sparsity_check,
@@ -9,7 +15,8 @@ from tabforge.cleaning import (
     impute_column,
 )
 from tabforge.config import load_config
-from tabforge.data import ColumnKind, ColumnMeta, DataError, Table
+from tabforge.cli import load_clean_table, write_table_csv
+from tabforge.data import ColumnKind, ColumnMeta, DataError, Table, infer_schema, ingest_csv
 
 CONFIG = cleaning_config(load_config())
 
@@ -156,3 +163,53 @@ def test_config_validation():
         cleaning_config(load_config(overrides=["--cleaning.max_null_fraction=0.0"]))
     with pytest.raises(DataError):
         cleaning_config(load_config(overrides=["--cleaning.category_uniqueness_max=1.5"]))
+
+
+NUMBERS = ("1", "2", "3", "0.5")
+WORDS = ("red", "blue", "x")
+URLS = ("https://a.org/1", "www.b.com/2", "http://c.net/3")
+
+
+@st.composite
+def raw_tables(draw):
+    """Columns of equal length, each mostly one kind of label (numbers,
+    words or URLs) with a few of another and some blanks, so that
+    imputation can carry a column across the 95% numeric and 90% URL
+    rules."""
+    n = draw(st.integers(12, 60))
+    columns = []
+    for _ in range(draw(st.integers(2, 4))):
+        major, minor = draw(st.sampled_from([NUMBERS, WORDS, URLS])), draw(st.sampled_from([NUMBERS, WORDS, URLS]))
+        n_minor = draw(st.integers(0, n // 5))
+        n_blank = draw(st.integers(0, n // 2))
+        cells = (
+            draw(st.lists(st.sampled_from(major), min_size=n - n_minor - n_blank, max_size=n - n_minor - n_blank))
+            + draw(st.lists(st.sampled_from(minor), min_size=n_minor, max_size=n_minor))
+            + [""] * n_blank
+        )
+        columns.append(draw(st.permutations(cells)))
+    return columns
+
+
+NUMERIC_FLIP = [["1"] * 50 + ["2"] * 40 + ["x"] * 6 + [""] * 50, NUMBERS[:2] * 73]
+URL_FLIP = [[URLS[i % 3] for i in range(88)] + ["other"] * 12 + [""] * 40, WORDS[:2] * 70]
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_tables())
+@example(NUMERIC_FLIP)
+@example(URL_FLIP)
+def test_a_kept_table_reads_back_as_cleaned(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        raw_path, clean_path = Path(tmp) / "raw.csv", Path(tmp) / "t.csv"
+        with open(raw_path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *zip(*columns)])
+        cleaned, _ = clean_table(infer_schema(ingest_csv(raw_path, "t")), CONFIG)
+        if cleaned is None:
+            return
+        write_table_csv(cleaned, clean_path)
+        again = load_clean_table(clean_path)
+    assert [c.name for c in again.columns] == [c.name for c in cleaned.columns]
+    assert [c.kind for c in again.columns] == [c.kind for c in cleaned.columns]
+    assert [set(c.categories) for c in again.columns] == [set(c.categories) for c in cleaned.columns]

@@ -9,7 +9,9 @@ import tabforge.checkpoint
 import tabforge.cli
 import tabforge.training as tr
 from tabforge.checkpoint import load_checkpoint, save_checkpoint
-from tabforge.cli import cli, main
+from tabforge.cli import cli, load_clean_table, main
+
+from conftest import write_csv
 
 TINY = [
     "--model.net_size=small",
@@ -272,10 +274,13 @@ class TestBenchmark:
 
 
 def main_exit_code(monkeypatch, args) -> int:
+    """The exit code of `tabforge ARGS` run through main(); 0 when it returns."""
     monkeypatch.setattr("sys.argv", ["tabforge", *args])
-    with pytest.raises(SystemExit) as exc:
+    try:
         main()
-    return exc.value.code
+    except SystemExit as exc:
+        return exc.code
+    return 0
 
 
 class TestFailuresExitTwo:
@@ -499,6 +504,94 @@ class TestFailuresExitTwo:
         assert "stvae training diverged" in err and where in err and "op 'exp'" in err
 
 
+def mixed_rows(n, seed, **columns):
+    """`n` rows of two numeric columns `u` and `v` plus `columns`, each the
+    list of its cells, shuffled."""
+    rng = np.random.default_rng(seed)
+    extra = {name: list(rng.permutation(np.array(cells, dtype=object))) for name, cells in columns.items()}
+    header = ["u", "v", *extra]
+    rows = [[f"{rng.normal():.4f}", f"{rng.normal(3.0):.4f}", *(cells[i] for cells in extra.values())]
+            for i in range(n)]
+    return header, rows
+
+
+class TestCleanedTablesReadBack:
+    """A table `clean` keeps reads back with the column kinds it was given,
+    although imputation can carry a column across the raw-table rules."""
+
+    def clean_one(self, tmp_path, monkeypatch, header, rows):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_csv(corpus, "t", header, rows)
+        assert main_exit_code(monkeypatch, ["clean", str(corpus), str(tmp_path / "cleaned")]) == 0
+        return tmp_path / "cleaned" / "t.csv"
+
+    def test_imputed_labels_stay_categorical(self, tmp_path, monkeypatch):
+        # 90 of 96 labels parse (< 95%); after imputing "1", 140 of 146 do.
+        header, rows = mixed_rows(146, 0, g=["1"] * 50 + ["2"] * 40 + ["x"] * 6 + [""] * 50)
+        path = self.clean_one(tmp_path, monkeypatch, header, rows)
+        args = ["train-scratch", "--table", str(path), "--method", "stvae", "--out", str(tmp_path / "m.ckpt"), *TINY]
+        assert main_exit_code(monkeypatch, args) == 0
+        g = load_clean_table(path).columns[2]
+        assert g.kind.is_categorical and set(g.categories) == {"1", "2", "x"}
+
+    @pytest.mark.parametrize("method, flags", [("stvae", TINY), ("great", GREAT_TINY)])
+    def test_imputed_urls_are_not_rejected(self, method, flags, tmp_path, monkeypatch):
+        # 88 of 100 labels are URLs (< 90%); after imputing the top URL, 128 of 140 are.
+        urls = [f"https://example.org/{i}" for i in (1, 2, 3)]
+        header, rows = mixed_rows(140, 1, site=[urls[i % 3] for i in range(88)] + ["other"] * 12 + [""] * 40)
+        path = self.clean_one(tmp_path, monkeypatch, header, rows)
+        ckpt, syn = tmp_path / "m.ckpt", tmp_path / "syn.csv"
+        train = ["train-scratch", "--table", str(path), "--method", method, "--out", str(ckpt), *flags]
+        assert main_exit_code(monkeypatch, train) == 0
+        assert main_exit_code(monkeypatch, ["sample", "--checkpoint", str(ckpt), "--rows", "20", "--out", str(syn)]) == 0
+        assert syn.read_text().splitlines()[0] == "u,v,site"
+        site = load_clean_table(path).columns[2]
+        assert site.kind.is_categorical and set(site.categories) == {*urls, "other"}
+
+    def test_a_null_cell_in_training_names_the_table(self, tmp_path, monkeypatch, capsys):
+        header, rows = mixed_rows(40, 2, g=["a", "b"] * 20)
+        rows[3][0] = ""
+        path = write_csv(tmp_path, "holes", header, rows)
+        args = ["train-scratch", "--table", str(path), "--method", "stvae", "--out", str(tmp_path / "m.ckpt"), *TINY]
+        assert main_exit_code(monkeypatch, args) == 2
+        assert capsys.readouterr().err == "error: table 'holes': null cell in column 'u'\n"
+
+
+class TestEvaluateTypesBySchema:
+    """`evaluate` types each synthetic cell by the real table's column."""
+
+    def evaluate(self, tmp_path, monkeypatch, syn_labels):
+        header, rows = mixed_rows(200, 3, g=["x" if i % 10 == 0 else "12"[i % 2] for i in range(200)])
+        real = write_csv(tmp_path, "real", header, rows)
+        for row, label in zip(rows, syn_labels):
+            row[2] = label
+        syn = write_csv(tmp_path, "syn", header, rows[: len(syn_labels)])
+        out = tmp_path / "r.json"
+        code = main_exit_code(monkeypatch, ["evaluate", "--real", str(real), "--synthetic", str(syn), "--out", str(out)])
+        return code, out
+
+    def test_numeric_looking_labels_stay_labels(self, tmp_path, monkeypatch):
+        code, out = self.evaluate(tmp_path, monkeypatch, ["12"[i % 2] for i in range(200)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["shape_scores"]["g"] > 0.8  # "1" and "2" are the real labels, not new ones
+
+    def test_a_label_that_is_not_a_number_is_kept(self, tmp_path, monkeypatch):
+        code, out = self.evaluate(tmp_path, monkeypatch, ["x"] + ["12"[i % 2] for i in range(199)])
+        assert code == 0
+        assert json.loads(out.read_text())["shape_scores"]["g"] > 0.8
+
+    def test_a_numeric_cell_that_does_not_parse_names_the_column(self, tmp_path, monkeypatch, capsys):
+        header, rows = mixed_rows(40, 4, g=["a", "b"] * 20)
+        real = write_csv(tmp_path, "real", header, rows)
+        rows[5][1] = "n/a"
+        syn = write_csv(tmp_path, "syn", header, rows)
+        args = ["evaluate", "--real", str(real), "--synthetic", str(syn), "--out", str(tmp_path / "r.json")]
+        assert main_exit_code(monkeypatch, args) == 2
+        assert capsys.readouterr().err == f"error: {syn}: non-numeric cell in numeric column 'v'\n"
+
+
 class TestBudgetExitsThree:
     """An exhausted pretraining budget exits 3.  The clock `pretrain` reads
     moves only when a patched stage of the stvae driver says it took time."""
@@ -532,7 +625,9 @@ class TestBudgetExitsThree:
         assert load_checkpoint(out).provenance["epoch"] == 1
         log = out.with_suffix(".log.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in log[1:]] == ["epoch", "1"]  # after the provenance line
-        assert "pretrained stvae" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "pretrained stvae" in captured.out
+        assert captured.err == "error: wall-clock budget of 60 s exhausted after 1 of 3 pretraining iterations\n"
 
     def test_budget_spent_before_the_first_pass_writes_nothing(self, takes, pipeline_dirs, monkeypatch, capsys):
         takes("prep", 1.0)

@@ -1,6 +1,7 @@
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from tabforge.great.bpe import MIN_VOCAB
 from tabforge.metrics import MetricError
 import tabforge.training as tr
 from tabforge.training import (
-    EarlyStopper,
     TrainingError,
     finetune,
     pretrain,
@@ -80,22 +80,91 @@ def quick_config(kind="stvae", epochs=3, iterations=2, **training):
     )
 
 
-class TestEarlyStopper:
-    def test_spec_trace(self):
-        stopper = EarlyStopper(patience=2, min_delta=1e-4)
-        vals = [1.0, 0.9, 0.95, 0.96, 0.97]
-        stopped_at = None
-        for epoch, v in enumerate(vals, 1):
-            if stopper.update(epoch, v):
-                stopped_at = epoch
-                break
-        assert stopped_at == 4
-        assert stopper.best_epoch == 2
+@dataclass
+class _NoConfig:
+    pass
 
-    def test_improvement_below_min_delta_does_not_reset(self):
-        stopper = EarlyStopper(patience=1, min_delta=0.1)
-        assert not stopper.update(1, 1.0)
-        assert stopper.update(2, 0.95)  # within min_delta: no improvement
+
+class _ScriptedModel:
+    """One weight, which the scripted driver sets to the epoch number."""
+
+    config = _NoConfig()
+
+    def __init__(self):
+        self.w = SimpleNamespace(data=np.zeros(1, np.float32))
+
+    def tensors(self):
+        return {"w": self.w}
+
+    def segments(self):
+        return {}
+
+
+class _ScriptedDriver:
+    """A driver whose epochs do nothing but stamp the epoch into the model,
+    and whose validation loss at epoch e is `val_losses[e - 1]`."""
+
+    def __init__(self, early_stops, val_losses=()):
+        self.early_stops = early_stops
+        self.val_losses = val_losses
+
+    def prep(self, table, config, aux):
+        return {"rows": np.arange(table.n_rows)}
+
+    def start(self, prep, rows, config, seed):
+        return _ScriptedModel(), {"epoch": 0}
+
+    def train_epoch(self, model, session, rng):
+        session["epoch"] += 1
+        model.w.data = np.full(1, session["epoch"], np.float32)
+        return 0.0
+
+    def val_loss(self, model, prep, val_rows, rng):
+        return self.val_losses[int(model.w.data[0]) - 1]
+
+    def aux(self, prep, model):
+        return {}
+
+
+class TestRunningBest:
+    """finetune's selection rule, run through finetune with scripted losses."""
+
+    def early_stop(self, monkeypatch, val_losses, **training):
+        monkeypatch.setitem(tr._DRIVERS, "stvae", _ScriptedDriver(True, val_losses))
+        return finetune(None, make_table("scripted"), quick_config(epochs=len(val_losses), **training))
+
+    def test_stops_after_patience_epochs_without_improvement(self, monkeypatch):
+        ckpt, log = self.early_stop(monkeypatch, [1.0, 0.9, 0.95, 0.96, 0.97], patience=2, min_delta=1e-4)
+        assert [e["epoch"] for e in log.entries] == [1, 2, 3, 4]
+        assert log.stop_reason == "early_stop"
+        assert log.best_epoch == 2 and ckpt.provenance["epoch"] == 2
+        assert ckpt.tensors["w"].tolist() == [2.0]  # the best epoch's weights
+
+    def test_improvement_below_min_delta_does_not_reset(self, monkeypatch):
+        ckpt, log = self.early_stop(monkeypatch, [1.0, 0.95, 0.92, 0.5], patience=2, min_delta=0.1)
+        assert [e["epoch"] for e in log.entries] == [1, 2, 3]
+        assert log.stop_reason == "early_stop"
+        assert log.best_epoch == 1 and ckpt.tensors["w"].tolist() == [1.0]
+
+    def test_runs_every_epoch_while_improving(self, monkeypatch):
+        ckpt, log = self.early_stop(monkeypatch, [1.0, 0.5, 0.8, 0.4], patience=2, min_delta=1e-4)
+        assert log.stop_reason == "epochs"
+        assert log.best_epoch == 4 and ckpt.tensors["w"].tolist() == [4.0]
+
+    def test_ctgan_keeps_the_earlier_of_tied_snapshots(self, monkeypatch):
+        scores = {2: 0.5, 4: 0.7, 6: 0.7}
+        monkeypatch.setitem(tr._DRIVERS, "ctgan", _ScriptedDriver(False))
+        monkeypatch.setattr(tr, "_snapshot_score", lambda *args: scores[args[-1]])  # args end with the epoch
+        copies = []
+        copy_state = tr.copy_state
+        monkeypatch.setattr(tr, "copy_state", lambda model: copies.append(1) or copy_state(model))
+        cfg = quick_config("ctgan", epochs=6, ckpt_every=2, patience=1, min_delta=0.5)
+        ckpt, log = finetune(None, make_table("scripted"), cfg)
+        assert log.checkpoints == [{"epoch": e, "overall": s} for e, s in scores.items()]
+        assert log.stop_reason == "epochs"  # patience and min_delta do not apply to snapshots
+        assert log.best_epoch == 4 and ckpt.provenance["epoch"] == 4
+        assert ckpt.tensors["w"].tolist() == [4.0]
+        assert len(copies) == 2  # one copy per new best, none for the tie
 
 
 class TestCheckpointIO:

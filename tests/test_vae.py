@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -128,11 +130,11 @@ class TestElbo:
             assert err <= 1e-3, f"{variant}/{name}: {err:.2e}"
 
     def test_delta_variant_guard(self):
-        model, matrix = small("stvae")
-        mu, sigma, heads, logits, _ = vae_forward(model, matrix[:4], np.random.default_rng(0))
-        model.config.variant = "tvae"  # now delta is required but missing
-        with pytest.raises(ModelError):
-            elbo_loss(model, heads, logits, matrix[:4], mu, sigma)
+        # elbo_loss reads the tvae term off model.delta, so a tvae model
+        # without one must not exist.
+        model, _ = small("stvae")
+        with pytest.raises(ModelError, match="delta present iff variant is tvae"):
+            replace(model, config=replace(model.config, variant="tvae"))
 
 
 class TestSignatures:
