@@ -9,21 +9,20 @@ Exit codes: 0 success, 1 usage, 2 data error, 3 budget exceeded.  Every
 data error is a `DataError`.
 
 Each command imports what it runs inside its own body, so a process loads
-only the modules of the command it runs: `clean` never loads numpy, and
-`split` and `report` never load the training stack.
+only the modules of the command it runs: `clean` and `report` never load
+numpy, and `split` never loads the training stack.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
-import click
-
-from tabforge.cleaning import clean_table, cleaning_config
 from tabforge.config import ConfigError, config_hash, load_config
 from tabforge.data import (
     ColumnKind,
@@ -104,39 +103,104 @@ def load_as_schema(path: Path, schema: list[ColumnMeta]) -> Table:
     return Table(Path(path).stem, _union_categories(schema, rows), rows)
 
 
-class _Commands(click.Group):
-    """A group whose every command takes `-c/--config FILE` and trailing
-    `--section.key=value` overrides after its own parameters, and receives
-    the config they load as `cfg`."""
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose every failure is a usage error (exit 1), as
+    a bad config is, instead of argparse's exit 2, which means a data error
+    here."""
 
-    def command(self, *args, **kwargs):
-        make = super().command(*args, context_settings={"ignore_unknown_options": True}, **kwargs)
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
+
+def _existing(text: str) -> str:
+    if not Path(text).exists():
+        raise argparse.ArgumentTypeError(f"path {text!r} does not exist")
+    return text
+
+
+def _directory(text: str) -> str:
+    """A path that is not a file; it need not exist yet."""
+    if Path(text).is_file():
+        raise argparse.ArgumentTypeError(f"{text!r} is a file, not a directory")
+    return text
+
+
+def _existing_directory(text: str) -> str:
+    return _directory(_existing(text))
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _arg(*flags, **kwargs):
+    """One `add_argument` call, spelled where its command is declared."""
+    return flags, kwargs
+
+
+class _Cli:
+    """The `tabforge` command line: one subcommand per decorated function.
+
+    Every command takes `-c/--config FILE` and trailing `--section.key=value`
+    overrides besides its own arguments, and its function receives the
+    config they load as `cfg`.  `commands` maps each name to an object whose
+    `callback` runs the command; `main` reads it at call time, so a callback
+    replaced after import (a tracing wrapper) is the one that runs.
+    """
+
+    def __init__(self, description: str):
+        self.description = description
+        self.commands: dict[str, SimpleNamespace] = {}
+
+    def command(self, name: str, *arguments):
         def decorator(fn):
-            def run(config_path, overrides, **params):
-                return fn(**params, cfg=load_config(config_path, list(overrides)))
-
-            cmd = make(fn)
-            cmd.callback = run
-            cmd.params += [
-                click.Option(["-c", "--config", "config_path"], type=click.Path(exists=True), default=None),
-                click.Argument(["overrides"], nargs=-1, type=click.UNPROCESSED),
-            ]
-            return cmd
+            self.commands[name] = SimpleNamespace(callback=fn, arguments=arguments, doc=fn.__doc__)
+            return fn
 
         return decorator
 
+    def parser(self) -> argparse.ArgumentParser:
+        parser = _Parser(prog="tabforge", description=self.description, allow_abbrev=False)
+        subparsers = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+        for name, cmd in self.commands.items():
+            sub = subparsers.add_parser(
+                name,
+                help=cmd.doc.splitlines()[0],
+                description=cmd.doc,
+                epilog="Trailing --section.key=value tokens override config keys.",
+                allow_abbrev=False,
+            )
+            for flags, kwargs in cmd.arguments:
+                sub.add_argument(*flags, **kwargs)
+            sub.add_argument("-c", "--config", dest="config_path", type=_existing, metavar="FILE")
+        return parser
 
-@click.group(cls=_Commands)
-def cli():
-    """Clean tables, split corpora, train generators, score synthetic data."""
+
+cli = _Cli("Clean tables, split corpora, train generators, score synthetic data.")
+
+_SPLIT = _arg("--split", dest="manifest_path", type=_existing, required=True, metavar="MANIFEST")
+_CLEAN_DIR = _arg("--clean-dir", type=_existing_directory, required=True, metavar="DIR")
+_METHOD = _arg("--method", default=None)
+_OUT = _arg("--out", dest="out_path", required=True, metavar="PATH")
+_CHECKPOINT = _arg("--checkpoint", dest="ckpt_path", type=_existing, required=True, metavar="CKPT")
+_TABLE = _arg("--table", dest="table_path", type=_existing, required=True, metavar="CSV")
 
 
-@cli.command()
-@click.argument("corpus_dir", type=click.Path(exists=True, file_okay=False))
-@click.argument("out_dir", type=click.Path(file_okay=False))
+@cli.command(
+    "clean",
+    _arg("corpus_dir", type=_existing_directory, metavar="CORPUS_DIR"),
+    _arg("out_dir", type=_directory, metavar="OUT_DIR"),
+)
 def clean(corpus_dir, out_dir, cfg):
     """Ingest, infer schemas, and clean every CSV under CORPUS_DIR."""
+    from tabforge.cleaning import clean_table, cleaning_config
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ccfg = cleaning_config(cfg)
@@ -149,16 +213,16 @@ def clean(corpus_dir, out_dir, cfg):
             table = infer_schema(ingest_csv(path, path.stem))
             cleaned, report = clean_table(table, ccfg)
         except DataError as exc:
-            click.echo(f"error: {path.name}: {exc}", err=True)
+            print(f"error: {path.name}: {exc}", file=sys.stderr)
             failed += 1
             continue
         _write_json(out / f"{path.stem}.report.json", report.to_dict(), cfg)
         if cleaned is None:
-            click.echo(f"discarded: {path.stem} ({report.verdict_reason})")
+            print(f"discarded: {path.stem} ({report.verdict_reason})")
             continue
         write_table_csv(cleaned, out / f"{path.stem}.csv")
         kept.append(cleaned)
-        click.echo(f"cleaned: {path.stem} ({cleaned.n_rows}x{cleaned.n_cols})")
+        print(f"cleaned: {path.stem} ({cleaned.n_rows}x{cleaned.n_cols})")
     stats = {
         "tables": len(kept),
         "discarded": len(files) - failed - len(kept),
@@ -171,13 +235,17 @@ def clean(corpus_dir, out_dir, cfg):
         raise DataError("every input file failed")
 
 
-@cli.command()
-@click.argument("clean_dir", type=click.Path(exists=True, file_okay=False))
-@click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--mode", type=click.Choice(["random", "domain"]), default=None)
-@click.option("--embeddings", "embeddings_path", type=click.Path(exists=True), default=None)
+@cli.command(
+    "split",
+    _arg("clean_dir", type=_existing_directory, metavar="CLEAN_DIR"),
+    _OUT,
+    _arg("--mode", choices=["random", "domain"], default=None),
+    _arg("--embeddings", dest="embeddings_path", type=_existing, default=None, metavar="FILE"),
+)
 def split(clean_dir, out_path, mode, embeddings_path, cfg):
-    """Emit a train/val/test split manifest for a cleaned corpus."""
+    """Emit a train/val/test split manifest for a cleaned corpus.
+
+    Only the names of the cleaned CSVs are read, not their contents."""
     from tabforge.split import (
         domain_split,
         load_embedding_file,
@@ -188,20 +256,21 @@ def split(clean_dir, out_path, mode, embeddings_path, cfg):
 
     if mode:
         cfg["split"]["mode"] = mode
-    corpus = [load_clean_table(p) for p in sorted(Path(clean_dir).glob("*.csv"))]
+    # In the order of the sorted paths, which the seeded shuffle depends on.
+    names = [p.stem for p in sorted(Path(clean_dir).glob("*.csv"))]
     spec = split_spec(cfg)
     if spec.mode == "random":
-        result = random_split(corpus, spec)
+        result = random_split(names, spec)
     else:
         if embeddings_path:
             emb = load_embedding_file(embeddings_path)
         else:
             dim = cfg["split"]["embedding_dim"]
-            emb = {t.name: name_embedding(t.name, dim) for t in corpus}
-        result = domain_split(corpus, emb, spec)
+            emb = {name: name_embedding(name, dim) for name in names}
+        result = domain_split(names, emb, spec)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     Path(out_path).write_text(result.to_json() + "\n", encoding="utf-8")
-    click.echo(
+    print(
         f"split: train={len(result.train)} val={len(result.val)} test={len(result.test)}"
     )
 
@@ -226,11 +295,7 @@ def _load_part(manifest, clean_dir: str, part: str) -> list[Table]:
     return tables
 
 
-@cli.command("pretrain")
-@click.option("--split", "manifest_path", type=click.Path(exists=True), required=True)
-@click.option("--clean-dir", type=click.Path(exists=True, file_okay=False), required=True)
-@click.option("--method", default=None)
-@click.option("--out", "out_path", type=click.Path(), required=True)
+@cli.command("pretrain", _SPLIT, _CLEAN_DIR, _METHOD, _OUT)
 def pretrain_cmd(manifest_path, clean_dir, method, out_path, cfg):
     """Pretrain a model body across the manifest's training tables.
 
@@ -247,18 +312,18 @@ def pretrain_cmd(manifest_path, clean_dir, method, out_path, cfg):
     try:
         ckpt, log = pretrain(corpus, tcfg)
     except BudgetExhausted as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(3)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt, out)
     out.with_suffix(".log.csv").write_text(_provenance_line(cfg) + log.to_csv(), encoding="utf-8")
-    click.echo(f"pretrained {method} on {len(corpus)} tables -> {out}")
+    print(f"pretrained {method} on {len(corpus)} tables -> {out}")
     if log.stop_reason == "budget":
-        click.echo(
+        print(
             f"error: wall-clock budget of {tcfg.wall_clock_budget:g} s exhausted after "
             f"{len(log.entries)} of {tcfg.iterations} pretraining iterations",
-            err=True,
+            file=sys.stderr,
         )
         sys.exit(3)
 
@@ -275,14 +340,10 @@ def _single_table_cmd(action, table_path, base, method, out_path, cfg):
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt, out)
     out.with_suffix(".log.csv").write_text(_provenance_line(cfg) + log.to_csv(), encoding="utf-8")
-    click.echo(f"{action} {method} on {table.name} -> {out} (best epoch {log.best_epoch})")
+    print(f"{action} {method} on {table.name} -> {out} (best epoch {log.best_epoch})")
 
 
-@cli.command("finetune")
-@click.option("--checkpoint", "ckpt_path", type=click.Path(exists=True), required=True)
-@click.option("--table", "table_path", type=click.Path(exists=True), required=True)
-@click.option("--method", default=None)
-@click.option("--out", "out_path", type=click.Path(), required=True)
+@cli.command("finetune", _CHECKPOINT, _TABLE, _METHOD, _OUT)
 def finetune_cmd(ckpt_path, table_path, method, out_path, cfg):
     """Fine-tune a pretrained body on one cleaned table."""
     from tabforge.checkpoint import load_checkpoint
@@ -291,20 +352,19 @@ def finetune_cmd(ckpt_path, table_path, method, out_path, cfg):
     _single_table_cmd("finetune", table_path, base, method or base.kind, out_path, cfg)
 
 
-@cli.command("train-scratch")
-@click.option("--table", "table_path", type=click.Path(exists=True), required=True)
-@click.option("--method", default=None)
-@click.option("--out", "out_path", type=click.Path(), required=True)
+@cli.command("train-scratch", _TABLE, _METHOD, _OUT)
 def train_scratch_cmd(table_path, method, out_path, cfg):
     """Train a fresh model on one cleaned table."""
     _single_table_cmd("scratch", table_path, None, method, out_path, cfg)
 
 
-@cli.command("sample")
-@click.option("--checkpoint", "ckpt_path", type=click.Path(exists=True), required=True)
-@click.option("--rows", type=int, required=True)
-@click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--seed", type=int, default=None)
+@cli.command(
+    "sample",
+    _CHECKPOINT,
+    _arg("--rows", type=int, required=True),
+    _OUT,
+    _arg("--seed", type=int, default=None),
+)
 def sample_cmd(ckpt_path, rows, out_path, seed, cfg):
     """Decode synthetic rows from a trained checkpoint into a CSV."""
     from tabforge.checkpoint import load_checkpoint
@@ -317,14 +377,16 @@ def sample_cmd(ckpt_path, rows, out_path, seed, cfg):
     table = sample_from_checkpoint(ckpt, rows, cfg["seed"] if seed is None else seed, out.stem)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_table_csv(table, out)
-    click.echo(f"sampled {table.n_rows} rows -> {out}")
+    print(f"sampled {table.n_rows} rows -> {out}")
 
 
-@cli.command("evaluate")
-@click.option("--real", "real_path", type=click.Path(exists=True), required=True)
-@click.option("--synthetic", "syn_path", type=click.Path(exists=True), required=True)
-@click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--histograms", "hist_path", type=click.Path(), default=None)
+@cli.command(
+    "evaluate",
+    _arg("--real", dest="real_path", type=_existing, required=True, metavar="CSV"),
+    _arg("--synthetic", dest="syn_path", type=_existing, required=True, metavar="CSV"),
+    _OUT,
+    _arg("--histograms", dest="hist_path", default=None, metavar="PATH"),
+)
 def evaluate_cmd(real_path, syn_path, out_path, hist_path, cfg):
     """Score a synthetic CSV against its real source table."""
     from tabforge.metrics import column_histogram, table_report
@@ -344,7 +406,7 @@ def evaluate_cmd(real_path, syn_path, out_path, hist_path, cfg):
                     [r[i] for r in real.rows], [r[i] for r in syn.rows]
                 )
         Path(hist_path).write_text(json.dumps(hists, indent=2, sort_keys=True), encoding="utf-8")
-    click.echo(
+    print(
         f"shape={report.s_shape:.4f} trend={report.s_trend:.4f} overall={report.s_overall:.4f}"
     )
 
@@ -376,20 +438,24 @@ def _benchmark_one(args):
     return table.name, results, logs, checkpoints
 
 
-@cli.command("benchmark")
-@click.option("--split", "manifest_path", type=click.Path(exists=True), required=True)
-@click.option("--clean-dir", type=click.Path(exists=True, file_okay=False), required=True)
-@click.option("--method", "methods", multiple=True, required=True)
-@click.option("--pretrained", "pretrained_paths", multiple=True, required=True,
-              help="method=path to a pretrained checkpoint, one per --method")
-@click.option("--part", type=click.Choice(["val", "test"]), default="test")
-@click.option("--out-dir", type=click.Path(file_okay=False), required=True)
-@click.option("--workers", type=int, default=None)
+@cli.command(
+    "benchmark",
+    _SPLIT,
+    _CLEAN_DIR,
+    _arg("--method", dest="methods", action="append", required=True, metavar="METHOD"),
+    _arg("--pretrained", dest="pretrained_paths", action="append", required=True,
+         metavar="METHOD=PATH", help="a pretrained checkpoint, one per --method"),
+    _arg("--part", choices=["val", "test"], default="test"),
+    _arg("--out-dir", type=_directory, required=True, metavar="DIR"),
+    _arg("--workers", type=_positive_int, default=None),
+)
 def benchmark_cmd(manifest_path, clean_dir, methods, pretrained_paths, part, out_dir, workers, cfg):
     """Finetune-vs-scratch grid over a split part; emits the leaderboard."""
     from tabforge.checkpoint import CheckpointError, save_checkpoint
-    from tabforge.metrics import build_leaderboard
+    from tabforge.leaderboard import build_leaderboard
 
+    if cfg["workers"] < 1:
+        raise DataError(f"workers must be >= 1, got {cfg['workers']}")
     workers = workers or cfg["workers"]
     manifest = _load_manifest(manifest_path)
     tables = _load_part(manifest, clean_dir, part)
@@ -442,13 +508,13 @@ def benchmark_cmd(manifest_path, clean_dir, methods, pretrained_paths, part, out
 
     board = build_leaderboard(keyed)
     (out / "leaderboard.csv").write_text(_provenance_line(cfg) + board.to_csv(), encoding="utf-8")
-    click.echo(board.render())
+    print(board.render())
 
 
 def _read_report(path: Path) -> tuple:
     """A `<table>.<method>.<regime>.json` report as its key and TableReport;
     a file that is not one is a DataError naming it."""
-    from tabforge.metrics import MetricError, TableReport
+    from tabforge.leaderboard import MetricError, TableReport
 
     key = tuple(path.stem.rsplit(".", 2))
     if len(key) != 3:
@@ -465,12 +531,14 @@ def _read_report(path: Path) -> tuple:
         raise DataError(f"{path}: not a benchmark report: {exc}") from None
 
 
-@cli.command("report")
-@click.option("--bench-dir", type=click.Path(exists=True, file_okay=False), required=True)
-@click.option("--out-dir", type=click.Path(file_okay=False), required=True)
+@cli.command(
+    "report",
+    _arg("--bench-dir", type=_existing_directory, required=True, metavar="DIR"),
+    _arg("--out-dir", type=_directory, required=True, metavar="DIR"),
+)
 def report_cmd(bench_dir, out_dir, cfg):
     """Render leaderboard text and per-column/per-pair score deltas."""
-    from tabforge.metrics import build_leaderboard
+    from tabforge.leaderboard import build_leaderboard
 
     bench = Path(bench_dir)
     reports_dir = bench / "reports"
@@ -505,25 +573,23 @@ def report_cmd(bench_dir, out_dir, cfg):
     board = build_leaderboard(keyed)
     (out / "leaderboard.csv").write_text(_provenance_line(cfg) + board.to_csv(), encoding="utf-8")
     (out / "leaderboard.txt").write_text(board.render(), encoding="utf-8")
-    click.echo(board.render())
+    print(board.render())
 
 
 def main():
+    """Parse `sys.argv` and run its command.  The tokens the parser does not
+    know are the config overrides, which `load_config` checks."""
     try:
-        cli.main(standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
-        sys.exit(1)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(1)
-    except click.exceptions.Abort:
-        sys.exit(1)
+        params, overrides = cli.parser().parse_known_args()
+        params = vars(params)
+        cmd = cli.commands[params.pop("command")]
+        cfg = load_config(params.pop("config_path"), overrides)
+        cmd.callback(**params, cfg=cfg)
     except ConfigError as exc:
-        click.echo(f"usage error: {exc}", err=True)
+        print(f"usage error: {exc}", file=sys.stderr)
         sys.exit(1)
     except DataError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
 
 

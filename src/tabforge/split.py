@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tabforge.data import DataError, Table
+from tabforge.data import DataError
 from tabforge.rng import kmeans_pp
 
 
@@ -108,14 +108,13 @@ def _cut_sizes(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, in
     return n_train, n_val, n - n_train - n_val
 
 
-def random_split(corpus: list[Table], spec: SplitSpec) -> DatasetSplit:
-    """Seeded shuffle, then cut at cumulative ratio boundaries (floor for
-    train and val, remainder to test)."""
+def random_split(names: list[str], spec: SplitSpec) -> DatasetSplit:
+    """Seeded shuffle of the table names, then cut at cumulative ratio
+    boundaries (floor for train and val, remainder to test)."""
     if spec.mode != "random":
         raise ValueError("random_split requires a Random spec")
-    if len(corpus) < 3:
+    if len(names) < 3:
         raise DataError("need at least 3 tables to split")
-    names = [t.name for t in corpus]
     rng = np.random.default_rng(spec.seed)
     order = rng.permutation(len(names))
     shuffled = [names[i] for i in order]
@@ -199,8 +198,9 @@ def name_embedding(name: str, dim: int) -> np.ndarray:
     return vec / norm
 
 
-def domain_split(corpus: list[Table], embeddings: dict[str, np.ndarray], spec: SplitSpec) -> DatasetSplit:
-    """Cluster table embeddings, then assign whole clusters to parts.
+def domain_split(names: list[str], embeddings: dict[str, np.ndarray], spec: SplitSpec) -> DatasetSplit:
+    """Cluster the embeddings of the table names, then assign whole clusters
+    to parts.
 
     Clusters are shuffled (seeded), processed largest-first, each going to
     the part with the largest remaining deficit against its ratio target, so
@@ -208,11 +208,10 @@ def domain_split(corpus: list[Table], embeddings: dict[str, np.ndarray], spec: S
     """
     if spec.mode != "domain":
         raise ValueError("domain_split requires a Domain spec")
-    names = [t.name for t in corpus]
     missing = [n for n in names if n not in embeddings]
     if missing:
         raise DataError(f"missing embeddings for tables: {missing[:5]}")
-    if spec.k > len(corpus):
+    if spec.k > len(names):
         raise DataError("cannot have more clusters than tables")
     matrix = [np.asarray(embeddings[n], dtype=np.float64) for n in names]
     assign = kmeans(matrix, spec.k, spec.seed)

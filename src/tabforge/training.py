@@ -91,6 +91,10 @@ class TrainConfig:
             raise TrainingError("iterations must be >= 1")
         if self.epochs < 0:
             raise TrainingError(f"epochs must be >= 0, got {self.epochs}")
+        if self.patience < 1:
+            raise TrainingError(f"patience must be >= 1, got {self.patience}")
+        if self.min_delta < 0:
+            raise TrainingError(f"min_delta must be >= 0, got {self.min_delta}")
         if self.ckpt_every < 1:
             raise TrainingError(f"ckpt_every must be >= 1, got {self.ckpt_every}")
         if not 0.0 <= self.val_fraction < 1.0:

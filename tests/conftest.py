@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tabforge.cli import main
 from tabforge.config import load_config
 from tabforge.training import train_config
 
@@ -65,3 +66,24 @@ def make_toy_corpus(directory: Path, n_good: int = 4, rows: int = 30, seed: int 
 @pytest.fixture
 def toy_corpus(tmp_path):
     return make_toy_corpus(tmp_path / "corpus")
+
+
+@pytest.fixture
+def cli_run(monkeypatch, capsys):
+    """`cli_run(args, code=0)` runs `tabforge ARGS` in this process through
+    `cli.main()`, as the console script does, checks that it exits with
+    `code` and returns what it printed (`.out` and `.err`)."""
+
+    def run(args, code=0):
+        monkeypatch.setattr("sys.argv", ["tabforge", *args])
+        capsys.readouterr()
+        try:
+            main()
+            exit_code = 0
+        except SystemExit as exc:
+            exit_code = exc.code
+        captured = capsys.readouterr()
+        assert exit_code == code, captured.err
+        return captured
+
+    return run

@@ -10,9 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from tabforge.cli import cli
 from tabforge.data import ColumnKind, ColumnMeta, Table
 from tabforge.cleaning import clean_table, cleaning_config
 from tabforge.config import load_config
@@ -573,12 +571,11 @@ def test_criterion_10_cleaning_conformance():
 # -- 11: end-to-end determinism ----------------------------------------------------------
 
 
-def test_criterion_11_benchmark_determinism(tmp_path):
+def test_criterion_11_benchmark_determinism(tmp_path, cli_run):
     import hashlib
 
     t0 = time.time()
     corpus = make_toy_corpus(tmp_path / "corpus")
-    runner = CliRunner()
 
     def run_once(tag):
         work = tmp_path / tag
@@ -606,8 +603,7 @@ def test_criterion_11_benchmark_determinism(tmp_path):
              "--part", "val", "--out-dir", str(bench)] + tiny,
         ]
         for args in steps:
-            result = runner.invoke(cli, args, catch_exceptions=False)
-            assert result.exit_code == 0, result.output
+            cli_run(args)
         leaderboard = (bench / "leaderboard.csv").read_bytes()
         sums = {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest()

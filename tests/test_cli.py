@@ -3,13 +3,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import tabforge.checkpoint
 import tabforge.cli
 import tabforge.training as tr
 from tabforge.checkpoint import load_checkpoint, save_checkpoint
-from tabforge.cli import cli, load_clean_table, main
+from tabforge.cli import load_clean_table, main
 
 from conftest import write_csv
 
@@ -38,29 +37,22 @@ GREAT_TINY = [
 ]
 
 
-def run(args, **kw):
-    runner = CliRunner()
-    result = runner.invoke(cli, args, catch_exceptions=False, **kw)
-    assert result.exit_code == 0, result.output
-    return result
-
-
 class TestClean:
-    def test_toy_corpus_keeps_good_tables(self, toy_corpus, tmp_path):
+    def test_toy_corpus_keeps_good_tables(self, toy_corpus, tmp_path, cli_run):
         out = tmp_path / "cleaned"
-        result = run(["clean", str(toy_corpus), str(out)])
+        result = cli_run(["clean", str(toy_corpus), str(out)])
         cleaned = sorted(p.stem for p in out.glob("*.csv"))
         assert cleaned == ["table0", "table1", "table2", "table3"]
-        assert "discarded: all_ids" in result.output
-        assert "discarded: too_thin" in result.output
+        assert "discarded: all_ids" in result.out
+        assert "discarded: too_thin" in result.out
         stats = json.loads((out / "stats.json").read_text())
         assert stats["tables"] == 4 and stats["discarded"] == 2
 
-    def test_rerun_on_cleaned_output_is_identity(self, toy_corpus, tmp_path):
+    def test_rerun_on_cleaned_output_is_identity(self, toy_corpus, tmp_path, cli_run):
         out1 = tmp_path / "c1"
         out2 = tmp_path / "c2"
-        run(["clean", str(toy_corpus), str(out1)])
-        run(["clean", str(out1), str(out2)])
+        cli_run(["clean", str(toy_corpus), str(out1)])
+        cli_run(["clean", str(out1), str(out2)])
         for p in sorted(out1.glob("*.csv")):
             assert (out2 / p.name).read_bytes() == p.read_bytes()
 
@@ -80,38 +72,38 @@ class TestClean:
             main()
         assert exc.value.code == 1
 
-    def test_threshold_override_flag(self, toy_corpus, tmp_path):
+    def test_threshold_override_flag(self, toy_corpus, tmp_path, cli_run):
         out = tmp_path / "cleaned"
-        run(["clean", str(toy_corpus), str(out), "--cleaning.min_rows=1000"])
+        cli_run(["clean", str(toy_corpus), str(out), "--cleaning.min_rows=1000"])
         assert not list(out.glob("*.csv"))  # everything discarded: too few rows
 
 
 class TestSplit:
-    def prepare(self, toy_corpus, tmp_path):
+    def prepare(self, cli_run, toy_corpus, tmp_path):
         cleaned = tmp_path / "cleaned"
-        run(["clean", str(toy_corpus), str(cleaned)])
+        cli_run(["clean", str(toy_corpus), str(cleaned)])
         return cleaned
 
-    def test_manifest_partitions_corpus(self, toy_corpus, tmp_path):
-        cleaned = self.prepare(toy_corpus, tmp_path)
+    def test_manifest_partitions_corpus(self, toy_corpus, tmp_path, cli_run):
+        cleaned = self.prepare(cli_run, toy_corpus, tmp_path)
         manifest = tmp_path / "split.json"
-        run(["split", str(cleaned), "--out", str(manifest), "--split.ratios=[0.5,0.25,0.25]"])
+        cli_run(["split", str(cleaned), "--out", str(manifest), "--split.ratios=[0.5,0.25,0.25]"])
         doc = json.loads(manifest.read_text())
         names = set(doc["train"]) | set(doc["val"]) | set(doc["test"])
         assert names == {"table0", "table1", "table2", "table3"}
 
-    def test_same_seed_reproducible(self, toy_corpus, tmp_path):
-        cleaned = self.prepare(toy_corpus, tmp_path)
+    def test_same_seed_reproducible(self, toy_corpus, tmp_path, cli_run):
+        cleaned = self.prepare(cli_run, toy_corpus, tmp_path)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["--split.ratios=[0.5,0.25,0.25]", "--seed=3"]
-        run(["split", str(cleaned), "--out", str(a)] + args)
-        run(["split", str(cleaned), "--out", str(b)] + args)
+        cli_run(["split", str(cleaned), "--out", str(a)] + args)
+        cli_run(["split", str(cleaned), "--out", str(b)] + args)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_domain_mode_keeps_clusters_intact(self, toy_corpus, tmp_path):
-        cleaned = self.prepare(toy_corpus, tmp_path)
+    def test_domain_mode_keeps_clusters_intact(self, toy_corpus, tmp_path, cli_run):
+        cleaned = self.prepare(cli_run, toy_corpus, tmp_path)
         manifest = tmp_path / "d.json"
-        run(
+        cli_run(
             [
                 "split",
                 str(cleaned),
@@ -134,18 +126,18 @@ class TestSplit:
 
 
 @pytest.fixture
-def pipeline_dirs(toy_corpus, tmp_path):
+def pipeline_dirs(toy_corpus, tmp_path, cli_run):
     cleaned = tmp_path / "cleaned"
-    run(["clean", str(toy_corpus), str(cleaned)])
+    cli_run(["clean", str(toy_corpus), str(cleaned)])
     manifest = tmp_path / "split.json"
-    run(
+    cli_run(
         ["split", str(cleaned), "--out", str(manifest), "--split.ratios=[0.5,0.25,0.25]"]
     )
     return cleaned, manifest, tmp_path
 
 
 class TestTrainAndSample:
-    def test_pretrain_finetune_sample_round_trip(self, pipeline_dirs, monkeypatch):
+    def test_pretrain_finetune_sample_round_trip(self, pipeline_dirs, monkeypatch, cli_run):
         cleaned, manifest, tmp = pipeline_dirs
         loads = []
 
@@ -155,39 +147,39 @@ class TestTrainAndSample:
 
         monkeypatch.setattr(tabforge.checkpoint, "load_checkpoint", counted_load)
         pre = tmp / "pre.ckpt"
-        run(
+        cli_run(
             ["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned),
              "--method", "stvae", "--out", str(pre)] + TINY
         )
         assert pre.exists() and pre.with_suffix(".log.csv").exists()
         ft = tmp / "ft.ckpt"
         table = next(iter(sorted(cleaned.glob("*.csv"))))
-        run(
+        cli_run(
             ["finetune", "--checkpoint", str(pre), "--table", str(table), "--out", str(ft)] + TINY
         )
         assert loads == [str(pre)]  # the method comes from the one load
         out_csv = tmp / "syn.csv"
-        run(["sample", "--checkpoint", str(ft), "--rows", "8", "--out", str(out_csv)])
+        cli_run(["sample", "--checkpoint", str(ft), "--rows", "8", "--out", str(out_csv)])
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0] == "x,y,color"
         assert len(lines) == 9
 
-    def test_sample_zero_rows_gives_header_only(self, pipeline_dirs):
+    def test_sample_zero_rows_gives_header_only(self, pipeline_dirs, cli_run):
         cleaned, manifest, tmp = pipeline_dirs
         ckpt = tmp / "scratch.ckpt"
         table = next(iter(sorted(cleaned.glob("*.csv"))))
-        run(
+        cli_run(
             ["train-scratch", "--table", str(table), "--method", "stvae", "--out", str(ckpt)] + TINY
         )
         out_csv = tmp / "zero.csv"
-        run(["sample", "--checkpoint", str(ckpt), "--rows", "0", "--out", str(out_csv)])
+        cli_run(["sample", "--checkpoint", str(ckpt), "--rows", "0", "--out", str(out_csv)])
         assert out_csv.read_text() == "x,y,color\n"
 
-    def test_evaluate_self_is_perfect(self, pipeline_dirs):
+    def test_evaluate_self_is_perfect(self, pipeline_dirs, cli_run):
         cleaned, _, tmp = pipeline_dirs
         table = next(iter(sorted(cleaned.glob("*.csv"))))
         report_path = tmp / "rep.json"
-        result = run(
+        result = cli_run(
             ["evaluate", "--real", str(table), "--synthetic", str(table), "--out", str(report_path)]
         )
         doc = json.loads(report_path.read_text())
@@ -195,15 +187,15 @@ class TestTrainAndSample:
 
 
 class TestBenchmark:
-    def test_benchmark_emits_two_regime_leaderboard(self, pipeline_dirs):
+    def test_benchmark_emits_two_regime_leaderboard(self, pipeline_dirs, cli_run):
         cleaned, manifest, tmp = pipeline_dirs
         pre = tmp / "pre.ckpt"
-        run(
+        cli_run(
             ["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned),
              "--method", "stvae", "--out", str(pre)] + TINY
         )
         bench = tmp / "bench"
-        run(
+        cli_run(
             ["benchmark", "--split", str(manifest), "--clean-dir", str(cleaned),
              "--method", "stvae", "--pretrained", f"stvae={pre}",
              "--part", "val", "--out-dir", str(bench)] + TINY
@@ -217,17 +209,17 @@ class TestBenchmark:
         assert any((bench / "reports").glob("*.json"))
         assert any((bench / "checkpoints").glob("*.ckpt"))
 
-    def test_process_pool_writes_the_same_bytes(self, pipeline_dirs):
+    def test_process_pool_writes_the_same_bytes(self, pipeline_dirs, cli_run):
         cleaned, manifest, tmp = pipeline_dirs
         pre = tmp / "pre.ckpt"
-        run(
+        cli_run(
             ["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned),
              "--method", "tvae", "--out", str(pre)] + TINY
         )
         outputs = {}
         for workers in (1, 2):
             bench = tmp / f"bench{workers}"
-            run(
+            cli_run(
                 ["benchmark", "--split", str(manifest), "--clean-dir", str(cleaned),
                  "--method", "tvae", "--pretrained", f"tvae={pre}", "--part", "val",
                  "--out-dir", str(bench), "--workers", str(workers)] + TINY
@@ -249,21 +241,21 @@ class TestBenchmark:
             main()
         assert exc.value.code == 2
 
-    def test_report_renders_schema_stable_csv(self, pipeline_dirs):
+    def test_report_renders_schema_stable_csv(self, pipeline_dirs, cli_run):
         cleaned, manifest, tmp = pipeline_dirs
         pre = tmp / "pre.ckpt"
-        run(
+        cli_run(
             ["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned),
              "--method", "stvae", "--out", str(pre)] + TINY
         )
         bench = tmp / "bench"
-        run(
+        cli_run(
             ["benchmark", "--split", str(manifest), "--clean-dir", str(cleaned),
              "--method", "stvae", "--pretrained", f"stvae={pre}",
              "--part", "val", "--out-dir", str(bench)] + TINY
         )
         rep = tmp / "rendered"
-        run(["report", "--bench-dir", str(bench), "--out-dir", str(rep)])
+        cli_run(["report", "--bench-dir", str(bench), "--out-dir", str(rep)])
         header = (rep / "leaderboard.csv").read_text().splitlines()[1]
         assert header == (
             "split,method,regime,shape_mean,shape_std,trend_mean,trend_std,"
@@ -294,6 +286,7 @@ class TestFailuresExitTwo:
 
     @pytest.mark.parametrize("flag", [
         "--training.ckpt_every=0", "--training.val_fraction=-0.5", "--training.val_fraction=1.0",
+        "--training.patience=0", "--training.min_delta=-0.1",
     ])
     def test_bad_training_setting_is_a_data_error(self, flag, pipeline_dirs, monkeypatch, capsys):
         cleaned, _, tmp = pipeline_dirs
@@ -337,16 +330,16 @@ class TestFailuresExitTwo:
         assert capsys.readouterr().err == "error: great.vocab_size must be >= 259, got 10\n"
         assert not (tmp / "g.ckpt").exists()
 
-    def _great_body(self, cleaned, manifest, tmp):
+    def _great_body(self, cli_run, cleaned, manifest, tmp):
         pre = tmp / "great.pre.ckpt"
-        run(["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned),
-             "--method", "great", "--out", str(pre), *GREAT_TINY])
+        cli_run(["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned),
+                 "--method", "great", "--out", str(pre), *GREAT_TINY])
         return pre
 
-    def _scratch(self, cleaned, tmp, method, flags, edit):
+    def _scratch(self, cli_run, cleaned, tmp, method, flags, edit):
         path = tmp / f"{method}.ckpt"
         table = sorted(cleaned.glob("*.csv"))[0]
-        run(["train-scratch", "--table", str(table), "--method", method, "--out", str(path), *flags])
+        cli_run(["train-scratch", "--table", str(table), "--method", method, "--out", str(path), *flags])
         ckpt = load_checkpoint(path)
         edit(ckpt.tensors)
         save_checkpoint(ckpt, path)
@@ -355,24 +348,24 @@ class TestFailuresExitTwo:
     @pytest.mark.parametrize("case", [
         "great_body", "gmm_missing_tensor", "great_reshaped_tensor", "great_nan_tensor", "great_overflow",
     ])
-    def test_sample_rejects_bad_checkpoint(self, case, pipeline_dirs, monkeypatch, capsys):
+    def test_sample_rejects_bad_checkpoint(self, case, pipeline_dirs, monkeypatch, capsys, cli_run):
         cleaned, manifest, tmp = pipeline_dirs
         if case == "great_body":
-            path, detail = self._great_body(cleaned, manifest, tmp), "pretraining body"
+            path, detail = self._great_body(cli_run, cleaned, manifest, tmp), "pretraining body"
         elif case == "gmm_missing_tensor":
-            path = self._scratch(cleaned, tmp, "stvae", TINY, lambda t: t.pop("dec.2.W"))
+            path = self._scratch(cli_run, cleaned, tmp, "stvae", TINY, lambda t: t.pop("dec.2.W"))
             detail = "dec.2.W"
         elif case == "great_reshaped_tensor":
             def reshape(tensors):
                 tensors["lnf.g"] = np.ones(3, dtype=np.float32)
 
-            path = self._scratch(cleaned, tmp, "great", GREAT_TINY, reshape)
+            path = self._scratch(cli_run, cleaned, tmp, "great", GREAT_TINY, reshape)
             detail = "lnf.g"
         elif case == "great_nan_tensor":
             def poison(tensors):
                 tensors["lnf.g"][0] = np.nan
 
-            path = self._scratch(cleaned, tmp, "great", GREAT_TINY, poison)
+            path = self._scratch(cli_run, cleaned, tmp, "great", GREAT_TINY, poison)
             detail = "tensor 'lnf.g' holds non-finite values"
         else:
             # Finite weights whose forward overflows: the cached decode step
@@ -380,15 +373,15 @@ class TestFailuresExitTwo:
             def blow_up(tensors):
                 tensors["b0.mlp.w1"] *= np.float32(1e30)
 
-            path = self._scratch(cleaned, tmp, "great", GREAT_TINY, blow_up)
+            path = self._scratch(cli_run, cleaned, tmp, "great", GREAT_TINY, blow_up)
             detail = "great sampling diverged on table 's': non-finite values produced by op 'mul'"
         args = ["sample", "--checkpoint", str(path), "--rows", "2", "--out", str(tmp / "s.csv")]
         assert main_exit_code(monkeypatch, args) == 2
         assert detail in capsys.readouterr().err
 
-    def test_benchmark_rejects_non_finite_pretrained_checkpoint(self, pipeline_dirs, monkeypatch, capsys):
+    def test_benchmark_rejects_non_finite_pretrained_checkpoint(self, pipeline_dirs, monkeypatch, capsys, cli_run):
         cleaned, manifest, tmp = pipeline_dirs
-        pre = self._great_body(cleaned, manifest, tmp)
+        pre = self._great_body(cli_run, cleaned, manifest, tmp)
         ckpt = load_checkpoint(pre)
         ckpt.tensors["lnf.g"][0] = np.inf
         save_checkpoint(ckpt, pre)
@@ -422,11 +415,11 @@ class TestFailuresExitTwo:
         assert main_exit_code(monkeypatch, args) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: {detail}")
 
-    def test_benchmark_rejects_a_repeated_method(self, pipeline_dirs, monkeypatch, capsys):
+    def test_benchmark_rejects_a_repeated_method(self, pipeline_dirs, monkeypatch, capsys, cli_run):
         cleaned, manifest, tmp = pipeline_dirs
         pre = tmp / "pre.ckpt"
-        run(["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned),
-             "--method", "stvae", "--out", str(pre), *TINY])
+        cli_run(["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned),
+                 "--method", "stvae", "--out", str(pre), *TINY])
         args = ["benchmark", "--split", str(manifest), "--clean-dir", str(cleaned),
                 "--method", "stvae", "--method", "stvae", "--pretrained", f"stvae={pre}",
                 "--part", "val", "--out-dir", str(tmp / "bench"), *TINY]
@@ -647,6 +640,59 @@ def test_unknown_override_is_usage_error(toy_corpus, tmp_path, monkeypatch):
     assert exc.value.code == 1
 
 
+class TestParsing:
+    HELP = {
+        "clean": ["CORPUS_DIR", "OUT_DIR"],
+        "split": ["CLEAN_DIR", "--out", "--mode", "--embeddings"],
+        "pretrain": ["--split", "--clean-dir", "--method", "--out"],
+        "finetune": ["--checkpoint", "--table", "--method", "--out"],
+        "train-scratch": ["--table", "--method", "--out"],
+        "sample": ["--checkpoint", "--rows", "--out", "--seed"],
+        "evaluate": ["--real", "--synthetic", "--out", "--histograms"],
+        "benchmark": ["--split", "--clean-dir", "--method", "--pretrained", "--part", "--out-dir", "--workers"],
+        "report": ["--bench-dir", "--out-dir"],
+    }
+
+    def test_help_lists_every_command(self, cli_run):
+        out = cli_run(["--help"]).out
+        assert all(name in out for name in self.HELP)
+
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_command_help_lists_its_options(self, command, cli_run):
+        out = cli_run([command, "--help"]).out
+        assert all(option in out for option in [*self.HELP[command], "--config", "--section.key=value"])
+
+    @pytest.mark.parametrize("args, detail", [
+        (["pretrain", "--clean-dir", "{tmp}", "--out", "{tmp}/p.ckpt"], "--split"),
+        (["pretrain", "--split", "{tmp}/nope.json", "--clean-dir", "{tmp}", "--out", "{tmp}/p.ckpt"], "does not exist"),
+        (["clean", "{tmp}/m.json", "{tmp}/out"], "is a file"),
+        (["benchmark", "--split", "{tmp}/m.json", "--clean-dir", "{tmp}", "--method", "stvae",
+          "--pretrained", "stvae=x", "--out-dir", "{tmp}/b", "--part", "train"], "invalid choice: 'train'"),
+        (["sample", "--checkpoint", "{tmp}/m.json", "--rows", "ten", "--out", "{tmp}/s.csv"], "invalid int value: 'ten'"),
+        (["benchmark", "--split", "{tmp}/m.json", "--clean-dir", "{tmp}", "--method", "stvae",
+          "--pretrained", "stvae=x", "--out-dir", "{tmp}/b", "--workers", "0"], "got '0'"),
+        (["benchmark", "--split", "{tmp}/m.json", "--clean-dir", "{tmp}", "--method", "stvae",
+          "--pretrained", "stvae=x", "--out-dir", "{tmp}/b", "--workers=-2"], "got '-2'"),
+        (["benchmark", "--split", "{tmp}/m.json", "--clean-dir", "{tmp}", "--method", "stvae",
+          "--pretrained", "stvae=x", "--out-dir", "{tmp}/b", "--workers", "two"], "got 'two'"),
+    ])
+    def test_parse_failure_is_a_usage_error(self, args, detail, tmp_path, cli_run):
+        (tmp_path / "m.json").write_text("{}")
+        err = cli_run([a.format(tmp=tmp_path) for a in args], code=1).err
+        assert err.startswith("usage error:") and detail in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_config_workers_below_one_is_a_data_error(self, workers, tmp_path, cli_run):
+        (tmp_path / "m.json").write_text("{}")
+        (tmp_path / "config.json").write_text(json.dumps({"workers": workers}))
+        args = ["benchmark", "--split", str(tmp_path / "m.json"), "--clean-dir", str(tmp_path),
+                "--method", "stvae", "--pretrained", "stvae=x", "--out-dir", str(tmp_path / "b"),
+                "-c", str(tmp_path / "config.json")]
+        assert cli_run(args, code=2).err == f"error: workers must be >= 1, got {workers}\n"
+        assert not (tmp_path / "b").exists()
+
+
 class TestBadConfigValues:
     @pytest.mark.parametrize("flag, key", [
         ("--training.ckpt_every=abc", "training.ckpt_every"),
@@ -670,11 +716,11 @@ class TestBadConfigValues:
         ("clean", "--cleaning.max_null_fraction=2", "max_null_fraction must be in (0, 1]"),
     ])
     def test_out_of_range_split_or_cleaning_value_is_a_data_error(
-        self, command, flag, detail, toy_corpus, tmp_path, monkeypatch, capsys
+        self, command, flag, detail, toy_corpus, tmp_path, monkeypatch, capsys, cli_run
     ):
         if command == "split":
             cleaned = tmp_path / "cleaned"
-            run(["clean", str(toy_corpus), str(cleaned)])
+            cli_run(["clean", str(toy_corpus), str(cleaned)])
             args = ["split", str(cleaned), "--out", str(tmp_path / "s.json"), flag]
         else:
             args = ["clean", str(toy_corpus), str(tmp_path / "cleaned"), flag]
@@ -695,9 +741,9 @@ class TestBadConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and repr(key) in err
 
-    def test_config_file_value_applies(self, toy_corpus, tmp_path):
+    def test_config_file_value_applies(self, toy_corpus, tmp_path, cli_run):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"cleaning": {"min_rows": 1000}}))
         out = tmp_path / "cleaned"
-        run(["clean", str(toy_corpus), str(out), "-c", str(path)])
+        cli_run(["clean", str(toy_corpus), str(out), "-c", str(path)])
         assert not list(out.glob("*.csv"))  # everything discarded: too few rows

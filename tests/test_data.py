@@ -1,9 +1,8 @@
 import json
 
 import pytest
-from click.testing import CliRunner
 
-from tabforge.cli import cli, main
+from tabforge.cli import main
 from tabforge.data import (
     ColumnKind,
     ColumnMeta,
@@ -102,7 +101,7 @@ class TestDatasetStats:
     """Corpus statistics: what `clean` writes to stats.json about the tables it keeps."""
 
     @staticmethod
-    def clean(tmp_path, shapes: dict[str, tuple[int, int]]):
+    def clean(cli_run, tmp_path, shapes: dict[str, tuple[int, int]]):
         corpus, out = tmp_path / "corpus", tmp_path / "cleaned"
         corpus.mkdir()
         for name, (n_rows, n_cols) in shapes.items():
@@ -110,20 +109,20 @@ class TestDatasetStats:
             rows = [",".join([f"{r + 0.5}"] * n_cols) for r in range(n_rows)]
             write(corpus, "\n".join([header, *rows]) + "\n", f"{name}.csv")
         args = ["clean", str(corpus), str(out), "--cleaning.min_rows=1"]
-        CliRunner().invoke(cli, args, catch_exceptions=False)
+        cli_run(args)
         return out, json.loads((out / "stats.json").read_text())
 
-    def test_single_table(self, tmp_path):
-        _, stats = self.clean(tmp_path, {"a": (3, 5)})
+    def test_single_table(self, tmp_path, cli_run):
+        _, stats = self.clean(cli_run, tmp_path, {"a": (3, 5)})
         assert (stats["tables"], stats["avg_columns"], stats["avg_rows"]) == (1, 5.0, 3.0)
 
-    def test_two_table_means(self, tmp_path):
-        _, stats = self.clean(tmp_path, {"a": (2, 4), "b": (4, 6)})
+    def test_two_table_means(self, tmp_path, cli_run):
+        _, stats = self.clean(cli_run, tmp_path, {"a": (2, 4), "b": (4, 6)})
         assert stats["avg_columns"] == 5.0
         assert stats["avg_rows"] == 3.0
 
-    def test_dangling_id_errors(self, tmp_path, monkeypatch, capsys):
-        cleaned, _ = self.clean(tmp_path, {"a": (3, 5)})
+    def test_dangling_id_errors(self, tmp_path, monkeypatch, capsys, cli_run):
+        cleaned, _ = self.clean(cli_run, tmp_path, {"a": (3, 5)})
         manifest = tmp_path / "split.json"
         manifest.write_text(DatasetSplit(["ghost"], [], [], split_spec(load_config())).to_json())
         args = ["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned), "--out", str(tmp_path / "m")]

@@ -6,12 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import tabforge
-from tabforge.cli import cli, main
+from tabforge.cli import main
 from tabforge.config import load_config
-from tabforge.data import ColumnKind, ColumnMeta, DataError, Table
+from tabforge.data import DataError
 from tabforge.split import (
     DatasetSplit,
     domain_split,
@@ -30,8 +29,7 @@ def spec(ratios, seed, *overrides):
 
 
 def corpus_of(n):
-    cols = [ColumnMeta("x", ColumnKind.numerical())]
-    return [Table(f"t{i:04d}", cols, [[1.0]]) for i in range(n)]
+    return [f"t{i:04d}" for i in range(n)]
 
 
 class TestRandomSplit:
@@ -52,7 +50,7 @@ class TestRandomSplit:
     def test_partition_property(self, seed):
         corpus = corpus_of(23)
         split = random_split(corpus, spec((0.5, 0.25, 0.25), seed))
-        names = {t.name for t in corpus}
+        names = set(corpus)
         assert set(split.train) | set(split.val) | set(split.test) == names
         assert len(split.train) + len(split.val) + len(split.test) == len(names)
 
@@ -131,7 +129,7 @@ class TestNameEmbedding:
 
 class TestDomainSplit:
     def embeddings_for(self, corpus, positions):
-        return {t.name: np.asarray(p, dtype=float) for t, p in zip(corpus, positions)}
+        return {name: np.asarray(p, dtype=float) for name, p in zip(corpus, positions)}
 
     def test_clusters_never_straddle_parts(self):
         corpus = corpus_of(12)
@@ -156,7 +154,7 @@ class TestDomainSplit:
         corpus = corpus_of(12)
         emb = self.embeddings_for(corpus, [(i * 5, 0) for i in range(12)])
         split = domain_split(corpus, emb, spec((0.5, 0.25, 0.25), 1, "--split.mode=domain", "--split.k=12"))
-        names = {t.name for t in corpus}
+        names = set(corpus)
         assert set(split.train) | set(split.val) | set(split.test) == names
         assert min(len(split.train), len(split.val), len(split.test)) >= 1
 
@@ -205,9 +203,9 @@ def test_embedding_file_loader(tmp_path):
         (["table0\t1.0,2.0", "table1\t1.0,2.0,3.0"], "emb.tsv:2: embedding has 3 values"),
     ],
 )
-def test_bad_embedding_file_is_a_data_error(lines, found, toy_corpus, tmp_path, monkeypatch, capsys):
+def test_bad_embedding_file_is_a_data_error(lines, found, toy_corpus, tmp_path, monkeypatch, capsys, cli_run):
     cleaned = tmp_path / "cleaned"
-    CliRunner().invoke(cli, ["clean", str(toy_corpus), str(cleaned)], catch_exceptions=False)
+    cli_run(["clean", str(toy_corpus), str(cleaned)])
     emb = tmp_path / "emb.tsv"
     names = ["table2", "table3"]
     emb.write_text("\n".join(lines + [f"{n}\t0.0,1.0" for n in names]) + "\n", encoding="utf-8")

@@ -4,12 +4,12 @@ every defaulted parameter of a public module-level function must be set by
 some call in the package; no config dataclass declares a default, and each
 builds from the run config; no module but transform, which owns the encoded-row
 layout, may branch on a span's kind; and importing the CLI loads none of the
-modules only some commands run.
+modules only some commands run, and `clean` and `report` run without numpy.
 
 A name counts as used when code in src/tabforge outside its own definition
 refers to it.  Re-exports in `__init__.py` do not count.  The entry points
-need no caller: click command callbacks (functions under a `@cli.command` or
-`@click.group` decorator) and `cli.main`.  SEAMS lists the few names kept for
+need no caller: command functions (under a `@cli.command(...)` decorator,
+which registers them) and `cli.main`.  SEAMS lists the few names kept for
 callers outside the package.
 
 A parameter counts as set by a call outside the function's own body that
@@ -21,6 +21,7 @@ disguise; PINNED_DEFAULTS lists the few kept for callers outside the package.
 import ast
 import dataclasses
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -43,7 +44,7 @@ SEAMS = {
 # Defaulted parameters no call in the package sets, and why each stays.
 PINNED_DEFAULTS = {
     "models.ctgan.ctgan_sample.condition": "criterion 8 samples a fine-tuned CTGAN under a forced condition",
-    "metrics.mann_whitney_u.method": "tests compare the exact and the normal-approximation p-values",
+    "leaderboard.mann_whitney_u.method": "tests compare the exact and the normal-approximation p-values",
     "models.ctgan.build_ctgan.dtype": "gradient checks build a float64 reference model",
     "models.vae.build_vae.dtype": "gradient checks build a float64 reference model",
 }
@@ -54,7 +55,7 @@ def _is_entry_point(node, module: str) -> bool:
         return True
     for deco in getattr(node, "decorator_list", ()):
         target = deco.func if isinstance(deco, ast.Call) else deco
-        if isinstance(target, ast.Attribute) and target.attr in ("command", "group"):
+        if isinstance(target, ast.Attribute) and target.attr == "command":
             return True
     return False
 
@@ -215,17 +216,19 @@ def test_only_transform_branches_on_span_kinds():
 
 
 # Modules `import tabforge.cli` must not load: each command imports what it
-# runs, so `clean` runs without numpy and no command pays for another's stack.
+# runs, so `clean` and `report` run without numpy and no command pays for
+# another's stack.  The command line parses with argparse, not click.
 LAZY_MODULES = (
     "numpy",
     "concurrent.futures.process",
+    "tabforge.cleaning",
     "tabforge.training",
     "tabforge.transform",
     "tabforge.metrics",
     "tabforge.split",
     "tabforge.checkpoint",
 )
-LAZY_PACKAGES = ("tabforge.models", "tabforge.great", "tabforge.nn")
+LAZY_PACKAGES = ("click", "tabforge.models", "tabforge.great", "tabforge.nn")
 
 
 def _loaded_after(script: str) -> set[str]:
@@ -259,4 +262,25 @@ def test_clean_runs_without_numpy(tmp_path):
     )
     loaded = _loaded_after(script)
     assert sorted(p.name for p in out.glob("*.csv")) == ["t0.csv", "t1.csv"]
+    assert "numpy" not in loaded
+
+
+def test_report_runs_without_numpy(tmp_path):
+    bench, out = tmp_path / "bench", tmp_path / "out"
+    (bench / "reports").mkdir(parents=True)
+    for regime, scores in (("finetuned", (0.9, 0.7)), ("scratch", (0.6, 0.8))):
+        for table, s in zip(("t0", "t1"), scores):
+            doc = {"table": table, "shape_scores": {"x": s}, "trend_scores": {}, "s_shape": s,
+                   "s_trend": 0.0, "s_overall": s, "syn_rows": 10, "single_column": True}
+            (bench / "reports" / f"{table}.stvae.{regime}.json").write_text(json.dumps(doc), encoding="utf-8")
+    script = (
+        "import sys\n"
+        "import tabforge.cli\n"
+        f"sys.argv = ['tabforge', 'report', '--bench-dir', {str(bench)!r}, '--out-dir', {str(out)!r}]\n"
+        "tabforge.cli.main()\n"
+    )
+    loaded = _loaded_after(script)
+    rows = (out / "leaderboard.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[2:] == ["bench,stvae,finetuned,0.800000,0.100000,0.000000,0.000000,0.800000,0.100000,0.666667",
+                        "bench,stvae,scratch,0.700000,0.100000,0.000000,0.000000,0.700000,0.100000,"]
     assert "numpy" not in loaded
