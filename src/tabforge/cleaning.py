@@ -151,7 +151,7 @@ def impute_column(column: ColumnMeta, cells: list[Cell], config: CleaningConfig)
     if null_count / len(cells) > config.max_null_fraction:
         return None, "too_many_nulls", 0
     if null_count == 0:
-        return ColumnMeta(column.name, column.kind, column.categories, 0.0), list(cells), 0
+        return column, list(cells), 0
     if column.kind.is_numerical:
         fill: Cell = math.fsum(non_null) / len(non_null)
     else:
@@ -162,9 +162,7 @@ def impute_column(column: ColumnMeta, cells: list[Cell], config: CleaningConfig)
         fill = max(column.categories, key=lambda cat: counts[cat])
         if counts[fill] == 0:
             return None, "all_null", 0
-    new_cells = [fill if c is None else c for c in cells]
-    meta = ColumnMeta(column.name, column.kind, column.categories, 0.0)
-    return meta, new_cells, null_count
+    return column, [fill if c is None else c for c in cells], null_count
 
 
 def clean_table(table: Table, config: CleaningConfig):
@@ -199,7 +197,7 @@ def clean_table(table: Table, config: CleaningConfig):
         # re-enumerate to keep Table invariants tight.
         if meta.kind.is_categorical:
             present = [cat for cat in meta.categories if cat in set(cells_or_reason)]
-            meta = ColumnMeta(meta.name, meta.kind, tuple(present), 0.0)
+            meta = ColumnMeta(meta.name, meta.kind, tuple(present))
         report.kept(col.name, imputed)
         kept_meta.append(meta)
         kept_cells.append(cells_or_reason)

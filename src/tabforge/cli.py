@@ -2,7 +2,10 @@
 
 Every command takes `-c/--config FILE` plus trailing `--section.key=value`
 overrides, and is re-runnable: identical config and seed give byte-identical
-artifacts.  Work-dir layout: cleaned/, splits/, checkpoints/, samples/,
+artifacts.  No command-line option names a config key, so each setting has
+one knob: `split` reads `split.mode` and `sample` reads `seed` from the
+config, while the method to train and the benchmark's worker count are
+options only.  Work-dir layout: cleaned/, splits/, checkpoints/, samples/,
 reports/.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 budget exceeded.  Every
@@ -71,36 +74,28 @@ def load_clean_table(path: Path) -> Table:
     return ingest_csv(path, Path(path).stem, parse_threshold=1.0)
 
 
-def _union_categories(schema: list[ColumnMeta], rows: list[list]) -> list[ColumnMeta]:
-    """`schema` with each non-numeric column made categorical over its
-    categories plus the labels of `rows` it lacks, in order of appearance."""
-    cols = []
-    for i, ref in enumerate(schema):
-        if not ref.kind.is_numerical:
-            union = list(ref.categories)
-            for row in rows:
-                if row[i] is not None and row[i] not in union:
-                    union.append(row[i])
-            ref = ColumnMeta(ref.name, ColumnKind.categorical(), tuple(union))
-        cols.append(ref)
-    return cols
-
-
 def load_as_schema(path: Path, schema: list[ColumnMeta]) -> Table:
     """Read a CSV under an existing schema (synthetic data evaluation): a
     numerical column's cells must parse as finite numbers, a categorical
-    column's cells keep their text, and empty cells are nulls."""
+    column's cells keep their text, and empty cells are nulls.  A
+    categorical column takes its own labels, in order of appearance."""
     header, data = read_csv(path)
     if header != [c.name for c in schema]:
         raise DataError(f"{path}: columns do not match the reference schema")
     rows = [[None if cell == "" else cell for cell in row] for row in data]
+    cols = []
     for i, ref in enumerate(schema):
-        for row in rows:
-            if ref.kind.is_numerical and row[i] is not None:
-                row[i] = parse_number(row[i])
-                if row[i] is None:
-                    raise DataError(f"{path}: non-numeric cell in numeric column {ref.name!r}")
-    return Table(Path(path).stem, _union_categories(schema, rows), rows)
+        if ref.kind.is_numerical:
+            for row in rows:
+                if row[i] is not None:
+                    row[i] = parse_number(row[i])
+                    if row[i] is None:
+                        raise DataError(f"{path}: non-numeric cell in numeric column {ref.name!r}")
+        else:
+            labels = dict.fromkeys(row[i] for row in rows if row[i] is not None)
+            ref = ColumnMeta(ref.name, ColumnKind.categorical(), tuple(labels))
+        cols.append(ref)
+    return Table(Path(path).stem, cols, rows)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,7 +181,7 @@ cli = _Cli("Clean tables, split corpora, train generators, score synthetic data.
 
 _SPLIT = _arg("--split", dest="manifest_path", type=_existing, required=True, metavar="MANIFEST")
 _CLEAN_DIR = _arg("--clean-dir", type=_existing_directory, required=True, metavar="DIR")
-_METHOD = _arg("--method", default=None)
+_METHOD = _arg("--method", required=True)
 _OUT = _arg("--out", dest="out_path", required=True, metavar="PATH")
 _CHECKPOINT = _arg("--checkpoint", dest="ckpt_path", type=_existing, required=True, metavar="CKPT")
 _TABLE = _arg("--table", dest="table_path", type=_existing, required=True, metavar="CSV")
@@ -239,10 +234,9 @@ def clean(corpus_dir, out_dir, cfg):
     "split",
     _arg("clean_dir", type=_existing_directory, metavar="CLEAN_DIR"),
     _OUT,
-    _arg("--mode", choices=["random", "domain"], default=None),
     _arg("--embeddings", dest="embeddings_path", type=_existing, default=None, metavar="FILE"),
 )
-def split(clean_dir, out_path, mode, embeddings_path, cfg):
+def split(clean_dir, out_path, embeddings_path, cfg):
     """Emit a train/val/test split manifest for a cleaned corpus.
 
     Only the names of the cleaned CSVs are read, not their contents."""
@@ -254,8 +248,6 @@ def split(clean_dir, out_path, mode, embeddings_path, cfg):
         split_spec,
     )
 
-    if mode:
-        cfg["split"]["mode"] = mode
     # In the order of the sorted paths, which the seeded shuffle depends on.
     names = [p.stem for p in sorted(Path(clean_dir).glob("*.csv"))]
     spec = split_spec(cfg)
@@ -295,6 +287,18 @@ def _load_part(manifest, clean_dir: str, part: str) -> list[Table]:
     return tables
 
 
+def _save_run(ckpt, log, out_path, cfg) -> Path:
+    """Save `ckpt` at `out_path` and its training log beside it, as
+    `<stem>.log.csv` under the provenance line; returns the path."""
+    from tabforge.checkpoint import save_checkpoint
+
+    out = Path(out_path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(ckpt, out)
+    out.with_suffix(".log.csv").write_text(_provenance_line(cfg) + log.to_csv(), encoding="utf-8")
+    return out
+
+
 @cli.command("pretrain", _SPLIT, _CLEAN_DIR, _METHOD, _OUT)
 def pretrain_cmd(manifest_path, clean_dir, method, out_path, cfg):
     """Pretrain a model body across the manifest's training tables.
@@ -302,10 +306,8 @@ def pretrain_cmd(manifest_path, clean_dir, method, out_path, cfg):
     A spent wall-clock budget exits 3: after writing the checkpoint and log
     of the completed iterations, or with nothing written if none completed.
     """
-    from tabforge.checkpoint import save_checkpoint
     from tabforge.training import BudgetExhausted, pretrain, train_config
 
-    method = method or cfg["method"]
     manifest = _load_manifest(manifest_path)
     corpus = _load_part(manifest, clean_dir, "train")
     tcfg = train_config(cfg, method)
@@ -314,10 +316,7 @@ def pretrain_cmd(manifest_path, clean_dir, method, out_path, cfg):
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(3)
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(ckpt, out)
-    out.with_suffix(".log.csv").write_text(_provenance_line(cfg) + log.to_csv(), encoding="utf-8")
+    out = _save_run(ckpt, log, out_path, cfg)
     print(f"pretrained {method} on {len(corpus)} tables -> {out}")
     if log.stop_reason == "budget":
         print(
@@ -330,26 +329,21 @@ def pretrain_cmd(manifest_path, clean_dir, method, out_path, cfg):
 
 def _single_table_cmd(action, table_path, base, method, out_path, cfg):
     """Train on one table from `base` (None: from scratch) and save it."""
-    from tabforge.checkpoint import save_checkpoint
     from tabforge.training import finetune, train_config
 
     table = load_clean_table(Path(table_path))
-    method = method or cfg["method"]
     ckpt, log = finetune(base, table, train_config(cfg, method))
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(ckpt, out)
-    out.with_suffix(".log.csv").write_text(_provenance_line(cfg) + log.to_csv(), encoding="utf-8")
+    out = _save_run(ckpt, log, out_path, cfg)
     print(f"{action} {method} on {table.name} -> {out} (best epoch {log.best_epoch})")
 
 
-@cli.command("finetune", _CHECKPOINT, _TABLE, _METHOD, _OUT)
-def finetune_cmd(ckpt_path, table_path, method, out_path, cfg):
-    """Fine-tune a pretrained body on one cleaned table."""
+@cli.command("finetune", _CHECKPOINT, _TABLE, _OUT)
+def finetune_cmd(ckpt_path, table_path, out_path, cfg):
+    """Fine-tune a pretrained body on one cleaned table with the checkpoint's own method."""
     from tabforge.checkpoint import load_checkpoint
 
     base = load_checkpoint(ckpt_path)
-    _single_table_cmd("finetune", table_path, base, method or base.kind, out_path, cfg)
+    _single_table_cmd("finetune", table_path, base, base.kind, out_path, cfg)
 
 
 @cli.command("train-scratch", _TABLE, _METHOD, _OUT)
@@ -363,9 +357,8 @@ def train_scratch_cmd(table_path, method, out_path, cfg):
     _CHECKPOINT,
     _arg("--rows", type=int, required=True),
     _OUT,
-    _arg("--seed", type=int, default=None),
 )
-def sample_cmd(ckpt_path, rows, out_path, seed, cfg):
+def sample_cmd(ckpt_path, rows, out_path, cfg):
     """Decode synthetic rows from a trained checkpoint into a CSV."""
     from tabforge.checkpoint import load_checkpoint
     from tabforge.training import sample_from_checkpoint
@@ -374,7 +367,7 @@ def sample_cmd(ckpt_path, rows, out_path, seed, cfg):
         raise DataError("--rows must be >= 0")
     ckpt = load_checkpoint(ckpt_path)
     out = Path(out_path)
-    table = sample_from_checkpoint(ckpt, rows, cfg["seed"] if seed is None else seed, out.stem)
+    table = sample_from_checkpoint(ckpt, rows, cfg["seed"], out.stem)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_table_csv(table, out)
     print(f"sampled {table.n_rows} rows -> {out}")
@@ -393,7 +386,6 @@ def evaluate_cmd(real_path, syn_path, out_path, hist_path, cfg):
 
     real = load_clean_table(Path(real_path))
     syn = load_as_schema(Path(syn_path), list(real.columns))
-    real = Table(real.name, syn.columns, real.rows)  # align category unions
     report = table_report(real, syn)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -447,16 +439,13 @@ def _benchmark_one(args):
          metavar="METHOD=PATH", help="a pretrained checkpoint, one per --method"),
     _arg("--part", choices=["val", "test"], default="test"),
     _arg("--out-dir", type=_directory, required=True, metavar="DIR"),
-    _arg("--workers", type=_positive_int, default=None),
+    _arg("--workers", type=_positive_int, default=1),
 )
 def benchmark_cmd(manifest_path, clean_dir, methods, pretrained_paths, part, out_dir, workers, cfg):
     """Finetune-vs-scratch grid over a split part; emits the leaderboard."""
     from tabforge.checkpoint import CheckpointError, save_checkpoint
     from tabforge.leaderboard import build_leaderboard
 
-    if cfg["workers"] < 1:
-        raise DataError(f"workers must be >= 1, got {cfg['workers']}")
-    workers = workers or cfg["workers"]
     manifest = _load_manifest(manifest_path)
     tables = _load_part(manifest, clean_dir, part)
     if not tables:

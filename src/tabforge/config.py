@@ -6,7 +6,9 @@ fall back to bare strings.
 
 `DEFAULTS` is the only table of defaults: the config dataclasses declare
 none, so every setting a run uses is a key here, whether the run comes from
-the CLI, the library or the tests.
+the CLI, the library or the tests.  A setting is either a key here or a
+command-line option, never both: the method a command trains and the
+benchmark's worker count are options, and no option names a key.
 
 This module imports no other tabforge module.  Each config dataclass is
 built from the loaded dict next to its definition: `cleaning.cleaning_config`,
@@ -26,8 +28,6 @@ class ConfigError(Exception):
 
 DEFAULTS: dict = {
     "seed": 0,
-    "method": "stvae",
-    "workers": 1,
     "split": {"ratios": [0.8, 0.1, 0.1], "mode": "random", "k": 10, "embedding_dim": 64},
     "cleaning": {
         "category_uniqueness_max": 0.90,

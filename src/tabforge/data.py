@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 Cell = float | str | None
 
@@ -74,13 +74,10 @@ class ColumnMeta:
     name: str
     kind: ColumnKind
     categories: tuple[str, ...] = ()
-    null_fraction: float = 0.0
 
     def __post_init__(self):
         if len(set(self.categories)) != len(self.categories):
             raise ValueError(f"column {self.name!r}: duplicate category labels")
-        if not 0.0 <= self.null_fraction <= 1.0:
-            raise ValueError(f"column {self.name!r}: null_fraction outside [0, 1]")
         if self.kind.is_numerical and self.categories:
             raise ValueError(f"column {self.name!r}: numerical columns have no categories")
 
@@ -182,14 +179,12 @@ def ingest_csv(path, name: str, parse_threshold: float = NUMERIC_PARSE_THRESHOLD
     for i, col_name in enumerate(header):
         cells = [row[i] for row in data]
         non_null = [c for c in cells if c != ""]
-        nulls = len(cells) - len(non_null)
         parsed = [parse_number(c) for c in non_null]
         ok = sum(1 for p in parsed if p is not None)
         numeric = bool(non_null) and ok >= parse_threshold * len(non_null)
         if numeric:
             values: list[Cell] = [None if c == "" else parse_number(c) for c in cells]
-            null_fraction = sum(1 for v in values if v is None) / len(values)
-            columns.append(ColumnMeta(col_name, ColumnKind.numerical(), (), null_fraction))
+            columns.append(ColumnMeta(col_name, ColumnKind.numerical()))
         else:
             values = [None if c == "" else c for c in cells]
             categories: list[str] = []
@@ -198,8 +193,7 @@ def ingest_csv(path, name: str, parse_threshold: float = NUMERIC_PARSE_THRESHOLD
                 if v is not None and v not in seen:
                     seen.add(v)
                     categories.append(v)
-            null_fraction = nulls / len(cells)
-            columns.append(ColumnMeta(col_name, ColumnKind.categorical(), tuple(categories), null_fraction))
+            columns.append(ColumnMeta(col_name, ColumnKind.categorical(), tuple(categories)))
         typed_cols.append(values)
 
     rows = [[typed_cols[i][r] for i in range(len(header))] for r in range(len(data))]
@@ -235,16 +229,13 @@ def infer_schema(table: Table) -> Table:
         raise DataError(f"table {table.name!r} is empty")
     new_columns: list[ColumnMeta] = []
     for i, col in enumerate(table.columns):
-        values = table.column_values(i)
-        non_null = [v for v in values if v is not None]
-        null_fraction = 1.0 - len(non_null) / len(values)
         if col.kind.is_numerical:
-            new_columns.append(replace(col, null_fraction=null_fraction))
+            new_columns.append(col)
             continue
-        strings = [str(v) for v in non_null]
+        strings = [str(v) for v in table.column_values(i) if v is not None]
         reason = _pattern_reason(strings) if strings else "all_null"
         if reason is not None:
-            new_columns.append(ColumnMeta(col.name, ColumnKind.rejected(reason), (), null_fraction))
+            new_columns.append(ColumnMeta(col.name, ColumnKind.rejected(reason)))
             continue
         categories: list[str] = []
         seen: set[str] = set()
@@ -252,6 +243,6 @@ def infer_schema(table: Table) -> Table:
             if v not in seen:
                 seen.add(v)
                 categories.append(v)
-        new_columns.append(ColumnMeta(col.name, ColumnKind.categorical(), tuple(categories), null_fraction))
+        new_columns.append(ColumnMeta(col.name, ColumnKind.categorical(), tuple(categories)))
     return Table(name=table.name, columns=new_columns, rows=table.rows)
 

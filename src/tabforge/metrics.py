@@ -17,13 +17,7 @@ import math
 import numpy as np
 
 from tabforge.data import Table
-from tabforge.leaderboard import (  # the scoring surface stays importable from here
-    Leaderboard,
-    MetricError,
-    TableReport,
-    build_leaderboard,
-    mann_whitney_u,
-)
+from tabforge.leaderboard import MetricError, TableReport
 
 
 # -- column shapes ---------------------------------------------------------

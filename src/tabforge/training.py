@@ -104,8 +104,7 @@ class TrainConfig:
 NET_SIZES = {"small": (128, 128), "normal": (256, 256)}
 
 
-def train_config(cfg: dict, method: str | None = None) -> TrainConfig:
-    method = method or cfg["method"]
+def train_config(cfg: dict, method: str) -> TrainConfig:
     m = cfg["model"]
     hidden = NET_SIZES.get(m["net_size"])
     if hidden is None:
@@ -411,7 +410,7 @@ class _GreatDriver:
 
     def rebuild(self, ckpt: ModelCheckpoint):
         schema = [
-            ColumnMeta(c["name"], ColumnKind(c["kind"]), tuple(c.get("categories", ())), 0.0)
+            ColumnMeta(c["name"], ColumnKind(c["kind"]), tuple(c.get("categories", ())))
             for c in _aux_entry(ckpt, "schema")
         ]
         vocab = Vocab.from_dict(_aux_entry(ckpt, "vocab"))
@@ -580,15 +579,14 @@ def _snapshot_score(driver, model, prep, table: Table, val_ids: np.ndarray, conf
 def _restore(driver, ckpt: ModelCheckpoint):
     """The checkpoint's model and sampling prep, every tensor loaded strictly."""
     model, prep = driver.rebuild(ckpt)
+    loaded = set(transfer_state(model, ckpt.tensors))
     for name, target in model.tensors().items():
-        if name not in ckpt.tensors:
-            raise CheckpointError(f"checkpoint has no tensor {name!r}")
-        src = ckpt.tensors[name]
-        if src.shape != target.data.shape:
+        if name not in loaded:
+            if name not in ckpt.tensors:
+                raise CheckpointError(f"checkpoint has no tensor {name!r}")
             raise CheckpointError(
-                f"checkpoint tensor {name!r} has shape {src.shape}, the model needs {target.data.shape}"
+                f"checkpoint tensor {name!r} has shape {ckpt.tensors[name].shape}, the model needs {target.data.shape}"
             )
-        target.data = src.astype(target.data.dtype).copy()
     return model, prep
 
 

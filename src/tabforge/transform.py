@@ -297,7 +297,6 @@ class ColumnTransformer:
                 c["name"],
                 ColumnKind(c["kind"], c.get("reason", "")),
                 tuple(c["categories"]),
-                0.0,
             )
             for c in doc["schema"]
         )
@@ -359,9 +358,7 @@ def decode_matrix(matrix: np.ndarray, transformer: ColumnTransformer) -> Table:
             order = transformer.schema[span.column].categories
             ks = block.argmax(axis=1)
             cells[span.column] = [order[k] for k in ks]
-    schema = [
-        ColumnMeta(c.name, c.kind, c.categories, 0.0) for c in transformer.schema
-    ]
+    schema = list(transformer.schema)
     rows = [[cells[i][r] for i in range(len(schema))] for r in range(n)]
     return Table(name="decoded", columns=schema, rows=rows)
 

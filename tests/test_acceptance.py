@@ -21,7 +21,8 @@ from tabforge.great.model import (
     great_train_step,
     pad_batch,
 )
-from tabforge.metrics import mann_whitney_u, table_report
+from tabforge.leaderboard import mann_whitney_u
+from tabforge.metrics import table_report
 from tabforge.models.ctgan import (
     build_row_index,
     critic_loss_graph,

@@ -9,6 +9,7 @@ import tabforge.cli
 import tabforge.training as tr
 from tabforge.checkpoint import load_checkpoint, save_checkpoint
 from tabforge.cli import load_clean_table, main
+from tabforge.config import DEFAULTS
 
 from conftest import write_csv
 
@@ -109,13 +110,13 @@ class TestSplit:
                 str(cleaned),
                 "--out",
                 str(manifest),
-                "--mode",
-                "domain",
+                "--split.mode=domain",
                 "--split.ratios=[0.5,0.25,0.25]",
                 "--split.k=4",
             ]
         )
         doc = json.loads(manifest.read_text())
+        assert doc["spec"]["mode"] == "domain" and doc["clusters"]
         part_of = {}
         for part in ("train", "val", "test"):
             for name in doc[part]:
@@ -174,6 +175,19 @@ class TestTrainAndSample:
         out_csv = tmp / "zero.csv"
         cli_run(["sample", "--checkpoint", str(ckpt), "--rows", "0", "--out", str(out_csv)])
         assert out_csv.read_text() == "x,y,color\n"
+
+    def test_seed_override_sets_the_sampling_seed(self, pipeline_dirs, cli_run):
+        cleaned, _, tmp = pipeline_dirs
+        ckpt = tmp / "scratch.ckpt"
+        table = next(iter(sorted(cleaned.glob("*.csv"))))
+        cli_run(["train-scratch", "--table", str(table), "--method", "stvae", "--out", str(ckpt)] + TINY)
+        sample = ["sample", "--checkpoint", str(ckpt), "--rows", "8", "--out"]
+        cli_run(sample + [str(tmp / "s0.csv")])
+        cli_run(sample + [str(tmp / "s5.csv"), "--seed=5"])
+        expected = tmp / "lib.csv"
+        tabforge.cli.write_table_csv(tr.sample_from_checkpoint(load_checkpoint(ckpt), 8, 5, "s5"), expected)
+        assert (tmp / "s5.csv").read_bytes() == expected.read_bytes()
+        assert (tmp / "s5.csv").read_bytes() != (tmp / "s0.csv").read_bytes()
 
     def test_evaluate_self_is_perfect(self, pipeline_dirs, cli_run):
         cleaned, _, tmp = pipeline_dirs
@@ -643,11 +657,11 @@ def test_unknown_override_is_usage_error(toy_corpus, tmp_path, monkeypatch):
 class TestParsing:
     HELP = {
         "clean": ["CORPUS_DIR", "OUT_DIR"],
-        "split": ["CLEAN_DIR", "--out", "--mode", "--embeddings"],
+        "split": ["CLEAN_DIR", "--out", "--embeddings"],
         "pretrain": ["--split", "--clean-dir", "--method", "--out"],
-        "finetune": ["--checkpoint", "--table", "--method", "--out"],
+        "finetune": ["--checkpoint", "--table", "--out"],
         "train-scratch": ["--table", "--method", "--out"],
-        "sample": ["--checkpoint", "--rows", "--out", "--seed"],
+        "sample": ["--checkpoint", "--rows", "--out"],
         "evaluate": ["--real", "--synthetic", "--out", "--histograms"],
         "benchmark": ["--split", "--clean-dir", "--method", "--pretrained", "--part", "--out-dir", "--workers"],
         "report": ["--bench-dir", "--out-dir"],
@@ -682,14 +696,32 @@ class TestParsing:
         assert err.startswith("usage error:") and detail in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_config_workers_below_one_is_a_data_error(self, workers, tmp_path, cli_run):
+    def test_no_option_names_a_config_key(self):
+        # A setting has one knob: an option `--x` beside a config key `x`
+        # would make two, and the option would shadow the key.
+        def leaves(node):
+            for key, value in node.items():
+                yield from leaves(value) if isinstance(value, dict) else [key]
+
+        keys = set(leaves(DEFAULTS))
+        subparsers = next(a for a in tabforge.cli.cli.parser()._actions if a.choices)
+        shadowing = sorted(
+            f"{name} {option}"
+            for name, sub in subparsers.choices.items()
+            for action in sub._actions
+            for option in action.option_strings
+            if option.startswith("--") and option[2:].replace("-", "_") in keys
+        )
+        assert shadowing == []
+
+    @pytest.mark.parametrize("key, value", [("method", "ctgan"), ("workers", 2)])
+    def test_config_file_key_that_is_an_option_is_unknown(self, key, value, tmp_path, cli_run):
         (tmp_path / "m.json").write_text("{}")
-        (tmp_path / "config.json").write_text(json.dumps({"workers": workers}))
+        (tmp_path / "config.json").write_text(json.dumps({key: value}))
         args = ["benchmark", "--split", str(tmp_path / "m.json"), "--clean-dir", str(tmp_path),
                 "--method", "stvae", "--pretrained", "stvae=x", "--out-dir", str(tmp_path / "b"),
                 "-c", str(tmp_path / "config.json")]
-        assert cli_run(args, code=2).err == f"error: workers must be >= 1, got {workers}\n"
+        assert cli_run(args, code=1).err == f"usage error: unknown config key {key!r}\n"
         assert not (tmp_path / "b").exists()
 
 
@@ -713,6 +745,7 @@ class TestBadConfigValues:
     @pytest.mark.parametrize("command, flag, detail", [
         ("split", "--split.ratios=[0.5,0.5,0.5]", "split ratios must sum to 1"),
         ("split", "--split.ratios=[0.5,0.5]", "split ratios must be 3 values"),
+        ("split", "--split.mode=grid", "unknown split mode 'grid'"),
         ("clean", "--cleaning.max_null_fraction=2", "max_null_fraction must be in (0, 1]"),
     ])
     def test_out_of_range_split_or_cleaning_value_is_a_data_error(

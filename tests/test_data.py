@@ -91,11 +91,6 @@ class TestInferSchema:
         t2 = infer_schema(ingest_csv(write(tmp_path, "sep\n" + body2 + "\n", "o.csv"), "t2"))
         assert t2.columns[0].kind.is_categorical
 
-    def test_null_fraction_counts(self, tmp_path):
-        t = infer_schema(ingest_csv(write(tmp_path, "v,w\n1.5,a\n2.5,b\n,c\n"), "t"))
-        assert t.columns[0].kind.is_numerical
-        assert t.columns[0].null_fraction == pytest.approx(1 / 3)
-
 
 class TestDatasetStats:
     """Corpus statistics: what `clean` writes to stats.json about the tables it keeps."""
@@ -125,7 +120,8 @@ class TestDatasetStats:
         cleaned, _ = self.clean(cli_run, tmp_path, {"a": (3, 5)})
         manifest = tmp_path / "split.json"
         manifest.write_text(DatasetSplit(["ghost"], [], [], split_spec(load_config())).to_json())
-        args = ["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned), "--out", str(tmp_path / "m")]
+        args = ["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned), "--method", "stvae",
+                "--out", str(tmp_path / "m")]
         monkeypatch.setattr("sys.argv", ["tabforge", *args])
         with pytest.raises(SystemExit) as exc:
             main()

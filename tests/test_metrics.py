@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 
 import tabforge
 from tabforge.data import ColumnKind, ColumnMeta, Table
+from tabforge.leaderboard import Leaderboard, build_leaderboard, mann_whitney_u
 from tabforge.metrics import (
-    Leaderboard,
     MetricError,
     TableReport,
     bin_numeric,
-    build_leaderboard,
     column_histogram,
     ks_shape,
-    mann_whitney_u,
     pearson,
     table_report,
     trend_categorical,

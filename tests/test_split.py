@@ -209,7 +209,7 @@ def test_bad_embedding_file_is_a_data_error(lines, found, toy_corpus, tmp_path, 
     emb = tmp_path / "emb.tsv"
     names = ["table2", "table3"]
     emb.write_text("\n".join(lines + [f"{n}\t0.0,1.0" for n in names]) + "\n", encoding="utf-8")
-    args = ["split", str(cleaned), "--out", str(tmp_path / "s.json"), "--mode", "domain",
+    args = ["split", str(cleaned), "--out", str(tmp_path / "s.json"), "--split.mode=domain",
             "--embeddings", str(emb), "--split.k=2", "--split.ratios=[0.5,0.25,0.25]"]
     monkeypatch.setattr("sys.argv", ["tabforge", *args])
     with pytest.raises(SystemExit) as exc:
