@@ -724,6 +724,19 @@ class TestParsing:
         assert cli_run(args, code=1).err == f"usage error: unknown config key {key!r}\n"
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_config_workers_below_one_is_a_data_error(self, workers, tmp_path, cli_run):
+        # `workers` was a config key whose values below 1 were a data error
+        # (exit 2). The key is gone, so a -c file holding it is refused
+        # earlier, as an unknown key, whatever the value, and nothing is written.
+        (tmp_path / "m.json").write_text("{}")
+        (tmp_path / "config.json").write_text(json.dumps({"workers": workers}))
+        args = ["benchmark", "--split", str(tmp_path / "m.json"), "--clean-dir", str(tmp_path),
+                "--method", "stvae", "--pretrained", "stvae=x", "--out-dir", str(tmp_path / "b"),
+                "-c", str(tmp_path / "config.json")]
+        assert cli_run(args, code=1).err == "usage error: unknown config key 'workers'\n"
+        assert not (tmp_path / "b").exists()
+
 
 class TestBadConfigValues:
     @pytest.mark.parametrize("flag, key", [
