@@ -45,8 +45,9 @@ def _write_json(path: Path, doc: dict, cfg) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
 
 
-def _provenance_line(cfg) -> str:
-    return f"# config={config_hash(cfg)} seed={cfg['seed']}\n"
+def _write_csv(path: Path, text: str, cfg) -> None:
+    """CSV `text` under a comment line giving the run's provenance."""
+    path.write_text(f"# config={config_hash(cfg)} seed={cfg['seed']}\n" + text, encoding="utf-8")
 
 
 def write_table_csv(table: Table, path: Path) -> None:
@@ -132,6 +133,23 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
+
+
+def _row_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
+def _method_path(text: str) -> tuple[str, Path]:
+    method, eq, path = text.partition("=")
+    if not eq:
+        raise argparse.ArgumentTypeError(f"expected METHOD=PATH, got {text!r}")
+    return method, Path(path)
 
 
 def _arg(*flags, **kwargs):
@@ -295,7 +313,7 @@ def _save_run(ckpt, log, out_path, cfg) -> Path:
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt, out)
-    out.with_suffix(".log.csv").write_text(_provenance_line(cfg) + log.to_csv(), encoding="utf-8")
+    _write_csv(out.with_suffix(".log.csv"), log.to_csv(), cfg)
     return out
 
 
@@ -355,7 +373,7 @@ def train_scratch_cmd(table_path, method, out_path, cfg):
 @cli.command(
     "sample",
     _CHECKPOINT,
-    _arg("--rows", type=int, required=True),
+    _arg("--rows", type=_row_count, required=True),
     _OUT,
 )
 def sample_cmd(ckpt_path, rows, out_path, cfg):
@@ -363,8 +381,6 @@ def sample_cmd(ckpt_path, rows, out_path, cfg):
     from tabforge.checkpoint import load_checkpoint
     from tabforge.training import sample_from_checkpoint
 
-    if rows < 0:
-        raise DataError("--rows must be >= 0")
     ckpt = load_checkpoint(ckpt_path)
     out = Path(out_path)
     table = sample_from_checkpoint(ckpt, rows, cfg["seed"], out.stem)
@@ -397,7 +413,9 @@ def evaluate_cmd(real_path, syn_path, out_path, hist_path, cfg):
                 hists[col.name] = column_histogram(
                     [r[i] for r in real.rows], [r[i] for r in syn.rows]
                 )
-        Path(hist_path).write_text(json.dumps(hists, indent=2, sort_keys=True), encoding="utf-8")
+        hist = Path(hist_path)
+        hist.parent.mkdir(parents=True, exist_ok=True)
+        hist.write_text(json.dumps(hists, indent=2, sort_keys=True), encoding="utf-8")
     print(
         f"shape={report.s_shape:.4f} trend={report.s_trend:.4f} overall={report.s_overall:.4f}"
     )
@@ -435,13 +453,13 @@ def _benchmark_one(args):
     _SPLIT,
     _CLEAN_DIR,
     _arg("--method", dest="methods", action="append", required=True, metavar="METHOD"),
-    _arg("--pretrained", dest="pretrained_paths", action="append", required=True,
+    _arg("--pretrained", dest="pretrained", type=_method_path, action="append", required=True,
          metavar="METHOD=PATH", help="a pretrained checkpoint, one per --method"),
     _arg("--part", choices=["val", "test"], default="test"),
     _arg("--out-dir", type=_directory, required=True, metavar="DIR"),
     _arg("--workers", type=_positive_int, default=1),
 )
-def benchmark_cmd(manifest_path, clean_dir, methods, pretrained_paths, part, out_dir, workers, cfg):
+def benchmark_cmd(manifest_path, clean_dir, methods, pretrained, part, out_dir, workers, cfg):
     """Finetune-vs-scratch grid over a split part; emits the leaderboard."""
     from tabforge.checkpoint import CheckpointError, save_checkpoint
     from tabforge.leaderboard import build_leaderboard
@@ -450,12 +468,7 @@ def benchmark_cmd(manifest_path, clean_dir, methods, pretrained_paths, part, out
     tables = _load_part(manifest, clean_dir, part)
     if not tables:
         raise DataError(f"no tables in part {part!r}")
-    ckpt_by_method = {}
-    for token in pretrained_paths:
-        if "=" not in token:
-            raise DataError("--pretrained takes method=path")
-        m, p = token.split("=", 1)
-        ckpt_by_method[m] = Path(p)
+    ckpt_by_method = dict(pretrained)
     for i, m in enumerate(methods):
         if m in methods[:i]:
             raise DataError(f"--method {m!r} given more than once")
@@ -490,13 +503,11 @@ def benchmark_cmd(manifest_path, clean_dir, methods, pretrained_paths, part, out
         for regime, report in results.items():
             keyed.setdefault((split_name, method, regime), []).append(report)
             _write_json(out / "reports" / f"{name}.{method}.{regime}.json", report.to_dict(), cfg)
-            (out / "logs" / f"{name}.{method}.{regime}.csv").write_text(
-                _provenance_line(cfg) + logs[regime].to_csv(), encoding="utf-8"
-            )
+            _write_csv(out / "logs" / f"{name}.{method}.{regime}.csv", logs[regime].to_csv(), cfg)
             save_checkpoint(ckpts[regime], out / "checkpoints" / f"{name}.{method}.{regime}.ckpt")
 
     board = build_leaderboard(keyed)
-    (out / "leaderboard.csv").write_text(_provenance_line(cfg) + board.to_csv(), encoding="utf-8")
+    _write_csv(out / "leaderboard.csv", board.to_csv(), cfg)
     print(board.render())
 
 
@@ -560,7 +571,7 @@ def report_cmd(bench_dir, out_dir, cfg):
     for (_, method, regime), report in loaded.items():
         keyed.setdefault(("bench", method, regime), []).append(report)
     board = build_leaderboard(keyed)
-    (out / "leaderboard.csv").write_text(_provenance_line(cfg) + board.to_csv(), encoding="utf-8")
+    _write_csv(out / "leaderboard.csv", board.to_csv(), cfg)
     (out / "leaderboard.txt").write_text(board.render(), encoding="utf-8")
     print(board.render())
 

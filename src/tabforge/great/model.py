@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tabforge.data import DataError, Table
+from tabforge.data import ColumnMeta, DataError, Table
 from tabforge.great.bpe import BOS, EOS, MIN_VOCAB, PAD, Vocab
 from tabforge.nn import tensor as T
 from tabforge.nn.optim import Adam
@@ -88,6 +88,7 @@ class KVCache:
 class GreatModel:
     config: GreatConfig
     vocab: Vocab
+    schema: list[ColumnMeta]  # the columns a sampled sentence parses into
     params: dict[str, Tensor]
     _mask_cache: dict[int, np.ndarray] = field(init=False, default_factory=dict)
 
@@ -183,7 +184,7 @@ class GreatModel:
         raise FloatingPointError(f"overflow in the cached forward at position {pos}")
 
 
-def build_great(config: GreatConfig, vocab: Vocab, seed: int) -> GreatModel:
+def build_great(config: GreatConfig, vocab: Vocab, schema: list[ColumnMeta], seed: int) -> GreatModel:
     if vocab.size > config.vocab_size:
         raise GreatError(f"vocab size {vocab.size} exceeds configured {config.vocab_size}")
     rng = np.random.default_rng(seed)
@@ -218,7 +219,7 @@ def build_great(config: GreatConfig, vocab: Vocab, seed: int) -> GreatModel:
         params[f"b{l}.mlp.b1"] = zeros(4 * d)
         params[f"b{l}.mlp.w2"] = normal(4 * d, d)
         params[f"b{l}.mlp.b2"] = zeros(d)
-    return GreatModel(config, vocab, params)
+    return GreatModel(config, vocab, schema, params)
 
 
 def pad_batch(sequences: list[list[int]], ctx: int) -> np.ndarray:
@@ -273,14 +274,9 @@ def sequence_nll(model: GreatModel, token_batch: np.ndarray) -> float:
 DECODE_ROWS = 64
 
 
-def great_generate(
-    model: GreatModel,
-    schema,
-    n: int,
-    rng: np.random.Generator,
-):
-    """Sample rows token by token at the configured temperature; parse back;
-    retry failures.
+def great_generate(model: GreatModel, n: int, rng: np.random.Generator):
+    """Sample rows token by token at the configured temperature; parse them
+    back under the model's schema; retry failures.
 
     Every pending row is decoded in lockstep waves; a row that fails to
     parse goes into the next wave, for at most `max_retries + 1` waves.
@@ -298,14 +294,14 @@ def great_generate(
         failed = []
         for i, sentence in zip(pending, _sample_wave(model, len(pending), rng)):
             attempted += 1
-            out = parse_row_text(schema, sentence)
+            out = parse_row_text(model.schema, sentence)
             if isinstance(out, ParseFailure):
                 failed.append(i)
             else:
                 rows[i] = out
                 parsed += 1
         pending = failed
-    table = Table("synthetic", list(schema), [row for row in rows if row is not None])
+    table = Table("synthetic", list(model.schema), [row for row in rows if row is not None])
     validity = parsed / attempted if attempted else 1.0
     return table, validity
 

@@ -78,13 +78,6 @@ class VaeModel:
     def row_width(self) -> int:
         return self.transformer.total_width
 
-    def parameters(self):
-        params = [(f"enc.{n}", p) for n, p in self.encoder.parameters()]
-        params += [(f"dec.{n}", p) for n, p in self.decoder.parameters()]
-        if self.delta is not None:
-            params.append(("delta", self.delta))
-        return params
-
     def tensors(self) -> dict[str, Tensor]:
         """Every tensor by checkpoint name (live, not copies)."""
         out = {f"enc.{k}": v for k, v in self.encoder.tensors().items()}
@@ -99,7 +92,7 @@ class VaeModel:
         return out
 
     def optimizer(self) -> Adam:
-        return Adam(self.parameters(), lr=self.config.lr)
+        return Adam(list(self.tensors().items()), lr=self.config.lr)
 
     def clamp_delta(self) -> None:
         if self.delta is not None:

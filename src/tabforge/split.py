@@ -244,21 +244,24 @@ def domain_split(names: list[str], embeddings: dict[str, np.ndarray], spec: Spli
 def load_embedding_file(path) -> dict[str, np.ndarray]:
     """Read `name<TAB>v1,v2,...` lines into an embedding map.  Every vector
     must be finite and as long as the first."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     out: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                name, values = line.split("\t", 1)
-                vec = np.array([float(v) for v in values.split(",")], dtype=np.float64)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: malformed embedding line") from exc
-            if not np.all(np.isfinite(vec)):
-                raise DataError(f"{path}:{lineno}: non-finite embedding value")
-            if out and len(vec) != width:
-                raise DataError(f"{path}:{lineno}: embedding has {len(vec)} values, earlier lines have {width}")
-            width = len(vec)
-            out[name] = vec
+    for lineno, line in enumerate(lines, 1):
+        if not line:
+            continue
+        try:
+            name, values = line.split("\t", 1)
+            vec = np.array([float(v) for v in values.split(",")], dtype=np.float64)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: malformed embedding line") from exc
+        if not np.all(np.isfinite(vec)):
+            raise DataError(f"{path}:{lineno}: non-finite embedding value")
+        if out and len(vec) != width:
+            raise DataError(f"{path}:{lineno}: embedding has {len(vec)} values, earlier lines have {width}")
+        width = len(vec)
+        out[name] = vec
     return out

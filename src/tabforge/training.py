@@ -236,11 +236,13 @@ def _segment_rows(seglist) -> dict[str, tuple[int, int]]:
 # A driver owns everything that differs between methods: the per-table prep
 # (whose "rows" a run splits into training and validation rows), the start
 # of a run, one epoch, the validation loss, sampling, the checkpoint aux and
-# the rebuild from it.  `start` builds the model and its session from the
-# rows the run trains on; the session holds everything an epoch reads, so
-# `train_epoch(model, session, rng)` takes nothing else.  Drivers hold no
-# state of their own.  `early_stops` picks fine-tuning's policy: early
-# stopping on validation loss, or scoring snapshots against a held-out slice.
+# the rebuild from it.  Only `start` reads the prep: it builds the model and
+# its session from the rows the run trains on.  Every later step reads the
+# model, which holds its transformer or its vocabulary and schema, and the
+# session, which holds whatever else an epoch or a validation pass reads.
+# Drivers hold no state of their own.  `early_stops` picks fine-tuning's
+# policy: early stopping on validation loss, or scoring snapshots against a
+# held-out slice.
 #
 # Drivers call the model functions by their module-global names at call
 # time, never through a reference captured in a class body, so that a
@@ -278,10 +280,10 @@ class _GmmDriver:
     def prep(self, table: Table, config: TrainConfig, aux: dict):
         tf = ColumnTransformer.fit(table, config.gmm_modes, config.seed)
         enc_rng = substream(config.seed, "encode", table.name)
-        return {"table": table, "transformer": tf, "rows": encode_table(table, tf, enc_rng)}
+        return {"transformer": tf, "rows": encode_table(table, tf, enc_rng)}
 
-    def aux(self, prep, model) -> dict:
-        return {"transformer": prep["transformer"].to_dict()}
+    def aux(self, model) -> dict:
+        return {"transformer": model.transformer.to_dict()}
 
     def _transformer(self, ckpt: ModelCheckpoint) -> ColumnTransformer:
         return ColumnTransformer.from_dict(_aux_entry(ckpt, "transformer"))
@@ -306,14 +308,14 @@ class _VaeDriver(_GmmDriver):
         ]
         return float(np.mean(losses))
 
-    def val_loss(self, model, prep, val_matrix: np.ndarray, rng) -> float:
+    def val_loss(self, model, session, val_matrix: np.ndarray, rng) -> float:
         return vae_val_loss(model, val_matrix, rng)
 
-    def sample(self, model, prep, n: int, rng) -> Table:
+    def sample(self, model, n: int, rng) -> Table:
         return vae_sample(model, n, rng)
 
     def rebuild(self, ckpt: ModelCheckpoint):
-        return build_vae(self._transformer(ckpt), _stored_config(VaeConfig, ckpt), seed=0), {}
+        return build_vae(self._transformer(ckpt), _stored_config(VaeConfig, ckpt), seed=0)
 
 
 class _CtganDriver(_GmmDriver):
@@ -339,17 +341,17 @@ class _CtganDriver(_GmmDriver):
             losses.append(out["generator_loss"])
         return float(np.mean(losses))
 
-    def sample(self, model, prep, n: int, rng) -> Table:
+    def sample(self, model, n: int, rng) -> Table:
         return ctgan_sample(model, n, rng)
 
-    def aux(self, prep, model) -> dict:
+    def aux(self, model) -> dict:
         # The condition PMFs of the rows trained on, for sampling.
-        return {**super().aux(prep, model), "log_pmfs": [p.tolist() for p in model.log_pmfs]}
+        return {**super().aux(model), "log_pmfs": [p.tolist() for p in model.log_pmfs]}
 
     def rebuild(self, ckpt: ModelCheckpoint):
         log_pmfs = [np.asarray(p, dtype=np.float64) for p in _aux_entry(ckpt, "log_pmfs")]
         cfg = _stored_config(CtganConfig, ckpt)
-        return make_ctgan(self._transformer(ckpt), cfg, log_pmfs, seed=0), {}
+        return make_ctgan(self._transformer(ckpt), cfg, log_pmfs, seed=0)
 
 
 class _GreatDriver:
@@ -367,44 +369,43 @@ class _GreatDriver:
         return {"table": table, "vocab": vocab, "rows": np.arange(table.n_rows)}
 
     def start(self, prep, rows: np.ndarray, config: TrainConfig, seed: int):
-        model = build_great(config.great, prep["vocab"], seed)
-        return model, {"opt": model.optimizer(), "prep": prep, "rows": rows}
-
-    def _framed(self, prep, rows, permute_rng=None) -> list[list[int]]:
         table = prep["table"]
-        vocab = prep["vocab"]
+        model = build_great(config.great, prep["vocab"], table.columns, seed)
+        return model, {"opt": model.optimizer(), "table": table, "rows": rows}
+
+    def _framed(self, model, session, rows, permute_rng=None) -> list[list[int]]:
+        table = session["table"]
         out = []
         for r in rows:
             sentence = serialize_row_text(
                 table.columns, table.rows[r], permute=permute_rng is not None, rng=permute_rng
             )
-            out.append([BOS] + vocab.encode(sentence) + [EOS])
+            out.append([BOS] + model.vocab.encode(sentence) + [EOS])
         return out
 
     def train_epoch(self, model, session, rng) -> float:
-        seqs = self._framed(session["prep"], session["rows"], permute_rng=rng)
+        seqs = self._framed(model, session, session["rows"], permute_rng=rng)
         losses = [
             great_train_step(model, pad_batch([seqs[i] for i in ids], model.config.ctx), session["opt"])
             for ids in _batches(len(seqs), model.config.batch, rng)
         ]
         return float(np.mean(losses))
 
-    def val_loss(self, model, prep, row_ids: np.ndarray, rng) -> float:
-        seqs = self._framed(prep, row_ids)  # fixed column order for evaluation
+    def val_loss(self, model, session, row_ids: np.ndarray, rng) -> float:
+        seqs = self._framed(model, session, row_ids)  # fixed column order for evaluation
         batch = pad_batch(seqs, model.config.ctx)
         return sequence_nll(model, batch)
 
-    def sample(self, model, prep, n: int, rng) -> Table:
-        table, _ = great_generate(model, list(prep["table"].columns), n, rng)
+    def sample(self, model, n: int, rng) -> Table:
+        table, _ = great_generate(model, n, rng)
         return table
 
-    def aux(self, prep, model) -> dict:
-        table = prep["table"]
+    def aux(self, model) -> dict:
         return {
-            "vocab": prep["vocab"].to_dict(),
+            "vocab": model.vocab.to_dict(),
             "schema": [
                 {"name": c.name, "kind": c.kind.variant, "categories": list(c.categories)}
-                for c in table.columns
+                for c in model.schema
             ],
         }
 
@@ -414,8 +415,7 @@ class _GreatDriver:
             for c in _aux_entry(ckpt, "schema")
         ]
         vocab = Vocab.from_dict(_aux_entry(ckpt, "vocab"))
-        model = build_great(_stored_config(GreatConfig, ckpt), vocab, seed=0)
-        return model, {"table": Table("synthetic", schema, [])}  # sampling needs only the schema
+        return build_great(_stored_config(GreatConfig, ckpt), vocab, schema, seed=0)
 
 
 _DRIVERS = {"ctgan": _CtganDriver(), **dict.fromkeys(VARIANTS, _VaeDriver()), "great": _GreatDriver()}
@@ -540,9 +540,9 @@ def finetune(
             val_loss = loss = None
             if driver.early_stops and len(val_ids):
                 val_rng = substream(config.seed, "val", table.name, epoch)
-                val_loss = loss = driver.val_loss(model, prep, val_rows, val_rng)
+                val_loss = loss = driver.val_loss(model, session, val_rows, val_rng)
             elif len(val_ids) and (epoch % config.ckpt_every == 0 or epoch == config.epochs):
-                score = _snapshot_score(driver, model, prep, table, val_ids, config, epoch)
+                score = _snapshot_score(driver, model, table, val_ids, config, epoch)
                 log.checkpoints.append({"epoch": epoch, "overall": score})
                 loss = -score
             log.record(epoch, train_loss, val_loss)
@@ -559,13 +559,13 @@ def finetune(
     log.stop_reason = stop_reason
     if best_state is None:  # nothing scored: keep the final weights
         best_state = copy_state(model)
-    return _checkpoint(model, config, best_state, driver.aux(prep, model), [table], best_epoch), log
+    return _checkpoint(model, config, best_state, driver.aux(model), [table], best_epoch), log
 
 
-def _snapshot_score(driver, model, prep, table: Table, val_ids: np.ndarray, config: TrainConfig, epoch: int) -> float:
+def _snapshot_score(driver, model, table: Table, val_ids: np.ndarray, config: TrainConfig, epoch: int) -> float:
     val_table = Table(table.name, list(table.columns), [table.rows[int(i)] for i in val_ids])
     rng = substream(config.seed, "snapshot", table.name, epoch)
-    syn = driver.sample(model, prep, val_table.n_rows, rng)
+    syn = driver.sample(model, val_table.n_rows, rng)
     syn.name = val_table.name
     try:
         return table_report(val_table, syn).s_overall
@@ -576,9 +576,9 @@ def _snapshot_score(driver, model, prep, table: Table, val_ids: np.ndarray, conf
 # -- sampling from persisted models -----------------------------------------------------
 
 
-def _restore(driver, ckpt: ModelCheckpoint):
-    """The checkpoint's model and sampling prep, every tensor loaded strictly."""
-    model, prep = driver.rebuild(ckpt)
+def rebuild_model(ckpt: ModelCheckpoint):
+    """The checkpoint's sampling-ready model, every tensor loaded strictly."""
+    model = _driver(ckpt.kind).rebuild(ckpt)
     loaded = set(transfer_state(model, ckpt.tensors))
     for name, target in model.tensors().items():
         if name not in loaded:
@@ -587,21 +587,14 @@ def _restore(driver, ckpt: ModelCheckpoint):
             raise CheckpointError(
                 f"checkpoint tensor {name!r} has shape {ckpt.tensors[name].shape}, the model needs {target.data.shape}"
             )
-    return model, prep
-
-
-def rebuild_model(ckpt: ModelCheckpoint):
-    """Reconstruct a sampling-ready model from a fine-tuned checkpoint."""
-    model, _ = _restore(_driver(ckpt.kind), ckpt)
     return model
 
 
 def sample_from_checkpoint(ckpt: ModelCheckpoint, n: int, seed: int, name: str = "synthetic") -> Table:
     """`n` synthetic rows from the checkpoint, as a table called `name`; a
     non-finite value on the way is a TrainingError naming method and table."""
-    driver = _driver(ckpt.kind)
-    model, prep = _restore(driver, ckpt)
+    model = rebuild_model(ckpt)
     with _diverged(f"{ckpt.kind} sampling diverged on table {name!r}"):
-        table = driver.sample(model, prep, n, substream(seed, "sample"))
+        table = _driver(ckpt.kind).sample(model, n, substream(seed, "sample"))
     table.name = name
     return table

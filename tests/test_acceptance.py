@@ -234,11 +234,11 @@ def test_criterion_4_gradient_fidelity():
 
         mu, sigma, heads, logits, _ = vae_forward(vmodel, batch, np.random.default_rng(11))
         loss = elbo_loss(vmodel, heads, logits, batch, mu, sigma)
-        for _, par in vmodel.parameters():
+        for par in vmodel.tensors().values():
             par.grad = None
         loss.backward()
-        numeric = finite_diff(value, vmodel.parameters())
-        for pname, par in vmodel.parameters():
+        numeric = finite_diff(value, vmodel.tensors().items())
+        for pname, par in vmodel.tensors().items():
             err = max_rel_error(par.grad if par.grad is not None else np.zeros_like(par.data), numeric[pname])
             if err > 1e-3:
                 failures.append(f"{variant}/{pname}: {err:.1e}")
@@ -461,7 +461,7 @@ def test_criterion_9_great_pipeline():
         "--model.great.lr=3e-3",
         "--model.great.batch=8",
     ).great
-    model = build_great(cfg, vocab, seed=0)
+    model = build_great(cfg, vocab, [], seed=0)
     opt = model.optimizer()
     batch = pad_batch([seq] * 8, cfg.ctx)
     memorize_loss = None
@@ -497,7 +497,7 @@ def test_criterion_9_great_pipeline():
         "--model.great.batch=16",
         "--model.great.max_retries=2",
     ).great
-    model2 = build_great(cfg2, vocab2, seed=0)
+    model2 = build_great(cfg2, vocab2, cols, seed=0)
     opt2 = model2.optimizer()
     perm = np.random.default_rng(1)
     step = 0
@@ -509,7 +509,7 @@ def test_criterion_9_great_pipeline():
             step += 1
             if step >= 2000:
                 break
-    _, validity = great_generate(model2, list(table.columns), 100, np.random.default_rng(0))
+    _, validity = great_generate(model2, 100, np.random.default_rng(0))
     elapsed = time.time() - t0
     report(
         "criterion 9 (GReaT: tokenizer exact, memorize <0.1 in <=200 steps, validity >= 0.8)",

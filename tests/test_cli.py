@@ -599,6 +599,15 @@ class TestEvaluateTypesBySchema:
         assert capsys.readouterr().err == f"error: {syn}: non-numeric cell in numeric column 'v'\n"
 
 
+def test_evaluate_writes_histograms_into_a_new_directory(tmp_path, cli_run):
+    header, rows = mixed_rows(40, 5, g=["a", "b"] * 20)
+    real = write_csv(tmp_path, "real", header, rows)
+    hist = tmp_path / "new" / "h.json"
+    cli_run(["evaluate", "--real", str(real), "--synthetic", str(real), "--out", str(tmp_path / "r.json"),
+             "--histograms", str(hist)])
+    assert sorted(json.loads(hist.read_text())) == ["u", "v"]
+
+
 class TestBudgetExitsThree:
     """An exhausted pretraining budget exits 3.  The clock `pretrain` reads
     moves only when a patched stage of the stvae driver says it took time."""
@@ -689,6 +698,9 @@ class TestParsing:
           "--pretrained", "stvae=x", "--out-dir", "{tmp}/b", "--workers=-2"], "got '-2'"),
         (["benchmark", "--split", "{tmp}/m.json", "--clean-dir", "{tmp}", "--method", "stvae",
           "--pretrained", "stvae=x", "--out-dir", "{tmp}/b", "--workers", "two"], "got 'two'"),
+        (["sample", "--checkpoint", "{tmp}/m.json", "--rows", "-1", "--out", "{tmp}/s.csv"], "got '-1'"),
+        (["benchmark", "--split", "{tmp}/m.json", "--clean-dir", "{tmp}", "--method", "stvae",
+          "--pretrained", "stvae", "--out-dir", "{tmp}/b"], "expected METHOD=PATH, got 'stvae'"),
     ])
     def test_parse_failure_is_a_usage_error(self, args, detail, tmp_path, cli_run):
         (tmp_path / "m.json").write_text("{}")
@@ -786,6 +798,19 @@ class TestBadConfigValues:
         assert main_exit_code(monkeypatch, args) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and repr(key) in err
+
+    @pytest.mark.parametrize("write", [
+        lambda path: path.write_bytes(b'{"seed": "\xff"}'),
+        lambda path: path.write_text("{not json"),
+        lambda path: path.mkdir(),
+    ], ids=["not-utf8", "not-json", "directory"])
+    def test_unreadable_config_file_is_a_usage_error(self, write, toy_corpus, tmp_path, cli_run):
+        path = tmp_path / "config.json"
+        write(path)
+        err = cli_run(["clean", str(toy_corpus), str(tmp_path / "o"), "-c", str(path)], code=1).err
+        assert err.startswith(f"usage error: cannot read config {path}: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_config_file_value_applies(self, toy_corpus, tmp_path, cli_run):
         path = tmp_path / "config.json"

@@ -75,6 +75,12 @@ class TestBpe:
         assert vocab.encode_bytes(vocab.decode_bytes(ids)) == ids
 
 
+SCHEMA = [
+    ColumnMeta("Age", ColumnKind.numerical()),
+    ColumnMeta("Gender", ColumnKind.categorical(), ("M", "F")),
+]
+
+
 def tiny_model(sentences, d=32, layers=2, heads=2, ctx=64, lr=1e-3, seed=0):
     vocab = train_bpe(sentences, MIN_VOCAB + 64)
     cfg = run_config(
@@ -87,7 +93,7 @@ def tiny_model(sentences, d=32, layers=2, heads=2, ctx=64, lr=1e-3, seed=0):
         f"--model.great.lr={lr}",
         "--model.great.batch=8",
     ).great
-    model = build_great(cfg, vocab, seed)
+    model = build_great(cfg, vocab, SCHEMA, seed)
     return model, vocab
 
 
@@ -146,10 +152,7 @@ class TestTransformer:
 
 
 class TestGeneration:
-    SCHEMA = [
-        ColumnMeta("Age", ColumnKind.numerical()),
-        ColumnMeta("Gender", ColumnKind.categorical(), ("M", "F")),
-    ]
+    SCHEMA = SCHEMA
 
     def memorized_model(self):
         sentence = serialize_row_text(self.SCHEMA, [26.0, "M"])
@@ -166,7 +169,7 @@ class TestGeneration:
     def test_zero_temperature_reproduces_memorized_row(self):
         model = self.memorized_model()
         model.config.temperature = 0.0
-        table, validity = great_generate(model, self.SCHEMA, 5, np.random.default_rng(0))
+        table, validity = great_generate(model, 5, np.random.default_rng(0))
         assert validity == 1.0
         assert table.n_rows == 5
         for row in table.rows:
@@ -177,7 +180,7 @@ class TestGeneration:
         sentences = ["Age is 26 and Gender is M"]
         model, _ = tiny_model(sentences, seed=3)
         model.config.temperature, model.config.max_retries = 0.7, 1
-        table, validity = great_generate(model, self.SCHEMA, 4, np.random.default_rng(0))
+        table, validity = great_generate(model, 4, np.random.default_rng(0))
         assert 0.0 <= validity <= 1.0
         assert table.n_rows <= 4
 
@@ -221,7 +224,7 @@ class TestCachedDecode:
         model = self.partly_trained_model()
         model.config.temperature, model.config.max_retries = temperature, 2
         rng = np.random.default_rng(5)
-        table, validity = great_generate(model, self.SCHEMA, 8, rng)
+        table, validity = great_generate(model, 8, rng)
         doc = json.dumps([table.rows, validity, rng.random()])
         assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
@@ -277,7 +280,7 @@ class TestCachedDecode:
 
         monkeypatch.setattr(great_model, "parse_row_text", counting_parse)
         rng = BlockRng(5)
-        great_generate(model, self.SCHEMA, 8, rng)
+        great_generate(model, 8, rng)
 
         waves = [i for i, (_, pos) in enumerate(steps) if pos == 0] + [len(steps)]
         sizes = [steps[lo][0][0] for lo in waves[:-1]]
@@ -299,7 +302,7 @@ class TestCachedDecode:
         model.config.temperature, model.config.max_retries = 0.7, 0
         monkeypatch.setattr(great_model, "DECODE_ROWS", 3)
         rng = BlockRng(5)
-        great_generate(model, self.SCHEMA, 8, rng)
+        great_generate(model, 8, rng)
         assert [shape[0] for shape, pos in steps if pos == 0] == [3, 3, 2]
         assert rng.sizes == [(8, model.config.ctx)]
 
@@ -342,7 +345,7 @@ class TestCachedDecode:
             return ParseFailure("chosen") if k in (1, 3, 6, 7) else [float(k), "M"]
 
         monkeypatch.setattr(great_model, "parse_row_text", parser)
-        table, got = great_generate(model, self.SCHEMA, 5, np.random.default_rng(0))
+        table, got = great_generate(model, 5, np.random.default_rng(0))
         assert [shape[0] for shape, pos in steps if pos == 0] == waves
         assert table.rows == [[k, "M"] for k in rows]
         assert got == validity

@@ -201,6 +201,7 @@ def test_embedding_file_loader(tmp_path):
         (["table0\t1.0,2.0", "table1\tnan,2.0"], "emb.tsv:2: non-finite"),
         (["table0\t1.0,2.0", "table1\t0.5,inf"], "emb.tsv:2: non-finite"),
         (["table0\t1.0,2.0", "table1\t1.0,2.0,3.0"], "emb.tsv:2: embedding has 3 values"),
+        (["table0\t1.0,2.0", "table1\t\udcff1.0,2.0"], "emb.tsv: 'utf-8' codec can't decode byte 0xff"),
     ],
 )
 def test_bad_embedding_file_is_a_data_error(lines, found, toy_corpus, tmp_path, monkeypatch, capsys, cli_run):
@@ -208,7 +209,8 @@ def test_bad_embedding_file_is_a_data_error(lines, found, toy_corpus, tmp_path, 
     cli_run(["clean", str(toy_corpus), str(cleaned)])
     emb = tmp_path / "emb.tsv"
     names = ["table2", "table3"]
-    emb.write_text("\n".join(lines + [f"{n}\t0.0,1.0" for n in names]) + "\n", encoding="utf-8")
+    # A lone surrogate escape in `lines` writes its byte as it is.
+    emb.write_bytes(("\n".join(lines + [f"{n}\t0.0,1.0" for n in names]) + "\n").encode("utf-8", "surrogateescape"))
     args = ["split", str(cleaned), "--out", str(tmp_path / "s.json"), "--split.mode=domain",
             "--embeddings", str(emb), "--split.k=2", "--split.ratios=[0.5,0.25,0.25]"]
     monkeypatch.setattr("sys.argv", ["tabforge", *args])
@@ -216,6 +218,16 @@ def test_bad_embedding_file_is_a_data_error(lines, found, toy_corpus, tmp_path, 
         main()
     assert exc.value.code == 2
     assert found in capsys.readouterr().err
+
+
+def test_embedding_path_that_is_a_directory_is_a_data_error(toy_corpus, tmp_path, cli_run):
+    cleaned = tmp_path / "cleaned"
+    cli_run(["clean", str(toy_corpus), str(cleaned)])
+    emb = tmp_path / "emb"
+    emb.mkdir()
+    args = ["split", str(cleaned), "--out", str(tmp_path / "s.json"), "--split.mode=domain", "--embeddings", str(emb)]
+    err = cli_run(args, code=2).err
+    assert err.startswith(f"error: cannot read {emb}: ") and len(err.strip().splitlines()) == 1
 
 
 def test_kmeans_nan_check_survives_optimize_flag():

@@ -36,9 +36,7 @@ import tabforge.training as training
 PACKAGE = Path(tabforge.__file__).parent
 
 # Public names with no caller inside the package, and why each stays.
-SEAMS = {
-    "rebuild_model": "criterion 8 rebuilds a fine-tuned CTGAN to sample it under a forced condition",
-}
+SEAMS = {}
 
 
 # Defaulted parameters no call in the package sets, and why each stays.

@@ -246,7 +246,7 @@ def test_tape_nodes_per_great_step(node_count):
         "--model.great.ctx=24",
         "--model.great.batch=8",
     ).great
-    model = build_great(cfg, vocab, 0)
+    model = build_great(cfg, vocab, [], 0)
     batch = pad_batch([[BOS] + vocab.encode(s) + [EOS] for s in sentences], 24)
     node_count[:] = [0, 0]
     great_train_step(model, batch, model.optimizer())

@@ -11,6 +11,7 @@ from tabforge.checkpoint import (
     CheckpointError,
     ModelCheckpoint,
     load_checkpoint,
+    load_checkpoint_bytes,
     save_checkpoint,
     serialize_checkpoint,
 )
@@ -119,10 +120,10 @@ class _ScriptedDriver:
         model.w.data = np.full(1, session["epoch"], np.float32)
         return 0.0
 
-    def val_loss(self, model, prep, val_rows, rng):
+    def val_loss(self, model, session, val_rows, rng):
         return self.val_losses[int(model.w.data[0]) - 1]
 
-    def aux(self, prep, model):
+    def aux(self, model):
         return {}
 
 
@@ -358,6 +359,17 @@ def test_a_vae_run_trains_the_variant_its_kind_names():
         replace(cfg, vae=replace(cfg.vae, variant="stvae"))
 
 
+@pytest.mark.parametrize("kind", tr.KINDS)
+def test_a_rebuilt_model_carries_its_checkpoint_aux(kind):
+    table = make_table("carry")
+    ckpt, _ = finetune(None, table, quick_config(kind, epochs=1))
+    ckpt = load_checkpoint_bytes(serialize_checkpoint(ckpt))
+    model = tr.rebuild_model(ckpt)
+    assert tr._DRIVERS[kind].aux(model) == ckpt.aux
+    if kind == "great":
+        assert model.schema == table.columns
+
+
 class TestFinetune:
     def test_zero_epochs_returns_checkpoint_body(self):
         corpus = [make_table(f"p{i}", seed=i) for i in range(3)]
@@ -403,12 +415,12 @@ class TestFinetune:
 
 class TestSnapshotScore:
     class _EchoDriver:
-        def sample(self, model, prep, n, rng):
+        def sample(self, model, n, rng):
             return make_table("syn", n=n, seed=1)
 
     def _score(self):
         table = make_table("snap", n=20)
-        return tr._snapshot_score(self._EchoDriver(), None, None, table, np.arange(5), quick_config("ctgan"), 1)
+        return tr._snapshot_score(self._EchoDriver(), None, table, np.arange(5), quick_config("ctgan"), 1)
 
     def test_unscoreable_snapshot_ranks_last(self, monkeypatch):
         def unscoreable(real, syn):

@@ -120,11 +120,11 @@ class TestElbo:
 
         mu, sigma, heads, logits, _ = vae_forward(model, batch, np.random.default_rng(11))
         loss = elbo_loss(model, heads, logits, batch, mu, sigma)
-        for _, p in model.parameters():
+        for p in model.tensors().values():
             p.grad = None
         loss.backward()
-        numeric = finite_diff(value, model.parameters())
-        for name, p in model.parameters():
+        numeric = finite_diff(value, model.tensors().items())
+        for name, p in model.tensors().items():
             grad = p.grad if p.grad is not None else np.zeros_like(p.data)
             err = max_rel_error(grad, numeric[name])
             assert err <= 1e-3, f"{variant}/{name}: {err:.2e}"
