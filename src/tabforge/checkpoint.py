@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tabforge.data import DataError
+from tabforge.data import DataError, read_file, write_file
 
 MAGIC = b"TFCK"
 FORMAT_VERSION = 1
@@ -65,18 +65,15 @@ def serialize_checkpoint(ckpt: ModelCheckpoint) -> bytes:
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
-    data = serialize_checkpoint(ckpt)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    write_file(path, serialize_checkpoint(ckpt))
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
+    """The checkpoint at `path`; every error names the file."""
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    return load_checkpoint_bytes(blob)
+        return load_checkpoint_bytes(read_file(path))
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
 
 
 def load_checkpoint_bytes(blob: bytes) -> ModelCheckpoint:

@@ -5,8 +5,9 @@ overrides, and is re-runnable: identical config and seed give byte-identical
 artifacts.  No command-line option names a config key, so each setting has
 one knob: `split` reads `split.mode` and `sample` reads `seed` from the
 config, while the method to train and the benchmark's worker count are
-options only.  Work-dir layout: cleaned/, splits/, checkpoints/, samples/,
-reports/.
+options only.  argparse types check every path argument but `-c`, which
+`load_config` reads, before a command runs; `data.read_file` and
+`data.write_file` read and write every other file, the latter atomically.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 budget exceeded.  Every
 data error is a `DataError`.
@@ -22,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -36,18 +38,23 @@ from tabforge.data import (
     ingest_csv,
     parse_number,
     read_csv,
+    read_file,
+    write_file,
 )
 
+# One BLAS thread, set before any command imports numpy: a product split over
+# threads sums in another order, so artifacts would depend on the core count.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 def _write_json(path: Path, doc: dict, cfg) -> None:
     """`doc` and the run's provenance as sorted, indented JSON."""
     doc = {**doc, "_provenance": {"config": config_hash(cfg), "seed": cfg["seed"]}}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+    write_file(path, json.dumps(doc, indent=2, sort_keys=True))
 
 
 def _write_csv(path: Path, text: str, cfg) -> None:
     """CSV `text` under a comment line giving the run's provenance."""
-    path.write_text(f"# config={config_hash(cfg)} seed={cfg['seed']}\n" + text, encoding="utf-8")
+    write_file(path, f"# config={config_hash(cfg)} seed={cfg['seed']}\n" + text)
 
 
 def write_table_csv(table: Table, path: Path) -> None:
@@ -64,7 +71,7 @@ def write_table_csv(table: Table, path: Path) -> None:
             else:
                 out.append(str(cell))
         writer.writerow(out)
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    write_file(path, buf.getvalue())
 
 
 def load_clean_table(path: Path) -> Table:
@@ -108,21 +115,26 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _existing(text: str) -> str:
-    if not Path(text).exists():
-        raise argparse.ArgumentTypeError(f"path {text!r} does not exist")
-    return text
+def _path(directory: bool, must_exist: bool):
+    """An argparse type for the path of a directory or file: existing, or creatable."""
+
+    def check(text: str) -> str:
+        path = Path(text)
+        if must_exist and not path.exists():
+            raise argparse.ArgumentTypeError(f"path {text!r} does not exist")
+        if path.exists() and path.is_dir() != directory:
+            raise argparse.ArgumentTypeError(f"{text!r} is a {'file' if directory else 'directory'}")
+        if any(parent.is_file() for parent in path.parents):
+            raise argparse.ArgumentTypeError(f"cannot create {text!r}: a parent is a file")
+        return text
+
+    return check
 
 
-def _directory(text: str) -> str:
-    """A path that is not a file; it need not exist yet."""
-    if Path(text).is_file():
-        raise argparse.ArgumentTypeError(f"{text!r} is a file, not a directory")
-    return text
-
-
-def _existing_directory(text: str) -> str:
-    return _directory(_existing(text))
+_IN_FILE = _path(directory=False, must_exist=True)
+_IN_DIR = _path(directory=True, must_exist=True)
+_OUT_FILE = _path(directory=False, must_exist=False)
+_OUT_DIR = _path(directory=True, must_exist=False)
 
 
 def _positive_int(text: str) -> int:
@@ -145,11 +157,12 @@ def _row_count(text: str) -> int:
     return value
 
 
-def _method_path(text: str) -> tuple[str, Path]:
+def _method_path(text: str) -> tuple[str, str]:
+    """METHOD=PATH, PATH checked as an output is: a missing one is a data error when read."""
     method, eq, path = text.partition("=")
     if not eq:
         raise argparse.ArgumentTypeError(f"expected METHOD=PATH, got {text!r}")
-    return method, Path(path)
+    return method, _OUT_FILE(path)
 
 
 def _arg(*flags, **kwargs):
@@ -191,31 +204,30 @@ class _Cli:
             )
             for flags, kwargs in cmd.arguments:
                 sub.add_argument(*flags, **kwargs)
-            sub.add_argument("-c", "--config", dest="config_path", type=_existing, metavar="FILE")
+            sub.add_argument("-c", "--config", dest="config_path", metavar="FILE")
         return parser
 
 
 cli = _Cli("Clean tables, split corpora, train generators, score synthetic data.")
 
-_SPLIT = _arg("--split", dest="manifest_path", type=_existing, required=True, metavar="MANIFEST")
-_CLEAN_DIR = _arg("--clean-dir", type=_existing_directory, required=True, metavar="DIR")
+_SPLIT = _arg("--split", dest="manifest_path", type=_IN_FILE, required=True, metavar="MANIFEST")
+_CLEAN_DIR = _arg("--clean-dir", type=_IN_DIR, required=True, metavar="DIR")
 _METHOD = _arg("--method", required=True)
-_OUT = _arg("--out", dest="out_path", required=True, metavar="PATH")
-_CHECKPOINT = _arg("--checkpoint", dest="ckpt_path", type=_existing, required=True, metavar="CKPT")
-_TABLE = _arg("--table", dest="table_path", type=_existing, required=True, metavar="CSV")
+_OUT = _arg("--out", dest="out_path", type=_OUT_FILE, required=True, metavar="PATH")
+_CHECKPOINT = _arg("--checkpoint", dest="ckpt_path", type=_IN_FILE, required=True, metavar="CKPT")
+_TABLE = _arg("--table", dest="table_path", type=_IN_FILE, required=True, metavar="CSV")
 
 
 @cli.command(
     "clean",
-    _arg("corpus_dir", type=_existing_directory, metavar="CORPUS_DIR"),
-    _arg("out_dir", type=_directory, metavar="OUT_DIR"),
+    _arg("corpus_dir", type=_IN_DIR, metavar="CORPUS_DIR"),
+    _arg("out_dir", type=_OUT_DIR, metavar="OUT_DIR"),
 )
 def clean(corpus_dir, out_dir, cfg):
     """Ingest, infer schemas, and clean every CSV under CORPUS_DIR."""
     from tabforge.cleaning import clean_table, cleaning_config
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ccfg = cleaning_config(cfg)
     files = sorted(Path(corpus_dir).glob("*.csv"))
     if not files:
@@ -250,9 +262,9 @@ def clean(corpus_dir, out_dir, cfg):
 
 @cli.command(
     "split",
-    _arg("clean_dir", type=_existing_directory, metavar="CLEAN_DIR"),
+    _arg("clean_dir", type=_IN_DIR, metavar="CLEAN_DIR"),
     _OUT,
-    _arg("--embeddings", dest="embeddings_path", type=_existing, default=None, metavar="FILE"),
+    _arg("--embeddings", dest="embeddings_path", type=_IN_FILE, default=None, metavar="FILE"),
 )
 def split(clean_dir, out_path, embeddings_path, cfg):
     """Emit a train/val/test split manifest for a cleaned corpus.
@@ -268,6 +280,8 @@ def split(clean_dir, out_path, embeddings_path, cfg):
 
     # In the order of the sorted paths, which the seeded shuffle depends on.
     names = [p.stem for p in sorted(Path(clean_dir).glob("*.csv"))]
+    if not names:
+        raise DataError(f"no CSV files under {clean_dir}")
     spec = split_spec(cfg)
     if spec.mode == "random":
         result = random_split(names, spec)
@@ -278,43 +292,28 @@ def split(clean_dir, out_path, embeddings_path, cfg):
             dim = cfg["split"]["embedding_dim"]
             emb = {name: name_embedding(name, dim) for name in names}
         result = domain_split(names, emb, spec)
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    Path(out_path).write_text(result.to_json() + "\n", encoding="utf-8")
+    write_file(out_path, result.to_json() + "\n")
     print(
         f"split: train={len(result.train)} val={len(result.val)} test={len(result.test)}"
     )
 
 
-def _load_manifest(path: str):
-    """The split manifest at `path`; one that is not a manifest is a
-    DataError naming the file."""
+def _load_part(manifest_path: str, clean_dir: str, part: str) -> tuple:
+    """The split manifest at `manifest_path` and the cleaned tables of its
+    `part`; a manifest that is not one is a DataError naming the file."""
     from tabforge.split import DatasetSplit
 
-    return DatasetSplit.from_json(Path(path).read_bytes(), path)
+    manifest = DatasetSplit.from_json(read_file(manifest_path), manifest_path)
+    return manifest, [load_clean_table(Path(clean_dir) / f"{name}.csv") for name in getattr(manifest, part)]
 
 
-def _load_part(manifest, clean_dir: str, part: str) -> list[Table]:
-    """The cleaned tables of a split manifest's `part`."""
-    names = {"train": manifest.train, "val": manifest.val, "test": manifest.test}[part]
-    tables = []
-    for name in names:
-        path = Path(clean_dir) / f"{name}.csv"
-        if not path.exists():
-            raise DataError(f"manifest references {name!r} but {path} is missing")
-        tables.append(load_clean_table(path))
-    return tables
-
-
-def _save_run(ckpt, log, out_path, cfg) -> Path:
+def _save_run(ckpt, log, out_path, cfg) -> None:
     """Save `ckpt` at `out_path` and its training log beside it, as
-    `<stem>.log.csv` under the provenance line; returns the path."""
+    `<stem>.log.csv` under the provenance line."""
     from tabforge.checkpoint import save_checkpoint
 
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(ckpt, out)
-    _write_csv(out.with_suffix(".log.csv"), log.to_csv(), cfg)
-    return out
+    save_checkpoint(ckpt, out_path)
+    _write_csv(Path(out_path).with_suffix(".log.csv"), log.to_csv(), cfg)
 
 
 @cli.command("pretrain", _SPLIT, _CLEAN_DIR, _METHOD, _OUT)
@@ -326,16 +325,15 @@ def pretrain_cmd(manifest_path, clean_dir, method, out_path, cfg):
     """
     from tabforge.training import BudgetExhausted, pretrain, train_config
 
-    manifest = _load_manifest(manifest_path)
-    corpus = _load_part(manifest, clean_dir, "train")
+    _, corpus = _load_part(manifest_path, clean_dir, "train")
     tcfg = train_config(cfg, method)
     try:
         ckpt, log = pretrain(corpus, tcfg)
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(3)
-    out = _save_run(ckpt, log, out_path, cfg)
-    print(f"pretrained {method} on {len(corpus)} tables -> {out}")
+    _save_run(ckpt, log, out_path, cfg)
+    print(f"pretrained {method} on {len(corpus)} tables -> {out_path}")
     if log.stop_reason == "budget":
         print(
             f"error: wall-clock budget of {tcfg.wall_clock_budget:g} s exhausted after "
@@ -351,8 +349,8 @@ def _single_table_cmd(action, table_path, base, method, out_path, cfg):
 
     table = load_clean_table(Path(table_path))
     ckpt, log = finetune(base, table, train_config(cfg, method))
-    out = _save_run(ckpt, log, out_path, cfg)
-    print(f"{action} {method} on {table.name} -> {out} (best epoch {log.best_epoch})")
+    _save_run(ckpt, log, out_path, cfg)
+    print(f"{action} {method} on {table.name} -> {out_path} (best epoch {log.best_epoch})")
 
 
 @cli.command("finetune", _CHECKPOINT, _TABLE, _OUT)
@@ -384,17 +382,16 @@ def sample_cmd(ckpt_path, rows, out_path, cfg):
     ckpt = load_checkpoint(ckpt_path)
     out = Path(out_path)
     table = sample_from_checkpoint(ckpt, rows, cfg["seed"], out.stem)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_table_csv(table, out)
     print(f"sampled {table.n_rows} rows -> {out}")
 
 
 @cli.command(
     "evaluate",
-    _arg("--real", dest="real_path", type=_existing, required=True, metavar="CSV"),
-    _arg("--synthetic", dest="syn_path", type=_existing, required=True, metavar="CSV"),
+    _arg("--real", dest="real_path", type=_IN_FILE, required=True, metavar="CSV"),
+    _arg("--synthetic", dest="syn_path", type=_IN_FILE, required=True, metavar="CSV"),
     _OUT,
-    _arg("--histograms", dest="hist_path", default=None, metavar="PATH"),
+    _arg("--histograms", dest="hist_path", type=_OUT_FILE, default=None, metavar="PATH"),
 )
 def evaluate_cmd(real_path, syn_path, out_path, hist_path, cfg):
     """Score a synthetic CSV against its real source table."""
@@ -403,9 +400,7 @@ def evaluate_cmd(real_path, syn_path, out_path, hist_path, cfg):
     real = load_clean_table(Path(real_path))
     syn = load_as_schema(Path(syn_path), list(real.columns))
     report = table_report(real, syn)
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, report.to_dict(), cfg)
+    _write_json(out_path, report.to_dict(), cfg)
     if hist_path:
         hists = {}
         for i, col in enumerate(real.columns):
@@ -413,9 +408,7 @@ def evaluate_cmd(real_path, syn_path, out_path, hist_path, cfg):
                 hists[col.name] = column_histogram(
                     [r[i] for r in real.rows], [r[i] for r in syn.rows]
                 )
-        hist = Path(hist_path)
-        hist.parent.mkdir(parents=True, exist_ok=True)
-        hist.write_text(json.dumps(hists, indent=2, sort_keys=True), encoding="utf-8")
+        write_file(hist_path, json.dumps(hists, indent=2, sort_keys=True))
     print(
         f"shape={report.s_shape:.4f} trend={report.s_trend:.4f} overall={report.s_overall:.4f}"
     )
@@ -424,13 +417,11 @@ def evaluate_cmd(real_path, syn_path, out_path, hist_path, cfg):
 def _benchmark_one(args):
     """(table × method) task: finetune + scratch, sample, score."""
     # Imported here, not at module level: process-pool workers call this.
-    from tabforge.checkpoint import load_checkpoint_bytes
     from tabforge.metrics import TableReport, table_report
     from tabforge.training import finetune, sample_from_checkpoint, train_config
 
-    table, method, ckpt_blob, cfg = args
+    table, method, base, cfg = args
     tcfg = train_config(cfg, method)
-    base = load_checkpoint_bytes(ckpt_blob)
     results = {}
     logs = {}
     checkpoints = {}
@@ -456,37 +447,28 @@ def _benchmark_one(args):
     _arg("--pretrained", dest="pretrained", type=_method_path, action="append", required=True,
          metavar="METHOD=PATH", help="a pretrained checkpoint, one per --method"),
     _arg("--part", choices=["val", "test"], default="test"),
-    _arg("--out-dir", type=_directory, required=True, metavar="DIR"),
+    _arg("--out-dir", type=_OUT_DIR, required=True, metavar="DIR"),
     _arg("--workers", type=_positive_int, default=1),
 )
 def benchmark_cmd(manifest_path, clean_dir, methods, pretrained, part, out_dir, workers, cfg):
     """Finetune-vs-scratch grid over a split part; emits the leaderboard."""
-    from tabforge.checkpoint import CheckpointError, save_checkpoint
+    from tabforge.checkpoint import load_checkpoint, save_checkpoint
     from tabforge.leaderboard import build_leaderboard
 
-    manifest = _load_manifest(manifest_path)
-    tables = _load_part(manifest, clean_dir, part)
+    manifest, tables = _load_part(manifest_path, clean_dir, part)
     if not tables:
         raise DataError(f"no tables in part {part!r}")
-    ckpt_by_method = dict(pretrained)
-    for i, m in enumerate(methods):
-        if m in methods[:i]:
-            raise DataError(f"--method {m!r} given more than once")
-        if m not in ckpt_by_method:
-            raise CheckpointError(f"missing pretrained checkpoint for method {m!r}")
-        if not ckpt_by_method[m].exists():
-            raise CheckpointError(f"checkpoint {ckpt_by_method[m]} does not exist")
-
-    out = Path(out_dir)
-    (out / "reports").mkdir(parents=True, exist_ok=True)
-    (out / "checkpoints").mkdir(parents=True, exist_ok=True)
-    (out / "logs").mkdir(parents=True, exist_ok=True)
-
-    tasks = []
-    for method in methods:
-        blob = ckpt_by_method[method].read_bytes()
-        for table in tables:
-            tasks.append((table, method, blob, cfg))
+    named = [m for m, _ in pretrained]
+    pairs = (("--method", methods, "--pretrained", named), ("--pretrained", named, "--method", methods))
+    for flag, given, other, partners in pairs:
+        for i, m in enumerate(given):
+            if m in given[:i]:
+                raise DataError(f"{flag} {m!r} given more than once")
+            if m not in partners:
+                raise DataError(f"{flag} {m!r} has no matching {other}")
+    # Every task starts from the same base; finetune only reads it.
+    bases = {m: load_checkpoint(path) for m, path in pretrained}
+    tasks = [(table, method, bases[method], cfg) for method in methods for table in tables]
 
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -496,6 +478,7 @@ def benchmark_cmd(manifest_path, clean_dir, methods, pretrained, part, out_dir, 
     else:
         raw = [_benchmark_one(t) for t in tasks]
 
+    out = Path(out_dir)
     split_name = f"{manifest.provenance.mode}-{part}"
     keyed: dict[tuple[str, str, str], list] = {}
     # pool.map preserves task order, so outputs stay deterministic.
@@ -520,8 +503,8 @@ def _read_report(path: Path) -> tuple:
     if len(key) != 3:
         raise DataError(f"{path}: a report is named <table>.<method>.<regime>.json")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+        doc = json.loads(read_file(path, "utf-8"))
+    except ValueError as exc:  # not JSON
         raise DataError(f"{path}: not a benchmark report: {exc}") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path}: not a benchmark report: not a JSON object")
@@ -533,21 +516,19 @@ def _read_report(path: Path) -> tuple:
 
 @cli.command(
     "report",
-    _arg("--bench-dir", type=_existing_directory, required=True, metavar="DIR"),
-    _arg("--out-dir", type=_directory, required=True, metavar="DIR"),
+    _arg("--bench-dir", type=_IN_DIR, required=True, metavar="DIR"),
+    _arg("--out-dir", type=_OUT_DIR, required=True, metavar="DIR"),
 )
 def report_cmd(bench_dir, out_dir, cfg):
     """Render leaderboard text and per-column/per-pair score deltas."""
     from tabforge.leaderboard import build_leaderboard
 
-    bench = Path(bench_dir)
-    reports_dir = bench / "reports"
-    if not reports_dir.exists():
-        raise DataError(f"{bench_dir} has no reports/ directory")
+    reports_dir = Path(bench_dir) / "reports"
     loaded = dict(_read_report(path) for path in sorted(reports_dir.glob("*.json")))
+    if not loaded:
+        raise DataError(f"no benchmark reports under {reports_dir}")
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     deltas = {}
     for (table, method, regime), report in loaded.items():
         if regime != "finetuned":
@@ -565,14 +546,14 @@ def report_cmd(bench_dir, out_dir, cfg):
                 for pair in report.trend_scores
             },
         }
-    (out / "deltas.json").write_text(json.dumps(deltas, indent=2, sort_keys=True), encoding="utf-8")
+    write_file(out / "deltas.json", json.dumps(deltas, indent=2, sort_keys=True))
 
     keyed: dict[tuple[str, str, str], list] = {}
     for (_, method, regime), report in loaded.items():
         keyed.setdefault(("bench", method, regime), []).append(report)
     board = build_leaderboard(keyed)
     _write_csv(out / "leaderboard.csv", board.to_csv(), cfg)
-    (out / "leaderboard.txt").write_text(board.render(), encoding="utf-8")
+    write_file(out / "leaderboard.txt", board.render())
     print(board.render())
 
 

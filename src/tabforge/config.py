@@ -127,7 +127,7 @@ def load_config(path=None, overrides: list[str] = ()) -> dict:
         except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(doc, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ConfigError(f"cannot read config {path}: not a JSON object")
         for key, value in doc.items():
             apply_override(cfg, key, value)
     for token in overrides:

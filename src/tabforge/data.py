@@ -9,7 +9,9 @@ cleaning pipeline's job.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -29,6 +31,34 @@ class DataError(Exception):
 
     Every module's own error class subclasses it, so the CLI reports all of
     them with exit 2 without importing the modules that define them."""
+
+
+def read_file(path, encoding: str | None = None) -> bytes | str:
+    """The bytes of the file at `path`, or its text in `encoding`, newlines
+    untranslated; a file that cannot be read or decoded is a DataError."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return data if encoding is None else data.decode(encoding)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def write_file(path, data: bytes | str) -> None:
+    """Write `data` (text as UTF-8) to a new file beside `path`, then replace
+    `path` with it; a failure is a DataError that leaves `path` as it was."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -145,15 +175,8 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     """The header and the data rows of an RFC-4180 CSV, each data cell
     stripped.  An unreadable or empty file, one without data rows and a
     ragged row are DataErrors."""
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            raw = list(reader)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"cannot decode {path}: {exc}") from exc
-    raw = [row for row in raw if row]
+    text = io.StringIO(read_file(path, "utf-8-sig"), newline="")
+    raw = [row for row in csv.reader(text) if row]
     if not raw:
         raise DataError(f"{path}: empty file")
     header, data = raw[0], raw[1:]

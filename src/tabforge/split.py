@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tabforge.data import DataError
+from tabforge.data import DataError, read_file
 from tabforge.rng import kmeans_pp
 
 
@@ -244,11 +244,8 @@ def domain_split(names: list[str], embeddings: dict[str, np.ndarray], spec: Spli
 def load_embedding_file(path) -> dict[str, np.ndarray]:
     """Read `name<TAB>v1,v2,...` lines into an embedding map.  Every vector
     must be finite and as long as the first."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    # Universal newlines, as a file opened in text mode reads them.
+    lines = read_file(path, "utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     out: dict[str, np.ndarray] = {}
     for lineno, line in enumerate(lines, 1):
         if not line:
@@ -264,4 +261,6 @@ def load_embedding_file(path) -> dict[str, np.ndarray]:
             raise DataError(f"{path}:{lineno}: embedding has {len(vec)} values, earlier lines have {width}")
         width = len(vec)
         out[name] = vec
+    if not out:
+        raise DataError(f"{path}: no embeddings")
     return out

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -360,7 +364,8 @@ class TestFailuresExitTwo:
         return path
 
     @pytest.mark.parametrize("case", [
-        "great_body", "gmm_missing_tensor", "great_reshaped_tensor", "great_nan_tensor", "great_overflow",
+        "great_body", "gmm_missing_tensor", "great_reshaped_tensor", "great_nan_tensor",
+        pytest.param("great_overflow", marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
     ])
     def test_sample_rejects_bad_checkpoint(self, case, pipeline_dirs, monkeypatch, capsys, cli_run):
         cleaned, manifest, tmp = pipeline_dirs
@@ -429,17 +434,33 @@ class TestFailuresExitTwo:
         assert main_exit_code(monkeypatch, args) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: {detail}")
 
-    def test_benchmark_rejects_a_repeated_method(self, pipeline_dirs, monkeypatch, capsys, cli_run):
+    @pytest.mark.parametrize("methods, pretrained, detail", [
+        (["stvae", "stvae"], ["stvae"], "--method 'stvae' given more than once"),
+        (["stvae"], ["stvae", "stvae"], "--pretrained 'stvae' given more than once"),
+        (["stvae"], ["stvae", "tvae"], "--pretrained 'tvae' has no matching --method"),
+    ], ids=["method", "pretrained", "unused-pretrained"])
+    def test_benchmark_rejects_a_repeated_method(self, methods, pretrained, detail, pipeline_dirs, monkeypatch,
+                                                 capsys, cli_run):
         cleaned, manifest, tmp = pipeline_dirs
         pre = tmp / "pre.ckpt"
         cli_run(["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned),
                  "--method", "stvae", "--out", str(pre), *TINY])
-        args = ["benchmark", "--split", str(manifest), "--clean-dir", str(cleaned),
-                "--method", "stvae", "--method", "stvae", "--pretrained", f"stvae={pre}",
-                "--part", "val", "--out-dir", str(tmp / "bench"), *TINY]
+        args = ["benchmark", "--split", str(manifest), "--clean-dir", str(cleaned), "--part", "val",
+                "--out-dir", str(tmp / "bench"), *TINY]
+        args += [a for m in methods for a in ("--method", m)]
+        args += [a for m in pretrained for a in ("--pretrained", f"{m}={pre}")]
         assert main_exit_code(monkeypatch, args) == 2
-        assert capsys.readouterr().err == "error: --method 'stvae' given more than once\n"
+        assert capsys.readouterr().err == f"error: {detail}\n"
         assert not (tmp / "bench").exists()
+
+    @pytest.mark.parametrize("reports", ["missing", "empty"])
+    def test_report_over_no_reports_is_a_data_error(self, reports, tmp_path, monkeypatch, capsys):
+        bench = tmp_path / "bench"
+        (bench / "reports" if reports == "empty" else bench).mkdir(parents=True)
+        args = ["report", "--bench-dir", str(bench), "--out-dir", str(tmp_path / "out")]
+        assert main_exit_code(monkeypatch, args) == 2
+        assert capsys.readouterr().err == f"error: no benchmark reports under {bench / 'reports'}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name, text, detail", [
         ("stray.json", "{}", "a report is named <table>.<method>.<regime>.json"),
@@ -597,6 +618,29 @@ class TestEvaluateTypesBySchema:
         args = ["evaluate", "--real", str(real), "--synthetic", str(syn), "--out", str(tmp_path / "r.json")]
         assert main_exit_code(monkeypatch, args) == 2
         assert capsys.readouterr().err == f"error: {syn}: non-numeric cell in numeric column 'v'\n"
+
+
+def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # At the default model sizes BLAS splits some products over its threads,
+    # which sums them in another order; the CLI runs every command on one.
+    rng = np.random.default_rng(0)
+    header = ["a", "b", "c", "d", "g", "h", "k"]
+    rows = [[f"{v:.4f}" for v in rng.normal(size=4)] + list(rng.choice(["x", "y", "z", "w"], size=3))
+            for _ in range(1000)]
+    table = write_csv(tmp_path, "t", header, rows)
+    variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in variables}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(tabforge.cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    checkpoints = []
+    for threads in (None, "1", "2"):
+        out = tmp_path / f"{threads}.ckpt"
+        subprocess.run(
+            [sys.executable, "-m", "tabforge.cli", "train-scratch", "--table", str(table), "--method", "ctgan",
+             "--out", str(out), "--training.epochs=2"],
+            env={**env, **dict.fromkeys(variables if threads else (), threads)}, check=True, capture_output=True,
+        )
+        checkpoints.append(out.read_bytes())
+    assert checkpoints[1] == checkpoints[0] and checkpoints[2] == checkpoints[0]
 
 
 def test_evaluate_writes_histograms_into_a_new_directory(tmp_path, cli_run):
@@ -803,7 +847,8 @@ class TestBadConfigValues:
         lambda path: path.write_bytes(b'{"seed": "\xff"}'),
         lambda path: path.write_text("{not json"),
         lambda path: path.mkdir(),
-    ], ids=["not-utf8", "not-json", "directory"])
+        lambda path: path.write_text("[1]"),
+    ], ids=["not-utf8", "not-json", "directory", "not-an-object"])
     def test_unreadable_config_file_is_a_usage_error(self, write, toy_corpus, tmp_path, cli_run):
         path = tmp_path / "config.json"
         write(path)

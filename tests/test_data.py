@@ -126,7 +126,7 @@ class TestDatasetStats:
         with pytest.raises(SystemExit) as exc:
             main()
         assert exc.value.code == 2
-        assert "'ghost'" in capsys.readouterr().err
+        assert f"error: cannot read {cleaned / 'ghost.csv'}: " in capsys.readouterr().err
 
 
 def test_table_invariants_enforced():

@@ -220,14 +220,15 @@ def test_bad_embedding_file_is_a_data_error(lines, found, toy_corpus, tmp_path, 
     assert found in capsys.readouterr().err
 
 
-def test_embedding_path_that_is_a_directory_is_a_data_error(toy_corpus, tmp_path, cli_run):
+def test_embedding_path_that_is_a_directory_is_a_usage_error(toy_corpus, tmp_path, cli_run):
     cleaned = tmp_path / "cleaned"
     cli_run(["clean", str(toy_corpus), str(cleaned)])
     emb = tmp_path / "emb"
     emb.mkdir()
     args = ["split", str(cleaned), "--out", str(tmp_path / "s.json"), "--split.mode=domain", "--embeddings", str(emb)]
-    err = cli_run(args, code=2).err
-    assert err.startswith(f"error: cannot read {emb}: ") and len(err.strip().splitlines()) == 1
+    err = cli_run(args, code=1).err
+    assert err == f"usage error: tabforge split: argument --embeddings: {str(emb)!r} is a directory\n"
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_kmeans_nan_check_survives_optimize_flag():
