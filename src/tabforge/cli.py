@@ -20,6 +20,7 @@ numpy, and `split` never loads the training stack.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -115,17 +116,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _path(directory: bool, must_exist: bool):
-    """An argparse type for the path of a directory or file: existing, or creatable."""
+def _path(directory: bool, must_exist: bool, error=argparse.ArgumentTypeError):
+    """A check for the path of a directory or file: existing, or creatable.
+    It raises `error`, so by default it is an argparse type."""
 
     def check(text: str) -> str:
         path = Path(text)
         if must_exist and not path.exists():
-            raise argparse.ArgumentTypeError(f"path {text!r} does not exist")
+            raise error(f"path {text!r} does not exist")
         if path.exists() and path.is_dir() != directory:
-            raise argparse.ArgumentTypeError(f"{text!r} is a {'file' if directory else 'directory'}")
+            raise error(f"{text!r} is a {'file' if directory else 'directory'}")
         if any(parent.is_file() for parent in path.parents):
-            raise argparse.ArgumentTypeError(f"cannot create {text!r}: a parent is a file")
+            raise error(f"cannot create {text!r}: a parent is a file")
         return text
 
     return check
@@ -285,13 +287,11 @@ def split(clean_dir, out_path, embeddings_path, cfg):
     spec = split_spec(cfg)
     if spec.mode == "random":
         result = random_split(names, spec)
+    elif embeddings_path:
+        result = domain_split(names, load_embedding_file(embeddings_path), spec, embeddings_path)
     else:
-        if embeddings_path:
-            emb = load_embedding_file(embeddings_path)
-        else:
-            dim = cfg["split"]["embedding_dim"]
-            emb = {name: name_embedding(name, dim) for name in names}
-        result = domain_split(names, emb, spec)
+        dim = cfg["split"]["embedding_dim"]
+        result = domain_split(names, {name: name_embedding(name, dim) for name in names}, spec)
     write_file(out_path, result.to_json() + "\n")
     print(
         f"split: train={len(result.train)} val={len(result.val)} test={len(result.test)}"
@@ -414,29 +414,16 @@ def evaluate_cmd(real_path, syn_path, out_path, hist_path, cfg):
     )
 
 
-def _benchmark_one(args):
-    """(table × method) task: finetune + scratch, sample, score."""
+def _benchmark_one(task):
+    """One (table, method, regime) task: train from the base (None: scratch),
+    sample the table's row count and score it; returns (report, log, ckpt)."""
     # Imported here, not at module level: process-pool workers call this.
-    from tabforge.metrics import TableReport, table_report
-    from tabforge.training import finetune, sample_from_checkpoint, train_config
+    from tabforge.training import finetune, sample_from_checkpoint, score_synthetic
 
-    table, method, base, cfg = args
-    tcfg = train_config(cfg, method)
-    results = {}
-    logs = {}
-    checkpoints = {}
-    for regime, start in (("finetuned", base), ("scratch", None)):
-        ckpt, log = finetune(start, table, tcfg)
-        syn = sample_from_checkpoint(ckpt, table.n_rows, tcfg.seed, table.name)
-        if syn.n_rows == 0:
-            # Nothing parseable came out (possible for the text model); score
-            # the regime zero instead of aborting the whole grid.
-            results[regime] = TableReport(table.name, {}, {}, 0.0, 0.0, 0.0, 0, False)
-        else:
-            results[regime] = table_report(table, syn)
-        logs[regime] = log
-        checkpoints[regime] = ckpt
-    return table.name, results, logs, checkpoints
+    table, _, _, start, tcfg = task
+    ckpt, log = finetune(start, table, tcfg)
+    syn = sample_from_checkpoint(ckpt, table.n_rows, tcfg.seed, table.name)
+    return score_synthetic(table, syn), log, ckpt
 
 
 @cli.command(
@@ -451,9 +438,13 @@ def _benchmark_one(args):
     _arg("--workers", type=_positive_int, default=1),
 )
 def benchmark_cmd(manifest_path, clean_dir, methods, pretrained, part, out_dir, workers, cfg):
-    """Finetune-vs-scratch grid over a split part; emits the leaderboard."""
+    """Finetune-vs-scratch grid over a split part; emits the leaderboard.
+
+    Each (table, method, regime) task's files are written as it finishes; a
+    failed task ends the command with the earlier tasks' files and no leaderboard."""
     from tabforge.checkpoint import load_checkpoint, save_checkpoint
     from tabforge.leaderboard import build_leaderboard
+    from tabforge.training import train_config
 
     manifest, tables = _load_part(manifest_path, clean_dir, part)
     if not tables:
@@ -466,28 +457,30 @@ def benchmark_cmd(manifest_path, clean_dir, methods, pretrained, part, out_dir, 
                 raise DataError(f"{flag} {m!r} given more than once")
             if m not in partners:
                 raise DataError(f"{flag} {m!r} has no matching {other}")
-    # Every task starts from the same base; finetune only reads it.
-    bases = {m: load_checkpoint(path) for m, path in pretrained}
-    tasks = [(table, method, bases[method], cfg) for method in methods for table in tables]
-
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_benchmark_one, tasks))
-    else:
-        raw = [_benchmark_one(t) for t in tasks]
-
     out = Path(out_dir)
+    for sub in ("reports", "logs", "checkpoints"):  # before any training, as --out-dir was
+        _path(directory=True, must_exist=False, error=DataError)(str(out / sub))
+    # Every finetuned task starts from its method's base; finetune only reads it.
+    bases = {m: load_checkpoint(path) for m, path in pretrained}
+    tcfgs = {m: train_config(cfg, m) for m in methods}
+    tasks = [(table, m, regime, start, tcfgs[m]) for m in methods for table in tables
+             for regime, start in (("finetuned", bases[m]), ("scratch", None))]
+
     split_name = f"{manifest.provenance.mode}-{part}"
     keyed: dict[tuple[str, str, str], list] = {}
-    # pool.map preserves task order, so outputs stay deterministic.
-    for (_, method, _, _), (name, results, logs, ckpts) in zip(tasks, raw):
-        for regime, report in results.items():
+    with contextlib.ExitStack() as stack:
+        run = map  # in this process, where a tracer sees every call
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        # Both maps yield in task order, so outputs stay deterministic.
+        for (table, method, regime, _, _), (report, log, ckpt) in zip(tasks, run(_benchmark_one, tasks)):
+            stem = f"{table.name}.{method}.{regime}"
             keyed.setdefault((split_name, method, regime), []).append(report)
-            _write_json(out / "reports" / f"{name}.{method}.{regime}.json", report.to_dict(), cfg)
-            _write_csv(out / "logs" / f"{name}.{method}.{regime}.csv", logs[regime].to_csv(), cfg)
-            save_checkpoint(ckpts[regime], out / "checkpoints" / f"{name}.{method}.{regime}.ckpt")
+            _write_json(out / "reports" / f"{stem}.json", report.to_dict(), cfg)
+            _write_csv(out / "logs" / f"{stem}.csv", log.to_csv(), cfg)
+            save_checkpoint(ckpt, out / "checkpoints" / f"{stem}.ckpt")
 
     board = build_leaderboard(keyed)
     _write_csv(out / "leaderboard.csv", board.to_csv(), cfg)

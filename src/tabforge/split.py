@@ -198,9 +198,9 @@ def name_embedding(name: str, dim: int) -> np.ndarray:
     return vec / norm
 
 
-def domain_split(names: list[str], embeddings: dict[str, np.ndarray], spec: SplitSpec) -> DatasetSplit:
+def domain_split(names: list[str], embeddings: dict[str, np.ndarray], spec: SplitSpec, source=None) -> DatasetSplit:
     """Cluster the embeddings of the table names, then assign whole clusters
-    to parts.
+    to parts.  A name with no embedding is a DataError naming `source`.
 
     Clusters are shuffled (seeded), processed largest-first, each going to
     the part with the largest remaining deficit against its ratio target, so
@@ -210,7 +210,7 @@ def domain_split(names: list[str], embeddings: dict[str, np.ndarray], spec: Spli
         raise ValueError("domain_split requires a Domain spec")
     missing = [n for n in names if n not in embeddings]
     if missing:
-        raise DataError(f"missing embeddings for tables: {missing[:5]}")
+        raise DataError(f"tables missing from {source or 'the embeddings'}: {missing[:5]}")
     if spec.k > len(names):
         raise DataError("cannot have more clusters than tables")
     matrix = [np.asarray(embeddings[n], dtype=np.float64) for n in names]

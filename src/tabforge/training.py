@@ -33,7 +33,7 @@ from tabforge.great.model import (
     pad_batch,
     sequence_nll,
 )
-from tabforge.metrics import MetricError, table_report
+from tabforge.metrics import MetricError, TableReport, table_report
 from tabforge.models.ctgan import (
     CtganConfig,
     build_ctgan,
@@ -562,15 +562,19 @@ def finetune(
     return _checkpoint(model, config, best_state, driver.aux(model), [table], best_epoch), log
 
 
+def score_synthetic(real: Table, syn: Table) -> TableReport:
+    """`syn` scored against `real`; a sample the metrics cannot score (empty,
+    or one row where a trend needs two) scores zero instead of ending the run."""
+    try:
+        return table_report(real, syn)
+    except MetricError:
+        return TableReport(real.name, {}, {}, 0.0, 0.0, 0.0, syn.n_rows)
+
+
 def _snapshot_score(driver, model, table: Table, val_ids: np.ndarray, config: TrainConfig, epoch: int) -> float:
     val_table = Table(table.name, list(table.columns), [table.rows[int(i)] for i in val_ids])
     rng = substream(config.seed, "snapshot", table.name, epoch)
-    syn = driver.sample(model, val_table.n_rows, rng)
-    syn.name = val_table.name
-    try:
-        return table_report(val_table, syn).s_overall
-    except MetricError:
-        return 0.0  # early garbage snapshots may not be scoreable; rank them last
+    return score_synthetic(val_table, driver.sample(model, val_table.n_rows, rng)).s_overall
 
 
 # -- sampling from persisted models -----------------------------------------------------

@@ -14,6 +14,7 @@ import tabforge.training as tr
 from tabforge.checkpoint import load_checkpoint, save_checkpoint
 from tabforge.cli import load_clean_table, main
 from tabforge.config import DEFAULTS
+from tabforge.data import Table
 
 from conftest import write_csv
 
@@ -228,24 +229,76 @@ class TestBenchmark:
         assert any((bench / "checkpoints").glob("*.ckpt"))
 
     def test_process_pool_writes_the_same_bytes(self, pipeline_dirs, cli_run):
-        cleaned, manifest, tmp = pipeline_dirs
-        pre = tmp / "pre.ckpt"
-        cli_run(
-            ["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned),
-             "--method", "tvae", "--out", str(pre)] + TINY
-        )
+        args = benchmark_args(pipeline_dirs, cli_run)
         outputs = {}
         for workers in (1, 2):
-            bench = tmp / f"bench{workers}"
-            cli_run(
-                ["benchmark", "--split", str(manifest), "--clean-dir", str(cleaned),
-                 "--method", "tvae", "--pretrained", f"tvae={pre}", "--part", "val",
-                 "--out-dir", str(bench), "--workers", str(workers)] + TINY
-            )
-            files = [bench / "leaderboard.csv", *sorted((bench / "checkpoints").glob("*.ckpt"))]
-            outputs[workers] = {p.relative_to(bench): p.read_bytes() for p in files}
-        assert len(outputs[1]) == 3  # leaderboard, finetuned and scratch checkpoints
+            bench = pipeline_dirs[2] / f"bench{workers}"
+            cli_run(args + ["--out-dir", str(bench), "--workers", str(workers)])
+            outputs[workers] = bench_files(bench)
+        # The leaderboard, and a report, log and checkpoint per (method, regime) of the one val table.
+        assert len(outputs[1]) == 13
         assert outputs[2] == outputs[1]
+
+    def test_each_task_trains_once_and_a_failed_task_keeps_the_earlier_files(
+        self, pipeline_dirs, monkeypatch, cli_run
+    ):
+        args = benchmark_args(pipeline_dirs, cli_run)
+        tmp = pipeline_dirs[2]
+        finetune, benchmark_one = tr.finetune, tabforge.cli._benchmark_one
+        trained, tasks, fail_at = [], [], None
+
+        def counted_finetune(start, table, config):
+            trained.append((table.name, config.kind, start is None))
+            if len(trained) == fail_at:
+                monkeypatch.setattr(tr._VaeDriver, "train_epoch", diverge)
+            return finetune(start, table, config)
+
+        def diverge(self, model, session, rng):
+            raise FloatingPointError("non-finite values produced by op 'exp'")
+
+        def counted_task(task):
+            before = len(trained)
+            result = benchmark_one(task)
+            tasks.append(len(trained) - before)
+            return result
+
+        monkeypatch.setattr(tr, "finetune", counted_finetune)
+        monkeypatch.setattr(tabforge.cli, "_benchmark_one", counted_task)
+        cli_run(args + ["--out-dir", str(tmp / "whole")])
+        (table,) = {name for name, _, _ in trained}
+        assert tasks == [1, 1, 1, 1]  # one table x two methods x two regimes, one finetune each
+        assert trained == [(table, m, scratch) for m in ("stvae", "tvae") for scratch in (False, True)]
+
+        trained.clear()
+        fail_at = 3
+        err = cli_run(args + ["--out-dir", str(tmp / "cut")], code=2).err
+        assert f"tvae training diverged on table {table!r}" in err
+        whole, cut = bench_files(tmp / "whole"), bench_files(tmp / "cut")
+        assert sorted(map(str, cut)) == [
+            f"{kind}/{table}.stvae.{regime}.{ext}"
+            for kind, ext in (("checkpoints", "ckpt"), ("logs", "csv"), ("reports", "json"))
+            for regime in ("finetuned", "scratch")
+        ]
+        assert cut == {path: whole[path] for path in cut}
+
+    def test_a_sample_the_metrics_cannot_score_scores_zero(self, pipeline_dirs, monkeypatch, cli_run):
+        args = benchmark_args(pipeline_dirs, cli_run, methods=("stvae",))
+        sample = tr.sample_from_checkpoint
+        samples = []
+
+        def first_keeps_one_row(ckpt, n, seed, name):
+            syn = sample(ckpt, n, seed, name)
+            samples.append(syn.n_rows)
+            # Two numeric columns: one row has no Pearson trend.
+            return Table(syn.name, syn.columns, syn.rows[:1]) if len(samples) == 1 else syn
+
+        monkeypatch.setattr(tr, "sample_from_checkpoint", first_keeps_one_row)
+        bench = pipeline_dirs[2] / "bench"
+        cli_run(args + ["--out-dir", str(bench)])
+        reports = {p.name.split(".", 1)[1]: json.loads(p.read_text()) for p in (bench / "reports").glob("*.json")}
+        assert (reports["stvae.finetuned.json"]["s_overall"], reports["stvae.finetuned.json"]["syn_rows"]) == (0.0, 1)
+        assert reports["stvae.scratch.json"]["syn_rows"] == samples[1] > 1
+        assert (bench / "leaderboard.csv").exists()
 
     def test_missing_pretrained_checkpoint_errors(self, pipeline_dirs, monkeypatch):
         cleaned, manifest, tmp = pipeline_dirs
@@ -281,6 +334,24 @@ class TestBenchmark:
         )
         assert (rep / "deltas.json").exists()
         assert (rep / "leaderboard.txt").exists()
+
+
+def benchmark_args(pipeline_dirs, cli_run, methods=("stvae", "tvae")) -> list[str]:
+    """Pretrain each of `methods`, and return the `benchmark` arguments over
+    the val part (one table) that lack only `--out-dir`."""
+    cleaned, manifest, tmp = pipeline_dirs
+    args = ["benchmark", "--split", str(manifest), "--clean-dir", str(cleaned), "--part", "val", *TINY]
+    for method in methods:
+        pre = tmp / f"{method}.ckpt"
+        cli_run(["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned),
+                 "--method", method, "--out", str(pre)] + TINY)
+        args += ["--method", method, "--pretrained", f"{method}={pre}"]
+    return args
+
+
+def bench_files(bench: Path) -> dict:
+    """Every file under `bench`, by relative path, with its bytes."""
+    return {p.relative_to(bench): p.read_bytes() for p in sorted(bench.rglob("*")) if p.is_file()}
 
 
 def main_exit_code(monkeypatch, args) -> int:

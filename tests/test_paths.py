@@ -159,20 +159,30 @@ def test_a_failed_replace_keeps_the_old_file(toy_corpus, tmp_path, monkeypatch, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cleaned", "corpus", "split.json"]
 
 
-@pytest.mark.parametrize("command", ["benchmark", "report"])
-def test_a_bad_path_inside_a_benchmark_directory_is_named(command, inputs, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command, subdirectory", [
+    pytest.param("benchmark", "reports", id="benchmark-reports"),
+    pytest.param("benchmark", "logs", id="benchmark-logs"),
+    pytest.param("benchmark", "checkpoints", id="benchmark-checkpoints"),
+    pytest.param("report", "reports", id="report"),
+])
+def test_a_bad_path_inside_a_benchmark_directory_is_named(
+    command, subdirectory, inputs, tmp_path, monkeypatch, capsys
+):
     bench = tmp_path / "bench"
     if command == "benchmark":
         bench.mkdir()
-        (bench / "reports").write_bytes(b"")  # a file where the reports directory goes
-        bad = bench / "reports"
+        bad = bench / subdirectory
+        bad.write_bytes(b"")  # a file where the benchmark writes a directory
         args = [part.format(**inputs, out_dir=bench) for part in COMMANDS["benchmark"]]
     else:
         (bench / "reports" / "t.stvae.scratch.json").mkdir(parents=True)
         bad = bench / "reports" / "t.stvae.scratch.json"
         args = ["report", "--bench-dir", bench, "--out-dir", tmp_path / "out"]
+    trained = []
+    monkeypatch.setattr(tabforge.training, "finetune", lambda *a: trained.append(a))
     before = sorted(tmp_path.rglob("*"))
     assert _run(monkeypatch, args) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == before
+    assert trained == []

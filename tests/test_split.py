@@ -202,6 +202,7 @@ def test_embedding_file_loader(tmp_path):
         (["table0\t1.0,2.0", "table1\t0.5,inf"], "emb.tsv:2: non-finite"),
         (["table0\t1.0,2.0", "table1\t1.0,2.0,3.0"], "emb.tsv:2: embedding has 3 values"),
         (["table0\t1.0,2.0", "table1\t\udcff1.0,2.0"], "emb.tsv: 'utf-8' codec can't decode byte 0xff"),
+        ([], "tables missing from {emb}: ['table0', 'table1']"),  # only table2 and table3 have lines
     ],
 )
 def test_bad_embedding_file_is_a_data_error(lines, found, toy_corpus, tmp_path, monkeypatch, capsys, cli_run):
@@ -217,7 +218,7 @@ def test_bad_embedding_file_is_a_data_error(lines, found, toy_corpus, tmp_path, 
     with pytest.raises(SystemExit) as exc:
         main()
     assert exc.value.code == 2
-    assert found in capsys.readouterr().err
+    assert found.format(emb=emb) in capsys.readouterr().err
 
 
 def test_embedding_path_that_is_a_directory_is_a_usage_error(toy_corpus, tmp_path, cli_run):

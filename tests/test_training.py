@@ -18,7 +18,7 @@ from tabforge.checkpoint import (
 from tabforge.cli import main
 from tabforge.data import ColumnKind, ColumnMeta, Table
 from tabforge.great.bpe import MIN_VOCAB
-from tabforge.metrics import MetricError
+from tabforge.metrics import MetricError, TableReport
 import tabforge.training as tr
 from tabforge.training import (
     TrainingError,
@@ -436,6 +436,14 @@ class TestSnapshotScore:
         monkeypatch.setattr(tr, "table_report", broken)
         with pytest.raises(ValueError, match="bug in the scorer"):
             self._score()
+
+
+class TestScoreSynthetic:
+    @pytest.mark.parametrize("rows", [0, 1])  # one row: a trend needs two
+    def test_an_unscoreable_sample_scores_zero(self, rows):
+        syn = make_table("syn", n=rows, seed=1)
+        report = tr.score_synthetic(make_table("real", n=20), syn)
+        assert report == TableReport("real", {}, {}, 0.0, 0.0, 0.0, rows)
 
 
 class TestPretrain:
