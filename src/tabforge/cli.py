@@ -286,6 +286,8 @@ def split(clean_dir, out_path, embeddings_path, cfg):
         raise DataError(f"no CSV files under {clean_dir}")
     spec = split_spec(cfg)
     if spec.mode == "random":
+        if embeddings_path:
+            raise DataError("--embeddings is read only when split.mode is 'domain', not 'random'")
         result = random_split(names, spec)
     elif embeddings_path:
         result = domain_split(names, load_embedding_file(embeddings_path), spec, embeddings_path)

@@ -54,16 +54,14 @@ class KVCache:
     """Per-layer keys and values of a batch of sequences decoded in lockstep,
     preallocated to the context: (batch, n_heads, ctx, d_head) per layer.
 
-    Every sequence is at the same position.  Position i holds what the
-    cached forward computed for the i-th token fed; `tokens` keeps those ids
-    so a failing step can be replayed on the tape.
+    Every sequence is at the same position.  Position i holds the keys and
+    values the cached forward computed for the i-th token fed.
     """
 
     def __init__(self, config: GreatConfig, batch: int = 1):
         shape = (batch, config.n_heads, config.ctx, config.d_model // config.n_heads)
         self.keys = [np.empty(shape, dtype=np.float32) for _ in range(config.n_layers)]
         self.values = [np.empty(shape, dtype=np.float32) for _ in range(config.n_layers)]
-        self.tokens = np.empty((batch, config.ctx), dtype=np.int64)
         self.length = 0
 
     def __len__(self) -> int:
@@ -71,7 +69,22 @@ class KVCache:
 
     @property
     def batch(self) -> int:
-        return len(self.tokens)
+        return len(self.keys[0])
+
+    def attend(self, layer: int, qkv: np.ndarray, n_heads: int) -> np.ndarray:
+        """Self-attention of one new position per sequence: its keys and
+        values, from the (B, 3 * d) block `qkv`, are written at position
+        `len(self)` of `layer`, and its queries attend over every position
+        up to it.  Returns (B, d).  The causal mask's last row adds zero
+        everywhere, so it is left out."""
+        pos = self.length
+        b, width = qkv.shape
+        h = width // 3 // n_heads
+        qkv = qkv.reshape(b, 3, n_heads, 1, h)
+        keys, values = self.keys[layer], self.values[layer]
+        keys[:, :, pos], values[:, :, pos] = qkv[:, 1, :, 0], qkv[:, 2, :, 0]
+        scores = qkv[:, 0] @ keys[:, :, : pos + 1].swapaxes(-1, -2) * (1.0 / math.sqrt(h))
+        return (T.softmax_array(scores) @ values[:, :, : pos + 1]).reshape(b, width // 3)
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop every sequence but those at `rows` (ascending batch indices),
@@ -81,7 +94,6 @@ class KVCache:
             for l, buf in enumerate(buffers):
                 buf[:m, :, :n] = buf[rows, :, :n]
                 buffers[l] = buf[:m]
-        self.tokens = self.tokens[rows]
 
 
 @dataclass
@@ -115,73 +127,53 @@ class GreatModel:
 
         Without a cache this is the taped pass training differentiates and
         returns a Tensor.  With one, `ids` (B, 1) holds the next token of
-        each of the cache's B sequences, all at position `len(cache)`: their
-        keys and values join the cache and the logits come back as a plain
-        (B, 1, vocab) array, computed with no tape.
+        each of the cache's B sequences, all at position `len(cache)`: the
+        same layers run untaped on one (B, d) row per sequence, their keys
+        and values join the cache, and the logits come back as a plain
+        (B, 1, vocab) array.  The step runs inside `guarded_step`: a failing
+        one is replayed at the same position with per-op checks, so its
+        FloatingPointError names the op, or else the position.
         """
-        if cache is not None:
-            return self._cached_step(ids, cache)
         cfg = self.config
-        ids = np.asarray(ids)
-        b, t = ids.shape
-        if t > cfg.ctx:
-            raise GreatError(f"sequence length {t} exceeds context {cfg.ctx}")
         p = self.params
-        x = T.take_rows(p["tok_emb"], ids) + p["pos_emb"][:t]
+        ids = np.asarray(ids)
+        if cache is None:
+            b, t = ids.shape
+            if t > cfg.ctx:
+                raise GreatError(f"sequence length {t} exceeds context {cfg.ctx}")
+            x = T.take_rows(p["tok_emb"], ids) + p["pos_emb"][:t]
+            return self._layers(x, lambda l, qkv: T.causal_attention(qkv, cfg.n_heads, self._mask(t)))
+        if ids.shape != (cache.batch, 1):
+            raise GreatError(f"a cached forward takes one token for each of {cache.batch} sequences, got {ids.shape}")
+        pos = len(cache)
+        if pos >= cfg.ctx:
+            raise GreatError(f"position {pos} exceeds context {cfg.ctx}")
+
+        def step():
+            cache.length = pos  # a replay rewrites the same position
+            x = T.take_rows(p["tok_emb"], ids[:, 0]) + p["pos_emb"][pos : pos + 1]
+            logits = self._layers(x, lambda l, qkv: Tensor(cache.attend(l, qkv.data, cfg.n_heads)))
+            cache.length = pos + 1
+            return (logits,)
+
+        with T.no_grad():
+            (logits,) = T.guarded_step(f"the cached forward at position {pos}", step, ())
+        return logits.data[:, None]
+
+    def _layers(self, x: Tensor, attention) -> Tensor:
+        """The blocks, the final norm and the tied output projection over
+        embedded tokens `x`; `attention(l, qkv)` is layer l's self-attention."""
+        cfg = self.config
+        p = self.params
         for l in range(cfg.n_layers):
             ln1 = T.layer_norm(x, p[f"b{l}.ln1.g"], p[f"b{l}.ln1.b"])
             qkv = T.linear(ln1, p[f"b{l}.attn.wqkv"], p[f"b{l}.attn.bqkv"])
-            att = T.causal_attention(qkv, cfg.n_heads, self._mask(t))
-            x = x + T.linear(att, p[f"b{l}.attn.wproj"], p[f"b{l}.attn.bproj"])
+            x = x + T.linear(attention(l, qkv), p[f"b{l}.attn.wproj"], p[f"b{l}.attn.bproj"])
             ln2 = T.layer_norm(x, p[f"b{l}.ln2.g"], p[f"b{l}.ln2.b"])
             mid = T.gelu(T.linear(ln2, p[f"b{l}.mlp.w1"], p[f"b{l}.mlp.b1"]))
             x = x + T.linear(mid, p[f"b{l}.mlp.w2"], p[f"b{l}.mlp.b2"])
         x = T.layer_norm(x, p["lnf.g"], p["lnf.b"])
         return T.matmul(x, T.transpose(p["tok_emb"]))  # tied output projection
-
-    def _cached_step(self, ids: np.ndarray, cache: KVCache) -> np.ndarray:
-        """The taped pass's arithmetic for one new token per sequence, on
-        plain arrays.
-
-        The last row of the causal mask adds zero everywhere, so it is left
-        out.  Any overflow or invalid value stops the step, and so do
-        non-finite logits: the taped pass then reruns over the sequences'
-        prefixes so its FloatingPointError names the op.
-        """
-        cfg = self.config
-        ids = np.asarray(ids)
-        b = cache.batch
-        if ids.shape != (b, 1):
-            raise GreatError(f"a cached forward takes one token for each of {b} sequences, got shape {ids.shape}")
-        pos = len(cache)
-        if pos >= cfg.ctx:
-            raise GreatError(f"position {pos} exceeds context {cfg.ctx}")
-        cache.tokens[:, pos] = ids[:, 0]
-        cache.length += 1
-        p = {name: tensor.data for name, tensor in self.params.items()}
-        d, h = cfg.d_model, cfg.d_model // cfg.n_heads
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                x = p["tok_emb"][ids[:, 0]] + p["pos_emb"][pos : pos + 1]
-                for l in range(cfg.n_layers):
-                    ln1 = T.layer_norm(x, p[f"b{l}.ln1.g"], p[f"b{l}.ln1.b"])
-                    qkv = (ln1 @ p[f"b{l}.attn.wqkv"] + p[f"b{l}.attn.bqkv"]).reshape(b, 3, cfg.n_heads, 1, h)
-                    keys, values = cache.keys[l], cache.values[l]
-                    keys[:, :, pos], values[:, :, pos] = qkv[:, 1, :, 0], qkv[:, 2, :, 0]
-                    scores = qkv[:, 0] @ keys[:, :, : pos + 1].swapaxes(-1, -2) * (1.0 / math.sqrt(h))
-                    att = (T.softmax_array(scores) @ values[:, :, : pos + 1]).reshape(b, d)
-                    x = x + (att @ p[f"b{l}.attn.wproj"] + p[f"b{l}.attn.bproj"])
-                    ln2 = T.layer_norm(x, p[f"b{l}.ln2.g"], p[f"b{l}.ln2.b"])
-                    mid, _ = T.gelu_array(ln2 @ p[f"b{l}.mlp.w1"] + p[f"b{l}.mlp.b1"])
-                    x = x + (mid @ p[f"b{l}.mlp.w2"] + p[f"b{l}.mlp.b2"])
-                logits = T.layer_norm(x, p["lnf.g"], p["lnf.b"]) @ p["tok_emb"].T
-            if np.isfinite(logits).all():
-                return logits[:, None]
-        except FloatingPointError:
-            pass
-        with T.no_grad():
-            self.forward(cache.tokens[:, : pos + 1])
-        raise FloatingPointError(f"overflow in the cached forward at position {pos}")
 
 
 def build_great(config: GreatConfig, vocab: Vocab, schema: list[ColumnMeta], seed: int) -> GreatModel:
@@ -233,19 +225,23 @@ def pad_batch(sequences: list[list[int]], ctx: int) -> np.ndarray:
     return out
 
 
-def great_train_step(model: GreatModel, token_batch: np.ndarray, opt: Adam) -> float:
-    """Mean next-token cross entropy under the causal mask, PAD masked out:
-    one guarded forward and backward, then one update."""
+def _token_nll(model: GreatModel, token_batch: np.ndarray) -> Tensor:
+    """Mean next-token cross entropy under the causal mask, PAD masked out."""
     ids = np.asarray(token_batch)
     inputs, targets = ids[:, :-1], ids[:, 1:]
     tgt = targets.reshape(-1)
     rows = np.flatnonzero(tgt != PAD)
+    logits = model.forward(inputs)
+    b, t, v = logits.data.shape
+    logp = T.log_softmax(T.reshape(logits, (b * t, v)), axis=-1)
+    return -T.mean(T.take_pairs(logp, rows, tgt[rows]))
+
+
+def great_train_step(model: GreatModel, token_batch: np.ndarray, opt: Adam) -> float:
+    """The token NLL's one guarded forward and backward, then one update."""
 
     def step():
-        logits = model.forward(inputs)
-        b, t, v = logits.data.shape
-        logp = T.log_softmax(T.reshape(logits, (b * t, v)), axis=-1)
-        loss = -T.mean(T.take_pairs(logp, rows, tgt[rows]))
+        loss = _token_nll(model, token_batch)
         opt.zero_grad()
         loss.backward()
         return (loss,)
@@ -256,16 +252,9 @@ def great_train_step(model: GreatModel, token_batch: np.ndarray, opt: Adam) -> f
 
 
 def sequence_nll(model: GreatModel, token_batch: np.ndarray) -> float:
-    """Evaluation-only mean token NLL (no update)."""
-    ids = np.asarray(token_batch)
-    inputs, targets = ids[:, :-1], ids[:, 1:]
+    """The training step's token NLL, untaped and with no update."""
     with T.no_grad():
-        logits = model.forward(inputs)
-    b, t, v = logits.data.shape
-    logp = T.log_softmax_array(logits.data.reshape(b * t, v))
-    tgt = targets.reshape(-1)
-    keep = tgt != PAD
-    return float(-logp[np.flatnonzero(keep), tgt[keep]].mean())
+        return float(_token_nll(model, token_batch).data)
 
 
 # Rows that share one K/V cache.  A cache holds 2 * n_layers * ctx * d_model

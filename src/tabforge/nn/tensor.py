@@ -7,9 +7,10 @@ gradients into every reachable Tensor created with ``requires_grad=True``.
 
 By default every op asserts its output is finite, so a NaN or overflow
 surfaces at the op that produced it instead of three layers later.  A
-training step instead runs through `guarded_step`: the per-op checks are off,
-numpy raises on any overflow or invalid value, and the losses and gradients
-are checked once; only a failing step is replayed op by op to name the op.
+training step, or a GReaT decode step, instead runs through `guarded_step`:
+the per-op checks are off, numpy raises on any overflow or invalid value,
+and the outputs and gradients are checked once; only a failing step is
+replayed op by op to name the op.
 
 Fused ops (`linear`, `batch_norm`, `layer_norm`, `causal_attention`,
 `gumbel_scale`, `span_heads`) record one node for what would otherwise be a
@@ -282,19 +283,14 @@ def scale(a: Tensor, factor: np.ndarray):
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
-def gelu_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tanh-approximation GELU (the flavor used in GPT-style blocks) on a
-    plain array: (output, tanh term), the tanh term for the tape's vjp.
-    The cube is two multiplies, since float32 `x**3` goes through `powf`
-    at about fifty times the cost; the product is off from the correctly
-    rounded cube by an ulp or so, far below the approximation's own error."""
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
-
-
 def gelu(a: Tensor):
+    """Tanh-approximation GELU (the flavor used in GPT-style blocks).  The
+    cube is two multiplies, since float32 `x**3` goes through `powf` at
+    about fifty times the cost; the product is off from the correctly
+    rounded cube by an ulp or so, far below the approximation's own error."""
     x = a.data
-    data, t = gelu_array(x)
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    data = 0.5 * x * (1.0 + t)
 
     def vjp(g):
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
@@ -429,14 +425,10 @@ def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def log_softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-shifted log-softmax of a plain array."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
 def log_softmax(a: Tensor, axis: int = -1):
-    data = log_softmax_array(a.data, axis)
+    """Max-shifted log-softmax."""
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
     def vjp(g):
         soft = np.exp(data)
@@ -468,7 +460,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor):
     return _node(data, (x, w, b), vjp, "add")
 
 
-def _normalize(x: np.ndarray, axis: int, keepdims: bool, eps: float, check: bool = True):
+def _normalize(x: np.ndarray, axis: int, keepdims: bool, eps: float):
     """Mean and variance over `axis`, then the normalised x.  As the tape:
     sum, mul (mean); sub; mul, sum, mul (variance); add, pow; mul."""
     n = x.dtype.type(1.0 / x.shape[axis])
@@ -481,11 +473,10 @@ def _normalize(x: np.ndarray, axis: int, keepdims: bool, eps: float, check: bool
     ve = var + x.dtype.type(eps)
     r = ve**-0.5
     norm = centered * r
-    if check:
-        _checked(
-            (s, "sum"), (mu, "mul"), (centered, "add"), (sq, "mul"), (s2, "sum"),
-            (var, "mul"), (ve, "add"), (r, "pow"), (norm, "mul"),
-        )
+    _checked(
+        (s, "sum"), (mu, "mul"), (centered, "add"), (sq, "mul"), (s2, "sum"),
+        (var, "mul"), (ve, "add"), (r, "pow"), (norm, "mul"),
+    )
     return n, mu, centered, var, ve, r, norm
 
 
@@ -524,12 +515,9 @@ def _normalize_node(x: Tensor, gamma: Tensor, beta: Tensor, axis: int, keepdims:
 LN_EPS = 1e-5
 
 
-def layer_norm(x, gamma, beta):
-    """Normalise over the last axis, then scale and shift: one node on
-    Tensors, and the same float32 arithmetic untaped on plain arrays."""
-    if isinstance(x, Tensor):
-        return _normalize_node(x, gamma, beta, -1, True, LN_EPS)[0]
-    return _normalize(x, -1, True, LN_EPS, check=False)[-1] * gamma + beta
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor):
+    """Normalise over the last axis, then scale and shift, as one node."""
+    return _normalize_node(x, gamma, beta, -1, True, LN_EPS)[0]
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, running=None):
@@ -645,17 +633,19 @@ def span_heads(raw: Tensor, alphas, blocks, probs_of: Tensor | None = None):
     return _node(data, (raw, raw if probs_of is None else probs_of), vjp, "concat")
 
 
-# -- the training-step guard ------------------------------------------------------
+# -- the step guard ---------------------------------------------------------------
 
 
 def guarded_step(step: str, run: Callable[[], tuple], params, rng=None):
-    """Run one training step's forward and backward with one finiteness check.
+    """Run one step with one finiteness check: a training step's forward
+    and backward, or an untaped forward such as a decode step.
 
     `run()` builds the losses, backpropagates and returns the losses (None
-    for a term the step did not have).  It runs with the per-op checks off
-    and numpy raising on any overflow or invalid value; then the losses and
-    the gradients of `params`, (name, tensor) pairs as an optimizer holds
-    them, are checked once.  On a failure `rng` is rewound and the step
+    for a term the step did not have); an untaped step returns its outputs
+    and passes no `params`.  It runs with the per-op checks off and numpy
+    raising on any overflow or invalid value; then the losses and the
+    gradients of `params`, (name, tensor) pairs as an optimizer holds them,
+    are checked once.  On a failure `rng` is rewound and the step
     replays with per-op checks, so the FloatingPointError names the op; if
     the replay names none, it names `step`.
     """

@@ -27,6 +27,7 @@ from tabforge.data import ColumnKind, ColumnMeta, DataError, Table
 from tabforge.great.bpe import BOS, EOS, Vocab, train_bpe
 from tabforge.great.model import (
     GreatConfig,
+    GreatError,
     build_great,
     great_generate,
     great_train_step,
@@ -354,6 +355,16 @@ class _CtganDriver(_GmmDriver):
         return make_ctgan(self._transformer(ckpt), cfg, log_pmfs, seed=0)
 
 
+@contextlib.contextmanager
+def _too_small(table: Table, key: str):
+    """A GReaT size error as one that names the method, the table and the
+    config key to raise."""
+    try:
+        yield
+    except GreatError as exc:
+        raise GreatError(f"great on table {table.name!r}: {exc}; raise {key}") from None
+
+
 class _GreatDriver:
     early_stops = True
 
@@ -370,8 +381,13 @@ class _GreatDriver:
 
     def start(self, prep, rows: np.ndarray, config: TrainConfig, seed: int):
         table = prep["table"]
-        model = build_great(config.great, prep["vocab"], table.columns, seed)
+        with _too_small(table, "model.great.vocab_size"):
+            model = build_great(config.great, prep["vocab"], table.columns, seed)
         return model, {"opt": model.optimizer(), "table": table, "rows": rows}
+
+    def _padded(self, model, session, seqs: list[list[int]]) -> np.ndarray:
+        with _too_small(session["table"], "model.great.ctx"):
+            return pad_batch(seqs, model.config.ctx)
 
     def _framed(self, model, session, rows, permute_rng=None) -> list[list[int]]:
         table = session["table"]
@@ -386,15 +402,14 @@ class _GreatDriver:
     def train_epoch(self, model, session, rng) -> float:
         seqs = self._framed(model, session, session["rows"], permute_rng=rng)
         losses = [
-            great_train_step(model, pad_batch([seqs[i] for i in ids], model.config.ctx), session["opt"])
+            great_train_step(model, self._padded(model, session, [seqs[i] for i in ids]), session["opt"])
             for ids in _batches(len(seqs), model.config.batch, rng)
         ]
         return float(np.mean(losses))
 
     def val_loss(self, model, session, row_ids: np.ndarray, rng) -> float:
         seqs = self._framed(model, session, row_ids)  # fixed column order for evaluation
-        batch = pad_batch(seqs, model.config.ctx)
-        return sequence_nll(model, batch)
+        return sequence_nll(model, self._padded(model, session, seqs))
 
     def sample(self, model, n: int, rng) -> Table:
         table, _ = great_generate(model, n, rng)

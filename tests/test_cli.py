@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from tabforge.checkpoint import load_checkpoint, save_checkpoint
 from tabforge.cli import load_clean_table, main
 from tabforge.config import DEFAULTS
 from tabforge.data import Table
+from tabforge.great.bpe import Vocab
 
 from conftest import write_csv
 
@@ -459,7 +461,7 @@ class TestFailuresExitTwo:
             detail = "tensor 'lnf.g' holds non-finite values"
         else:
             # Finite weights whose forward overflows: the cached decode step
-            # stops and the taped rerun names the op.
+            # stops and its replay names the op.
             def blow_up(tensors):
                 tensors["b0.mlp.w1"] *= np.float32(1e30)
 
@@ -480,6 +482,34 @@ class TestFailuresExitTwo:
                 "--part", "val", "--out-dir", str(tmp / "bench"), *GREAT_TINY]
         assert main_exit_code(monkeypatch, args) == 2
         assert "tensor 'lnf.g' holds non-finite values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pretrain", "benchmark"])
+    def test_great_rows_longer_than_the_context_name_the_table_and_key(self, command, pipeline_dirs, cli_run):
+        cleaned, manifest, tmp = pipeline_dirs
+        args = [command, "--split", str(manifest), "--clean-dir", str(cleaned), "--method", "great"]
+        if command == "pretrain":
+            args += ["--out", str(tmp / "g.ckpt")]
+        else:
+            pre = self._great_body(cli_run, cleaned, manifest, tmp)
+            args += ["--pretrained", f"great={pre}", "--part", "val", "--out-dir", str(tmp / "bench")]
+        err = cli_run([*args, *GREAT_TINY, "--model.great.ctx=8"], code=2).err
+        assert re.fullmatch(
+            r"error: great on table 'table\d': sequence of length \d+ exceeds context 8; raise model\.great\.ctx\n", err
+        )
+
+    def test_great_vocab_past_the_configured_size_names_the_table_and_key(self, pipeline_dirs, cli_run):
+        cleaned, manifest, tmp = pipeline_dirs
+        pre = self._great_body(cli_run, cleaned, manifest, tmp)
+        size = Vocab.from_dict(load_checkpoint(pre).aux["vocab"]).size
+        args = ["benchmark", "--split", str(manifest), "--clean-dir", str(cleaned), "--method", "great",
+                "--pretrained", f"great={pre}", "--part", "val", "--out-dir", str(tmp / "bench"),
+                *GREAT_TINY, f"--model.great.vocab_size={size - 1}"]
+        err = cli_run(args, code=2).err
+        assert re.fullmatch(
+            rf"error: great on table 'table\d': vocab size {size} exceeds configured {size - 1}; "
+            r"raise model\.great\.vocab_size\n",
+            err,
+        )
 
     @pytest.mark.parametrize("command, edit, detail", [
         ("pretrain", lambda doc: "{not json", "not a split manifest: Expecting property name"),

@@ -1,11 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabforge.checkpoint import save_checkpoint
+from tabforge.cli import main
 from tabforge.data import ColumnKind, ColumnMeta, Table
 from tabforge.great.bpe import BOS, BYTE_BASE, EOS, MIN_VOCAB, PAD, BpeError, train_bpe
 import tabforge.great.model as great_model
@@ -144,6 +151,16 @@ class TestTransformer:
         for _ in range(49):
             last = great_train_step(model, batch, opt)
         assert last < first
+
+    def test_validation_nll_is_the_training_loss(self):
+        """One loss serves both: the validation NLL of a batch equals, bit
+        for bit, the loss a training step on it returns (seed 1 differed
+        while validation had a numpy formula of its own)."""
+        sentences = [serialize_row_text(SCHEMA, r) for r in TestCachedDecode.ROWS]
+        model, vocab = tiny_model(sentences, d=16, layers=1, ctx=48, seed=1)
+        batch = pad_batch([[BOS] + vocab.encode(s) + [EOS] for s in sentences], model.config.ctx)
+        nll = sequence_nll(model, batch)
+        assert great_train_step(model, batch, model.optimizer()) == nll
 
     def test_sequence_exceeding_context_errors(self):
         model, vocab = tiny_model(["ab"], ctx=8)
@@ -352,8 +369,8 @@ class TestCachedDecode:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("case, named", [
-        ("embedding", "non-finite values produced by op 'mul'"),  # the taped rerun names the op
-        ("gelu", "overflow in the cached forward at position 1"),  # only GELU's cube overflows
+        ("embedding", "non-finite values produced by op 'mul'"),  # the replay names the op
+        ("gelu", "overflow encountered in multiply in the cached forward at position 1"),  # only GELU's cube overflows
     ])
     def test_overflow_in_one_row_stops_the_step(self, case, named):
         """Row 0 feeds BOS twice and stays finite on its own; row 1 feeds BOS,
@@ -380,14 +397,47 @@ class TestCachedDecode:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("scale, named", [
-        (1e30, "non-finite values produced by op 'mul'"),  # the taped rerun names the op
-        (1e14, "overflow in the cached forward at position 0"),  # only GELU's cube overflows
+        (1e30, "non-finite values produced by op 'mul'"),  # the replay names the op
+        (1e14, "overflow encountered in multiply in the cached forward at position 0"),  # only GELU's cube overflows
     ])
     def test_overflow_in_a_step_raises(self, scale, named):
         model, _ = tiny_model(["alpha is 1 and beta is x"], d=16, layers=1, ctx=24, seed=1)
         model.params["b0.mlp.w1"].data = model.params["b0.mlp.w1"].data * np.float32(scale)
         with pytest.raises(FloatingPointError, match=named):
             model.forward(np.asarray([[BOS]]), KVCache(model.config))
+
+
+def test_perfbench_counts_one_decode_step_per_cached_forward(tmp_path, monkeypatch):
+    """perfbench's tracer, run as a benchmark stage on a tiny `sample`,
+    records the generate span and counts as decode steps exactly the cached
+    forwards an in-process spy counts for the same checkpoint, rows and seed."""
+    table = Table("people", list(SCHEMA), [list(r) for r in TestCachedDecode.ROWS] * 2)
+    cfg = run_config("great", "--training.epochs=1", "--model.great.d_model=16", "--model.great.n_heads=2",
+                     "--model.great.n_layers=1", "--model.great.ctx=48", "--model.great.vocab_size=300")
+    ckpt_path = tmp_path / "g.ckpt"
+    save_checkpoint(finetune(None, table, cfg)[0], ckpt_path)
+    args = ["sample", "--checkpoint", str(ckpt_path), "--rows", "6", "--out", str(tmp_path / "s.csv")]
+
+    root = Path(__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    stats, trace = tmp_path / "stats.json", tmp_path / "trace.json"
+    subprocess.run([sys.executable, str(root / "perfbench" / "stage.py"), str(time.monotonic()), str(stats),
+                    str(trace), "--", *args], env=env, check=True, capture_output=True)
+    doc = json.loads(trace.read_text())
+
+    forwards = []
+    forward = GreatModel.forward
+
+    def spy(self, ids, cache=None):
+        if cache is not None:
+            forwards.append(len(cache))
+        return forward(self, ids, cache)
+
+    monkeypatch.setattr(GreatModel, "forward", spy)
+    monkeypatch.setattr("sys.argv", ["tabforge", *args])
+    main()
+    assert any(name == "great.generate" for name, *_ in doc["spans"])
+    assert forwards and doc["counts"]["great.decode_steps"] == len(forwards)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

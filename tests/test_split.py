@@ -203,6 +203,8 @@ def test_embedding_file_loader(tmp_path):
         (["table0\t1.0,2.0", "table1\t1.0,2.0,3.0"], "emb.tsv:2: embedding has 3 values"),
         (["table0\t1.0,2.0", "table1\t\udcff1.0,2.0"], "emb.tsv: 'utf-8' codec can't decode byte 0xff"),
         ([], "tables missing from {emb}: ['table0', 'table1']"),  # only table2 and table3 have lines
+        # The same file under a random split, which would never read it.
+        ([], "--embeddings is read only when split.mode is 'domain', not 'random'"),
     ],
 )
 def test_bad_embedding_file_is_a_data_error(lines, found, toy_corpus, tmp_path, monkeypatch, capsys, cli_run):
@@ -212,7 +214,8 @@ def test_bad_embedding_file_is_a_data_error(lines, found, toy_corpus, tmp_path, 
     names = ["table2", "table3"]
     # A lone surrogate escape in `lines` writes its byte as it is.
     emb.write_bytes(("\n".join(lines + [f"{n}\t0.0,1.0" for n in names]) + "\n").encode("utf-8", "surrogateescape"))
-    args = ["split", str(cleaned), "--out", str(tmp_path / "s.json"), "--split.mode=domain",
+    mode = "random" if "split.mode" in found else "domain"
+    args = ["split", str(cleaned), "--out", str(tmp_path / "s.json"), f"--split.mode={mode}",
             "--embeddings", str(emb), "--split.k=2", "--split.ratios=[0.5,0.25,0.25]"]
     monkeypatch.setattr("sys.argv", ["tabforge", *args])
     with pytest.raises(SystemExit) as exc:
