@@ -196,7 +196,8 @@ def clean_table(table: Table, config: CleaningConfig):
         # Categories may shrink after imputation only in pathological cases;
         # re-enumerate to keep Table invariants tight.
         if meta.kind.is_categorical:
-            present = [cat for cat in meta.categories if cat in set(cells_or_reason)]
+            seen = set(cells_or_reason)
+            present = [cat for cat in meta.categories if cat in seen]
             meta = ColumnMeta(meta.name, meta.kind, tuple(present))
         report.kept(col.name, imputed)
         kept_meta.append(meta)

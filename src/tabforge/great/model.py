@@ -130,9 +130,8 @@ class GreatModel:
         each of the cache's B sequences, all at position `len(cache)`: the
         same layers run untaped on one (B, d) row per sequence, their keys
         and values join the cache, and the logits come back as a plain
-        (B, 1, vocab) array.  The step runs inside `guarded_step`: a failing
-        one is replayed at the same position with per-op checks, so its
-        FloatingPointError names the op, or else the position.
+        (B, 1, vocab) array.  The step runs inside `guarded_step`, so its
+        FloatingPointError names the failing line and the position.
         """
         cfg = self.config
         p = self.params
@@ -150,14 +149,13 @@ class GreatModel:
             raise GreatError(f"position {pos} exceeds context {cfg.ctx}")
 
         def step():
-            cache.length = pos  # a replay rewrites the same position
             x = T.take_rows(p["tok_emb"], ids[:, 0]) + p["pos_emb"][pos : pos + 1]
             logits = self._layers(x, lambda l, qkv: Tensor(cache.attend(l, qkv.data, cfg.n_heads)))
             cache.length = pos + 1
             return (logits,)
 
         with T.no_grad():
-            (logits,) = T.guarded_step(f"the cached forward at position {pos}", step, ())
+            (logits,) = T.guarded_step(f"the cached forward at position {pos}", step)
         return logits.data[:, None]
 
     def _layers(self, x: Tensor, attention) -> Tensor:
@@ -215,10 +213,14 @@ def build_great(config: GreatConfig, vocab: Vocab, schema: list[ColumnMeta], see
 
 
 def pad_batch(sequences: list[list[int]], ctx: int) -> np.ndarray:
-    """BOS/EOS-framed sequences padded to a common length (<= ctx + 1)."""
+    """BOS/EOS-framed sequences padded to a common length (<= ctx + 1).
+
+    The model reads all but a sequence's last token, so a row that does not
+    fit names the context it needs; another column order may frame a
+    longer row, hence "at least"."""
     longest = max(len(s) for s in sequences)
     if longest - 1 > ctx:
-        raise GreatError(f"sequence of length {longest} exceeds context {ctx}")
+        raise GreatError(f"a row needs a context of at least {longest - 1}, not {ctx}")
     out = np.full((len(sequences), longest), PAD, dtype=np.int64)
     for i, s in enumerate(sequences):
         out[i, : len(s)] = s
@@ -254,7 +256,8 @@ def great_train_step(model: GreatModel, token_batch: np.ndarray, opt: Adam) -> f
 def sequence_nll(model: GreatModel, token_batch: np.ndarray) -> float:
     """The training step's token NLL, untaped and with no update."""
     with T.no_grad():
-        return float(_token_nll(model, token_batch).data)
+        (loss,) = T.guarded_step("the great validation loss", lambda: (_token_nll(model, token_batch),))
+    return float(loss.data)
 
 
 # Rows that share one K/V cache.  A cache holds 2 * n_layers * ctx * d_model

@@ -153,7 +153,8 @@ def _column_pair_score(real: Table, syn: Table, i: int, j: int) -> float:
 
 def table_report(real: Table, syn: Table) -> TableReport:
     """Shape and trend scores for a synthetic table against its real source;
-    a null cell in either table is a MetricError naming the table and column."""
+    a null cell in either table, or a score that is not finite, is a
+    MetricError naming the table and the column (or pair)."""
     if [c.name for c in real.columns] != [c.name for c in syn.columns]:
         raise MetricError("real and synthetic tables must share a schema")
     if [c.kind.variant for c in real.columns] != [c.kind.variant for c in syn.columns]:
@@ -178,6 +179,11 @@ def table_report(real: Table, syn: Table) -> TableReport:
     for i, j in itertools.combinations(range(n), 2):
         key = f"{real.columns[i].name}|{real.columns[j].name}"
         trend_scores[key] = _column_pair_score(real, syn, i, j)
+
+    for what, scores in (("shape score of column", shape_scores), ("trend score of pair", trend_scores)):
+        for key, v in scores.items():
+            if not math.isfinite(v):
+                raise MetricError(f"table {real.name!r}: the {what} {key!r} is {v}")
 
     if not trend_scores:  # single column: trend undefined, flag it
         return TableReport(real.name, shape_scores, {}, s_shape, 0.0, s_shape, syn.n_rows, True)

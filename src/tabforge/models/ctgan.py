@@ -410,9 +410,9 @@ def ctgan_train_batch(
             gen_loss.backward()
         return gen_loss, ce
 
-    w_loss, penalty = T.guarded_step("the ctgan critic step", critic_step, adam_critic.params, rng)
+    w_loss, penalty = T.guarded_step("the ctgan critic step", critic_step, adam_critic.params)
     adam_critic.step()
-    gen_loss, ce = T.guarded_step("the ctgan generator step", generator_step, adam_gen.params, rng)
+    gen_loss, ce = T.guarded_step("the ctgan generator step", generator_step, adam_gen.params)
     adam_gen.step()
 
     return {
@@ -438,7 +438,7 @@ def ctgan_sample(
         else:
             _, _, cond = sample_conditions(model, count, rng)
         with T.no_grad():
-            out, _ = _generate(model, cond, "eval", rng)
+            out, _ = T.guarded_step("the ctgan sampling draw", lambda: _generate(model, cond, "eval", rng))
         return out.data
 
     return decode_batches(model.transformer, n, model.config.batch, draw)

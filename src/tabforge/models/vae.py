@@ -235,16 +235,20 @@ def vae_train_batch(model: VaeModel, batch: np.ndarray, rng: np.random.Generator
         loss.backward()
         return (loss,)
 
-    (loss,) = T.guarded_step(f"the {model.config.variant} step", step, opt.params, rng)
+    (loss,) = T.guarded_step(f"the {model.config.variant} step", step, opt.params)
     opt.step()
     model.clamp_delta()
     return float(loss.data)
 
 
 def vae_val_loss(model: VaeModel, batch: np.ndarray, rng: np.random.Generator) -> float:
-    with T.no_grad():  # nothing backpropagates a validation loss
+    def step():
         mu, sigma, heads, logits, _ = vae_forward(model, batch, rng)
-        return float(elbo_loss(model, heads, logits, batch, mu, sigma).data)
+        return (elbo_loss(model, heads, logits, batch, mu, sigma),)
+
+    with T.no_grad():  # nothing backpropagates a validation loss
+        (loss,) = T.guarded_step(f"the {model.config.variant} validation loss", step)
+    return float(loss.data)
 
 
 def vae_sample(model: VaeModel, n: int, rng: np.random.Generator) -> Table:
@@ -253,7 +257,10 @@ def vae_sample(model: VaeModel, n: int, rng: np.random.Generator) -> Table:
     def draw(count: int) -> np.ndarray:
         z = rng.standard_normal((count, model.config.latent)).astype(np.float32)
         with T.no_grad():
-            heads, _ = decoder_heads(model.decoder.forward(z, mode="eval"), model.transformer)
+            (heads,) = T.guarded_step(
+                f"the {model.config.variant} sampling draw",
+                lambda: decoder_heads(model.decoder.forward(z, mode="eval"), model.transformer)[:1],
+            )
         return heads.data
 
     return decode_batches(model.transformer, n, model.config.batch, draw)

@@ -5,12 +5,11 @@ array and records the operations that produced it.  Calling ``backward`` on
 a scalar loss walks the tape in reverse topological order and accumulates
 gradients into every reachable Tensor created with ``requires_grad=True``.
 
-By default every op asserts its output is finite, so a NaN or overflow
-surfaces at the op that produced it instead of three layers later.  A
-training step, or a GReaT decode step, instead runs through `guarded_step`:
-the per-op checks are off, numpy raises on any overflow or invalid value,
-and the outputs and gradients are checked once; only a failing step is
-replayed op by op to name the op.
+Ops do not check their outputs.  Every forward the package runs (a
+training step, a validation loss, a sampling draw, a GReaT decode step)
+goes through `guarded_step`, where numpy raises on any overflow or invalid
+value, so the error names the line that produced it, and the outputs and
+gradients are checked once at the end.
 
 Fused ops (`linear`, `batch_norm`, `layer_norm`, `causal_attention`,
 `gumbel_scale`, `span_heads`) record one node for what would otherwise be a
@@ -27,13 +26,13 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 from typing import Callable, Sequence
 
 import numpy as np
 
 _GRAD_ENABLED = True
 _FLOATS = (np.float32, np.float64)
-_CHECK_OPS = True  # per-op finiteness checks; guarded_step turns them off
 
 
 @contextlib.contextmanager
@@ -60,30 +59,6 @@ def frozen(params):
     finally:
         for p in params:
             p.requires_grad = True
-
-
-@contextlib.contextmanager
-def _op_checks(on: bool):
-    global _CHECK_OPS
-    prev = _CHECK_OPS
-    _CHECK_OPS = on
-    try:
-        yield
-    finally:
-        _CHECK_OPS = prev
-
-
-def _check_finite(arr: np.ndarray, opname: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"non-finite values produced by op '{opname}'")
-
-
-def _checked(*outputs: tuple[np.ndarray, str]) -> None:
-    """A fused op's intermediates, checked in order under the names of the
-    ops that would have produced them, when per-op checks are on."""
-    if _CHECK_OPS:
-        for arr, opname in outputs:
-            _check_finite(arr, opname)
 
 
 class Tensor:
@@ -180,9 +155,7 @@ def _wrap(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
-def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp, opname: str) -> Tensor:
-    if _CHECK_OPS:
-        _check_finite(data, opname)
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor.__new__(Tensor)  # an op's output is already a float array
     out.data = data if data.dtype in _FLOATS else data.astype(np.float32)
     out.grad = None
@@ -220,7 +193,7 @@ def add(a, b):
     def vjp(g):
         return _sum_to_shape(g, a.data.shape), _sum_to_shape(g, b.data.shape)
 
-    return _node(data, (a, b), vjp, "add")
+    return _node(data, (a, b), vjp)
 
 
 def mul(a, b):
@@ -231,7 +204,7 @@ def mul(a, b):
     def vjp(g):
         return _sum_to_shape(g * b.data, a.data.shape), _sum_to_shape(g * a.data, b.data.shape)
 
-    return _node(data, (a, b), vjp, "mul")
+    return _node(data, (a, b), vjp)
 
 
 def pow_(a: Tensor, exponent: float):
@@ -240,7 +213,7 @@ def pow_(a: Tensor, exponent: float):
     def vjp(g):
         return (g * exponent * a.data ** (exponent - 1.0),)
 
-    return _node(data, (a,), vjp, "pow")
+    return _node(data, (a,), vjp)
 
 
 def exp(a: Tensor):
@@ -249,7 +222,7 @@ def exp(a: Tensor):
     def vjp(g):
         return (g * data,)
 
-    return _node(data, (a,), vjp, "exp")
+    return _node(data, (a,), vjp)
 
 
 def log(a: Tensor):
@@ -258,7 +231,7 @@ def log(a: Tensor):
     def vjp(g):
         return (g / a.data,)
 
-    return _node(data, (a,), vjp, "log")
+    return _node(data, (a,), vjp)
 
 
 def sqrt(a: Tensor):
@@ -267,7 +240,7 @@ def sqrt(a: Tensor):
     def vjp(g):
         return (g * 0.5 / data,)
 
-    return _node(data, (a,), vjp, "sqrt")
+    return _node(data, (a,), vjp)
 
 
 def scale(a: Tensor, factor: np.ndarray):
@@ -277,7 +250,7 @@ def scale(a: Tensor, factor: np.ndarray):
     def vjp(g):
         return (g * factor,)
 
-    return _node(data, (a,), vjp, "scale")
+    return _node(data, (a,), vjp)
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
@@ -297,7 +270,7 @@ def gelu(a: Tensor):
         dt = (1.0 - t * t) * dinner
         return (g * (0.5 * (1.0 + t) + 0.5 * x * dt),)
 
-    return _node(data, (a,), vjp, "gelu")
+    return _node(data, (a,), vjp)
 
 
 def maximum_const(a: Tensor, floor: float):
@@ -308,7 +281,7 @@ def maximum_const(a: Tensor, floor: float):
     def vjp(g):
         return (g * mask,)
 
-    return _node(data, (a,), vjp, "maximum_const")
+    return _node(data, (a,), vjp)
 
 
 # -- reductions ----------------------------------------------------------
@@ -322,7 +295,7 @@ def sum_(a: Tensor, axis=None):
             return (np.broadcast_to(g, a.data.shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),)
 
-    return _node(data, (a,), vjp, "sum")
+    return _node(data, (a,), vjp)
 
 
 def mean(a: Tensor):
@@ -339,7 +312,7 @@ def reshape(a: Tensor, shape):
     def vjp(g):
         return (g.reshape(a.data.shape),)
 
-    return _node(data, (a,), vjp, "reshape")
+    return _node(data, (a,), vjp)
 
 
 def transpose(a: Tensor):
@@ -349,7 +322,7 @@ def transpose(a: Tensor):
     def vjp(g):
         return (g.transpose(),)
 
-    return _node(data, (a,), vjp, "transpose")
+    return _node(data, (a,), vjp)
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1):
@@ -361,7 +334,7 @@ def concat(parts: Sequence[Tensor], axis: int = -1):
     def vjp(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _node(data, tuple(parts), vjp, "concat")
+    return _node(data, tuple(parts), vjp)
 
 
 def take(a: Tensor, key):
@@ -373,7 +346,7 @@ def take(a: Tensor, key):
         out[key] = g
         return (out,)
 
-    return _node(np.ascontiguousarray(data), (a,), vjp, "take")
+    return _node(np.ascontiguousarray(data), (a,), vjp)
 
 
 def take_rows(a: Tensor, idx: np.ndarray):
@@ -385,7 +358,7 @@ def take_rows(a: Tensor, idx: np.ndarray):
         np.add.at(out, idx, g)
         return (out,)
 
-    return _node(data, (a,), vjp, "take_rows")
+    return _node(data, (a,), vjp)
 
 
 def take_pairs(a: Tensor, rows: np.ndarray, cols: np.ndarray):
@@ -397,7 +370,7 @@ def take_pairs(a: Tensor, rows: np.ndarray, cols: np.ndarray):
         np.add.at(out, (rows, cols), g)
         return (out,)
 
-    return _node(data, (a,), vjp, "take_pairs")
+    return _node(data, (a,), vjp)
 
 
 # -- linear algebra -------------------------------------------------------
@@ -413,7 +386,7 @@ def matmul(a: Tensor, b: Tensor):
         gb = a.data.swapaxes(-1, -2) @ g
         return _sum_to_shape(ga, a.data.shape), _sum_to_shape(gb, b.data.shape)
 
-    return _node(data, (a, b), vjp, "matmul")
+    return _node(data, (a, b), vjp)
 
 
 # -- softmax family --------------------------------------------------------
@@ -434,7 +407,7 @@ def log_softmax(a: Tensor, axis: int = -1):
         soft = np.exp(data)
         return (g - soft * g.sum(axis=axis, keepdims=True),)
 
-    return _node(data, (a,), vjp, "log_softmax")
+    return _node(data, (a,), vjp)
 
 
 # -- fused ops -----------------------------------------------------------------
@@ -446,7 +419,6 @@ def log_softmax(a: Tensor, axis: int = -1):
 def linear(x: Tensor, w: Tensor, b: Tensor):
     """x @ w + b as one node (a Dense layer); as the tape: matmul, add."""
     mm = x.data @ w.data
-    _checked((mm, "matmul"))
     data = mm + b.data
     x_connected = x._connected()
 
@@ -457,7 +429,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor):
         gw = _sum_to_shape(x.data.swapaxes(-1, -2) @ g, w.data.shape)
         return gx, gw, _sum_to_shape(g, b.data.shape)
 
-    return _node(data, (x, w, b), vjp, "add")
+    return _node(data, (x, w, b), vjp)
 
 
 def _normalize(x: np.ndarray, axis: int, keepdims: bool, eps: float):
@@ -473,10 +445,6 @@ def _normalize(x: np.ndarray, axis: int, keepdims: bool, eps: float):
     ve = var + x.dtype.type(eps)
     r = ve**-0.5
     norm = centered * r
-    _checked(
-        (s, "sum"), (mu, "mul"), (centered, "add"), (sq, "mul"), (s2, "sum"),
-        (var, "mul"), (ve, "add"), (r, "pow"), (norm, "mul"),
-    )
     return n, mu, centered, var, ve, r, norm
 
 
@@ -490,7 +458,6 @@ def _normalize_node(x: Tensor, gamma: Tensor, beta: Tensor, axis: int, keepdims:
     """
     n, mu, centered, var, ve, r, norm = _normalize(x.data, axis, keepdims, eps)
     scaled = norm * gamma.data
-    _checked((scaled, "mul"))
     data = scaled + beta.data
 
     def spread(g):  # a sum's vjp: the reduced gradient back over `axis`
@@ -509,7 +476,7 @@ def _normalize_node(x: Tensor, gamma: Tensor, beta: Tensor, axis: int, keepdims:
         g_mu = _sum_to_shape(g_centered, mu.shape) * x.dtype.type(-1.0)
         return g_centered, spread(g_mu * n), g_gamma, g_beta
 
-    return _node(data, (x, x, gamma, beta), vjp, "add"), mu, var
+    return _node(data, (x, x, gamma, beta), vjp), mu, var
 
 
 LN_EPS = 1e-5
@@ -535,14 +502,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, running=None)
     diff = x.data - mean
     norm = diff * inv_std
     scaled = norm * gamma.data
-    _checked((diff, "add"), (norm, "mul"), (scaled, "mul"))
     data = scaled + beta.data
 
     def vjp(g):
         g_gamma = _sum_to_shape(g * norm, gamma.data.shape)
         return (g * gamma.data) * inv_std, g_gamma, _sum_to_shape(g, beta.data.shape)
 
-    return _node(data, (x, gamma, beta), vjp, "add"), mean, var
+    return _node(data, (x, gamma, beta), vjp), mean, var
 
 
 def causal_attention(qkv: Tensor, n_heads: int, mask: np.ndarray):
@@ -566,7 +532,6 @@ def causal_attention(qkv: Tensor, n_heads: int, mask: np.ndarray):
     masked = scores + mask
     probs = softmax_array(masked, axis=-1)
     att = probs @ v
-    _checked((raw, "matmul"), (scores, "mul"), (masked, "add"), (probs, "softmax"), (att, "matmul"))
     data = att.swapaxes(1, 2).reshape(b, t, d)
 
     def vjp(g):
@@ -580,20 +545,19 @@ def causal_attention(qkv: Tensor, n_heads: int, mask: np.ndarray):
         parts = [p.swapaxes(1, 2).reshape(b, t, d) for p in (g_q, g_k, g_v)]
         return (np.concatenate(parts, axis=-1),)
 
-    return _node(data, (qkv,), vjp, "reshape")
+    return _node(data, (qkv,), vjp)
 
 
 def gumbel_scale(logits: Tensor, noise: np.ndarray, tau: float):
     """(logits + noise) / tau as one node; as the tape: add, mul."""
     noised = logits.data + noise
-    _checked((noised, "add"))
     inv_tau = 1.0 / tau
     data = noised * inv_tau
 
     def vjp(g):
         return (g * inv_tau,)
 
-    return _node(data, (logits,), vjp, "mul")
+    return _node(data, (logits,), vjp)
 
 
 def span_heads(raw: Tensor, alphas, blocks, probs_of: Tensor | None = None):
@@ -604,7 +568,6 @@ def span_heads(raw: Tensor, alphas, blocks, probs_of: Tensor | None = None):
     column a slice and tanh or softmax, then one concat."""
     alphas = np.asarray(alphas, dtype=np.int64)
     th = np.tanh(raw.data[:, alphas])
-    _checked((th, "tanh"))
     data = np.empty_like(raw.data)
     data[:, alphas] = th
     soft = []
@@ -614,7 +577,6 @@ def span_heads(raw: Tensor, alphas, blocks, probs_of: Tensor | None = None):
             block[np.arange(block.shape[0]), raw.data[:, start:stop].argmax(axis=1)] = 1.0
         else:
             block = softmax_array(probs_of.data[:, start:stop], axis=1)
-            _checked((block, "softmax"))
             soft.append(block)
         data[:, start:stop] = block
 
@@ -630,38 +592,37 @@ def span_heads(raw: Tensor, alphas, blocks, probs_of: Tensor | None = None):
             g_probs[:, start:stop] = block * (gb - dot)
         return g_raw, (None if probs_of is raw else g_probs)
 
-    return _node(data, (raw, raw if probs_of is None else probs_of), vjp, "concat")
+    return _node(data, (raw, raw if probs_of is None else probs_of), vjp)
 
 
 # -- the step guard ---------------------------------------------------------------
 
 
-def guarded_step(step: str, run: Callable[[], tuple], params, rng=None):
-    """Run one step with one finiteness check: a training step's forward
-    and backward, or an untaped forward such as a decode step.
+_PACKAGE = os.path.dirname(os.path.dirname(__file__)) + os.sep
 
-    `run()` builds the losses, backpropagates and returns the losses (None
-    for a term the step did not have); an untaped step returns its outputs
-    and passes no `params`.  It runs with the per-op checks off and numpy
-    raising on any overflow or invalid value; then the losses and the
-    gradients of `params`, (name, tensor) pairs as an optimizer holds them,
-    are checked once.  On a failure `rng` is rewound and the step
-    replays with per-op checks, so the FloatingPointError names the op; if
-    the replay names none, it names `step`.
+
+def guarded_step(step: str, run: Callable[[], tuple], params=()):
+    """Run one forward, and a training step's backward, under the one
+    finiteness check: a training step, a validation loss, a sampling draw
+    or a decode step.
+
+    `run()` returns its outputs, Tensors or None; a training step
+    backpropagates first and passes the (name, tensor) pairs of its
+    optimizer as `params`.  It runs once, with numpy raising on any
+    overflow or invalid value, and the FloatingPointError names numpy's
+    text, the innermost line of this package (nn/tensor.py:NNN (gelu)) and
+    `step`.  Non-finite outputs or gradients of `params` fail it too.
     """
-    rng_state = None if rng is None else rng.bit_generator.state
     try:
-        with _op_checks(False), np.errstate(over="raise", invalid="raise"):
-            losses = run()
-        if all(t is None or np.isfinite(t.data).all() for t in losses) and all(
-            p.grad is None or np.isfinite(p.grad).all() for _, p in params
-        ):
-            return losses
-        detail = "a non-finite loss or gradient"
+        with np.errstate(over="raise", invalid="raise"):
+            outputs = run()
     except FloatingPointError as exc:
-        detail = str(exc)
-    if rng is not None:
-        rng.bit_generator.state = rng_state
-    with _op_checks(True):
-        run()
-    raise FloatingPointError(f"{detail} in {step}")
+        import traceback  # only a failing step pays for its import
+        frames = [f for f in traceback.extract_tb(exc.__traceback__) if f.filename.startswith(_PACKAGE)]
+        path, line, function, _ = frames[-1]
+        raise FloatingPointError(f"{exc} at {path[len(_PACKAGE):]}:{line} ({function}) in {step}") from exc
+    if all(t is None or np.isfinite(t.data).all() for t in outputs) and all(
+        p.grad is None or np.isfinite(p.grad).all() for _, p in params
+    ):
+        return outputs
+    raise FloatingPointError(f"a non-finite output or gradient in {step}")

@@ -69,10 +69,10 @@ def _std_floor(values: np.ndarray) -> float:
 
 def _em_fit(x: np.ndarray, k: int, seed: int, floor: float, distinct: np.ndarray):
     """One EM run at a fixed component count, k-means++ seeded over
-    `distinct` (np.unique(x)).  It stops once an iteration gains less than
-    EM_TOL * len(x) in log-likelihood, so the stop does not depend on the row
-    count.  A log-likelihood that falls (or is not a number) raises
-    TransformError.  Returns (weights, means, stds, loglik)."""
+    `distinct` (x's sorted distinct values).  It stops once an iteration
+    gains less than EM_TOL * len(x) in log-likelihood, so the stop does not
+    depend on the row count.  A log-likelihood that falls (or is not a
+    number) raises TransformError.  Returns (weights, means, stds, loglik)."""
     means = kmeans_pp(distinct[:, None], k, np.random.default_rng(seed))[:, 0]
     weights = np.full(k, 1.0 / k)
     stds = np.full(k, max(float(x.std()), floor))
@@ -137,7 +137,10 @@ def fit_gmm(values, K: int, seed: int) -> GmmParams:
 
 def _fit_gmm_arrays(x: np.ndarray, K: int, seed: int) -> tuple[np.ndarray, ...]:
     floor = _std_floor(x)
-    distinct = np.unique(x)
+    distinct = np.sort(x)  # np.unique would import numpy.ma
+    differs = np.ones(distinct.size, dtype=bool)
+    differs[1:] = distinct[1:] != distinct[:-1]
+    distinct = distinct[differs]
     if distinct.size < 2:
         return np.array([1.0]), np.array([x.mean()]), np.array([floor]), np.array([True])
 

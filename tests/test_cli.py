@@ -439,6 +439,7 @@ class TestFailuresExitTwo:
     @pytest.mark.parametrize("case", [
         "great_body", "gmm_missing_tensor", "great_reshaped_tensor", "great_nan_tensor",
         pytest.param("great_overflow", marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
+        pytest.param("ctgan_overflow", marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
     ])
     def test_sample_rejects_bad_checkpoint(self, case, pipeline_dirs, monkeypatch, capsys, cli_run):
         cleaned, manifest, tmp = pipeline_dirs
@@ -459,17 +460,29 @@ class TestFailuresExitTwo:
 
             path = self._scratch(cli_run, cleaned, tmp, "great", GREAT_TINY, poison)
             detail = "tensor 'lnf.g' holds non-finite values"
-        else:
+        elif case == "great_overflow":
             # Finite weights whose forward overflows: the cached decode step
-            # stops and its replay names the op.
+            # stops at GELU's cube.
             def blow_up(tensors):
                 tensors["b0.mlp.w1"] *= np.float32(1e30)
 
             path = self._scratch(cli_run, cleaned, tmp, "great", GREAT_TINY, blow_up)
-            detail = "great sampling diverged on table 's': non-finite values produced by op 'mul'"
+            detail = (r"great sampling diverged on table 's': overflow encountered in multiply at "
+                      r"nn/tensor\.py:\d+ \(gelu\) in the cached forward at position 0")
+        else:
+            # One layer scaled by 1e30 stays finite through the generator's
+            # saturating heads; two stacked ones overflow the second's matmul.
+            def blow_up(tensors):
+                for name in ("gen.0.0.W", "gen.1.0.W"):
+                    tensors[name] *= np.float32(1e30)
+
+            path = self._scratch(cli_run, cleaned, tmp, "ctgan", TINY, blow_up)
+            detail = (r"ctgan sampling diverged on table 's': overflow encountered in matmul at "
+                      r"nn/tensor\.py:\d+ \(linear\) in the ctgan sampling draw")
         args = ["sample", "--checkpoint", str(path), "--rows", "2", "--out", str(tmp / "s.csv")]
         assert main_exit_code(monkeypatch, args) == 2
-        assert detail in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.search(detail, err) if case.endswith("_overflow") else detail in err
 
     def test_benchmark_rejects_non_finite_pretrained_checkpoint(self, pipeline_dirs, monkeypatch, capsys, cli_run):
         cleaned, manifest, tmp = pipeline_dirs
@@ -494,8 +507,24 @@ class TestFailuresExitTwo:
             args += ["--pretrained", f"great={pre}", "--part", "val", "--out-dir", str(tmp / "bench")]
         err = cli_run([*args, *GREAT_TINY, "--model.great.ctx=8"], code=2).err
         assert re.fullmatch(
-            r"error: great on table 'table\d': sequence of length \d+ exceeds context 8; raise model\.great\.ctx\n", err
+            r"error: great on table 'table\d': a row needs a context of at least \d+, not 8; raise model\.great\.ctx\n",
+            err,
         )
+
+    def test_great_trains_at_the_context_the_error_reports(self, pipeline_dirs, monkeypatch, cli_run):
+        """With every training row in one batch of one epoch, that batch holds
+        the longest framed row, so the reported context is enough for it."""
+        cleaned, _, tmp = pipeline_dirs
+        table = sorted(cleaned.glob("*.csv"))[0]
+        args = ["train-scratch", "--table", str(table), "--method", "great", "--out", str(tmp / "g.ckpt"),
+                *GREAT_TINY, "--model.great.batch=64"]
+        err = cli_run([*args, "--model.great.ctx=8"], code=2).err
+        needed = int(re.search(r"at least (\d+),", err).group(1))
+        steps = []
+        step = tr.great_train_step
+        monkeypatch.setattr(tr, "great_train_step", lambda *a: steps.append(1) or step(*a))
+        cli_run([*args, f"--model.great.ctx={needed}"])
+        assert steps == [1]
 
     def test_great_vocab_past_the_configured_size_names_the_table_and_key(self, pipeline_dirs, cli_run):
         cleaned, manifest, tmp = pipeline_dirs
@@ -742,6 +771,16 @@ def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         )
         checkpoints.append(out.read_bytes())
     assert checkpoints[1] == checkpoints[0] and checkpoints[2] == checkpoints[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_score_that_is_not_finite_names_the_table_and_the_pair(tmp_path, monkeypatch, capsys):
+    # Pearson's r over cells of 1e308 overflows to nan.
+    rows = [["1e308" if i % 7 == 0 else f"{i % 5}.5", f"{i * 3 % 11}.25"] for i in range(70)]
+    real = write_csv(tmp_path, "real", ["x", "y"], rows)
+    args = ["evaluate", "--real", str(real), "--synthetic", str(real), "--out", str(tmp_path / "r.json")]
+    assert main_exit_code(monkeypatch, args) == 2
+    assert capsys.readouterr().err == "error: table 'real': the trend score of pair 'x|y' is nan\n"
 
 
 def test_evaluate_writes_histograms_into_a_new_directory(tmp_path, cli_run):

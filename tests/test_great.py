@@ -369,8 +369,9 @@ class TestCachedDecode:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("case, named", [
-        ("embedding", "non-finite values produced by op 'mul'"),  # the replay names the op
-        ("gelu", "overflow encountered in multiply in the cached forward at position 1"),  # only GELU's cube overflows
+        ("embedding", r"overflow encountered in multiply at nn/tensor\.py:\d+ "
+                      r"\(_normalize\) in the cached forward at position 1"),
+        ("gelu", r"overflow encountered in multiply at nn/tensor\.py:\d+ \(gelu\) in the cached forward at position 1"),
     ])
     def test_overflow_in_one_row_stops_the_step(self, case, named):
         """Row 0 feeds BOS twice and stays finite on its own; row 1 feeds BOS,
@@ -397,8 +398,9 @@ class TestCachedDecode:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("scale, named", [
-        (1e30, "non-finite values produced by op 'mul'"),  # the replay names the op
-        (1e14, "overflow encountered in multiply in the cached forward at position 0"),  # only GELU's cube overflows
+        # Both stop at GELU's cube; at 1e14 it is the only op that overflows.
+        (1e30, r"overflow encountered in multiply at nn/tensor\.py:\d+ \(gelu\) in the cached forward at position 0"),
+        (1e14, r"overflow encountered in multiply at nn/tensor\.py:\d+ \(gelu\) in the cached forward at position 0"),
     ])
     def test_overflow_in_a_step_raises(self, scale, named):
         model, _ = tiny_model(["alpha is 1 and beta is x"], d=16, layers=1, ctx=24, seed=1)
@@ -454,7 +456,8 @@ class TestTrainingOverflow:
         model.params["b0.mlp.w1"].data = model.params["b0.mlp.w1"].data * np.float32(1e14)
         before = {name: t.data.copy() for name, t in model.params.items()}
         batch = pad_batch([[BOS] + vocab.encode(s) + [EOS] for s in sentences], model.config.ctx)
-        with pytest.raises(FloatingPointError, match="overflow encountered in multiply in the great training step"):
+        named = r"overflow encountered in multiply at nn/tensor\.py:\d+ \(gelu\) in the great training step"
+        with pytest.raises(FloatingPointError, match=named):
             great_train_step(model, batch, model.optimizer())
         assert all(np.array_equal(before[name], t.data) for name, t in model.params.items())
 
@@ -475,6 +478,6 @@ class TestTrainingOverflow:
         body.tensors["b0.mlp.w1"] = body.tensors["b0.mlp.w1"] * np.float32(1e14)
         with pytest.raises(TrainingError, match=(
             "great training diverged on table 'people' at epoch 1: "
-            "overflow encountered in multiply in the great training step"
+            r"overflow encountered in multiply at nn/tensor\.py:\d+ \(gelu\) in the great training step"
         )):
             finetune(body, table, cfg)

@@ -283,5 +283,5 @@ def test_cross_entropy_logits_zero_for_confident_match():
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_nan_guard_trips_on_overflow():
     x = Tensor(np.array([[1e30]], dtype=np.float32))
-    with pytest.raises(FloatingPointError):
-        T.exp(T.mul(x, 1e10))
+    with pytest.raises(FloatingPointError, match=r"\(mul\) in the test step$"):
+        T.guarded_step("the test step", lambda: (T.exp(T.mul(x, 1e10)),))

@@ -282,3 +282,20 @@ def test_report_runs_without_numpy(tmp_path):
     assert rows[2:] == ["bench,stvae,finetuned,0.800000,0.100000,0.000000,0.000000,0.800000,0.100000,0.666667",
                         "bench,stvae,scratch,0.700000,0.100000,0.000000,0.000000,0.700000,0.100000,"]
     assert "numpy" not in loaded
+
+
+def test_fitting_a_gmm_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma, which costs every GMM-fitting process its import.
+    rows = [f"{i % 9}.25,{i * 7 % 5}.5,{'abc'[i % 3]}" for i in range(40)]
+    (tmp_path / "t.csv").write_text("x,y,color\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "t.ckpt"
+    script = (
+        "import sys\n"
+        "import tabforge.cli\n"
+        f"sys.argv = ['tabforge', 'train-scratch', '--table', {str(tmp_path / 't.csv')!r}, '--method', 'stvae',"
+        f" '--out', {str(out)!r}, '--training.epochs=1']\n"
+        "tabforge.cli.main()\n"
+    )
+    loaded = _loaded_after(script)
+    assert out.exists() and "tabforge.transform" in loaded
+    assert "numpy.ma" not in loaded

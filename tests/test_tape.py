@@ -1,6 +1,6 @@
-"""The fused tape ops and the guarded training step: each fused op's
-gradients against finite differences, the bytes of whole training runs,
-the tape nodes per step, and what a failing step reports."""
+"""The fused tape ops and the guarded step: each fused op's gradients
+against finite differences, the bytes of whole training runs, the tape
+nodes per step, and what a failing forward reports."""
 
 import hashlib
 
@@ -9,8 +9,9 @@ import pytest
 
 from tabforge.data import ColumnKind, ColumnMeta, Table
 from tabforge.great.bpe import BOS, EOS, MIN_VOCAB, train_bpe
-from tabforge.great.model import build_great, great_train_step, pad_batch
-from tabforge.models.ctgan import build_ctgan, build_row_index, ctgan_train_batch
+from tabforge.great.model import KVCache, build_great, great_train_step, pad_batch, sequence_nll
+from tabforge.models.ctgan import build_ctgan, build_row_index, ctgan_sample, ctgan_train_batch
+from tabforge.models.vae import build_vae, vae_sample, vae_train_batch, vae_val_loss
 from tabforge.nn import tensor as T
 from tabforge.nn.tensor import Tensor
 from tabforge.training import finetune, pretrain
@@ -251,29 +252,35 @@ def test_tape_nodes_per_great_step(node_count):
 # -- the guarded step ---------------------------------------------------------------
 
 
+def raised_at(function, step):
+    """The FloatingPointError text of an overflow numpy raised in `function`
+    of the package during `step`; any line."""
+    return rf"overflow encountered in \w+ at [\w/]+\.py:\d+ \({function}\) in {step}$"
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_failing_step_replays_from_the_same_state_and_names_the_op():
-    rng = np.random.default_rng(0)
-    seen = []
+def test_failing_step_runs_once_and_names_the_line():
+    calls = []
 
     def run():
-        seen.append(rng.random())
+        calls.append(1)
         return (T.mul(Tensor(np.array([1e30], dtype=np.float32)), 1e10),)
 
-    with pytest.raises(FloatingPointError, match="produced by op 'mul'"):
-        T.guarded_step("the test step", run, [], rng)
-    assert len(seen) == 2 and seen[0] == seen[1]
-    assert T._CHECK_OPS
+    named = r"^overflow encountered in multiply at nn/tensor\.py:\d+ \(mul\) in the test step$"
+    with pytest.raises(FloatingPointError, match=named):
+        T.guarded_step("the test step", run)
+    assert calls == [1]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflow_no_op_reports_names_the_step():
-    # GELU's cube overflows while tanh saturates: every op output is finite.
+    # GELU's cube overflows while tanh saturates: every op output is finite,
+    # and numpy still stops at the cube.
     def run():
         return (T.gelu(Tensor(np.array([[1e13]], dtype=np.float32))),)
 
-    with pytest.raises(FloatingPointError, match="overflow encountered in multiply in the test step"):
-        T.guarded_step("the test step", run, [])
+    with pytest.raises(FloatingPointError, match=raised_at("gelu", "the test step")):
+        T.guarded_step("the test step", run)
 
 
 def test_non_finite_gradient_fails_the_step():
@@ -283,7 +290,7 @@ def test_non_finite_gradient_fails_the_step():
         p.grad = np.array([1.0, np.inf])
         return (Tensor(np.zeros(1)),)
 
-    with pytest.raises(FloatingPointError, match="a non-finite loss or gradient in the test step"):
+    with pytest.raises(FloatingPointError, match="^a non-finite output or gradient in the test step$"):
         T.guarded_step("the test step", run, [("p", p)])
 
 
@@ -291,8 +298,73 @@ def test_passing_step_runs_once_without_op_checks():
     calls = []
 
     def run():
-        calls.append(T._CHECK_OPS)
+        calls.append(1)
         return (Tensor(np.ones(1)), None)
 
-    assert T.guarded_step("the test step", run, [])[1] is None
-    assert calls == [False] and T._CHECK_OPS
+    assert T.guarded_step("the test step", run)[1] is None
+    assert calls == [1]
+
+
+def blow_up(net, *names):
+    """Scale each named parameter of `net` by 1e30: one such layer keeps
+    its output finite, two stacked ones overflow the second's matmul."""
+    for name in names:
+        net.params[name].data = net.params[name].data * np.float32(1e30)
+
+
+def overflowing_forward(forward):
+    """A call of the guarded `forward` on a model whose weights overflow it."""
+    table = fixture_table("t", 4)
+    tf = ColumnTransformer.fit(table, 2, 0)
+    matrix = encode_table(table, tf, np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    method = forward.split()[0]
+    if method == "ctgan":
+        model = build_ctgan(tf, matrix, fixture_config(method).ctgan, seed=1)
+        critic, gen = model.optimizers()
+        if forward == "ctgan sampling":
+            blow_up(model.generator, "0.0.W", "1.0.W")
+            return lambda: ctgan_sample(model, 10, rng)
+        if forward == "ctgan critic step":
+            blow_up(model.critic, "0.W")
+        else:  # the critic's update leaves a generator that overflows
+            update = critic.step
+            critic.step = lambda: (update(), blow_up(model.generator, "0.0.W", "1.0.W"))
+        return lambda: ctgan_train_batch(model, matrix, rng, critic, gen, build_row_index(model, matrix))
+    if method == "stvae":
+        model = build_vae(tf, fixture_config(method).vae, seed=1)
+        if forward == "stvae sampling":
+            blow_up(model.decoder, "0.W", "2.W")
+            return lambda: vae_sample(model, 10, rng)
+        blow_up(model.encoder, "0.W")
+        if forward == "stvae step":
+            return lambda: vae_train_batch(model, matrix[:16], rng, model.optimizer())
+        return lambda: vae_val_loss(model, matrix[:16], rng)
+    sentences = [f"n is {i} and ok is {'yes' if i % 2 else 'no'}" for i in range(8)]
+    vocab = train_bpe(sentences, MIN_VOCAB + 6)
+    model = build_great(fixture_config(method).great, vocab, table.columns, 0)
+    # MLP pre-activations near 1e13: GELU's cube overflows, tanh saturates.
+    model.params["b0.mlp.w1"].data = model.params["b0.mlp.w1"].data * np.float32(1e14)
+    batch = pad_batch([[BOS] + vocab.encode(s) + [EOS] for s in sentences], model.config.ctx)
+    if forward == "great step":
+        return lambda: great_train_step(model, batch, model.optimizer())
+    if forward == "great validation loss":
+        return lambda: sequence_nll(model, batch)
+    return lambda: model.forward(np.full((2, 1), BOS), KVCache(model.config, 2))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("forward, function, step", [
+    ("ctgan critic step", "mul", "the ctgan critic step"),
+    ("ctgan generator step", "_normalize", "the ctgan generator step"),  # train-mode batch norm squares
+    ("ctgan sampling", "linear", "the ctgan sampling draw"),
+    ("stvae step", "exp", "the stvae step"),
+    ("stvae validation loss", "exp", "the stvae validation loss"),
+    ("stvae sampling", "linear", "the stvae sampling draw"),
+    ("great step", "gelu", "the great training step"),
+    ("great validation loss", "gelu", "the great validation loss"),
+    ("great decode step", "gelu", "the cached forward at position 0"),
+])
+def test_every_forward_names_its_function_and_step(forward, function, step):
+    with pytest.raises(FloatingPointError, match=raised_at(function, step)):
+        overflowing_forward(forward)()
