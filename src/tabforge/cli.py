@@ -10,7 +10,8 @@ options only.  argparse types check every path argument but `-c`, which
 `data.write_file` read and write every other file, the latter atomically.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 budget exceeded.  Every
-data error is a `DataError`.
+data error is a `DataError`, and an exceeded budget a `BudgetExhausted`;
+`main` alone turns them into exit codes.
 
 Each command imports what it runs inside its own body, so a process loads
 only the modules of the command it runs: `clean` and `report` never load
@@ -31,6 +32,7 @@ from types import SimpleNamespace
 
 from tabforge.config import ConfigError, config_hash, load_config
 from tabforge.data import (
+    BudgetExhausted,
     ColumnKind,
     ColumnMeta,
     DataError,
@@ -47,9 +49,10 @@ from tabforge.data import (
 # threads sums in another order, so artifacts would depend on the core count.
 os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
-def _write_json(path: Path, doc: dict, cfg) -> None:
-    """`doc` and the run's provenance as sorted, indented JSON."""
-    doc = {**doc, "_provenance": {"config": config_hash(cfg), "seed": cfg["seed"]}}
+def _write_json(path: Path, doc: dict, cfg, **provenance) -> None:
+    """`doc` as sorted, indented JSON, under a `_provenance` of the config
+    hash, the seed and any `provenance` items."""
+    doc = {**doc, "_provenance": {"config": config_hash(cfg), "seed": cfg["seed"], **provenance}}
     write_file(path, json.dumps(doc, indent=2, sort_keys=True))
 
 
@@ -325,24 +328,18 @@ def pretrain_cmd(manifest_path, clean_dir, method, out_path, cfg):
     A spent wall-clock budget exits 3: after writing the checkpoint and log
     of the completed iterations, or with nothing written if none completed.
     """
-    from tabforge.training import BudgetExhausted, pretrain, train_config
+    from tabforge.training import pretrain, train_config
 
     _, corpus = _load_part(manifest_path, clean_dir, "train")
     tcfg = train_config(cfg, method)
-    try:
-        ckpt, log = pretrain(corpus, tcfg)
-    except BudgetExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(3)
+    ckpt, log = pretrain(corpus, tcfg)
     _save_run(ckpt, log, out_path, cfg)
     print(f"pretrained {method} on {len(corpus)} tables -> {out_path}")
     if log.stop_reason == "budget":
-        print(
-            f"error: wall-clock budget of {tcfg.wall_clock_budget:g} s exhausted after "
-            f"{len(log.entries)} of {tcfg.iterations} pretraining iterations",
-            file=sys.stderr,
+        raise BudgetExhausted(
+            f"wall-clock budget of {tcfg.wall_clock_budget:g} s exhausted after "
+            f"{len(log.entries)} of {tcfg.iterations} pretraining iterations"
         )
-        sys.exit(3)
 
 
 def _single_table_cmd(action, table_path, base, method, out_path, cfg):
@@ -480,7 +477,7 @@ def benchmark_cmd(manifest_path, clean_dir, methods, pretrained, part, out_dir, 
         for (table, method, regime, _, _), (report, log, ckpt) in zip(tasks, run(_benchmark_one, tasks)):
             stem = f"{table.name}.{method}.{regime}"
             keyed.setdefault((split_name, method, regime), []).append(report)
-            _write_json(out / "reports" / f"{stem}.json", report.to_dict(), cfg)
+            _write_json(out / "reports" / f"{stem}.json", report.to_dict(), cfg, split=split_name)
             _write_csv(out / "logs" / f"{stem}.csv", log.to_csv(), cfg)
             save_checkpoint(ckpt, out / "checkpoints" / f"{stem}.ckpt")
 
@@ -490,8 +487,9 @@ def benchmark_cmd(manifest_path, clean_dir, methods, pretrained, part, out_dir, 
 
 
 def _read_report(path: Path) -> tuple:
-    """A `<table>.<method>.<regime>.json` report as its key and TableReport;
-    a file that is not one is a DataError naming it."""
+    """A `<table>.<method>.<regime>.json` report as its key, the split its
+    provenance names and its TableReport; a file that is not one is a
+    DataError naming it."""
     from tabforge.leaderboard import MetricError, TableReport
 
     key = tuple(path.stem.rsplit(".", 2))
@@ -504,8 +502,9 @@ def _read_report(path: Path) -> tuple:
     if not isinstance(doc, dict):
         raise DataError(f"{path}: not a benchmark report: not a JSON object")
     try:
-        return key, TableReport(**{k: v for k, v in doc.items() if k != "_provenance"})
-    except (TypeError, MetricError) as exc:  # missing, unknown or ill-typed fields
+        report = TableReport(**{k: v for k, v in doc.items() if k != "_provenance"})
+        return key, doc["_provenance"]["split"], report
+    except (TypeError, KeyError, MetricError) as exc:  # missing, unknown or ill-typed fields
         raise DataError(f"{path}: not a benchmark report: {exc}") from None
 
 
@@ -519,7 +518,8 @@ def report_cmd(bench_dir, out_dir, cfg):
     from tabforge.leaderboard import build_leaderboard
 
     reports_dir = Path(bench_dir) / "reports"
-    loaded = dict(_read_report(path) for path in sorted(reports_dir.glob("*.json")))
+    read = [_read_report(path) for path in sorted(reports_dir.glob("*.json"))]
+    loaded = {key: report for key, _, report in read}
     if not loaded:
         raise DataError(f"no benchmark reports under {reports_dir}")
 
@@ -544,8 +544,8 @@ def report_cmd(bench_dir, out_dir, cfg):
     write_file(out / "deltas.json", json.dumps(deltas, indent=2, sort_keys=True))
 
     keyed: dict[tuple[str, str, str], list] = {}
-    for (_, method, regime), report in loaded.items():
-        keyed.setdefault(("bench", method, regime), []).append(report)
+    for (_, method, regime), split, report in read:
+        keyed.setdefault((split, method, regime), []).append(report)
     board = build_leaderboard(keyed)
     _write_csv(out / "leaderboard.csv", board.to_csv(), cfg)
     write_file(out / "leaderboard.txt", board.render())
@@ -564,6 +564,9 @@ def main():
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         sys.exit(1)
+    except BudgetExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(3)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)

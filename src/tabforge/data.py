@@ -33,6 +33,10 @@ class DataError(Exception):
     them with exit 2 without importing the modules that define them."""
 
 
+class BudgetExhausted(DataError):
+    """A wall-clock budget ran out; the CLI exits 3."""
+
+
 def read_file(path, encoding: str | None = None) -> bytes | str:
     """The bytes of the file at `path`, or its text in `encoding`, newlines
     untranslated; a file that cannot be read or decoded is a DataError."""

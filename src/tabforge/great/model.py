@@ -9,7 +9,7 @@ next-token cross entropy with PAD positions masked out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,7 +102,6 @@ class GreatModel:
     vocab: Vocab
     schema: list[ColumnMeta]  # the columns a sampled sentence parses into
     params: dict[str, Tensor]
-    _mask_cache: dict[int, np.ndarray] = field(init=False, default_factory=dict)
 
     def tensors(self) -> dict[str, Tensor]:
         """Every tensor by checkpoint name (live, not copies)."""
@@ -115,12 +114,6 @@ class GreatModel:
         return Adam(list(self.params.items()), lr=self.config.lr)
 
     # -- forward ------------------------------------------------------------
-
-    def _mask(self, t: int) -> np.ndarray:
-        if t not in self._mask_cache:
-            m = np.triu(np.full((t, t), -1e9, dtype=np.float32), k=1)
-            self._mask_cache[t] = m[None, None, :, :]
-        return self._mask_cache[t]
 
     def forward(self, ids: np.ndarray, cache: KVCache | None = None):
         """Token ids (B, T) -> logits (B, T, vocab).
@@ -140,8 +133,8 @@ class GreatModel:
             b, t = ids.shape
             if t > cfg.ctx:
                 raise GreatError(f"sequence length {t} exceeds context {cfg.ctx}")
-            x = T.take_rows(p["tok_emb"], ids) + p["pos_emb"][:t]
-            return self._layers(x, lambda l, qkv: T.causal_attention(qkv, cfg.n_heads, self._mask(t)))
+            x = T.gather(p["tok_emb"], ids) + p["pos_emb"][:t]
+            return self._layers(x, lambda l, qkv: T.causal_attention(qkv, cfg.n_heads))
         if ids.shape != (cache.batch, 1):
             raise GreatError(f"a cached forward takes one token for each of {cache.batch} sequences, got {ids.shape}")
         pos = len(cache)
@@ -149,7 +142,7 @@ class GreatModel:
             raise GreatError(f"position {pos} exceeds context {cfg.ctx}")
 
         def step():
-            x = T.take_rows(p["tok_emb"], ids[:, 0]) + p["pos_emb"][pos : pos + 1]
+            x = T.gather(p["tok_emb"], ids[:, 0]) + p["pos_emb"][pos : pos + 1]
             logits = self._layers(x, lambda l, qkv: Tensor(cache.attend(l, qkv.data, cfg.n_heads)))
             cache.length = pos + 1
             return (logits,)
@@ -236,7 +229,7 @@ def _token_nll(model: GreatModel, token_batch: np.ndarray) -> Tensor:
     logits = model.forward(inputs)
     b, t, v = logits.data.shape
     logp = T.log_softmax(T.reshape(logits, (b * t, v)), axis=-1)
-    return -T.mean(T.take_pairs(logp, rows, tgt[rows]))
+    return -T.mean(T.gather(logp, (rows, tgt[rows])))
 
 
 def great_train_step(model: GreatModel, token_batch: np.ndarray, opt: Adam) -> float:

@@ -57,19 +57,21 @@ def tvd_shape(real, syn) -> float:
 
 
 def pearson(x, y) -> float:
-    """Sample Pearson correlation; zero-variance inputs define rho = 0."""
+    """Sample Pearson correlation; zero-variance inputs define rho = 0.  Cells
+    near the float64 maximum give a non-finite rho, which `table_report` names."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size:
         raise MetricError("pearson needs equal-length inputs")
     if x.size < 2:
         raise MetricError("pearson needs at least 2 points")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = math.sqrt(float((xc * xc).sum()) * float((yc * yc).sum()))
-    if denom == 0.0:
-        return 0.0
-    return float(np.clip((xc * yc).sum() / denom, -1.0, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = x - x.mean()
+        yc = y - y.mean()
+        denom = math.sqrt(float((xc * xc).sum()) * float((yc * yc).sum()))
+        if denom == 0.0:
+            return 0.0
+        return float(np.clip((xc * yc).sum() / denom, -1.0, 1.0))
 
 
 def trend_numeric(real_pair, syn_pair) -> float:

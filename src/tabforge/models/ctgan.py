@@ -374,7 +374,7 @@ def generator_loss_graph(model: CtganModel, n_rows: int, rng: np.random.Generato
                 continue
             rows = np.flatnonzero(mask)
             logp = T.log_softmax(scaled[:, start:stop], axis=1)
-            picked = T.take_pairs(logp, rows, k_s[rows])
+            picked = T.gather(logp, (rows, k_s[rows]))
             ce_terms.append(-T.sum_(picked))
         if ce_terms:
             total = ce_terms[0]

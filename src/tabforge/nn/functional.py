@@ -16,8 +16,6 @@ def kl_std_normal(mu: Tensor, sigma: Tensor) -> Tensor:
     Accepts 1-D vectors (returns a scalar) or 2-D batches (returns per-row
     values); reduction over the last axis.
     """
-    if np.any(sigma.data <= 0):
-        raise ValueError("sigma must be positive")
     var = sigma * sigma
     inner = mu * mu + var - 1.0 - T.log(var)
     return T.mul(T.sum_(inner, axis=-1), 0.5)
@@ -28,7 +26,7 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     targets = np.asarray(targets)
     logp = T.log_softmax(logits, axis=-1)
     rows = np.arange(logits.data.shape[0])
-    return -T.take_pairs(logp, rows, targets)
+    return -T.gather(logp, (rows, targets))
 
 
 def gumbel_softmax(
@@ -47,7 +45,7 @@ def gumbel_softmax(
     noise drawn block by block, one `rng.random` draw each; the second value
     is what a cross entropy against a block reads.  Eval mode is
     deterministic: the hard one-hot at each block's un-noised argmax, and
-    None.  The heads are one tape node, and the noising another.
+    None.  The heads are one tape node; the noising is an add and a scale.
     """
     if mode == "eval":
         return T.span_heads(logits, alphas, blocks), None
@@ -57,5 +55,5 @@ def gumbel_softmax(
     for start, stop in blocks:
         u = np.clip(rng.random((logits.data.shape[0], stop - start)), 1e-12, 1.0 - 1e-12)
         noise[:, start:stop] = -np.log(-np.log(u))
-    scaled = T.gumbel_scale(logits, noise, tau)
+    scaled = T.scale(logits + Tensor(noise), 1.0 / tau)
     return T.span_heads(logits, alphas, blocks, scaled), scaled

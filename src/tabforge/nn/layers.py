@@ -27,7 +27,6 @@ from tabforge.nn.tensor import Tensor
 
 LEAKY_SLOPE = 0.2
 BN_MOMENTUM = 0.1
-BN_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -171,12 +170,12 @@ class Net:
         gamma, beta = self.params[f"{name}.gamma"], self.params[f"{name}.beta"]
         rm, rv = self.buffers[f"{name}.running_mean"], self.buffers[f"{name}.running_var"]
         if mode == "train":
-            out, mu, var = T.batch_norm(x, gamma, beta, BN_EPS)
+            out, mu, var = T.batch_norm(x, gamma, beta)
             m = BN_MOMENTUM
             rm.data = ((1.0 - m) * rm.data + m * mu).astype(self.dtype)
             rv.data = ((1.0 - m) * rv.data + m * var).astype(self.dtype)
             return out
-        return T.batch_norm(x, gamma, beta, BN_EPS, (rm.data, rv.data))[0]
+        return T.batch_norm(x, gamma, beta, (rm.data, rv.data))[0]
 
     # -- gradients -------------------------------------------------------------
 

@@ -7,15 +7,15 @@ gradients into every reachable Tensor created with ``requires_grad=True``.
 
 Ops do not check their outputs.  Every forward the package runs (a
 training step, a validation loss, a sampling draw, a GReaT decode step)
-goes through `guarded_step`, where numpy raises on any overflow or invalid
-value, so the error names the line that produced it, and the outputs and
-gradients are checked once at the end.
+goes through `guarded_step`, where numpy raises on any overflow, division
+by zero or invalid value, so the error names the line that produced it, and
+the outputs and gradients are checked once at the end.
 
 Fused ops (`linear`, `batch_norm`, `layer_norm`, `causal_attention`,
-`gumbel_scale`, `span_heads`) record one node for what would otherwise be a
-chain of elementary ops.  Each runs the chain's numpy calls in the chain's
-order, forward and backward, and sums a gradient's contributions in the
-order the tape would, so a fused and an unfused step give the same bytes.
+`span_heads`) record one node for what would otherwise be a chain of
+elementary ops.  Each runs the chain's numpy calls in the chain's order,
+forward and backward, and sums a gradient's contributions in the order the
+tape would, so a fused and an unfused step give the same bytes.
 
 `scale` multiplies by a constant array.  A `Net`, walking its descriptor
 tuple, applies ReLU, LeakyReLU and dropout with it, and a critic's input
@@ -25,6 +25,7 @@ gradient applies the same recorded factors again.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 from typing import Callable, Sequence
@@ -33,6 +34,7 @@ import numpy as np
 
 _GRAD_ENABLED = True
 _FLOATS = (np.float32, np.float64)
+NORM_EPS = 1e-5  # added to the variance by layer and batch normalisation
 
 
 @contextlib.contextmanager
@@ -185,8 +187,7 @@ def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- elementwise ---------------------------------------------------------
 
 
-def add(a, b):
-    a = a if isinstance(a, Tensor) else Tensor(np.asarray(a, dtype=b.data.dtype))
+def add(a: Tensor, b):
     b = _wrap(b, a)
     data = a.data + b.data
 
@@ -196,8 +197,7 @@ def add(a, b):
     return _node(data, (a, b), vjp)
 
 
-def mul(a, b):
-    a = a if isinstance(a, Tensor) else Tensor(np.asarray(a, dtype=b.data.dtype))
+def mul(a: Tensor, b):
     b = _wrap(b, a)
     data = a.data * b.data
 
@@ -326,7 +326,6 @@ def transpose(a: Tensor):
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1):
-    parts = [p if isinstance(p, Tensor) else Tensor(p) for p in parts]
     data = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.data.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
@@ -349,25 +348,15 @@ def take(a: Tensor, key):
     return _node(np.ascontiguousarray(data), (a,), vjp)
 
 
-def take_rows(a: Tensor, idx: np.ndarray):
-    """Row gather (embedding lookup): out[i...] = a[idx[i...]]."""
-    data = a.data[idx]
+def gather(a: Tensor, index):
+    """a[index] for an integer-array index: embedding rows by `ids`, or one
+    entry per row by a `(rows, cols)` pair.  Repeated entries add their
+    gradients."""
+    data = a.data[index]
 
     def vjp(g):
         out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
-        return (out,)
-
-    return _node(data, (a,), vjp)
-
-
-def take_pairs(a: Tensor, rows: np.ndarray, cols: np.ndarray):
-    """Gather a[rows[i], cols[i]] as a vector; used for CE target picking."""
-    data = a.data[rows, cols]
-
-    def vjp(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, (rows, cols), g)
+        np.add.at(out, index, g)
         return (out,)
 
     return _node(data, (a,), vjp)
@@ -432,7 +421,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor):
     return _node(data, (x, w, b), vjp)
 
 
-def _normalize(x: np.ndarray, axis: int, keepdims: bool, eps: float):
+def _normalize(x: np.ndarray, axis: int, keepdims: bool):
     """Mean and variance over `axis`, then the normalised x.  As the tape:
     sum, mul (mean); sub; mul, sum, mul (variance); add, pow; mul."""
     n = x.dtype.type(1.0 / x.shape[axis])
@@ -442,13 +431,13 @@ def _normalize(x: np.ndarray, axis: int, keepdims: bool, eps: float):
     sq = centered * centered
     s2 = sq.sum(axis=axis, keepdims=keepdims)
     var = s2 * n
-    ve = var + x.dtype.type(eps)
+    ve = var + x.dtype.type(NORM_EPS)
     r = ve**-0.5
     norm = centered * r
     return n, mu, centered, var, ve, r, norm
 
 
-def _normalize_node(x: Tensor, gamma: Tensor, beta: Tensor, axis: int, keepdims: bool, eps: float):
+def _normalize_node(x: Tensor, gamma: Tensor, beta: Tensor, axis: int, keepdims: bool):
     """(normalised x) * gamma + beta as one node; returns it with the mean
     and variance.
 
@@ -456,7 +445,7 @@ def _normalize_node(x: Tensor, gamma: Tensor, beta: Tensor, axis: int, keepdims:
     contributions, the centering path's then the mean's, so `backward` adds
     them to x's other uses in the order the tape did.
     """
-    n, mu, centered, var, ve, r, norm = _normalize(x.data, axis, keepdims, eps)
+    n, mu, centered, var, ve, r, norm = _normalize(x.data, axis, keepdims)
     scaled = norm * gamma.data
     data = scaled + beta.data
 
@@ -479,15 +468,12 @@ def _normalize_node(x: Tensor, gamma: Tensor, beta: Tensor, axis: int, keepdims:
     return _node(data, (x, x, gamma, beta), vjp), mu, var
 
 
-LN_EPS = 1e-5
-
-
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor):
     """Normalise over the last axis, then scale and shift, as one node."""
-    return _normalize_node(x, gamma, beta, -1, True, LN_EPS)[0]
+    return _normalize_node(x, gamma, beta, -1, True)[0]
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, running=None):
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running=None):
     """Batch normalisation over axis 0 as one node.
 
     Train mode (`running` None) normalises by the batch's mean and variance;
@@ -495,10 +481,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, running=None)
     output and the mean and variance it normalised by.
     """
     if running is None:
-        return _normalize_node(x, gamma, beta, 0, False, eps)
+        return _normalize_node(x, gamma, beta, 0, False)
     mean, var = running
     # As the tape: sub; mul by the constant inverse std; mul, add.
-    inv_std = (var + eps) ** -0.5
+    inv_std = (var + NORM_EPS) ** -0.5
     diff = x.data - mean
     norm = diff * inv_std
     scaled = norm * gamma.data
@@ -511,12 +497,18 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, running=None)
     return _node(data, (x, gamma, beta), vjp), mean, var
 
 
-def causal_attention(qkv: Tensor, n_heads: int, mask: np.ndarray):
-    """Multi-head self-attention over a (batch, time, 3 * d) block of
-    concatenated queries, keys and values, as one node.  `mask` is added to
-    the scaled scores (-1e9 above the diagonal).  As the tape: per q, k, v a
-    slice, reshape and swapaxes; then matmul, mul, add, softmax, matmul,
-    swapaxes and reshape back to (batch, time, d)."""
+@functools.cache
+def _causal_mask(t: int) -> np.ndarray:
+    """-1e9 above the diagonal of a (1, 1, t, t) float32 block, 0 elsewhere."""
+    return np.triu(np.full((t, t), -1e9, dtype=np.float32), k=1)[None, None]
+
+
+def causal_attention(qkv: Tensor, n_heads: int):
+    """Causal multi-head self-attention over a (batch, time, 3 * d) block of
+    concatenated queries, keys and values, as one node; each position
+    attends to itself and the positions before it.  As the tape: per q, k, v
+    a slice, reshape and swapaxes; then matmul, mul, add the causal mask,
+    softmax, matmul, swapaxes and reshape back to (batch, time, d)."""
     b, t, width = qkv.data.shape
     d = width // 3
     h = d // n_heads
@@ -529,7 +521,7 @@ def causal_attention(qkv: Tensor, n_heads: int, mask: np.ndarray):
     kt = k.swapaxes(-1, -2)
     raw = q @ kt
     scores = raw * scale
-    masked = scores + mask
+    masked = scores + _causal_mask(t)
     probs = softmax_array(masked, axis=-1)
     att = probs @ v
     data = att.swapaxes(1, 2).reshape(b, t, d)
@@ -546,18 +538,6 @@ def causal_attention(qkv: Tensor, n_heads: int, mask: np.ndarray):
         return (np.concatenate(parts, axis=-1),)
 
     return _node(data, (qkv,), vjp)
-
-
-def gumbel_scale(logits: Tensor, noise: np.ndarray, tau: float):
-    """(logits + noise) / tau as one node; as the tape: add, mul."""
-    noised = logits.data + noise
-    inv_tau = 1.0 / tau
-    data = noised * inv_tau
-
-    def vjp(g):
-        return (g * inv_tau,)
-
-    return _node(data, (logits,), vjp)
 
 
 def span_heads(raw: Tensor, alphas, blocks, probs_of: Tensor | None = None):
@@ -609,12 +589,13 @@ def guarded_step(step: str, run: Callable[[], tuple], params=()):
     `run()` returns its outputs, Tensors or None; a training step
     backpropagates first and passes the (name, tensor) pairs of its
     optimizer as `params`.  It runs once, with numpy raising on any
-    overflow or invalid value, and the FloatingPointError names numpy's
-    text, the innermost line of this package (nn/tensor.py:NNN (gelu)) and
-    `step`.  Non-finite outputs or gradients of `params` fail it too.
+    overflow, division by zero or invalid value, and the FloatingPointError
+    names numpy's text, the innermost line of this package
+    (nn/tensor.py:NNN (gelu)) and `step`.  Non-finite outputs or gradients
+    of `params` fail it too.
     """
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
             outputs = run()
     except FloatingPointError as exc:
         import traceback  # only a failing step pays for its import

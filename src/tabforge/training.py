@@ -23,7 +23,7 @@ import numpy as np
 
 from tabforge.checkpoint import CheckpointError, ModelCheckpoint
 from tabforge.config import ConfigError
-from tabforge.data import ColumnKind, ColumnMeta, DataError, Table
+from tabforge.data import BudgetExhausted, ColumnKind, ColumnMeta, DataError, Table
 from tabforge.great.bpe import BOS, EOS, Vocab, train_bpe
 from tabforge.great.model import (
     GreatConfig,
@@ -60,11 +60,6 @@ KINDS = ("ctgan", "tvae", "stvae", "stvaem", "great")
 
 class TrainingError(DataError):
     pass
-
-
-class BudgetExhausted(TrainingError):
-    """Pretraining's wall-clock budget ran out before its first pass, so
-    there is no checkpoint to write."""
 
 
 @dataclass
@@ -453,6 +448,14 @@ def _diverged(failure: str):
         raise TrainingError(f"{failure}: {exc}") from exc
 
 
+def _check_no_nulls(tables: list[Table]) -> None:
+    """Every method trains on clean rows; a null cell names its table and column."""
+    for table in tables:
+        for i, col in enumerate(table.columns):
+            if any(row[i] is None for row in table.rows):
+                raise DataError(f"table {table.name!r}: null cell in column {col.name!r}")
+
+
 def _checkpoint(model, config: TrainConfig, tensors, aux: dict, corpus: list[Table], epoch: int):
     return ModelCheckpoint(
         kind=config.kind,
@@ -475,6 +478,7 @@ def pretrain(corpus: list[Table], config: TrainConfig) -> tuple[ModelCheckpoint,
     log = TrainLog()
     start_time = time.monotonic()
 
+    _check_no_nulls(corpus)
     aux = driver.corpus_aux(corpus, config)
     preps = [driver.prep(t, config, aux) for t in corpus]
 
@@ -531,7 +535,7 @@ def finetune(
     if checkpoint is not None and checkpoint.kind != config.kind:
         raise CheckpointError(f"checkpoint kind {checkpoint.kind!r} != requested {config.kind!r}")
     driver = _driver(config.kind)
-
+    _check_no_nulls([table])
     prep = driver.prep(table, config, checkpoint.aux if checkpoint is not None else {})
     rows = prep["rows"]
     train_ids, val_ids = _val_split(len(rows), config.val_fraction, substream(config.seed, "valsplit", table.name))

@@ -325,10 +325,6 @@ def encode_table(table: Table, transformer: ColumnTransformer, rng: np.random.Ge
     out = np.zeros((n, transformer.total_width), dtype=np.float32)
     for span in transformer.spans:
         col = table.column_values(span.column)
-        if any(v is None for v in col):
-            raise TransformError(
-                f"table {table.name!r}: null cell in column {transformer.schema[span.column].name!r}"
-            )
         if span.kind == "numeric":
             values = np.asarray(col, dtype=np.float64)
             alpha, beta = _encode_numeric_batch(transformer.gmms[span.column], values, rng)

@@ -337,6 +337,13 @@ class TestBenchmark:
         assert (rep / "deltas.json").exists()
         assert (rep / "leaderboard.txt").exists()
 
+    def test_report_rebuilds_the_benchmark_leaderboard(self, pipeline_dirs, cli_run):
+        bench, rep = pipeline_dirs[2] / "bench", pipeline_dirs[2] / "rendered"
+        cli_run(benchmark_args(pipeline_dirs, cli_run) + ["--out-dir", str(bench)])
+        cli_run(["report", "--bench-dir", str(bench), "--out-dir", str(rep), *TINY])  # the same config hash
+        assert (rep / "leaderboard.csv").read_bytes() == (bench / "leaderboard.csv").read_bytes()
+        assert (bench / "leaderboard.csv").read_text().splitlines()[2].startswith("random-val,")
+
 
 def benchmark_args(pipeline_dirs, cli_run, methods=("stvae", "tvae")) -> list[str]:
     """Pretrain each of `methods`, and return the `benchmark` arguments over
@@ -484,6 +491,26 @@ class TestFailuresExitTwo:
         err = capsys.readouterr().err
         assert re.search(detail, err) if case.endswith("_overflow") else detail in err
 
+    def test_finetune_names_a_log_variance_that_underflows(self, pipeline_dirs, monkeypatch, capsys, cli_run):
+        # Finite weights whose encoder puts every log-variance at -300:
+        # sigma = exp(-150) underflows to 0 in float32, and the KL's log(0)
+        # divides by zero.
+        cleaned, _, tmp = pipeline_dirs
+
+        def collapse(tensors):
+            bias = tensors["enc.4.b"]
+            bias[len(bias) // 2 :] = -300.0
+
+        path = self._scratch(cli_run, cleaned, tmp, "stvae", TINY, collapse)
+        table = sorted(cleaned.glob("*.csv"))[0]
+        args = ["finetune", "--checkpoint", str(path), "--table", str(table), "--out", str(tmp / "f.ckpt"), *TINY]
+        assert main_exit_code(monkeypatch, args) == 2
+        assert re.fullmatch(
+            r"error: stvae training diverged on table '\w+' at epoch 1: divide by zero encountered in log "
+            r"at nn/tensor\.py:\d+ \(log\) in the stvae step\n",
+            capsys.readouterr().err,
+        )
+
     def test_benchmark_rejects_non_finite_pretrained_checkpoint(self, pipeline_dirs, monkeypatch, capsys, cli_run):
         cleaned, manifest, tmp = pipeline_dirs
         pre = self._great_body(cli_run, cleaned, manifest, tmp)
@@ -605,6 +632,16 @@ class TestFailuresExitTwo:
         assert main_exit_code(monkeypatch, args) == 2
         assert capsys.readouterr().err.startswith(f"error: {reports / name}: {detail}")
 
+    def test_report_rejects_a_report_that_names_no_split(self, tmp_path, monkeypatch, capsys):
+        reports = tmp_path / "bench" / "reports"
+        reports.mkdir(parents=True)
+        doc = {"table": "t", "shape_scores": {"x": 0.5}, "trend_scores": {}, "s_shape": 0.5, "s_trend": 0.0,
+               "s_overall": 0.5, "syn_rows": 10, "single_column": True, "_provenance": {"seed": 0}}
+        (reports / "t.stvae.scratch.json").write_text(json.dumps(doc), encoding="utf-8")
+        args = ["report", "--bench-dir", str(tmp_path / "bench"), "--out-dir", str(tmp_path / "out")]
+        assert main_exit_code(monkeypatch, args) == 2
+        assert capsys.readouterr().err == f"error: {reports / 't.stvae.scratch.json'}: not a benchmark report: 'split'\n"
+
     @pytest.mark.parametrize("column, where", [(0, "x"), (2, "color")])
     def test_evaluate_rejects_a_null_cell(self, column, where, pipeline_dirs, monkeypatch, capsys):
         cleaned, _, tmp = pipeline_dirs
@@ -707,11 +744,12 @@ class TestCleanedTablesReadBack:
         site = load_clean_table(path).columns[2]
         assert site.kind.is_categorical and set(site.categories) == {*urls, "other"}
 
-    def test_a_null_cell_in_training_names_the_table(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("method", ["ctgan", "tvae", "stvae", "stvaem", "great"])
+    def test_a_null_cell_in_training_names_the_table(self, method, tmp_path, monkeypatch, capsys):
         header, rows = mixed_rows(40, 2, g=["a", "b"] * 20)
         rows[3][0] = ""
         path = write_csv(tmp_path, "holes", header, rows)
-        args = ["train-scratch", "--table", str(path), "--method", "stvae", "--out", str(tmp_path / "m.ckpt"), *TINY]
+        args = ["train-scratch", "--table", str(path), "--method", method, "--out", str(tmp_path / "m.ckpt"), *TINY]
         assert main_exit_code(monkeypatch, args) == 2
         assert capsys.readouterr().err == "error: table 'holes': null cell in column 'u'\n"
 
@@ -773,9 +811,9 @@ def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert checkpoints[1] == checkpoints[0] and checkpoints[2] == checkpoints[0]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_score_that_is_not_finite_names_the_table_and_the_pair(tmp_path, monkeypatch, capsys):
-    # Pearson's r over cells of 1e308 overflows to nan.
+    # Pearson's r over cells of 1e308 overflows to nan, without a RuntimeWarning.
     rows = [["1e308" if i % 7 == 0 else f"{i % 5}.5", f"{i * 3 % 11}.25"] for i in range(70)]
     real = write_csv(tmp_path, "real", ["x", "y"], rows)
     args = ["evaluate", "--real", str(real), "--synthetic", str(real), "--out", str(tmp_path / "r.json")]

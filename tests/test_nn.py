@@ -220,10 +220,6 @@ class TestKLStdNormal:
         got = kl_std_normal(Tensor(np.array([mu])), Tensor(np.array([sigma])))
         assert got.data == pytest.approx(expected, abs=1e-4)
 
-    def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError):
-            kl_std_normal(Tensor(np.zeros(2)), Tensor(np.array([1.0, 0.0])))
-
     def test_graph_gradient(self):
         mu = Tensor(np.array([0.3, -0.8]), requires_grad=True)
         sigma = Tensor(np.array([0.9, 1.4]), requires_grad=True)

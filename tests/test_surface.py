@@ -269,7 +269,8 @@ def test_report_runs_without_numpy(tmp_path):
     for regime, scores in (("finetuned", (0.9, 0.7)), ("scratch", (0.6, 0.8))):
         for table, s in zip(("t0", "t1"), scores):
             doc = {"table": table, "shape_scores": {"x": s}, "trend_scores": {}, "s_shape": s,
-                   "s_trend": 0.0, "s_overall": s, "syn_rows": 10, "single_column": True}
+                   "s_trend": 0.0, "s_overall": s, "syn_rows": 10, "single_column": True,
+                   "_provenance": {"split": "random-test"}}
             (bench / "reports" / f"{table}.stvae.{regime}.json").write_text(json.dumps(doc), encoding="utf-8")
     script = (
         "import sys\n"
@@ -279,8 +280,8 @@ def test_report_runs_without_numpy(tmp_path):
     )
     loaded = _loaded_after(script)
     rows = (out / "leaderboard.csv").read_text(encoding="utf-8").splitlines()
-    assert rows[2:] == ["bench,stvae,finetuned,0.800000,0.100000,0.000000,0.000000,0.800000,0.100000,0.666667",
-                        "bench,stvae,scratch,0.700000,0.100000,0.000000,0.000000,0.700000,0.100000,"]
+    assert rows[2:] == ["random-test,stvae,finetuned,0.800000,0.100000,0.000000,0.000000,0.800000,0.100000,0.666667",
+                        "random-test,stvae,scratch,0.700000,0.100000,0.000000,0.000000,0.700000,0.100000,"]
     assert "numpy" not in loaded
 
 
