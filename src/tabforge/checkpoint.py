@@ -4,14 +4,16 @@ Layout: magic, header length, JSON header (version, kind, config, tensor
 directory with shapes/offsets, auxiliary state like fitted transforms or
 tokenizer merges, provenance), then a payload of little-endian float32
 arrays, then a sha256 over everything before it.  Loads verify the
-checksum, the format version, that every declared tensor fits the
-payload, and that every value is finite.
+checksum, the format version, the header's layout, that every declared
+tensor fits the payload, and that every value is finite.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +26,50 @@ FORMAT_VERSION = 1
 
 class CheckpointError(DataError):
     pass
+
+
+# The header layout `serialize_checkpoint` writes, as the JSON type of each
+# field past the format version.  A dict lays out the keys an object must
+# have, or with the key `str` every value of an object; a list of one
+# layout lays out every item of a list, and a list of several each item of
+# a list that long.  _COUNT is an integer >= 0.
+_COUNT = "an integer >= 0"
+_HEADER = {
+    "kind": str,
+    "config": {"model": dict},
+    "tensors": [{"name": str, "shape": [_COUNT], "offset": _COUNT, "nbytes": _COUNT}],
+    "segments": {str: [[str, _COUNT]]},
+    "aux": dict,
+    "provenance": dict,
+}
+_JSON_NAMES = {str: "a string", dict: "a JSON object", list: "a JSON list"}
+
+
+def _check_layout(value, layout, where: str) -> None:
+    """Raise a CheckpointError naming the first field of `value`, found at
+    `where`, that is missing or departs from `layout`."""
+    if layout is _COUNT:
+        if type(value) is not int or value < 0:
+            raise CheckpointError(f"{where} is not {_COUNT}")
+        return
+    kind = layout if type(layout) is type else type(layout)
+    if type(value) is not kind:
+        raise CheckpointError(f"{where} is not {_JSON_NAMES[kind]}")
+    if type(layout) is list:
+        items = layout * len(value) if len(layout) == 1 else layout
+        if len(items) != len(value):
+            raise CheckpointError(f"{where} does not hold {len(layout)} items")
+        for i, (item, item_layout) in enumerate(zip(value, items)):
+            _check_layout(item, item_layout, f"{where}[{i}]")
+    elif type(layout) is dict:
+        for key, key_layout in layout.items():
+            if key is str:
+                for name, item in value.items():
+                    _check_layout(item, key_layout, f"{where}.{name}")
+            elif key not in value:
+                raise CheckpointError(f"{where}.{key} is missing")
+            else:
+                _check_layout(value[key], key_layout, f"{where}.{key}")
 
 
 @dataclass
@@ -68,12 +114,19 @@ def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
     write_file(path, serialize_checkpoint(ckpt))
 
 
-def load_checkpoint(path) -> ModelCheckpoint:
-    """The checkpoint at `path`; every error names the file."""
+@contextlib.contextmanager
+def naming(path):
+    """A CheckpointError raised inside, as one that names the file at `path`."""
     try:
-        return load_checkpoint_bytes(read_file(path))
+        yield
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
+
+
+def load_checkpoint(path) -> ModelCheckpoint:
+    """The checkpoint at `path`; every error names the file."""
+    with naming(path):
+        return load_checkpoint_bytes(read_file(path))
 
 
 def load_checkpoint_bytes(blob: bytes) -> ModelCheckpoint:
@@ -86,15 +139,20 @@ def load_checkpoint_bytes(blob: bytes) -> ModelCheckpoint:
     header_start = len(MAGIC) + 8
     if header_start + header_len > len(body):
         raise CheckpointError("truncated header")
-    header = json.loads(body[header_start : header_start + header_len].decode("utf-8"))
+    try:
+        header = json.loads(body[header_start : header_start + header_len].decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise CheckpointError(f"header is not JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError("header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format version {header.get('format_version')}")
+    _check_layout(header, _HEADER, "header")
     payload = body[header_start + header_len :]
     tensors: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
         end = entry["offset"] + entry["nbytes"]
-        expected = int(np.prod(entry["shape"], dtype=np.int64)) * 4 if entry["shape"] else 4
-        if entry["nbytes"] != expected or end > len(payload):
+        if entry["nbytes"] != math.prod(entry["shape"]) * 4 or end > len(payload):
             raise CheckpointError(f"tensor {entry['name']!r} does not fit the payload (truncated?)")
         arr = np.frombuffer(payload[entry["offset"] : end], dtype="<f4").reshape(entry["shape"])
         if not np.isfinite(arr).all():
@@ -104,7 +162,7 @@ def load_checkpoint_bytes(blob: bytes) -> ModelCheckpoint:
         kind=header["kind"],
         config=header["config"],
         tensors=tensors,
-        segments={k: [tuple(s) for s in v] for k, v in header.get("segments", {}).items()},
-        aux=header.get("aux", {}),
-        provenance=header.get("provenance", {}),
+        segments={k: [tuple(s) for s in v] for k, v in header["segments"].items()},
+        aux=header["aux"],
+        provenance=header["provenance"],
     )

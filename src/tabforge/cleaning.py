@@ -44,7 +44,7 @@ class CleaningConfig:
         ):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
-                raise DataError(f"{name} must be in (0, 1], got {v}")
+                raise DataError(f"cleaning.{name} must be in (0, 1], got {v}")
 
 
 def cleaning_config(cfg: dict) -> CleaningConfig:
@@ -140,6 +140,15 @@ def categorical_sparsity_check(column: ColumnMeta, cells: list[Cell], config: Cl
     return avg_freq >= config.min_avg_category_freq
 
 
+def _mean(values: list[float]) -> float:
+    """The mean of `values`; a sum past the float range (cells near 1e308)
+    sums each value divided by the count instead."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        return math.fsum(v / len(values) for v in values)
+
+
 def impute_column(column: ColumnMeta, cells: list[Cell], config: CleaningConfig):
     """Fill nulls (numeric mean / modal category) or drop the column when too
     sparse.  Returns (new_meta, new_cells, imputed_count) or (None, reason,
@@ -153,7 +162,7 @@ def impute_column(column: ColumnMeta, cells: list[Cell], config: CleaningConfig)
     if null_count == 0:
         return column, list(cells), 0
     if column.kind.is_numerical:
-        fill: Cell = math.fsum(non_null) / len(non_null)
+        fill: Cell = _mean(non_null)
     else:
         counts = {cat: 0 for cat in column.categories}
         for v in non_null:

@@ -374,15 +374,21 @@ def train_scratch_cmd(table_path, method, out_path, cfg):
     _OUT,
 )
 def sample_cmd(ckpt_path, rows, out_path, cfg):
-    """Decode synthetic rows from a trained checkpoint into a CSV."""
-    from tabforge.checkpoint import load_checkpoint
+    """Decode synthetic rows from a trained checkpoint into a CSV.
+
+    A model that decodes fewer valid rows than asked writes those it has,
+    says so on stderr and exits 0."""
+    from tabforge.checkpoint import load_checkpoint, naming
     from tabforge.training import sample_from_checkpoint
 
     ckpt = load_checkpoint(ckpt_path)
     out = Path(out_path)
-    table = sample_from_checkpoint(ckpt, rows, cfg["seed"], out.stem)
+    with naming(ckpt_path):  # a header that no model rebuilds from
+        table = sample_from_checkpoint(ckpt, rows, cfg["seed"], out.stem)
     write_table_csv(table, out)
     print(f"sampled {table.n_rows} rows -> {out}")
+    if table.n_rows < rows:
+        print(f"wrote {table.n_rows} of {rows} requested rows", file=sys.stderr)
 
 
 @cli.command(

@@ -40,14 +40,16 @@ class GreatConfig:
     def __post_init__(self):
         for name in ("d_model", "n_heads", "n_layers", "ctx", "batch"):
             if getattr(self, name) < 1:
-                raise GreatError(f"great.{name} must be >= 1, got {getattr(self, name)}")
+                raise GreatError(f"model.great.{name} must be >= 1, got {getattr(self, name)}")
         for name in ("max_retries", "temperature"):
             if getattr(self, name) < 0:
-                raise GreatError(f"great.{name} must be >= 0, got {getattr(self, name)}")
+                raise GreatError(f"model.great.{name} must be >= 0, got {getattr(self, name)}")
         if self.vocab_size < MIN_VOCAB:
-            raise GreatError(f"great.vocab_size must be >= {MIN_VOCAB}, got {self.vocab_size}")
+            raise GreatError(f"model.great.vocab_size must be >= {MIN_VOCAB}, got {self.vocab_size}")
         if self.d_model % self.n_heads:
-            raise GreatError("d_model must be divisible by n_heads")
+            raise GreatError(
+                f"model.great.d_model must be divisible by model.great.n_heads, got {self.d_model} and {self.n_heads}"
+            )
 
 
 class KVCache:

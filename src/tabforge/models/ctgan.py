@@ -57,9 +57,9 @@ class CtganConfig:
     def __post_init__(self):
         for name in ("z_dim", "pac", "batch"):
             if getattr(self, name) < 1:
-                raise ModelError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ModelError(f"model.{name} must be >= 1, got {getattr(self, name)}")
         if self.tau <= 0:
-            raise ModelError("tau (gumbel-softmax temperature) must be positive")
+            raise ModelError(f"model.tau (the gumbel-softmax temperature) must be > 0, got {self.tau}")
 
 
 @dataclass

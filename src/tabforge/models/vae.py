@@ -35,7 +35,6 @@ DELTA_FLOOR = 1e-3
 
 @dataclass
 class VaeConfig:
-    variant: str
     latent: int
     hidden: tuple[int, int]
     sig_dim: int  # stvaem only; 0 reduces stvaem to stvae
@@ -48,20 +47,19 @@ class VaeConfig:
     recon_weight: float
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ModelError(f"unknown VAE variant {self.variant!r}")
         if self.recon_weight <= 0:
-            raise ModelError("recon_weight must be positive")
+            raise ModelError(f"model.recon_weight must be > 0, got {self.recon_weight}")
         for name in ("latent", "batch"):
             if getattr(self, name) < 1:
-                raise ModelError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ModelError(f"model.{name} must be >= 1, got {getattr(self, name)}")
         if self.sig_dim < 0:
-            raise ModelError(f"sig_dim must be >= 0, got {self.sig_dim}")
+            raise ModelError(f"model.sig_dim must be >= 0, got {self.sig_dim}")
 
 
 @dataclass
 class VaeModel:
     transformer: ColumnTransformer
+    variant: str  # one of VARIANTS: the kind of the run that built it
     encoder: Net
     decoder: Net
     config: VaeConfig
@@ -69,9 +67,11 @@ class VaeModel:
     signatures: np.ndarray | None = None  # stvaem only: (sig_width,) constant
 
     def __post_init__(self):
-        if (self.delta is not None) != (self.config.variant == "tvae"):
+        if self.variant not in VARIANTS:
+            raise ModelError(f"unknown VAE variant {self.variant!r}")
+        if (self.delta is not None) != (self.variant == "tvae"):
             raise ModelError("delta present iff variant is tvae")
-        if (self.signatures is not None) != (self.config.variant == "stvaem"):
+        if (self.signatures is not None) != (self.variant == "stvaem"):
             raise ModelError("signatures present iff variant is stvaem")
 
     @property
@@ -115,6 +115,7 @@ def stvaem_signatures(transformer: ColumnTransformer, dim: int) -> np.ndarray:
 
 def build_vae(
     transformer: ColumnTransformer,
+    variant: str,
     config: VaeConfig,
     seed: int,
     dtype=np.float32,
@@ -122,7 +123,7 @@ def build_vae(
     row_w = transformer.total_width
     sig = None
     sig_w = 0
-    if config.variant == "stvaem":
+    if variant == "stvaem":
         sig = stvaem_signatures(transformer, config.sig_dim)
         sig_w = len(sig)
     in_w = row_w + sig_w
@@ -148,10 +149,10 @@ def build_vae(
     encoder = Net(enc_layers, rng, dtype=dtype)
     decoder = Net(dec_layers, rng, dtype=dtype)
     delta = None
-    if config.variant == "tvae":
+    if variant == "tvae":
         delta = Tensor(np.full(len(transformer.alphas), 0.1, dtype=dtype), requires_grad=True)
 
-    return VaeModel(transformer, encoder, decoder, config, delta, sig)
+    return VaeModel(transformer, variant, encoder, decoder, config, delta, sig)
 
 
 def decoder_heads(raw: Tensor, transformer: ColumnTransformer) -> tuple[Tensor, list[Tensor]]:
@@ -235,7 +236,7 @@ def vae_train_batch(model: VaeModel, batch: np.ndarray, rng: np.random.Generator
         loss.backward()
         return (loss,)
 
-    (loss,) = T.guarded_step(f"the {model.config.variant} step", step, opt.params)
+    (loss,) = T.guarded_step(f"the {model.variant} step", step, opt.params)
     opt.step()
     model.clamp_delta()
     return float(loss.data)
@@ -247,7 +248,7 @@ def vae_val_loss(model: VaeModel, batch: np.ndarray, rng: np.random.Generator) -
         return (elbo_loss(model, heads, logits, batch, mu, sigma),)
 
     with T.no_grad():  # nothing backpropagates a validation loss
-        (loss,) = T.guarded_step(f"the {model.config.variant} validation loss", step)
+        (loss,) = T.guarded_step(f"the {model.variant} validation loss", step)
     return float(loss.data)
 
 
@@ -258,7 +259,7 @@ def vae_sample(model: VaeModel, n: int, rng: np.random.Generator) -> Table:
         z = rng.standard_normal((count, model.config.latent)).astype(np.float32)
         with T.no_grad():
             (heads,) = T.guarded_step(
-                f"the {model.config.variant} sampling draw",
+                f"the {model.variant} sampling draw",
                 lambda: decoder_heads(model.decoder.forward(z, mode="eval"), model.transformer)[:1],
             )
         return heads.data

@@ -22,15 +22,15 @@ class SplitSpec:
 
     def __post_init__(self):
         if len(self.ratios) != 3:
-            raise DataError(f"split ratios must be 3 values (train, val, test), got {list(self.ratios)}")
+            raise DataError(f"split.ratios must be 3 values (train, val, test), got {list(self.ratios)}")
         if any(r <= 0 for r in self.ratios):
-            raise DataError(f"every split ratio must be > 0, got {list(self.ratios)}")
+            raise DataError(f"split.ratios must all be > 0, got {list(self.ratios)}")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise DataError(f"split ratios must sum to 1, got {sum(self.ratios)}")
+            raise DataError(f"split.ratios must sum to 1, got {sum(self.ratios)}")
         if self.mode not in ("random", "domain"):
-            raise DataError(f"unknown split mode {self.mode!r}")
+            raise DataError(f"split.mode must be 'random' or 'domain', got {self.mode!r}")
         if self.mode == "domain" and self.k < 1:
-            raise DataError(f"domain mode needs split k >= 1, got {self.k}")
+            raise DataError(f"split.k must be >= 1 in domain mode, got {self.k}")
 
 
 def split_spec(cfg: dict) -> SplitSpec:

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from tabforge.checkpoint import CheckpointError, ModelCheckpoint
-from tabforge.config import ConfigError
 from tabforge.data import BudgetExhausted, ColumnKind, ColumnMeta, DataError, Table
 from tabforge.great.bpe import BOS, EOS, Vocab, train_bpe
 from tabforge.great.model import (
@@ -55,9 +56,6 @@ from tabforge.rng import substream
 from tabforge.textrow import serialize_row_text
 from tabforge.transform import ColumnTransformer, encode_table
 
-KINDS = ("ctgan", "tvae", "stvae", "stvaem", "great")
-
-
 class TrainingError(DataError):
     pass
 
@@ -74,62 +72,30 @@ class TrainConfig:
     ckpt_every: int
     val_fraction: float
     gmm_modes: int
-    ctgan: CtganConfig
-    vae: VaeConfig
-    great: GreatConfig
+    model: CtganConfig | VaeConfig | GreatConfig  # the config of the method `kind` names
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise TrainingError(f"unknown model kind {self.kind!r}")
-        if self.kind in VARIANTS and self.vae.variant != self.kind:
-            raise TrainingError(f"a {self.kind} run needs vae.variant {self.kind!r}, got {self.vae.variant!r}")
         if self.iterations < 1:
-            raise TrainingError("iterations must be >= 1")
+            raise TrainingError(f"training.iterations must be >= 1, got {self.iterations}")
         if self.epochs < 0:
-            raise TrainingError(f"epochs must be >= 0, got {self.epochs}")
+            raise TrainingError(f"training.epochs must be >= 0, got {self.epochs}")
         if self.patience < 1:
-            raise TrainingError(f"patience must be >= 1, got {self.patience}")
+            raise TrainingError(f"training.patience must be >= 1, got {self.patience}")
         if self.min_delta < 0:
-            raise TrainingError(f"min_delta must be >= 0, got {self.min_delta}")
+            raise TrainingError(f"training.min_delta must be >= 0, got {self.min_delta}")
         if self.ckpt_every < 1:
-            raise TrainingError(f"ckpt_every must be >= 1, got {self.ckpt_every}")
+            raise TrainingError(f"training.ckpt_every must be >= 1, got {self.ckpt_every}")
         if not 0.0 <= self.val_fraction < 1.0:
-            raise TrainingError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
-
-
-NET_SIZES = {"small": (128, 128), "normal": (256, 256)}
+            raise TrainingError(f"training.val_fraction must be in [0, 1), got {self.val_fraction}")
 
 
 def train_config(cfg: dict, method: str) -> TrainConfig:
-    m = cfg["model"]
-    hidden = NET_SIZES.get(m["net_size"])
-    if hidden is None:
-        raise ConfigError(f"unknown net_size {m['net_size']!r}")
-    ctgan = CtganConfig(
-        z_dim=m["z_dim"],
-        pac=m["pac"],
-        batch=m["batch"],
-        lambda_gp=m["lambda_gp"],
-        tau=m["tau"],
-        hidden=hidden,
-        lr=m["lr_gan"],
-    )
-    vae = VaeConfig(
-        variant=method if method in VARIANTS else "stvae",
-        latent=m["latent"],
-        hidden=hidden,
-        sig_dim=m["sig_dim"],
-        lr=m["lr_vae"],
-        batch=m["batch"],
-        recon_weight=m["recon_weight"],
-    )
+    """A `method` run's config, with the model config of that method alone."""
     return TrainConfig(
         kind=method,
         seed=cfg["seed"],
         gmm_modes=cfg["transform"]["gmm_modes"],
-        ctgan=ctgan,
-        vae=vae,
-        great=GreatConfig(**m["great"]),
+        model=_driver(method).model_config(cfg["model"]),
         **cfg["training"],
     )
 
@@ -229,10 +195,11 @@ def _segment_rows(seglist) -> dict[str, tuple[int, int]]:
 
 # -- drivers ------------------------------------------------------------------------
 #
-# A driver owns everything that differs between methods: the per-table prep
-# (whose "rows" a run splits into training and validation rows), the start
-# of a run, one epoch, the validation loss, sampling, the checkpoint aux and
-# the rebuild from it.  Only `start` reads the prep: it builds the model and
+# A driver owns everything that differs between methods: the model config
+# it builds from the config's "model" section, the per-table prep (whose
+# "rows" a run splits into training and validation rows), the start of a
+# run, one epoch, the validation loss, sampling, the checkpoint aux and the
+# rebuild from it.  Only `start` reads the prep: it builds the model and
 # its session from the rows the run trains on.  Every later step reads the
 # model, which holds its transformer or its vocabulary and schema, and the
 # session, which holds whatever else an epoch or a validation pass reads.
@@ -245,23 +212,54 @@ def _segment_rows(seglist) -> dict[str, tuple[int, int]]:
 # profiler that rebinds those names sees every call.
 
 
-def _aux_entry(ckpt: ModelCheckpoint, key: str):
+def _from_aux(ckpt: ModelCheckpoint, key: str, build):
+    """`build` over the checkpoint's aux entry `key`; a missing entry, or a
+    key missing inside it, is a CheckpointError naming it."""
     if key not in ckpt.aux:
         raise CheckpointError(f"checkpoint has no {key}; was it a pretraining body?")
-    return ckpt.aux[key]
+    try:
+        return build(ckpt.aux[key])
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint {key} lacks {exc.args[0]!r}") from None
+
+
+def _json_fits(value, hint) -> bool:
+    """Whether the JSON `value` fits the field type `hint`: an int, a str, a
+    float (any number) or a tuple of them (as a list in JSON)."""
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        return type(value) in (list, tuple) and len(value) == len(args) and all(map(_json_fits, value, args))
+    if hint is float:
+        return type(value) in (int, float)
+    return type(value) is hint
 
 
 def _stored_config(cls, ckpt: ModelCheckpoint):
     """The checkpoint's model config; JSON stored its tuples as lists.  Keys
     the config no longer has (older checkpoints' settings that became
-    constants) are ignored; a field the checkpoint lacks is a
-    CheckpointError naming it."""
-    names = [f.name for f in fields(cls)]
+    constants) are ignored; a field the checkpoint lacks, or holds a value
+    of another type in, is a CheckpointError naming it."""
+    hints = typing.get_type_hints(cls)
     doc = ckpt.config["model"]
-    missing = [name for name in names if name not in doc]
+    missing = [name for name in hints if name not in doc]
     if missing:
         raise CheckpointError(f"checkpoint model config lacks {', '.join(missing)}")
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items() if k in names})
+    for name, hint in hints.items():
+        if not _json_fits(doc[name], hint):
+            type_name = hint.__name__ if type(hint) is type else hint
+            raise CheckpointError(f"checkpoint model config {name} is {json.dumps(doc[name])}, not of type {type_name}")
+    return cls(**{name: tuple(doc[name]) if type(doc[name]) is list else doc[name] for name in hints})
+
+
+NET_SIZES = {"small": (128, 128), "normal": (256, 256)}
+
+
+def _hidden(m: dict) -> tuple[int, int]:
+    """The hidden widths `model.net_size` names."""
+    hidden = NET_SIZES.get(m["net_size"])
+    if hidden is None:
+        raise TrainingError(f"model.net_size must be one of {', '.join(NET_SIZES)}, got {m['net_size']!r}")
+    return hidden
 
 
 class _GmmDriver:
@@ -282,7 +280,7 @@ class _GmmDriver:
         return {"transformer": model.transformer.to_dict()}
 
     def _transformer(self, ckpt: ModelCheckpoint) -> ColumnTransformer:
-        return ColumnTransformer.from_dict(_aux_entry(ckpt, "transformer"))
+        return _from_aux(ckpt, "transformer", ColumnTransformer.from_dict)
 
 
 def _batches(n: int, size: int, rng) -> list[np.ndarray]:
@@ -292,8 +290,12 @@ def _batches(n: int, size: int, rng) -> list[np.ndarray]:
 
 
 class _VaeDriver(_GmmDriver):
+    def model_config(self, m: dict) -> VaeConfig:
+        same = {key: m[key] for key in ("latent", "sig_dim", "batch", "recon_weight")}
+        return VaeConfig(**same, hidden=_hidden(m), lr=m["lr_vae"])
+
     def start(self, prep, rows: np.ndarray, config: TrainConfig, seed: int):
-        model = build_vae(prep["transformer"], config.vae, seed)
+        model = build_vae(prep["transformer"], config.kind, config.model, seed)
         return model, {"opt": model.optimizer(), "rows": rows}
 
     def train_epoch(self, model, session, rng) -> float:
@@ -311,18 +313,22 @@ class _VaeDriver(_GmmDriver):
         return vae_sample(model, n, rng)
 
     def rebuild(self, ckpt: ModelCheckpoint):
-        return build_vae(self._transformer(ckpt), _stored_config(VaeConfig, ckpt), seed=0)
+        return build_vae(self._transformer(ckpt), ckpt.kind, _stored_config(VaeConfig, ckpt), seed=0)
 
 
 class _CtganDriver(_GmmDriver):
     early_stops = False  # a GAN has no usable validation loss
+
+    def model_config(self, m: dict) -> CtganConfig:
+        same = {key: m[key] for key in ("z_dim", "pac", "batch", "lambda_gp", "tau")}
+        return CtganConfig(**same, hidden=_hidden(m), lr=m["lr_gan"])
 
     def start(self, prep, rows: np.ndarray, config: TrainConfig, seed: int):
         # The condition PMFs and the row index cover the rows trained on: a
         # category whose rows all fell into the validation slice gets zero
         # mass, so the condition sampler never asks for a real row that is
         # not there.
-        model = build_ctgan(prep["transformer"], rows, config.ctgan, seed)
+        model = build_ctgan(prep["transformer"], rows, config.model, seed)
         critic_opt, gen_opt = model.optimizers()
         row_index = build_row_index(model, rows)
         return model, {"critic_opt": critic_opt, "gen_opt": gen_opt, "rows": rows, "row_index": row_index}
@@ -345,7 +351,7 @@ class _CtganDriver(_GmmDriver):
         return {**super().aux(model), "log_pmfs": [p.tolist() for p in model.log_pmfs]}
 
     def rebuild(self, ckpt: ModelCheckpoint):
-        log_pmfs = [np.asarray(p, dtype=np.float64) for p in _aux_entry(ckpt, "log_pmfs")]
+        log_pmfs = _from_aux(ckpt, "log_pmfs", lambda doc: [np.asarray(p, dtype=np.float64) for p in doc])
         cfg = _stored_config(CtganConfig, ckpt)
         return make_ctgan(self._transformer(ckpt), cfg, log_pmfs, seed=0)
 
@@ -363,10 +369,13 @@ def _too_small(table: Table, key: str):
 class _GreatDriver:
     early_stops = True
 
+    def model_config(self, m: dict) -> GreatConfig:
+        return GreatConfig(**m["great"])
+
     def corpus_aux(self, corpus: list[Table], config: TrainConfig) -> dict:
         """The vocabulary every table of the corpus shares."""
         sentences = [serialize_row_text(t.columns, row) for t in corpus for row in t.rows]
-        return {"vocab": train_bpe(sentences, config.great.vocab_size).to_dict()}
+        return {"vocab": train_bpe(sentences, config.model.vocab_size).to_dict()}
 
     def prep(self, table: Table, config: TrainConfig, aux: dict):
         # Fine-tuning continues with the pretraining vocabulary; training
@@ -377,7 +386,7 @@ class _GreatDriver:
     def start(self, prep, rows: np.ndarray, config: TrainConfig, seed: int):
         table = prep["table"]
         with _too_small(table, "model.great.vocab_size"):
-            model = build_great(config.great, prep["vocab"], table.columns, seed)
+            model = build_great(config.model, prep["vocab"], table.columns, seed)
         return model, {"opt": model.optimizer(), "table": table, "rows": rows}
 
     def _padded(self, model, session, seqs: list[list[int]]) -> np.ndarray:
@@ -420,21 +429,22 @@ class _GreatDriver:
         }
 
     def rebuild(self, ckpt: ModelCheckpoint):
-        schema = [
-            ColumnMeta(c["name"], ColumnKind(c["kind"]), tuple(c.get("categories", ())))
-            for c in _aux_entry(ckpt, "schema")
-        ]
-        vocab = Vocab.from_dict(_aux_entry(ckpt, "vocab"))
+        schema = _from_aux(ckpt, "schema", lambda doc: [
+            ColumnMeta(c["name"], ColumnKind(c["kind"]), tuple(c.get("categories", ()))) for c in doc
+        ])
+        vocab = _from_aux(ckpt, "vocab", Vocab.from_dict)
         return build_great(_stored_config(GreatConfig, ckpt), vocab, schema, seed=0)
 
 
 _DRIVERS = {"ctgan": _CtganDriver(), **dict.fromkeys(VARIANTS, _VaeDriver()), "great": _GreatDriver()}
+KINDS = tuple(_DRIVERS)
 
 
-def _driver(kind: str):
+def _driver(kind: str, error=TrainingError):
+    """The driver of the method `kind`; an unknown kind raises `error`."""
     driver = _DRIVERS.get(kind)
     if driver is None:
-        raise TrainingError(f"unknown model kind {kind!r}")
+        raise error(f"unknown model kind {kind!r}")
     return driver
 
 
@@ -457,9 +467,11 @@ def _check_no_nulls(tables: list[Table]) -> None:
 
 
 def _checkpoint(model, config: TrainConfig, tensors, aux: dict, corpus: list[Table], epoch: int):
+    """The run's checkpoint; its header's config is the run's TrainConfig,
+    which holds each setting once, the model's under "model"."""
     return ModelCheckpoint(
         kind=config.kind,
-        config={"model": asdict(model.config), "train": asdict(config)},
+        config=asdict(config),
         tensors=tensors,
         segments={k: [list(s) for s in v] for k, v in model.segments().items()},
         aux=aux,
@@ -601,7 +613,7 @@ def _snapshot_score(driver, model, table: Table, val_ids: np.ndarray, config: Tr
 
 def rebuild_model(ckpt: ModelCheckpoint):
     """The checkpoint's sampling-ready model, every tensor loaded strictly."""
-    model = _driver(ckpt.kind).rebuild(ckpt)
+    model = _driver(ckpt.kind, CheckpointError).rebuild(ckpt)
     loaded = set(transfer_state(model, ckpt.tensors))
     for name, target in model.tensors().items():
         if name not in loaded:

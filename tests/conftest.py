@@ -16,12 +16,10 @@ def run_config(kind: str, *overrides: str, **fields):
     """The TrainConfig a `kind` run builds, as the CLI builds it:
     `train_config` over `load_config` with `--section.key=value` overrides.
     `fields` replace what no config key reaches, such as `hidden`: a
-    TrainConfig field, or for `ctgan`, `vae` and `great` a dict of the
-    sub-config's fields."""
+    TrainConfig field, or for `model` a dict of the model config's fields."""
     cfg = train_config(load_config(overrides=list(overrides)), kind)
-    for name in ("ctgan", "vae", "great"):
-        if name in fields:
-            fields[name] = replace(getattr(cfg, name), **fields[name])
+    if "model" in fields:
+        fields["model"] = replace(cfg.model, **fields["model"])
     return replace(cfg, **fields)
 
 

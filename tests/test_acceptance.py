@@ -150,8 +150,8 @@ def _ctgan_fixture(dtype=np.float64):
 
     matrix = encode_table(table, tf, np.random.default_rng(3))
     cfg = run_config(
-        "ctgan", "--model.z_dim=8", "--model.pac=2", "--model.batch=16", ctgan={"hidden": (16, 16)}
-    ).ctgan
+        "ctgan", "--model.z_dim=8", "--model.pac=2", "--model.batch=16", model={"hidden": (16, 16)}
+    ).model
     model = build_ctgan(tf, matrix, cfg, 1, dtype)
     return model, matrix
 
@@ -223,9 +223,9 @@ def test_criterion_4_gradient_fidelity():
     # (finite differences are undefined there; convergence in h verified).
     for variant, init_seed in (("tvae", 2), ("stvae", 2), ("stvaem", 3)):
         cfg = run_config(
-            variant, "--model.latent=5", "--model.sig_dim=3", "--model.batch=16", vae={"hidden": (12, 12)}
-        ).vae
-        vmodel = build_vae(tf, cfg, seed=init_seed, dtype=np.float64)
+            variant, "--model.latent=5", "--model.sig_dim=3", "--model.batch=16", model={"hidden": (12, 12)}
+        ).model
+        vmodel = build_vae(tf, variant, cfg, seed=init_seed, dtype=np.float64)
         batch = enc[:6]
 
         def value():
@@ -398,7 +398,7 @@ def test_criterion_7_transferability_direction():
             "--transform.gmm_modes=1",
             "--model.latent=16",
             "--model.batch=100",
-            vae={"hidden": (64, 64)},
+            model={"hidden": (64, 64)},
         )
 
     corpus = [family_table(f"fam{i}", seed=100 + i) for i in range(5)]
@@ -460,7 +460,7 @@ def test_criterion_9_great_pipeline():
         "--model.great.vocab_size=512",
         "--model.great.lr=3e-3",
         "--model.great.batch=8",
-    ).great
+    ).model
     model = build_great(cfg, vocab, [], seed=0)
     opt = model.optimizer()
     batch = pad_batch([seq] * 8, cfg.ctx)
@@ -496,7 +496,7 @@ def test_criterion_9_great_pipeline():
         "--model.great.lr=1e-3",
         "--model.great.batch=16",
         "--model.great.max_retries=2",
-    ).great
+    ).model
     model2 = build_great(cfg2, vocab2, cols, seed=0)
     opt2 = model2.optimizer()
     perm = np.random.default_rng(1)

@@ -1,4 +1,5 @@
 import csv
+import math
 import tempfile
 from pathlib import Path
 
@@ -104,6 +105,17 @@ class TestImpute:
     def test_all_null_dropped(self):
         meta, reason, _ = impute_column(num_col(), [None, None], CONFIG)
         assert meta is None and reason == "all_null"
+
+    def test_huge_cells_impute_a_finite_mean(self, tmp_path, cli_run):
+        # Two cells near the float limit overflow a plain sum of the column.
+        corpus = tmp_path / "raw"
+        corpus.mkdir()
+        rows = ["1e308,a", "1e308,b", ",a"] + [f"{i}.5,{'ab'[i % 2]}" for i in range(9)]
+        (corpus / "huge.csv").write_text("x,g\n" + "\n".join(rows) + "\n")
+        cli_run(["clean", str(corpus), str(tmp_path / "out")])
+        cleaned = load_clean_table(tmp_path / "out" / "huge.csv")
+        fill = cleaned.rows[2][0]
+        assert math.isfinite(fill) and fill == pytest.approx(2 * (1e308 / 11))
 
 
 def demo_table():

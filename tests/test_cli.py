@@ -33,6 +33,11 @@ TINY = [
 ]
 
 
+# Model keys CTGAN does not read, by a method that does; every other
+# `model.*` key outside `model.great` is one CTGAN reads.
+READER = {"model.latent": "stvae", "model.sig_dim": "stvaem"}
+
+
 GREAT_TINY = [
     "--model.great.d_model=16",
     "--model.great.n_heads=2",
@@ -182,6 +187,20 @@ class TestTrainAndSample:
         out_csv = tmp / "zero.csv"
         cli_run(["sample", "--checkpoint", str(ckpt), "--rows", "0", "--out", str(out_csv)])
         assert out_csv.read_text() == "x,y,color\n"
+
+    def test_sample_says_when_it_wrote_fewer_rows_than_asked(self, pipeline_dirs, cli_run):
+        # One epoch and no retry: GReaT decodes few rows, if any, that parse.
+        cleaned, _, tmp = pipeline_dirs
+        ckpt = tmp / "great.ckpt"
+        table = next(iter(sorted(cleaned.glob("*.csv"))))
+        cli_run(["train-scratch", "--table", str(table), "--method", "great", "--out", str(ckpt),
+                 *GREAT_TINY, "--model.great.max_retries=0"])
+        out_csv = tmp / "few.csv"
+        result = cli_run(["sample", "--checkpoint", str(ckpt), "--rows", "20", "--out", str(out_csv)])
+        written = len(out_csv.read_text().splitlines()) - 1
+        assert written < 20
+        assert result.err == f"wrote {written} of 20 requested rows\n"
+        assert f"sampled {written} rows" in result.out
 
     def test_seed_override_sets_the_sampling_seed(self, pipeline_dirs, cli_run):
         cleaned, _, tmp = pipeline_dirs
@@ -409,23 +428,39 @@ class TestFailuresExitTwo:
         ("--model.great.max_retries=-1", "great.max_retries must be >= 0, got -1"),
         ("--model.great.temperature=-0.5", "great.temperature must be >= 0, got -0.5"),
         ("--training.epochs=-2", "epochs must be >= 0, got -2"),
+        ("--model.net_size=huge", "net_size must be one of small, normal, got 'huge'"),
     ])
     def test_nonpositive_size_is_a_data_error(self, flag, named, pipeline_dirs, monkeypatch, capsys):
+        # Each flag runs on a method that reads it; the message names the
+        # flag's dotted key, which `named` continues after its section.
         cleaned, _, tmp = pipeline_dirs
         table = sorted(cleaned.glob("*.csv"))[0]
-        args = ["train-scratch", "--table", str(table), "--method", "ctgan",
+        key = flag[2:].split("=")[0]
+        method = "great" if key.startswith("model.great.") else READER.get(key, "ctgan")
+        args = ["train-scratch", "--table", str(table), "--method", method,
                 "--out", str(tmp / "g.ckpt"), *TINY, flag]
         assert main_exit_code(monkeypatch, args) == 2
         err = capsys.readouterr().err
-        assert err == f"error: {named}\n"
+        assert err == f"error: {key.split('.')[0]}.{named}\n"
         assert not (tmp / "g.ckpt").exists()
+
+    @pytest.mark.parametrize("method, flag", [
+        ("ctgan", "--model.great.n_heads=3"), ("great", "--model.latent=0"), ("stvae", "--model.pac=0"),
+    ])
+    def test_a_run_checks_only_its_own_methods_settings(self, method, flag, pipeline_dirs, cli_run):
+        cleaned, _, tmp = pipeline_dirs
+        table = sorted(cleaned.glob("*.csv"))[0]
+        cli_run(["train-scratch", "--table", str(table), "--method", method,
+                 "--out", str(tmp / "m.ckpt"), *TINY, *GREAT_TINY, flag])
+        header_config = load_checkpoint(tmp / "m.ckpt").config
+        assert header_config["kind"] == method and "train" not in header_config
 
     def test_great_vocab_below_the_byte_alphabet_is_a_data_error(self, pipeline_dirs, monkeypatch, capsys):
         cleaned, manifest, tmp = pipeline_dirs
         args = ["pretrain", "--split", str(manifest), "--clean-dir", str(cleaned), "--method", "great",
                 "--out", str(tmp / "g.ckpt"), *GREAT_TINY, "--model.great.vocab_size=10"]
         assert main_exit_code(monkeypatch, args) == 2
-        assert capsys.readouterr().err == "error: great.vocab_size must be >= 259, got 10\n"
+        assert capsys.readouterr().err == "error: model.great.vocab_size must be >= 259, got 10\n"
         assert not (tmp / "g.ckpt").exists()
 
     def _great_body(self, cli_run, cleaned, manifest, tmp):
@@ -990,10 +1025,10 @@ class TestBadConfigValues:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("command, flag, detail", [
-        ("split", "--split.ratios=[0.5,0.5,0.5]", "split ratios must sum to 1"),
-        ("split", "--split.ratios=[0.5,0.5]", "split ratios must be 3 values"),
-        ("split", "--split.mode=grid", "unknown split mode 'grid'"),
-        ("clean", "--cleaning.max_null_fraction=2", "max_null_fraction must be in (0, 1]"),
+        ("split", "--split.ratios=[0.5,0.5,0.5]", "error: split.ratios must sum to 1"),
+        ("split", "--split.ratios=[0.5,0.5]", "error: split.ratios must be 3 values"),
+        ("split", "--split.mode=grid", "error: split.mode must be 'random' or 'domain', got 'grid'"),
+        ("clean", "--cleaning.max_null_fraction=2", "error: cleaning.max_null_fraction must be in (0, 1]"),
     ])
     def test_out_of_range_split_or_cleaning_value_is_a_data_error(
         self, command, flag, detail, toy_corpus, tmp_path, monkeypatch, capsys, cli_run

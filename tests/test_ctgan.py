@@ -36,7 +36,7 @@ def toy_table(n=120, seed=0, cats=("a", "b", "c")):
 
 def ctgan_config(*overrides, hidden):
     """A run's CtganConfig with z_dim 8, pac 2 and `hidden` widths."""
-    return run_config("ctgan", "--model.z_dim=8", "--model.pac=2", *overrides, ctgan={"hidden": hidden}).ctgan
+    return run_config("ctgan", "--model.z_dim=8", "--model.pac=2", *overrides, model={"hidden": hidden}).model
 
 
 def small_model(table=None, dtype=np.float32, overrides=()):

@@ -99,7 +99,7 @@ def tiny_model(sentences, d=32, layers=2, heads=2, ctx=64, lr=1e-3, seed=0):
         "--model.great.vocab_size=4096",
         f"--model.great.lr={lr}",
         "--model.great.batch=8",
-    ).great
+    ).model
     model = build_great(cfg, vocab, SCHEMA, seed)
     return model, vocab
 

@@ -163,8 +163,7 @@ def fixture_config(kind):
         "--model.great.ctx=96",
         "--model.great.vocab_size=300",
         "--model.great.batch=8",
-        ctgan={"hidden": (16, 16)},
-        vae={"hidden": (16, 16)},
+        model={} if kind == "great" else {"hidden": (16, 16)},
     )
 
 
@@ -221,7 +220,7 @@ def test_tape_nodes_per_ctgan_batch(node_count):
     table = Table("t", cols, rows)
     tf = ColumnTransformer.fit(table, 2, 0)
     matrix = encode_table(table, tf, np.random.default_rng(1))
-    cfg = run_config("ctgan", "--model.z_dim=8", "--model.batch=250", ctgan={"hidden": (16, 16)}).ctgan
+    cfg = run_config("ctgan", "--model.z_dim=8", "--model.batch=250", model={"hidden": (16, 16)}).model
     model = build_ctgan(tf, matrix, cfg, seed=1)
     critic_opt, gen_opt = model.optimizers()
     index = build_row_index(model, matrix)
@@ -241,7 +240,7 @@ def test_tape_nodes_per_great_step(node_count):
         "--model.great.n_layers=2",
         "--model.great.ctx=24",
         "--model.great.batch=8",
-    ).great
+    ).model
     model = build_great(cfg, vocab, [], 0)
     batch = pad_batch([[BOS] + vocab.encode(s) + [EOS] for s in sentences], 24)
     node_count[:] = [0, 0]
@@ -320,7 +319,7 @@ def overflowing_forward(forward):
     rng = np.random.default_rng(2)
     method = forward.split()[0]
     if method == "ctgan":
-        model = build_ctgan(tf, matrix, fixture_config(method).ctgan, seed=1)
+        model = build_ctgan(tf, matrix, fixture_config(method).model, seed=1)
         critic, gen = model.optimizers()
         if forward == "ctgan sampling":
             blow_up(model.generator, "0.0.W", "1.0.W")
@@ -332,7 +331,7 @@ def overflowing_forward(forward):
             critic.step = lambda: (update(), blow_up(model.generator, "0.0.W", "1.0.W"))
         return lambda: ctgan_train_batch(model, matrix, rng, critic, gen, build_row_index(model, matrix))
     if method == "stvae":
-        model = build_vae(tf, fixture_config(method).vae, seed=1)
+        model = build_vae(tf, method, fixture_config(method).model, seed=1)
         if forward == "stvae sampling":
             blow_up(model.decoder, "0.W", "2.W")
             return lambda: vae_sample(model, 10, rng)
@@ -342,7 +341,7 @@ def overflowing_forward(forward):
         return lambda: vae_val_loss(model, matrix[:16], rng)
     sentences = [f"n is {i} and ok is {'yes' if i % 2 else 'no'}" for i in range(8)]
     vocab = train_bpe(sentences, MIN_VOCAB + 6)
-    model = build_great(fixture_config(method).great, vocab, table.columns, 0)
+    model = build_great(fixture_config(method).model, vocab, table.columns, 0)
     # MLP pre-activations near 1e13: GELU's cube overflows, tanh saturates.
     model.params["b0.mlp.w1"].data = model.params["b0.mlp.w1"].data * np.float32(1e14)
     batch = pad_batch([[BOS] + vocab.encode(s) + [EOS] for s in sentences], model.config.ctx)

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,15 +32,32 @@ from conftest import run_config
 
 
 def rewrite_header(blob: bytes, edit) -> bytes:
-    """A serialized checkpoint with its JSON header passed through `edit`
+    """A serialized checkpoint with its JSON header passed through `edit`,
+    which changes it in place (None: writes it as a one-item JSON list),
     and the checksum redone."""
     start = len(MAGIC) + 8
     end = start + int.from_bytes(blob[len(MAGIC) : start], "little")
     header = json.loads(blob[start:end])
-    edit(header)
+    if edit is None:
+        header = [header]
+    else:
+        edit(header)
     text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = MAGIC + len(text).to_bytes(8, "little") + text + blob[end:-32]
     return body + hashlib.sha256(body).digest()
+
+
+def older_layout(header) -> None:
+    """Rewrite `header` in the layout older checkpoints have: config.model
+    held the model config, a VAE's with its variant, and config.train the
+    whole TrainConfig, whose model configs sat under `ctgan`, `vae` and
+    `great` (here only the run's own)."""
+    kind, train = header["kind"], header["config"]
+    model = dict(train.pop("model"))
+    section = kind if kind in ("ctgan", "great") else "vae"
+    if section == "vae":
+        model["variant"] = kind
+    header["config"] = {"model": model, "train": {**train, section: dict(model)}}
 
 
 def make_table(name, n=60, seed=0, mean=0.0, cats=("a", "b")):
@@ -76,20 +93,13 @@ def quick_config(kind="stvae", epochs=3, iterations=2, **training):
         "--model.great.ctx=96",
         "--model.great.vocab_size=300",
         "--model.great.batch=8",
-        ctgan={"batch": 16, "hidden": (16, 16)},
-        vae={"hidden": (16, 16)},
+        # What no config key reaches: the hidden widths, and CTGAN's smaller batch.
+        model={"ctgan": {"batch": 16, "hidden": (16, 16)}, "great": {}}.get(kind, {"hidden": (16, 16)}),
     )
-
-
-@dataclass
-class _NoConfig:
-    pass
 
 
 class _ScriptedModel:
     """One weight, which the scripted driver sets to the epoch number."""
-
-    config = _NoConfig()
 
     def __init__(self):
         self.w = SimpleNamespace(data=np.zeros(1, np.float32))
@@ -108,6 +118,9 @@ class _ScriptedDriver:
     def __init__(self, early_stops, val_losses=()):
         self.early_stops = early_stops
         self.val_losses = val_losses
+
+    def model_config(self, m):
+        return tr._VaeDriver().model_config(m)  # a config the header can hold
 
     def prep(self, table, config, aux):
         return {"rows": np.arange(table.n_rows)}
@@ -296,21 +309,24 @@ class TestScratchTraining:
         # BPE trains to GreatConfig.vocab_size, so a vocabulary smaller than
         # the 2048 default builds (a separate budget once outgrew it).
         cfg = quick_config("great", epochs=1)
-        cfg.great = replace(cfg.great, vocab_size=270)
+        cfg.model = replace(cfg.model, vocab_size=270)
         ckpt, _ = finetune(None, make_table("t3", n=30), cfg)
         assert len(ckpt.aux["vocab"]["merges"]) <= 270 - MIN_VOCAB
         assert sample_from_checkpoint(ckpt, 3, seed=0).n_cols == 3
 
     def test_checkpoint_with_a_great_vocab_header_loads_and_samples(self, tmp_path):
-        # Older checkpoints carry header keys this version dropped: GReaT's
+        # Older checkpoints carry header keys this version dropped: the run's
+        # config under config.train, a VAE's model.variant, GReaT's
         # config.train.great_vocab, the list of head tensors, the settings
         # that became constants, and row segments for critic.0.W.  Loading,
         # sampling and fine-tuning from one match the current header's.
         def great_header(header):
+            older_layout(header)
             header["config"]["train"]["great_vocab"] = 2048
             header["config"]["model"]["betas"] = [0.9, 0.999]
 
         def ctgan_header(header):
+            older_layout(header)
             header["head_names"] = ["critic.0.W", "critic.0.b", "gen.2.W", "gen.2.b"]
             dropped = {"betas": [0.5, 0.9], "dropout": 0.5, "weight_decay": 0.0}
             header["config"]["model"].update(dropped)
@@ -320,7 +336,7 @@ class TestScratchTraining:
             header["segments"]["critic.0.W"] = [["rows", rows], ["conds", shapes["critic.0.W"][0] - rows]]
 
         target = make_table("t4", n=30, cats=("x", "y", "z"))  # other widths than the source
-        for kind, edit in (("great", great_header), ("ctgan", ctgan_header)):
+        for kind, edit in (("great", great_header), ("ctgan", ctgan_header), ("tvae", older_layout)):
             cfg = quick_config(kind, epochs=1)
             ckpt, _ = finetune(None, make_table("t3", n=30), cfg)
             path = tmp_path / f"{kind}.ckpt"
@@ -349,14 +365,36 @@ class TestScratchTraining:
         with pytest.raises(SystemExit) as exc:
             main()
         assert exc.value.code == 2
-        assert capsys.readouterr().err == f"error: checkpoint model config lacks {field}\n"
+        assert capsys.readouterr().err == f"error: {path}: checkpoint model config lacks {field}\n"
+
+
+@pytest.mark.parametrize("edit, detail", [
+    (lambda h: h.pop("kind"), "header.kind is missing"),
+    (lambda h: h.pop("tensors"), "header.tensors is missing"),
+    (lambda h: h.pop("config"), "header.config is missing"),
+    (None, "header is not a JSON object"),
+    (lambda h: h.update(segments=3), "header.segments is not a JSON object"),
+    (lambda h: h["tensors"][0].update(offset=-8), "header.tensors[0].offset is not an integer >= 0"),
+    (lambda h: h["tensors"][0].update(shape="a"), "header.tensors[0].shape is not a JSON list"),
+    (lambda h: h["config"]["model"].update(batch="32"), 'checkpoint model config batch is "32", not of type int'),
+    (lambda h: h["aux"]["transformer"].pop("schema"), "checkpoint transformer lacks 'schema'"),
+    (lambda h: h.update(kind=5), "header.kind is not a string"),
+], ids=["no-kind", "no-tensors", "no-config", "list", "int-segments", "negative-offset", "text-shape",
+        "text-batch", "no-schema", "int-kind"])
+def test_a_malformed_header_is_a_data_error_naming_the_file_and_field(edit, detail, tmp_path, cli_run):
+    ckpt, _ = finetune(None, make_table("t"), quick_config(epochs=1))
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(rewrite_header(serialize_checkpoint(ckpt), edit))
+    out = tmp_path / "s.csv"
+    err = cli_run(["sample", "--checkpoint", str(path), "--rows", "2", "--out", str(out)], code=2).err
+    assert err == f"error: {path}: {detail}\n"
+    assert not out.exists()
 
 
 def test_a_vae_run_trains_the_variant_its_kind_names():
-    cfg = quick_config("tvae")
-    assert cfg.vae.variant == "tvae"
-    with pytest.raises(TrainingError, match="a tvae run needs vae.variant 'tvae', got 'stvae'"):
-        replace(cfg, vae=replace(cfg.vae, variant="stvae"))
+    ckpt, _ = finetune(None, make_table("v"), quick_config("tvae", epochs=1))
+    assert "delta" in ckpt.tensors  # only tvae learns its numeric columns' stds
+    assert tr.rebuild_model(ckpt).variant == "tvae"
 
 
 @pytest.mark.parametrize("kind", tr.KINDS)
@@ -532,11 +570,11 @@ class TestTransferState:
 
         tf_a = ColumnTransformer.fit(table_a, modes=1, seed=0)
         tf_b = ColumnTransformer.fit(table_b, modes=1, seed=0)
-        m_a = build_ctgan(tf_a, encode_table(table_a, tf_a, np.random.default_rng(0)), cfg.ctgan, seed=1)
-        m_b = build_ctgan(tf_b, encode_table(table_b, tf_b, np.random.default_rng(0)), cfg.ctgan, seed=2)
+        m_a = build_ctgan(tf_a, encode_table(table_a, tf_a, np.random.default_rng(0)), cfg.model, seed=1)
+        m_b = build_ctgan(tf_b, encode_table(table_b, tf_b, np.random.default_rng(0)), cfg.model, seed=2)
         state_a = tr.copy_state(m_a)
         loaded = transfer_state(m_b, state_a, m_a.segments())
-        z = cfg.ctgan.z_dim
+        z = cfg.model.z_dim
         # The z-rows of the first generator weight must now match model a.
         assert "gen.0.0.W" in loaded
         assert np.array_equal(m_b.generator.params["0.0.W"].data[:z], state_a["gen.0.0.W"][:z])
@@ -554,8 +592,8 @@ class TestTransferState:
         from tabforge.transform import ColumnTransformer
 
         tf = ColumnTransformer.fit(table, modes=1, seed=0)
-        m_a = build_vae(tf, cfg.vae, seed=1)
-        m_b = build_vae(tf, cfg.vae, seed=2)
+        m_a = build_vae(tf, "stvae", cfg.model, seed=1)
+        m_b = build_vae(tf, "stvae", cfg.model, seed=2)
         loaded = transfer_state(m_b, tr.copy_state(m_a), m_a.segments())
         # Same widths everywhere: body and heads both load.
         assert "enc.2.W" in loaded and "dec.0.W" in loaded
@@ -569,8 +607,8 @@ class TestTransferState:
 
         tf_a = ColumnTransformer.fit(make_table("a", cats=("x", "y")), modes=1, seed=0)
         tf_b = ColumnTransformer.fit(make_table("b", cats=("x", "y", "z")), modes=1, seed=0)
-        m_a = build_vae(tf_a, cfg.vae, seed=1)
-        m_b = build_vae(tf_b, cfg.vae, seed=2)
+        m_a = build_vae(tf_a, "stvae", cfg.model, seed=1)
+        m_b = build_vae(tf_b, "stvae", cfg.model, seed=2)
         before = m_b.encoder.params["0.W"].data.copy()
         loaded = transfer_state(m_b, tr.copy_state(m_a), m_a.segments())
         assert "enc.2.W" in loaded and "dec.0.W" in loaded

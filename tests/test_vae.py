@@ -40,9 +40,9 @@ def small(variant="stvae", table=None, dtype=np.float32, sig_dim=4, latent=6, re
         f"--model.sig_dim={sig_dim}",
         "--model.batch=32",
         f"--model.recon_weight={recon_weight}",
-        vae={"hidden": (16, 16)},
-    ).vae
-    model = build_vae(tf, cfg, seed=1, dtype=dtype)
+        model={"hidden": (16, 16)},
+    ).model
+    model = build_vae(tf, variant, cfg, seed=1, dtype=dtype)
     matrix = encode_table(table, tf, np.random.default_rng(2))
     return model, matrix
 
@@ -134,7 +134,7 @@ class TestElbo:
         # without one must not exist.
         model, _ = small("stvae")
         with pytest.raises(ModelError, match="delta present iff variant is tvae"):
-            replace(model, config=replace(model.config, variant="tvae"))
+            replace(model, variant="tvae")
 
 
 class TestSignatures:
@@ -185,8 +185,8 @@ class TestSampling:
         cols = [ColumnMeta("x", ColumnKind.numerical()), ColumnMeta("g", ColumnKind.categorical(), ("k",))]
         table = Table("n", cols, [[float(v), "k"] for v in x])
         tf = ColumnTransformer.fit(table, modes=1, seed=0)
-        cfg = run_config("stvae", "--model.latent=8", "--model.batch=100", vae={"hidden": (32, 32)}).vae
-        model = build_vae(tf, cfg, seed=0)
+        cfg = run_config("stvae", "--model.latent=8", "--model.batch=100", model={"hidden": (32, 32)}).model
+        model = build_vae(tf, "stvae", cfg, seed=0)
         matrix = encode_table(table, tf, np.random.default_rng(1))
         opt = model.optimizer()
         train_rng = np.random.default_rng(2)
