@@ -355,10 +355,11 @@ def _single_table_cmd(action, table_path, base, method, out_path, cfg):
 @cli.command("finetune", _CHECKPOINT, _TABLE, _OUT)
 def finetune_cmd(ckpt_path, table_path, out_path, cfg):
     """Fine-tune a pretrained body on one cleaned table with the checkpoint's own method."""
-    from tabforge.checkpoint import load_checkpoint
+    from tabforge.checkpoint import load_checkpoint, naming
 
     base = load_checkpoint(ckpt_path)
-    _single_table_cmd("finetune", table_path, base, base.kind, out_path, cfg)
+    with naming(ckpt_path):  # an aux entry the run cannot read
+        _single_table_cmd("finetune", table_path, base, base.kind, out_path, cfg)
 
 
 @cli.command("train-scratch", _TABLE, _METHOD, _OUT)

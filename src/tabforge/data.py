@@ -115,6 +115,19 @@ class ColumnMeta:
         if self.kind.is_numerical and self.categories:
             raise ValueError(f"column {self.name!r}: numerical columns have no categories")
 
+    def to_dict(self) -> dict:
+        """The column as JSON: its name, kind and categories, and a rejected
+        kind's reason."""
+        doc = {"name": self.name, "kind": self.kind.variant, "categories": list(self.categories)}
+        if self.kind.reason:
+            doc["reason"] = self.kind.reason
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "ColumnMeta":
+        """The inverse of `to_dict`; older checkpoints also wrote an empty reason."""
+        return cls(doc["name"], ColumnKind(doc["kind"], doc.get("reason", "")), tuple(doc.get("categories", ())))
+
 
 @dataclass
 class Table:
@@ -214,12 +227,7 @@ def ingest_csv(path, name: str, parse_threshold: float = NUMERIC_PARSE_THRESHOLD
             columns.append(ColumnMeta(col_name, ColumnKind.numerical()))
         else:
             values = [None if c == "" else c for c in cells]
-            categories: list[str] = []
-            seen: set[str] = set()
-            for v in values:
-                if v is not None and v not in seen:
-                    seen.add(v)
-                    categories.append(v)
+            categories = dict.fromkeys(v for v in values if v is not None)
             columns.append(ColumnMeta(col_name, ColumnKind.categorical(), tuple(categories)))
         typed_cols.append(values)
 
@@ -264,12 +272,6 @@ def infer_schema(table: Table) -> Table:
         if reason is not None:
             new_columns.append(ColumnMeta(col.name, ColumnKind.rejected(reason)))
             continue
-        categories: list[str] = []
-        seen: set[str] = set()
-        for v in strings:
-            if v not in seen:
-                seen.add(v)
-                categories.append(v)
-        new_columns.append(ColumnMeta(col.name, ColumnKind.categorical(), tuple(categories)))
+        new_columns.append(ColumnMeta(col.name, ColumnKind.categorical(), tuple(dict.fromkeys(strings))))
     return Table(name=table.name, columns=new_columns, rows=table.rows)
 

@@ -15,7 +15,7 @@ gumbel-softmax (tau 0.2) for each mode indicator and categorical block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,15 +69,14 @@ class CtganModel:
     critic: Net
     log_pmfs: list[np.ndarray]  # per categorical column, sums to 1
     config: CtganConfig
-    row_width: int = field(init=False)
 
     def __post_init__(self):
-        self.row_width = self.transformer.total_width
+        row_w = self.transformer.total_width
         gen_out = self.generator.out_width
-        if gen_out != self.row_width:
-            raise ModelError(f"generator output {gen_out} != encoded row width {self.row_width}")
-        cond_w = self.row_width - self.transformer.cond_start
-        expect = self.config.pac * (self.row_width + cond_w)
+        if gen_out != row_w:
+            raise ModelError(f"generator output {gen_out} != encoded row width {row_w}")
+        cond_w = row_w - self.transformer.cond_start
+        expect = self.config.pac * (row_w + cond_w)
         if self.critic.in_width != expect:
             raise ModelError(f"critic input {self.critic.in_width} != pac*(row+cond) = {expect}")
 
@@ -112,16 +111,11 @@ def build_ctgan(
     return make_ctgan(transformer, config, condition_log_pmfs(transformer, matrix), seed, dtype)
 
 
-def _cond_blocks(transformer: ColumnTransformer) -> list[tuple[int, int]]:
-    """The categorical one-hot blocks: the row's tail the condition covers."""
-    return [b for b in transformer.blocks if b[0] >= transformer.cond_start]
-
-
 def condition_log_pmfs(transformer: ColumnTransformer, matrix: np.ndarray) -> list[np.ndarray]:
     """Per categorical column, the log-frequency PMF of its categories over
     the rows of an encoded matrix."""
     pmfs = []
-    for start, stop in _cond_blocks(transformer):
+    for start, stop in transformer.cond_blocks:
         counts = matrix[:, start:stop].sum(axis=0)
         logs = np.log1p(np.asarray(counts, dtype=np.float64))
         total = logs.sum()
@@ -184,7 +178,7 @@ def make_ctgan(
 def _cond_matrix(transformer: ColumnTransformer, i_stars: np.ndarray, k_stars: np.ndarray) -> np.ndarray:
     """One conditional vector per (i*, k*) pair: the row's categorical tail,
     all zero but for category k* of categorical column i*."""
-    blocks = _cond_blocks(transformer)
+    blocks = transformer.cond_blocks
     bad = (i_stars < 0) | (i_stars >= len(blocks))
     if bad.any():
         raise ModelError(f"categorical column index {i_stars[bad][0]} out of range")
@@ -203,7 +197,7 @@ def sample_conditions(model: CtganModel, n: int, rng: np.random.Generator):
     """n draws of (i*, k*): column uniform, category from its log-frequency
     PMF.  Returns (i_stars, k_stars, cond matrix); condition-free tables (no
     categorical columns) give (None, None, an (n, 0) matrix)."""
-    n_columns = len(_cond_blocks(model.transformer))
+    n_columns = len(model.transformer.cond_blocks)
     if n_columns == 0:
         return None, None, np.zeros((n, 0), dtype=np.float32)
     i_stars = rng.integers(n_columns, size=n)
@@ -234,7 +228,7 @@ def build_row_index(model: CtganModel, matrix: np.ndarray) -> RowIndex:
     hits = matrix[:, cond_start:] == 1.0
     _, rows = np.nonzero(hits.T)  # grouped by cond position, rows ascending
     counts = hits.sum(axis=0)
-    offsets = np.array([start - cond_start for start, _ in _cond_blocks(model.transformer)], dtype=np.int64)
+    offsets = np.array([start - cond_start for start, _ in model.transformer.cond_blocks], dtype=np.int64)
     return RowIndex(offsets, np.cumsum(counts) - counts, counts, rows)
 
 
@@ -368,7 +362,7 @@ def generator_loss_graph(model: CtganModel, n_rows: int, rng: np.random.Generato
     ce = None
     if i_s is not None:
         ce_terms = []
-        for pos, (start, stop) in enumerate(_cond_blocks(model.transformer)):
+        for pos, (start, stop) in enumerate(model.transformer.cond_blocks):
             mask = i_s == pos
             if not mask.any():
                 continue

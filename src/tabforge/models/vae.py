@@ -74,10 +74,6 @@ class VaeModel:
         if (self.signatures is not None) != (self.variant == "stvaem"):
             raise ModelError("signatures present iff variant is stvaem")
 
-    @property
-    def row_width(self) -> int:
-        return self.transformer.total_width
-
     def tensors(self) -> dict[str, Tensor]:
         """Every tensor by checkpoint name (live, not copies)."""
         out = {f"enc.{k}": v for k, v in self.encoder.tensors().items()}
@@ -172,8 +168,9 @@ def vae_forward(model: VaeModel, batch: np.ndarray, rng: np.random.Generator):
     with `logits` the pre-softmax block logits of `decoder_heads`."""
     dtype = model.encoder.dtype
     batch = np.asarray(batch, dtype=dtype)
-    if batch.ndim != 2 or batch.shape[1] != model.row_width:
-        raise ModelError(f"batch width {batch.shape} != row width {model.row_width}")
+    row_w = model.transformer.total_width
+    if batch.ndim != 2 or batch.shape[1] != row_w:
+        raise ModelError(f"batch width {batch.shape} != row width {row_w}")
     if model.signatures is not None and len(model.signatures):
         sig = np.broadcast_to(model.signatures.astype(dtype), (batch.shape[0], len(model.signatures)))
         enc_in = np.concatenate([batch, sig], axis=1)

@@ -545,7 +545,9 @@ def span_heads(raw: Tensor, alphas, blocks, probs_of: Tensor | None = None):
     `alphas` columns and, over each (start, stop) block, the softmax of
     `probs_of` (which may be `raw` itself), or with `probs_of` None the
     one-hot at raw's argmax, which carries no gradient.  As the tape: per
-    column a slice and tanh or softmax, then one concat."""
+    column a slice and tanh or softmax, then one concat.  With `probs_of`
+    raw itself, `backward` adds raw's two disjoint gradients, as it adds
+    any tensor's."""
     alphas = np.asarray(alphas, dtype=np.int64)
     th = np.tanh(raw.data[:, alphas])
     data = np.empty_like(raw.data)
@@ -565,12 +567,12 @@ def span_heads(raw: Tensor, alphas, blocks, probs_of: Tensor | None = None):
         g_raw[:, alphas] = g[:, alphas] * (1.0 - th * th)
         if probs_of is None:
             return g_raw, None
-        g_probs = g_raw if probs_of is raw else np.zeros_like(probs_of.data)
+        g_probs = np.zeros_like(probs_of.data)
         for (start, stop), block in zip(blocks, soft):
             gb = g[:, start:stop]
             dot = (gb * block).sum(axis=1, keepdims=True)
             g_probs[:, start:stop] = block * (gb - dot)
-        return g_raw, (None if probs_of is raw else g_probs)
+        return g_raw, g_probs
 
     return _node(data, (raw, raw if probs_of is None else probs_of), vjp)
 

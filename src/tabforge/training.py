@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from tabforge.checkpoint import CheckpointError, ModelCheckpoint
-from tabforge.data import BudgetExhausted, ColumnKind, ColumnMeta, DataError, Table
+from tabforge.data import BudgetExhausted, ColumnMeta, DataError, Table
 from tabforge.great.bpe import BOS, EOS, Vocab, train_bpe
 from tabforge.great.model import (
     GreatConfig,
@@ -212,15 +212,18 @@ def _segment_rows(seglist) -> dict[str, tuple[int, int]]:
 # profiler that rebinds those names sees every call.
 
 
-def _from_aux(ckpt: ModelCheckpoint, key: str, build):
-    """`build` over the checkpoint's aux entry `key`; a missing entry, or a
-    key missing inside it, is a CheckpointError naming it."""
-    if key not in ckpt.aux:
+def _from_aux(aux: dict, key: str, build):
+    """`build` over the checkpoint aux entry `key`; a missing entry, a key
+    missing inside it, or a value `build` cannot read is a CheckpointError
+    naming it."""
+    if key not in aux:
         raise CheckpointError(f"checkpoint has no {key}; was it a pretraining body?")
     try:
-        return build(ckpt.aux[key])
+        return build(aux[key])
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {key} lacks {exc.args[0]!r}") from None
+    except (TypeError, ValueError, AttributeError, DataError) as exc:
+        raise CheckpointError(f"checkpoint {key} is malformed: {exc}") from None
 
 
 def _json_fits(value, hint) -> bool:
@@ -280,7 +283,7 @@ class _GmmDriver:
         return {"transformer": model.transformer.to_dict()}
 
     def _transformer(self, ckpt: ModelCheckpoint) -> ColumnTransformer:
-        return _from_aux(ckpt, "transformer", ColumnTransformer.from_dict)
+        return _from_aux(ckpt.aux, "transformer", ColumnTransformer.from_dict)
 
 
 def _batches(n: int, size: int, rng) -> list[np.ndarray]:
@@ -351,7 +354,7 @@ class _CtganDriver(_GmmDriver):
         return {**super().aux(model), "log_pmfs": [p.tolist() for p in model.log_pmfs]}
 
     def rebuild(self, ckpt: ModelCheckpoint):
-        log_pmfs = _from_aux(ckpt, "log_pmfs", lambda doc: [np.asarray(p, dtype=np.float64) for p in doc])
+        log_pmfs = _from_aux(ckpt.aux, "log_pmfs", lambda doc: [np.asarray(p, dtype=np.float64) for p in doc])
         cfg = _stored_config(CtganConfig, ckpt)
         return make_ctgan(self._transformer(ckpt), cfg, log_pmfs, seed=0)
 
@@ -380,7 +383,7 @@ class _GreatDriver:
     def prep(self, table: Table, config: TrainConfig, aux: dict):
         # Fine-tuning continues with the pretraining vocabulary; training
         # from scratch fits one to the table.
-        vocab = Vocab.from_dict((aux or self.corpus_aux([table], config))["vocab"])
+        vocab = _from_aux(aux or self.corpus_aux([table], config), "vocab", Vocab.from_dict)
         return {"table": table, "vocab": vocab, "rows": np.arange(table.n_rows)}
 
     def start(self, prep, rows: np.ndarray, config: TrainConfig, seed: int):
@@ -420,19 +423,11 @@ class _GreatDriver:
         return table
 
     def aux(self, model) -> dict:
-        return {
-            "vocab": model.vocab.to_dict(),
-            "schema": [
-                {"name": c.name, "kind": c.kind.variant, "categories": list(c.categories)}
-                for c in model.schema
-            ],
-        }
+        return {"vocab": model.vocab.to_dict(), "schema": [c.to_dict() for c in model.schema]}
 
     def rebuild(self, ckpt: ModelCheckpoint):
-        schema = _from_aux(ckpt, "schema", lambda doc: [
-            ColumnMeta(c["name"], ColumnKind(c["kind"]), tuple(c.get("categories", ()))) for c in doc
-        ])
-        vocab = _from_aux(ckpt, "vocab", Vocab.from_dict)
+        schema = _from_aux(ckpt.aux, "schema", lambda doc: [ColumnMeta.from_dict(c) for c in doc])
+        vocab = _from_aux(ckpt.aux, "vocab", Vocab.from_dict)
         return build_great(_stored_config(GreatConfig, ckpt), vocab, schema, seed=0)
 
 

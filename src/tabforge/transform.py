@@ -48,6 +48,8 @@ class GmmParams:
         self.means = np.asarray(self.means, dtype=np.float64)
         self.stds = np.asarray(self.stds, dtype=np.float64)
         self.active = np.asarray(self.active, dtype=bool)
+        if self.weights.ndim != 1 or any(a.shape != self.weights.shape for a in (self.means, self.stds, self.active)):
+            raise TransformError("mode weights, means, stds and active flags must be lists of one length")
         if not self.active.any():
             raise TransformError("at least one mode must be active")
         if abs(self.weights[self.active].sum() - 1.0) > 1e-9:
@@ -216,68 +218,57 @@ class ColumnSpan:
 
 @dataclass
 class ColumnTransformer:
-    """Fitted per-column transforms plus the encoded-row span layout
-    (numeric columns first, then categorical, each in schema order).  The
-    models read the layout only through `alphas`, `blocks` and `cond_start`."""
+    """Fitted per-column transforms: the schema and one GMM per numerical
+    column.  They fix the encoded row's layout (numeric columns first, then
+    categorical, each in schema order), which `__post_init__` derives once
+    and no checkpoint stores.  The models read it only through `alphas`,
+    `blocks`, `cond_start` and `cond_blocks`."""
 
     schema: tuple[ColumnMeta, ...]
     gmms: dict[int, GmmParams]
-    spans: tuple[ColumnSpan, ...]
-    total_width: int
+
+    def __post_init__(self):
+        numeric = [i for i, c in enumerate(self.schema) if c.kind.is_numerical]
+        if sorted(self.gmms) != numeric:
+            raise TransformError(f"GMM fits cover columns {sorted(self.gmms)}, not the numerical columns {numeric}")
+        columns = [(i, "numeric", 1 + self.gmms[i].n_active) for i in numeric]
+        columns += [(i, "categorical", len(c.categories)) for i, c in enumerate(self.schema) if c.kind.is_categorical]
+        spans: list[ColumnSpan] = []
+        start = 0
+        for i, kind, width in columns:
+            spans.append(ColumnSpan(i, kind, start, width))
+            start += width
+        n = len(numeric)
+        self.spans = tuple(spans)
+        self.total_width = start
+        self.alphas = [s.start for s in spans[:n]]  # each numeric span's alpha column
+        # Each span's (start, stop) one-hot: the mode indicators, then the
+        # categorical blocks, which lay out CTGAN's conditional vector.
+        self.cond_blocks = [(s.start, s.start + s.width) for s in spans[n:]]
+        self.blocks = [(s.start + 1, s.start + s.width) for s in spans[:n]] + self.cond_blocks
+        self.cond_start = sum(s.width for s in spans[:n])
 
     @classmethod
     def fit(cls, table: Table, modes: int, seed: int) -> "ColumnTransformer":
         gmms: dict[int, GmmParams] = {}
-        spans: list[ColumnSpan] = []
-        start = 0
         for i in table.numeric_indices():
             values = [v for v in table.column_values(i) if v is not None]
             rng = substream(seed, "gmm", table.name, i)
             try:
-                params = fit_gmm(np.asarray(values, dtype=np.float64), modes, int(rng.integers(2**63)))
+                gmms[i] = fit_gmm(np.asarray(values, dtype=np.float64), modes, int(rng.integers(2**63)))
             except TransformError as exc:
                 raise TransformError(f"table {table.name!r}, column {table.columns[i].name!r}: {exc}") from exc
-            gmms[i] = params
-            width = 1 + params.n_active
-            spans.append(ColumnSpan(i, "numeric", start, width))
-            start += width
         for i in table.categorical_indices():
-            width = len(table.columns[i].categories)
-            if width == 0:
+            if not table.columns[i].categories:
                 raise TransformError(
                     f"table {table.name!r}: categorical column {table.columns[i].name!r} has no categories"
                 )
-            spans.append(ColumnSpan(i, "categorical", start, width))
-            start += width
-        return cls(tuple(table.columns), gmms, tuple(spans), start)
-
-    @property
-    def alphas(self) -> list[int]:
-        """The alpha column of each numeric span."""
-        return [s.start for s in self.spans if s.kind == "numeric"]
-
-    @property
-    def blocks(self) -> list[tuple[int, int]]:
-        """Each span's (start, stop) one-hot: the mode indicators, then the categoricals."""
-        return [(s.start + (s.kind == "numeric"), s.start + s.width) for s in self.spans]
-
-    @property
-    def cond_start(self) -> int:
-        """Where the categorical blocks, CTGAN's conditional vector, begin."""
-        return next((s.start for s in self.spans if s.kind == "categorical"), self.total_width)
+        return cls(tuple(table.columns), gmms)
 
     def to_dict(self) -> dict:
         """JSON-safe dump; float64 values survive json round trips exactly."""
         return {
-            "schema": [
-                {
-                    "name": c.name,
-                    "kind": c.kind.variant,
-                    "reason": c.kind.reason,
-                    "categories": list(c.categories),
-                }
-                for c in self.schema
-            ],
+            "schema": [c.to_dict() for c in self.schema],
             "gmms": {
                 str(i): {
                     "weights": g.weights.tolist(),
@@ -287,22 +278,12 @@ class ColumnTransformer:
                 }
                 for i, g in self.gmms.items()
             },
-            "spans": [[s.column, s.kind, s.start, s.width] for s in self.spans],
-            "total_width": self.total_width,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ColumnTransformer":
-        from tabforge.data import ColumnKind, ColumnMeta
-
-        schema = tuple(
-            ColumnMeta(
-                c["name"],
-                ColumnKind(c["kind"], c.get("reason", "")),
-                tuple(c["categories"]),
-            )
-            for c in doc["schema"]
-        )
+        """The inverse of `to_dict`; the `spans` and `total_width` that older
+        checkpoints hold are ignored, since the schema and fits fix them."""
         gmms = {
             int(i): GmmParams(
                 np.array(g["weights"]),
@@ -312,8 +293,7 @@ class ColumnTransformer:
             )
             for i, g in doc["gmms"].items()
         }
-        spans = tuple(ColumnSpan(c, k, s, w) for c, k, s, w in doc["spans"])
-        return cls(schema, gmms, spans, doc["total_width"])
+        return cls(tuple(ColumnMeta.from_dict(c) for c in doc["schema"]), gmms)
 
 
 def encode_table(table: Table, transformer: ColumnTransformer, rng: np.random.Generator) -> np.ndarray:

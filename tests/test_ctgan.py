@@ -156,7 +156,7 @@ class TestSampleCondition:
         i_s, k_s, cond = sample_conditions(model, 8, np.random.default_rng(0))
         assert i_s is None and k_s is None
         assert cond.shape == (8, 0)
-        assert model.transformer.cond_start == model.row_width
+        assert model.transformer.cond_start == model.transformer.total_width
 
 
 class TestSampleRealConditioned:
@@ -356,12 +356,13 @@ class TestSampling:
     def test_architecture_widths(self):
         model, _ = small_model()
         cfg = model.config
-        cond_width = model.row_width - model.transformer.cond_start
+        row_width = model.transformer.total_width
+        cond_width = row_width - model.transformer.cond_start
         in0 = cfg.z_dim + cond_width
         # concat-skip: |h_{l+1}| = |h_l| + L_l
         assert model.generator.in_width == in0
-        assert model.generator.out_width == model.row_width
-        assert model.critic.in_width == cfg.pac * (model.row_width + cond_width)
+        assert model.generator.out_width == row_width
+        assert model.critic.in_width == cfg.pac * (row_width + cond_width)
 
     def test_pac_must_divide_batch(self):
         table = toy_table()

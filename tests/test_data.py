@@ -162,3 +162,15 @@ def test_column_kind_requires_reason_for_rejection():
     with pytest.raises(ValueError):
         ColumnKind("rejected")
     assert ColumnKind.rejected("url").reason == "url"
+
+
+@pytest.mark.parametrize("column, doc", [
+    (ColumnMeta("x", ColumnKind.numerical()), {"name": "x", "kind": "numerical", "categories": []}),
+    (ColumnMeta("g", ColumnKind.categorical(), ("b", "a")),
+     {"name": "g", "kind": "categorical", "categories": ["b", "a"]}),
+    (ColumnMeta("u", ColumnKind.rejected("url")),
+     {"name": "u", "kind": "rejected", "categories": [], "reason": "url"}),
+], ids=["numerical", "categorical", "rejected"])
+def test_column_meta_round_trips_through_json(column, doc):
+    assert column.to_dict() == doc
+    assert ColumnMeta.from_dict(json.loads(json.dumps(doc))) == column

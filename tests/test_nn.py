@@ -19,7 +19,8 @@ from tabforge.nn.layers import (
 )
 from tabforge.nn.optim import Adam
 from tabforge.nn.tensor import Tensor
-from tabforge.transform import ColumnSpan, ColumnTransformer
+from tabforge.data import ColumnKind, ColumnMeta
+from tabforge.transform import ColumnTransformer, GmmParams
 
 from gradcheck import assert_grads_match, clear_grads, finite_diff, max_rel_error
 
@@ -31,8 +32,10 @@ def _scalarize(out: Tensor, rng: np.random.Generator) -> Tensor:
 
 # A numeric column with 3 modes (alpha + 3-wide mode indicator) and a
 # 2-category column: the row layout the model heads read.
-HEAD_SPANS = (ColumnSpan(0, "numeric", 0, 4), ColumnSpan(1, "categorical", 4, 2))
-HEAD_LAYOUT = ColumnTransformer((), {}, HEAD_SPANS, 6)
+HEAD_LAYOUT = ColumnTransformer(
+    (ColumnMeta("x", ColumnKind.numerical()), ColumnMeta("g", ColumnKind.categorical(), ("a", "b"))),
+    {0: GmmParams(np.full(3, 1 / 3), np.arange(3.0), np.ones(3), np.ones(3, bool))},
+)
 
 def tanh_head(out: Tensor) -> Tensor:
     """Elementwise tanh as the models' heads compute it: every column an alpha."""

@@ -208,8 +208,8 @@ def span_kind_comparisons() -> list[str]:
 
 
 def test_only_transform_branches_on_span_kinds():
-    # The models read the layout through ColumnTransformer.alphas, .blocks
-    # and .cond_start instead of re-deriving it span by span.
+    # The models read the layout through ColumnTransformer.alphas, .blocks,
+    # .cond_start and .cond_blocks instead of re-deriving it span by span.
     assert span_kind_comparisons() == []
 
 

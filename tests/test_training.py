@@ -15,7 +15,7 @@ from tabforge.checkpoint import (
     save_checkpoint,
     serialize_checkpoint,
 )
-from tabforge.cli import main
+from tabforge.cli import main, write_table_csv
 from tabforge.data import ColumnKind, ColumnMeta, Table
 from tabforge.great.bpe import MIN_VOCAB
 from tabforge.metrics import MetricError, TableReport
@@ -27,6 +27,7 @@ from tabforge.training import (
     sample_from_checkpoint,
     transfer_state,
 )
+from tabforge.transform import ColumnTransformer
 
 from conftest import run_config
 
@@ -51,13 +52,21 @@ def older_layout(header) -> None:
     """Rewrite `header` in the layout older checkpoints have: config.model
     held the model config, a VAE's with its variant, and config.train the
     whole TrainConfig, whose model configs sat under `ctgan`, `vae` and
-    `great` (here only the run's own)."""
+    `great` (here only the run's own); a GMM method's transformer stored its
+    row layout (`spans`, `total_width`) and each column's empty `reason`."""
     kind, train = header["kind"], header["config"]
     model = dict(train.pop("model"))
     section = kind if kind in ("ctgan", "great") else "vae"
     if section == "vae":
         model["variant"] = kind
     header["config"] = {"model": model, "train": {**train, section: dict(model)}}
+    doc = header["aux"].get("transformer")
+    if doc is not None:
+        layout = ColumnTransformer.from_dict(doc)
+        doc["spans"] = [[s.column, s.kind, s.start, s.width] for s in layout.spans]
+        doc["total_width"] = layout.total_width
+        for column in doc["schema"]:
+            column["reason"] = ""
 
 
 def make_table(name, n=60, seed=0, mean=0.0, cats=("a", "b")):
@@ -389,6 +398,59 @@ def test_a_malformed_header_is_a_data_error_naming_the_file_and_field(edit, deta
     err = cli_run(["sample", "--checkpoint", str(path), "--rows", "2", "--out", str(out)], code=2).err
     assert err == f"error: {path}: {detail}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, command, edit, detail", [
+    ("great", "sample", lambda h: h["aux"]["schema"][0].update(kind="bogus"),
+     "checkpoint schema is malformed: unknown column kind 'bogus'"),
+    ("great", "sample", lambda h: h["aux"]["vocab"].update(merges=3),
+     "checkpoint vocab is malformed: 'int' object is not iterable"),
+    ("stvae", "sample", lambda h: h["aux"]["transformer"].update(gmms=[]),
+     "checkpoint transformer is malformed: 'list' object has no attribute 'items'"),
+    ("stvae", "sample", lambda h: h["aux"]["transformer"]["gmms"]["0"].update(active=[True, True]),
+     "checkpoint transformer is malformed: mode weights, means, stds and active flags must be lists of one length"),
+    ("ctgan", "sample", lambda h: h["aux"].update(log_pmfs="ab"),
+     "checkpoint log_pmfs is malformed: could not convert string to float: 'a'"),
+    ("great", "finetune", lambda h: h["aux"]["vocab"].pop("merges"), "checkpoint vocab lacks 'merges'"),
+], ids=["great-schema-kind", "great-merges-int", "gmms-list", "gmm-lengths", "log-pmfs-text", "finetune-no-merges"])
+def test_a_malformed_aux_is_a_data_error_naming_the_file(kind, command, edit, detail, tmp_path, cli_run):
+    table = make_table("t", n=30)
+    ckpt, _ = finetune(None, table, quick_config(kind, epochs=1))
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(rewrite_header(serialize_checkpoint(ckpt), edit))
+    out = tmp_path / "out"
+    if command == "sample":
+        args = ["sample", "--checkpoint", str(path), "--rows", "2", "--out", str(out)]
+    else:
+        write_table_csv(table, tmp_path / "t.csv")
+        args = ["finetune", "--checkpoint", str(path), "--table", str(tmp_path / "t.csv"), "--out", str(out)]
+    err = cli_run(args, code=2).err
+    assert err == f"error: {path}: {detail}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["spans"][0].__setitem__(2, 1),
+    lambda doc: doc["spans"][-1].__setitem__(1, "numeric"),
+    lambda doc: doc.update(total_width=doc["total_width"] + 1),
+], ids=["shifted-start", "flipped-kind", "wider-row"])
+def test_stored_spans_are_ignored_for_those_the_fits_define(edit, tmp_path, cli_run):
+    # Older checkpoints stored the row layout beside the schema and fits; an
+    # edited copy samples the same rows as the layout the fits define.
+    ckpt, _ = finetune(None, make_table("t", n=30), quick_config("stvae", epochs=1))
+    blob = serialize_checkpoint(ckpt)
+
+    def edited(header):
+        older_layout(header)
+        edit(header["aux"]["transformer"])
+
+    csvs = []
+    for data in (blob, rewrite_header(blob, older_layout), rewrite_header(blob, edited)):
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(data)
+        cli_run(["sample", "--checkpoint", str(path), "--rows", "20", "--out", str(tmp_path / "s.csv")])
+        csvs.append((tmp_path / "s.csv").read_bytes())
+    assert csvs[0] == csvs[1] == csvs[2]
 
 
 def test_a_vae_run_trains_the_variant_its_kind_names():

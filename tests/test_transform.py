@@ -15,7 +15,6 @@ import tabforge
 from tabforge import transform
 from tabforge.data import ColumnKind, ColumnMeta, DataError, Table
 from tabforge.transform import (
-    ColumnSpan,
     ColumnTransformer,
     GmmParams,
     TransformError,
@@ -42,9 +41,7 @@ def encode_value(params, c, rng):
 
 def numeric_layout(params):
     """A one-column transformer over `params`, for decode_matrix."""
-    width = 1 + params.n_active
-    schema = (ColumnMeta("x", ColumnKind.numerical()),)
-    return ColumnTransformer(schema, {0: params}, (ColumnSpan(0, "numeric", 0, width),), width)
+    return ColumnTransformer((ColumnMeta("x", ColumnKind.numerical()),), {0: params})
 
 
 def decode_value(params, alpha, beta):
@@ -54,7 +51,7 @@ def decode_value(params, alpha, beta):
 
 def categorical_layout(order):
     schema = (ColumnMeta("g", ColumnKind.categorical(), tuple(order)),)
-    return ColumnTransformer(schema, {}, (ColumnSpan(0, "categorical", 0, len(order)),), len(order))
+    return ColumnTransformer(schema, {})
 
 
 class TestFitGmm:
@@ -185,14 +182,14 @@ class TestGmmSweepAndMemo:
         assert em_calls == [1, 2, 3]
 
     def test_fit_matches_full_sweep_golden(self):
-        # sha256 of the fitted layout at K=10 (float64 on x86-64; a libm
-        # that rounds exp/log differently needs a new value).  Its EM runs
-        # converge in few steps, so it does not guard the EM stop;
+        # sha256 of the fitted schema and fits at K=10 (float64 on x86-64; a
+        # libm that rounds exp/log differently needs a new value).  Its EM
+        # runs converge in few steps, so it does not guard the EM stop;
         # test_slow_converging_fit_golden does.
         tf = ColumnTransformer.fit(mixed_table(), modes=10, seed=0)
         doc = json.dumps(tf.to_dict(), sort_keys=True).encode()
         assert hashlib.sha256(doc).hexdigest() == (
-            "73097582de34b6c19e0fbd75498a0ce77251d81a892ed28b6d7610a270ee45ca"
+            "14eb85eef9c86fc8008aa6e49ffa731b529cace74e9cfe764b45cf3b997f6cd9"
         )
 
     def test_round_trip_columns_select_their_mode_counts(self):
@@ -337,21 +334,31 @@ def mixed_table(n=200, seed=0):
 
 class TestTableEncoding:
     def test_width_bookkeeping(self):
-        # Force known active-mode counts by hand-building the transformer.
-        cols = [
+        # Known active-mode counts fix the layout the transformer derives.
+        cols = (
             ColumnMeta("a", ColumnKind.numerical()),
             ColumnMeta("b", ColumnKind.numerical()),
             ColumnMeta("c", ColumnKind.categorical(), ("w", "x", "y", "z")),
-        ]
+        )
         g3 = GmmParams(np.full(3, 1 / 3), np.array([0.0, 5.0, 9.0]), np.ones(3), np.ones(3, bool))
         g2 = GmmParams(np.array([0.5, 0.5]), np.array([0.0, 5.0]), np.ones(2), np.ones(2, bool))
-        table = Table("t", cols, [[0.0, 0.0, "w"]])
-        tf = ColumnTransformer.fit(table, modes=1, seed=0)
-        tf.gmms[0], tf.gmms[1] = g3, g2
-        # Recompute spans the way fit would have laid them out.
-        tf2 = ColumnTransformer(tf.schema, tf.gmms, tf.spans, tf.total_width)
-        widths = [1 + g3.n_active, 1 + g2.n_active, 4]
-        assert sum(widths) == 11
+        tf = ColumnTransformer(cols, {0: g3, 1: g2})
+        assert [(s.start, s.width) for s in tf.spans] == [(0, 4), (4, 3), (7, 4)]
+        assert tf.total_width == 11
+        assert tf.alphas == [0, 4]
+        assert tf.blocks == [(1, 4), (5, 7), (7, 11)]
+        assert (tf.cond_start, tf.cond_blocks) == (7, [(7, 11)])
+
+    @pytest.mark.parametrize("fitted", [[0], [0, 1, 2], [1, 2]], ids=["misses-one", "fits-a-categorical", "shifted"])
+    def test_fits_must_cover_exactly_the_numerical_columns(self, fitted):
+        cols = (
+            ColumnMeta("a", ColumnKind.numerical()),
+            ColumnMeta("b", ColumnKind.numerical()),
+            ColumnMeta("c", ColumnKind.categorical(), ("w", "x")),
+        )
+        fits = {i: single_mode() for i in fitted}
+        with pytest.raises(TransformError, match=r"not the numerical columns \[0, 1\]"):
+            ColumnTransformer(cols, fits)
 
     def test_fit_layout_numeric_then_categorical(self):
         table = mixed_table()
@@ -391,7 +398,7 @@ class TestTableEncoding:
         table = mixed_table()
         empty = Table("e", table.columns, [])
         tf = ColumnTransformer.fit(table, modes=2, seed=0)
-        tf2 = ColumnTransformer(tuple(empty.columns), tf.gmms, tf.spans, tf.total_width)
+        tf2 = ColumnTransformer(tuple(empty.columns), tf.gmms)
         matrix = encode_table(empty, tf2, np.random.default_rng(0))
         assert matrix.shape == (0, tf.total_width)
         assert matrix.dtype == np.float32

@@ -69,9 +69,9 @@ class TestForward:
         model, matrix = small("stvaem", sig_dim=4)
         n_cols = len(model.transformer.spans)
         assert len(model.signatures) == n_cols * 4
-        assert model.encoder.in_width == model.row_width + n_cols * 4
+        assert model.encoder.in_width == model.transformer.total_width + n_cols * 4
         mu, sigma, heads, _, _ = vae_forward(model, matrix[:4], np.random.default_rng(0))
-        assert heads.data.shape == (4, model.row_width)
+        assert heads.data.shape == (4, model.transformer.total_width)
 
     def test_width_mismatch_errors(self):
         model, matrix = small()
